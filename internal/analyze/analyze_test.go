@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"tcsb/internal/core"
@@ -96,6 +97,51 @@ func TestWriteLoadArchiveRoundTrip(t *testing.T) {
 	}
 	if strings.Contains(string(mb), "workers") || strings.Contains(string(mb), "parallel") {
 		t.Fatalf("manifest leaked concurrency knobs:\n%s", mb)
+	}
+}
+
+// TestConcurrentWritersOfOneKey archives the same run from many
+// goroutines at once, as a CLI -archive-dir run and a server sharing the
+// directory may. Every write must succeed and leave one valid run with
+// the exact bytes, and no temp file may be left behind.
+func TestConcurrentWritersOfOneKey(t *testing.T) {
+	online := make([]float64, 20000)
+	for i := range online {
+		online[i] = float64(i)
+	}
+	jsonl := fixtureJSONL("91.9%", online...)
+	dir := t.TempDir()
+	for round := 0; round < 5; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- WriteArchive(dir, "aaa1", fixtureReq(1), jsonl)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		runs, err := LoadArchive(dir)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(runs) != 1 || !bytes.Equal(runs[0].Raw, jsonl) {
+			t.Fatalf("round %d: %d runs, want 1 with the written bytes", round, len(runs))
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2 {
+			t.Fatalf("round %d: archive holds %d files, want the run and its manifest", round, len(entries))
+		}
 	}
 }
 

@@ -96,12 +96,31 @@ func WriteArchive(dir, key string, req core.RunRequest, jsonl []byte) error {
 	return writeAtomic(filepath.Join(dir, key+".json"), append(mb, '\n'))
 }
 
+// writeAtomic installs data at path through a temp file and a rename.
+// The temp file gets a unique name in path's directory, so concurrent
+// writers of one key (a CLI -archive-dir run and a server sharing the
+// directory) never write through the same file: each rename installs
+// one writer's complete bytes.
 func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // LoadArchive reads every archived run in dir, keyed by its manifest,

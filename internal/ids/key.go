@@ -45,27 +45,37 @@ func KeyFromUint64(v uint64) Key {
 }
 
 // Xor returns the bitwise XOR of two keys, i.e. the Kademlia distance
-// between them expressed as a keyspace point.
+// between them expressed as a keyspace point. It works on 64-bit words.
 func (k Key) Xor(o Key) Key {
 	var d Key
-	for i := range k {
-		d[i] = k[i] ^ o[i]
+	for i := 0; i < KeyLen; i += 8 {
+		binary.BigEndian.PutUint64(d[i:], binary.BigEndian.Uint64(k[i:])^binary.BigEndian.Uint64(o[i:]))
 	}
 	return d
 }
 
-// Cmp compares two keys as big-endian unsigned integers. It returns -1 if
-// k < o, 0 if equal, and 1 if k > o.
+// Cmp compares two keys as big-endian unsigned integers, one 64-bit word
+// at a time. It returns -1 if k < o, 0 if equal, and 1 if k > o.
 func (k Key) Cmp(o Key) int {
-	for i := range k {
-		switch {
-		case k[i] < o[i]:
-			return -1
-		case k[i] > o[i]:
+	for i := 0; i < KeyLen; i += 8 {
+		a, b := binary.BigEndian.Uint64(k[i:]), binary.BigEndian.Uint64(o[i:])
+		if a != b {
+			if a < b {
+				return -1
+			}
 			return 1
 		}
 	}
 	return 0
+}
+
+// Prefix64 returns the key's leading 64 bits as an unsigned integer.
+// For a distance d = a XOR t it orders distances exactly unless two of
+// them tie on those bits; Kademlia's nearest-peer selection uses it as
+// the cheap first comparison. The pointer receiver reads the word in
+// place, where a value receiver would copy all 32 bytes first.
+func (k *Key) Prefix64() uint64 {
+	return binary.BigEndian.Uint64(k[:8])
 }
 
 // IsZero reports whether the key is the all-zero identifier.
@@ -81,16 +91,12 @@ func (k Key) IsZero() bool {
 // LeadingZeros returns the number of leading zero bits in the key.
 // For a distance key d = a XOR b this equals CommonPrefixLen(a, b).
 func (k Key) LeadingZeros() int {
-	n := 0
-	for _, b := range k {
-		if b == 0 {
-			n += 8
-			continue
+	for i := 0; i < KeyLen; i += 8 {
+		if w := binary.BigEndian.Uint64(k[i:]); w != 0 {
+			return i*8 + bits.LeadingZeros64(w)
 		}
-		n += bits.LeadingZeros8(b)
-		break
 	}
-	return n
+	return KeyBits
 }
 
 // Bit returns bit i of the key, counting from the most significant bit
@@ -148,7 +154,15 @@ func CommonPrefixLen(a, b Key) int {
 }
 
 // Closer reports whether a is strictly closer to target than b under the
-// XOR metric.
+// XOR metric. It compares the two distances word by word without
+// materializing them.
 func Closer(a, b, target Key) bool {
-	return a.Xor(target).Cmp(b.Xor(target)) < 0
+	for i := 0; i < KeyLen; i += 8 {
+		t := binary.BigEndian.Uint64(target[i:])
+		da, db := binary.BigEndian.Uint64(a[i:])^t, binary.BigEndian.Uint64(b[i:])^t
+		if da != db {
+			return da < db
+		}
+	}
+	return false
 }

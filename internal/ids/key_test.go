@@ -80,6 +80,72 @@ func TestLeadingZeros(t *testing.T) {
 	}
 }
 
+// TestWordwiseMatchesBytewise pins the 64-bit-word Xor, Cmp,
+// LeadingZeros, Closer and Prefix64 to byte-at-a-time references, on
+// keys that differ only in one chosen byte so every word position and
+// every byte inside a word decides some comparison.
+func TestWordwiseMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sign := func(a, b byte) int {
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var a, b, target Key
+		rng.Read(a[:])
+		rng.Read(target[:])
+		b = a
+		pos := rng.Intn(KeyLen)
+		b[pos] = byte(rng.Intn(256))
+		for i := pos + 1; i < KeyLen; i++ {
+			if rng.Intn(2) == 0 {
+				b[i] = byte(rng.Intn(256))
+			}
+		}
+
+		var x Key
+		for i := range a {
+			x[i] = a[i] ^ b[i]
+		}
+		if got := a.Xor(b); got != x {
+			t.Fatalf("Xor differs from the byte-wise XOR at trial %d", trial)
+		}
+		cmp := 0
+		for i := range a {
+			if c := sign(a[i], b[i]); c != 0 {
+				cmp = c
+				break
+			}
+		}
+		if got := a.Cmp(b); got != cmp {
+			t.Fatalf("Cmp = %d, byte-wise %d at trial %d", got, cmp, trial)
+		}
+		lz := 0
+		for lz < KeyBits && x.Bit(lz) == 0 {
+			lz++
+		}
+		if got := x.LeadingZeros(); got != lz {
+			t.Fatalf("LeadingZeros = %d, bit-wise %d at trial %d", got, lz, trial)
+		}
+		if got, want := Closer(a, b, target), a.Xor(target).Cmp(b.Xor(target)) < 0; got != want {
+			t.Fatalf("Closer = %v, want %v at trial %d", got, want, trial)
+		}
+		var p uint64
+		for i := 0; i < 8; i++ {
+			p = p<<8 | uint64(a[i])
+		}
+		pid := PeerIDFromKey(a)
+		if a.Prefix64() != p || pid.Prefix64() != p {
+			t.Fatalf("Prefix64 = %x / %x, want %x", a.Prefix64(), pid.Prefix64(), p)
+		}
+	}
+}
+
 func TestBitRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {

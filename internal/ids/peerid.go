@@ -37,6 +37,10 @@ func PeerIDFromSeed(seed uint64) PeerID {
 // trie where the peer's routing-table neighbourhood lives.
 func (p PeerID) Key() Key { return p.k }
 
+// Prefix64 returns the leading 64 bits of the peer's key, read in place
+// (see Key.Prefix64).
+func (p *PeerID) Prefix64() uint64 { return binary.BigEndian.Uint64(p.k[:8]) }
+
 // IsZero reports whether p is the zero PeerID, used as a "no peer" sentinel.
 func (p PeerID) IsZero() bool { return p.k.IsZero() }
 

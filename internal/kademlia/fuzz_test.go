@@ -15,7 +15,8 @@ import (
 //   - every bucket respects its capacity bound k;
 //   - the table never stores its own key (self-exclusion);
 //   - Len agrees with the bucket occupancy sum, and every stored
-//     contact sits in the bucket its common prefix length dictates.
+//     contact sits in the bucket its common prefix length dictates;
+//   - the bucket slice ends at the deepest non-empty bucket.
 //
 // The input is consumed as records of 9 bytes: one opcode byte and a
 // uint64 peer seed. The seed corpus under testdata/fuzz/FuzzTableInsert
@@ -81,6 +82,7 @@ func FuzzTableInsert(f *testing.F) {
 		if total != tb.Len() {
 			t.Fatalf("Len() = %d but buckets sum to %d", tb.Len(), total)
 		}
+		checkTrimmed(t, "fuzzed table", tb)
 		if tb.Contains(self) {
 			t.Fatal("table stored its own key")
 		}

@@ -12,6 +12,8 @@
 package kademlia
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"tcsb/internal/ids"
@@ -32,9 +34,14 @@ type Contact struct {
 // Table is a Kademlia routing table for the node that owns `self`.
 // It is not safe for concurrent use; the simulator serializes access.
 type Table struct {
-	self    ids.Key
-	k       int
-	buckets [ids.KeyBits + 1][]Contact // indexed by common prefix length; cpl==KeyBits is self
+	self ids.Key
+	k    int
+	// buckets is indexed by common prefix length and ends at the deepest
+	// non-empty bucket: Add grows it, Remove trims it. Random keys leave
+	// every bucket past cpl ≈ log2(network size) empty, so this saves
+	// ~6 KB of empty headers per table over all KeyBits+1 buckets, and
+	// FindNode answers never walk them.
+	buckets [][]Contact
 	size    int
 }
 
@@ -67,6 +74,14 @@ func (t *Table) BucketIndex(other ids.Key) int {
 	return ids.CommonPrefixLen(t.self, other)
 }
 
+// bucket returns bucket idx, which is empty past the deepest stored one.
+func (t *Table) bucket(idx int) []Contact {
+	if idx < len(t.buckets) {
+		return t.buckets[idx]
+	}
+	return nil
+}
+
 // Add inserts or refreshes a contact. It returns true if the peer is in
 // the table afterwards. A full bucket rejects new peers unless an existing
 // contact is older than the new one's LastSeen minus staleAfter — Kademlia
@@ -88,7 +103,7 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 		return false // never store self
 	}
 	idx := t.BucketIndex(c.Peer.Key())
-	b := t.buckets[idx]
+	b := t.bucket(idx)
 	for i := range b {
 		if b[i].Peer == c.Peer {
 			if c.LastSeen > b[i].LastSeen {
@@ -98,6 +113,9 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 		}
 	}
 	if len(b) < t.k {
+		if idx >= len(t.buckets) {
+			t.buckets = append(t.buckets, make([][]Contact, idx+1-len(t.buckets))...)
+		}
 		t.buckets[idx] = append(b, c)
 		t.size++
 		return true
@@ -120,12 +138,16 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 // Remove deletes a peer from the table, returning true if it was present.
 func (t *Table) Remove(p ids.PeerID) bool {
 	idx := t.BucketIndex(p.Key())
-	b := t.buckets[idx]
+	b := t.bucket(idx)
 	for i := range b {
 		if b[i].Peer == p {
 			b[i] = b[len(b)-1]
 			t.buckets[idx] = b[:len(b)-1]
 			t.size--
+			for last := len(t.buckets) - 1; last >= 0 && len(t.buckets[last]) == 0; last-- {
+				t.buckets[last] = nil
+				t.buckets = t.buckets[:last]
+			}
 			return true
 		}
 	}
@@ -134,7 +156,7 @@ func (t *Table) Remove(p ids.PeerID) bool {
 
 // Contains reports whether the peer is in the table.
 func (t *Table) Contains(p ids.PeerID) bool {
-	for _, c := range t.buckets[t.BucketIndex(p.Key())] {
+	for _, c := range t.bucket(t.BucketIndex(p.Key())) {
 		if c.Peer == p {
 			return true
 		}
@@ -156,15 +178,11 @@ func (t *Table) NearestPeers(target ids.Key, n int) []ids.PeerID {
 // FindNode RPC: a queried DHT server answers with the K closest
 // contacts from its own buckets.
 //
-// It runs a bounded selection — a single scan keeping the best n in a
-// small unsorted window — rather than sorting the whole table.
 // Answering FindNode is the simulator's hottest operation (every walk
-// step, crawl sweep and Hydra lookup lands here), and for n = K ≪ table
-// size the selection does one XOR + one tail compare per contact
-// instead of an O(size log size) reflective sort. The selection window
-// lives on the stack (no scratch allocation) for n up to
-// selectorInline; the result is exact and identical to the sort-based
-// implementation.
+// step, crawl sweep and Hydra lookup lands here), so it runs a bounded
+// heap selection over a stack-resident window (see selector) and visits
+// only the buckets that can still improve it. The result is exact and
+// identical to sorting the whole table.
 func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || t.size == 0 {
 		return dst
@@ -176,33 +194,23 @@ func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.Pee
 	// cplT = CPL(self, target), a contact in bucket b has XOR distance
 	// to the target whose leading set bit is: > cplT for b == cplT
 	// (strictly closest band), exactly cplT for every b > cplT, and
-	// exactly b for b < cplT (farther the smaller b is). Visiting
-	// bucket cplT first warms the selection with the closest possible
-	// contacts (making subsequent rejects first-byte cheap), and once
-	// the window is full every remaining bucket below the current band
-	// is provably farther and gets skipped wholesale.
-	var distBuf [selectorInline]ids.Key
-	var peerBuf [selectorInline]ids.PeerID
-	dists, peers := selectorWindow(&distBuf, &peerBuf, n)
-	var st selState
+	// exactly b for b < cplT (farther the smaller b is). So when bucket
+	// cplT alone fills the window nothing else can enter it, and once
+	// the window is full after the cplT band every remaining bucket
+	// below it is provably farther and gets skipped wholesale.
+	var buf [selectorInline]slot
+	s := newSelector(&buf, n, target)
 	cplT := ids.CommonPrefixLen(t.self, target)
-	for i := range t.buckets[cplT] {
-		offer(dists, peers, &st, target, t.buckets[cplT][i].Peer)
-	}
-	for b := cplT + 1; b < len(t.buckets); b++ {
-		for i := range t.buckets[b] {
-			offer(dists, peers, &st, target, t.buckets[b][i].Peer)
+	s.offerBucket(t.bucket(cplT))
+	if !s.full() {
+		for b := cplT + 1; b < len(t.buckets); b++ {
+			s.offerBucket(t.buckets[b])
+		}
+		for b := min(cplT, len(t.buckets)) - 1; b >= 0 && !s.full(); b-- {
+			s.offerBucket(t.buckets[b])
 		}
 	}
-	for b := cplT - 1; b >= 0; b-- {
-		if st.size == len(peers) {
-			break
-		}
-		for i := range t.buckets[b] {
-			offer(dists, peers, &st, target, t.buckets[b][i].Peer)
-		}
-	}
-	return appendSorted(dst, dists, peers, &st)
+	return s.appendSorted(dst)
 }
 
 // selectorInline is the window size the bounded selection keeps on the
@@ -210,87 +218,161 @@ func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.Pee
 // (= 40) peers; larger requests fall back to heap-allocated windows.
 const selectorInline = 64
 
-// selState tracks the fill level and current-worst index of a selection
-// window. The window itself lives in two plain slices (dists, peers)
-// passed alongside — deliberately NOT bundled into a struct with the
-// backing arrays: a struct holding slices of its own arrays is
-// self-referential, which defeats escape analysis and would heap-
-// allocate the ~4 KB window on every call (the simulator's hottest
-// path). With local arrays sliced into local variables, everything
-// stays on the stack.
-type selState struct {
-	size  int
-	worst int
+// slot is one window entry: the leading 64 bits of the candidate's XOR
+// distance to the target, and the candidate itself. The prefix decides
+// almost every comparison; less falls back to the full keys on a tie.
+type slot struct {
+	d uint64
+	p *ids.PeerID
 }
 
-// selectorWindow slices a selection window of capacity n out of the
-// inline buffers, falling back to the heap only for n > selectorInline.
-func selectorWindow(distBuf *[selectorInline]ids.Key, peerBuf *[selectorInline]ids.PeerID, n int) ([]ids.Key, []ids.PeerID) {
-	if n <= selectorInline {
-		return distBuf[:n], peerBuf[:n]
+// less orders slots by XOR distance to target, exactly.
+func less(a, b slot, target *ids.Key) bool {
+	if a.d != b.d {
+		return a.d < b.d
 	}
-	return make([]ids.Key, n), make([]ids.PeerID, n)
+	return closerOnTie(a.p, b.p, target)
 }
 
-// offer considers one peer for the n-closest window: rejects cost one
-// fused byte-compare against the current worst, replacements an O(n)
-// worst rescan (rare once the window is warm).
-func offer(dists []ids.Key, peers []ids.PeerID, st *selState, target ids.Key, p ids.PeerID) {
-	k := p.Key()
-	if st.size == len(peers) {
-		// Fast reject against the current worst, byte-fused with early
-		// exit — the overwhelmingly common case, usually decided on the
-		// first byte without materializing the distance.
-		if !xorLess(k, target, dists[st.worst]) {
+// closerOnTie compares two candidates whose distances share the leading
+// 64 bits. Random keys almost never get here, so it stays out of line
+// to keep less inlinable.
+//
+//go:noinline
+func closerOnTie(a, b *ids.PeerID, target *ids.Key) bool {
+	return ids.Closer(a.Key(), b.Key(), *target)
+}
+
+// selector keeps the n closest candidates offered so far. Until the
+// window fills it is an unsorted array; from then on it is a max-heap
+// under less, so rejecting a candidate is one prefix compare against
+// the root and accepting one is a sift-down. The window is sliced from
+// a caller-owned array, and the selector holds only that slice — never
+// the array itself — so it is not self-referential and escape analysis
+// keeps the whole window on the caller's stack.
+type selector struct {
+	h    []slot
+	size int
+	// worst is the root's distance prefix once the window is full, and
+	// the largest prefix while it fills, so that offer's one compare
+	// admits every candidate during the fill and rejects the provably
+	// farther ones after it.
+	worst  uint64
+	tp     uint64
+	target ids.Key
+}
+
+// newSelector slices a window of capacity n out of buf, falling back to
+// the heap only for n > selectorInline.
+func newSelector(buf *[selectorInline]slot, n int, target ids.Key) selector {
+	h := buf[:0]
+	if n > selectorInline {
+		h = make([]slot, n)
+	}
+	return selector{h: h[:n], worst: math.MaxUint64, tp: target.Prefix64(), target: target}
+}
+
+func (s *selector) full() bool { return s.size == len(s.h) }
+
+// push adds c to a filling window, heapifying it once it is full, or
+// replaces the root of a full window if c is closer.
+func (s *selector) push(d uint64, p *ids.PeerID) {
+	c := slot{d, p}
+	switch {
+	case s.size < len(s.h):
+		s.h[s.size] = c
+		s.size++
+		if !s.full() {
 			return
 		}
-		dists[st.worst] = k.Xor(target)
-		peers[st.worst] = p
-		w := 0
-		for i := 1; i < st.size; i++ {
-			if dists[i].Cmp(dists[w]) > 0 {
-				w = i
-			}
+		for i := len(s.h)/2 - 1; i >= 0; i-- {
+			siftDown(s.h, i, &s.target)
 		}
-		st.worst = w
+	case less(c, s.h[0], &s.target):
+		s.h[0] = c
+		siftDown(s.h, 0, &s.target)
+	default:
 		return
 	}
-	d := k.Xor(target)
-	dists[st.size] = d
-	peers[st.size] = p
-	if d.Cmp(dists[st.worst]) > 0 {
-		st.worst = st.size
-	}
-	st.size++
+	s.worst = s.h[0].d
 }
 
-// appendSorted sorts the window by distance (insertion sort: the window
-// is small) and appends the peers onto dst, closest first.
-func appendSorted(dst []ids.PeerID, dists []ids.Key, peers []ids.PeerID, st *selState) []ids.PeerID {
-	for i := 1; i < st.size; i++ {
-		d, p := dists[i], peers[i]
-		j := i
-		for j > 0 && d.Cmp(dists[j-1]) < 0 {
-			dists[j] = dists[j-1]
-			peers[j] = peers[j-1]
-			j--
-		}
-		dists[j] = d
-		peers[j] = p
+// offer considers candidate p, whose distance prefix (p's key XOR the
+// target, leading 64 bits) is d. It inlines into the scan loops, so the
+// common case, a candidate farther than the window's worst on the
+// prefix alone, costs one XOR and one compare.
+func (s *selector) offer(d uint64, p *ids.PeerID) {
+	if d <= s.worst {
+		s.push(d, p)
 	}
-	return append(dst, peers[:st.size]...)
 }
 
-// xorLess reports whether (k XOR target) < w without materializing the
-// distance key.
-func xorLess(k, target, w ids.Key) bool {
-	for i := 0; i < ids.KeyLen; i++ {
-		db := k[i] ^ target[i]
-		if db != w[i] {
-			return db < w[i]
-		}
+func (s *selector) offerBucket(b []Contact) {
+	for i := range b {
+		s.offer(b[i].Peer.Prefix64()^s.tp, &b[i].Peer)
 	}
-	return false
+}
+
+// appendSorted sorts the window closest first and appends its peers
+// onto dst. Both callers clamp n to the number of candidates and offer
+// all of them, so the window is full, i.e. a heap.
+func (s *selector) appendSorted(dst []ids.PeerID) []ids.PeerID {
+	heapSort(s.h, &s.target)
+	dst = slices.Grow(dst, len(s.h))
+	for _, c := range s.h {
+		dst = append(dst, *c.p)
+	}
+	return dst
+}
+
+// heapSort sorts a max-heap in place into increasing order. Each step
+// moves the root behind the heap and refills the root with Floyd's
+// bottom-up sift: the hole walks down to a leaf along the larger
+// children, one compare per level, and the displaced last leaf, which
+// is usually small, climbs back up only a level or two. That is about
+// half the compares of a plain sift-down.
+func heapSort(h []slot, target *ids.Key) {
+	for end := len(h) - 1; end > 0; end-- {
+		x := h[end]
+		h[end] = h[0]
+		i := 0
+		for c := 1; c < end; c = 2*i + 1 {
+			if c+1 < end && less(h[c], h[c+1], target) {
+				c++
+			}
+			h[i] = h[c]
+			i = c
+		}
+		for i > 0 {
+			p := (i - 1) / 2
+			if !less(h[p], x, target) {
+				break
+			}
+			h[i] = h[p]
+			i = p
+		}
+		h[i] = x
+	}
+}
+
+// siftDown restores the max-heap property below node i.
+func siftDown(h []slot, i int, target *ids.Key) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && less(h[c], h[c+1], target) {
+			c++
+		}
+		if !less(x, h[c], target) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // SelectNearest returns the n peers from the slice closest to target in
@@ -310,14 +392,12 @@ func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n
 	if n > len(peers) {
 		n = len(peers)
 	}
-	var distBuf [selectorInline]ids.Key
-	var peerBuf [selectorInline]ids.PeerID
-	dists, window := selectorWindow(&distBuf, &peerBuf, n)
-	var st selState
-	for _, p := range peers {
-		offer(dists, window, &st, target, p)
+	var buf [selectorInline]slot
+	s := newSelector(&buf, n, target)
+	for i := range peers {
+		s.offer(peers[i].Prefix64()^s.tp, &peers[i])
 	}
-	return appendSorted(dst, dists, window, &st)
+	return s.appendSorted(dst)
 }
 
 // AllPeers returns every contact's peer ID. Order is bucket-major and
@@ -347,10 +427,10 @@ func (t *Table) BucketSizes() map[int]int {
 
 // Bucket returns a copy of the contacts in bucket i.
 func (t *Table) Bucket(i int) []Contact {
-	if i < 0 || i >= len(t.buckets) {
+	if i < 0 {
 		return nil
 	}
-	return append([]Contact(nil), t.buckets[i]...)
+	return append([]Contact(nil), t.bucket(i)...)
 }
 
 // SortByDistance orders peers by XOR distance to target, closest first,

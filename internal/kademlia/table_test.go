@@ -1,6 +1,7 @@
 package kademlia
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -272,68 +273,230 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkNearestPeers answers FindNode from a filled table into a
+// reused buffer, as the node and Hydra handlers do: k = K is a node's
+// table, k = 8·K the Hydra's. Targets cycle through random keys so every
+// common-prefix band is exercised. It must not allocate.
 func BenchmarkNearestPeers(b *testing.B) {
-	tab := New(ids.KeyFromUint64(0))
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000; i++ {
-		tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
+	for _, k := range []int{K, 8 * K} {
+		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
+			tab := NewWithK(ids.KeyFromUint64(0), k)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 5000; i++ {
+				tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
+			}
+			targets := make([]ids.Key, 256)
+			for i := range targets {
+				targets[i] = ids.KeyFromUint64(rng.Uint64())
+			}
+			buf := make([]ids.PeerID, 0, K)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = tab.AppendNearest(buf[:0], targets[i%len(targets)], K)
+			}
+		})
 	}
-	target := ids.KeyFromUint64(12345)
+}
+
+// BenchmarkSelectNearest selects the K closest of a 160-peer window (the
+// 8n slice of the key ring World.nearestServers selects from) into a
+// reused buffer. It must not allocate.
+func BenchmarkSelectNearest(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	peers := make([]ids.PeerID, 8*K)
+	for i := range peers {
+		peers[i] = ids.PeerIDFromSeed(rng.Uint64())
+	}
+	targets := make([]ids.Key, 256)
+	for i := range targets {
+		targets[i] = ids.KeyFromUint64(rng.Uint64())
+	}
+	buf := make([]ids.PeerID, 0, K)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tab.NearestPeers(target, K)
+		buf = AppendSelectNearest(buf[:0], peers, targets[i%len(targets)], K)
 	}
 }
 
-// TestNearestPeersMatchesBruteForce pins the bounded-selection
-// implementation to the obviously-correct specification: sort every
-// contact by XOR distance and take the head. The bucket-order traversal
-// with early skip must be indistinguishable from it.
-func TestNearestPeersMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		self := ids.KeyFromUint64(rng.Uint64())
-		tb := New(self)
-		var all []ids.PeerID
-		for i := 0; i < 30+rng.Intn(400); i++ {
-			p := ids.PeerIDFromSeed(rng.Uint64())
-			if tb.Add(Contact{Peer: p, LastSeen: int64(i)}) {
-				all = append(all, p)
-			}
-		}
-		for _, n := range []int{1, 3, K, 2 * K, len(all) + 5} {
-			target := ids.KeyFromUint64(rng.Uint64())
-			got := tb.NearestPeers(target, n)
-			want := SortByDistance(all, target)
-			if n < len(want) {
-				want = want[:n]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d n=%d: got %d peers, want %d", trial, n, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d n=%d: position %d differs", trial, n, i)
-				}
-			}
-		}
+// checkNearest compares one selection against the specification: sort
+// every candidate by XOR distance and take the head.
+func checkNearest(t *testing.T, label string, got, all []ids.PeerID, target ids.Key, n int) {
+	t.Helper()
+	want := SortByDistance(all, target)
+	if n < len(want) {
+		want = want[:n]
 	}
-}
-
-// TestSelectNearestMatchesSort pins SelectNearest the same way.
-func TestSelectNearestMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var peers []ids.PeerID
-	for i := 0; i < 300; i++ {
-		peers = append(peers, ids.PeerIDFromSeed(rng.Uint64()))
+	if len(got) != len(want) {
+		t.Fatalf("%s n=%d: got %d peers, want %d", label, n, len(got), len(want))
 	}
-	target := ids.KeyFromUint64(99)
-	got := SelectNearest(peers, target, 24)
-	want := SortByDistance(peers, target)[:24]
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("position %d differs", i)
+			t.Fatalf("%s n=%d: position %d differs", label, n, i)
+		}
+	}
+}
+
+// checkTrimmed asserts the right-sized bucket invariant: the bucket
+// slice ends at the deepest non-empty bucket.
+func checkTrimmed(t *testing.T, label string, tb *Table) {
+	t.Helper()
+	if n := len(tb.buckets); n > 0 && len(tb.buckets[n-1]) == 0 {
+		t.Fatalf("%s: bucket slice of length %d ends in an empty bucket", label, n)
+	}
+}
+
+// nearTarget returns a key sharing at least cpl leading bits with self:
+// the high-cplT targets a walk reaches as it converges.
+func nearTarget(rng *rand.Rand, self ids.Key, cpl int) ids.Key {
+	k := ids.KeyFromUint64(rng.Uint64())
+	for i := 0; i < cpl; i++ {
+		k = k.WithBit(i, self.Bit(i))
+	}
+	return k
+}
+
+// tiedPeers returns groups of peers whose keys share their leading 64
+// bits within a group, so their distances to any target tie on the
+// selector's prefix and only the full-key comparison orders them.
+// Random SHA-256 keys never reach that fallback.
+func tiedPeers(rng *rand.Rand, groups, perGroup int) []ids.PeerID {
+	var out []ids.PeerID
+	for g := 0; g < groups; g++ {
+		base := ids.KeyFromUint64(rng.Uint64())
+		for j := 0; j < perGroup; j++ {
+			k := base
+			rng.Read(k[8:])
+			out = append(out, ids.PeerIDFromKey(k))
+		}
+	}
+	return out
+}
+
+// TestNearestPeersMatchesBruteForce pins the bounded selection to the
+// obviously-correct specification (SortByDistance) across node-sized
+// (k = K) and Hydra-sized (k = 8·K) tables, random and high-cplT
+// targets, windows past selectorInline, tables trimmed by Remove and
+// churned by AddReplacingStale, and candidates that tie on the 64-bit
+// distance prefix.
+func TestNearestPeersMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 60; trial++ {
+		k := K
+		if trial%2 == 1 {
+			k = 8 * K
+		}
+		self := ids.KeyFromUint64(rng.Uint64())
+		tb := NewWithK(self, k)
+		offered := 30 + rng.Intn(1500)
+		for i := 0; i < offered; i++ {
+			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64()), LastSeen: int64(i)})
+		}
+		switch trial % 6 {
+		case 2, 3:
+			// Remove about half the contacts, then empty the three
+			// deepest buckets, so the bucket slice is trimmed.
+			for _, p := range tb.AllPeers() {
+				if rng.Intn(2) == 0 {
+					tb.Remove(p)
+				}
+			}
+			deepest := len(tb.buckets) - 1
+			for b := deepest; b >= 0 && b > deepest-3; b-- {
+				for _, c := range tb.Bucket(b) {
+					tb.Remove(c.Peer)
+				}
+			}
+			// Churn full buckets with stale replacements.
+			for i := 0; i < offered/2; i++ {
+				tb.AddReplacingStale(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64()), LastSeen: int64(offered + i)}, int64(offered/2))
+			}
+		case 4, 5:
+			// Candidates tied on the 64-bit distance prefix.
+			for i, p := range tiedPeers(rng, 6, 12) {
+				tb.Add(Contact{Peer: p, LastSeen: int64(offered + i)})
+			}
+		}
+		checkTrimmed(t, "table", tb)
+		all := tb.AllPeers()
+		if len(all) != tb.Len() {
+			t.Fatalf("trial %d: AllPeers = %d, Len = %d", trial, len(all), tb.Len())
+		}
+		targets := []ids.Key{
+			ids.KeyFromUint64(rng.Uint64()),
+			nearTarget(rng, self, 8+rng.Intn(16)),
+			nearTarget(rng, self, 24+rng.Intn(232)),
+			self,
+		}
+		if len(all) > 0 {
+			// A stored peer's own key, and a key tied with it on 64 bits.
+			p := all[rng.Intn(len(all))].Key()
+			q := p
+			rng.Read(q[8:])
+			targets = append(targets, p, q)
+		}
+		for ti, target := range targets {
+			for _, n := range []int{1, 3, K, 2 * K, selectorInline + 1, len(all) + 5} {
+				label := fmt.Sprintf("trial %d k=%d target %d", trial, k, ti)
+				checkNearest(t, label, tb.NearestPeers(target, n), all, target, n)
+			}
+		}
+	}
+}
+
+// TestRemoveTrimsBuckets empties a table contact by contact and checks
+// after every removal that the bucket slice ends at the deepest
+// non-empty bucket, and that a regrown table answers exactly.
+func TestRemoveTrimsBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	self := ids.KeyFromUint64(9)
+	tb := New(self)
+	for i := 0; i < 2000; i++ {
+		tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
+	}
+	all := tb.AllPeers()
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	for i, p := range all {
+		if !tb.Remove(p) {
+			t.Fatalf("Remove(%s) = false for a stored peer", p.Short())
+		}
+		checkTrimmed(t, fmt.Sprintf("after %d removals", i+1), tb)
+	}
+	if len(tb.buckets) != 0 || tb.Len() != 0 {
+		t.Fatalf("emptied table keeps %d buckets, Len %d", len(tb.buckets), tb.Len())
+	}
+	for _, p := range all[:len(all)/2] {
+		tb.Add(Contact{Peer: p})
+	}
+	target := nearTarget(rng, self, 30)
+	checkNearest(t, "regrown", tb.NearestPeers(target, K), tb.AllPeers(), target, K)
+}
+
+// TestSelectNearestMatchesSort pins SelectNearest the same way, over
+// random candidates, candidates tied on the 64-bit distance prefix,
+// duplicates, and windows past selectorInline.
+func TestSelectNearestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		var peers []ids.PeerID
+		for i := 0; i < 1+rng.Intn(400); i++ {
+			peers = append(peers, ids.PeerIDFromSeed(rng.Uint64()))
+		}
+		if trial%2 == 1 {
+			peers = append(peers, tiedPeers(rng, 4, 20)...)
+			peers = append(peers, peers[:len(peers)/4]...)
+			rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+		}
+		targets := []ids.Key{ids.KeyFromUint64(rng.Uint64()), peers[0].Key()}
+		tied := peers[len(peers)-1].Key()
+		rng.Read(tied[8:])
+		targets = append(targets, tied)
+		for ti, target := range targets {
+			for _, n := range []int{1, K, 24, selectorInline, selectorInline + 1, len(peers) + 1} {
+				label := fmt.Sprintf("trial %d target %d", trial, ti)
+				checkNearest(t, label, SelectNearest(peers, target, n), peers, target, n)
+			}
 		}
 	}
 }
