@@ -18,6 +18,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,6 +37,12 @@ import (
 
 // maxSweepRuns bounds one sweep request's expanded grid.
 const maxSweepRuns = 256
+
+// maxBodyBytes caps every request body. Run requests, sweep specs and
+// expectations documents are a few hundred bytes, so 1 MiB refuses
+// nothing legitimate while keeping a client from making the server
+// buffer an unbounded upload.
+const maxBodyBytes = 1 << 20
 
 type server struct {
 	cache      *runcache.Cache
@@ -110,7 +117,17 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/v1/runs", s.handleRuns)
 	mux.HandleFunc("/v1/sweeps", s.handleSweeps)
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	return s.recoverPanics(mux)
+	return s.recoverPanics(limitBodies(mux))
+}
+
+// limitBodies caps every request body at maxBodyBytes. A handler that
+// reads past the cap gets an *http.MaxBytesError, which writeBodyError
+// answers with 413.
+func limitBodies(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		next.ServeHTTP(w, r)
+	})
 }
 
 // recoverPanics converts a handler panic into a 500 JSON error: the
@@ -132,6 +149,17 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// writeBodyError answers a request body that could not be read or
+// decoded: 413 when it ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -224,13 +252,20 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.cache.Stats())
 }
 
-// decodeRequest parses a RunRequest body strictly: unknown fields are
-// a 400, not a silent drop — a typoed field name must never quietly
-// run the wrong campaign.
+// decodeRequest parses a request body holding exactly one JSON value,
+// strictly: unknown fields and anything after the value are errors, not
+// silently dropped — a typoed field name or a second concatenated
+// request must never quietly run the wrong campaign.
 func decodeRequest(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 		return fmt.Errorf("request body: %w", err)
 	}
 	return nil
@@ -294,7 +329,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	var req core.RunRequest
 	if err := decodeRequest(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	res, err := s.resolveForFleet(req)
@@ -338,7 +373,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("request body: %v", err))
+			writeBodyError(w, fmt.Errorf("request body: %w", err))
 			return
 		}
 		if exp, err = analyze.ParseExpectations(body); err != nil {
@@ -475,7 +510,7 @@ func (s *server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 	var spec sweepSpec
 	if err := decodeRequest(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	reqs := spec.expand()

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,6 +113,8 @@ func TestRunRequestValidation(t *testing.T) {
 		{"unknown intervention", `{"whatIf":"bogus"}`},
 		{"bad net profile", `{"netProfile":"net.nope"}`},
 		{"bad timeline grammar", `{"timeline":"epochs=zero"}`},
+		{"second JSON value", `{"seed":1}{"seed":2}`},
+		{"trailing garbage", `{"seed":1} x`},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -133,6 +134,39 @@ func TestRunRequestValidation(t *testing.T) {
 
 	if w := get(t, testServer().handler(), "/v1/runs"); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/runs: %d, want 405", w.Code)
+	}
+}
+
+// TestRequestBodyLimits pins the body cap on every POST endpoint: a
+// body one byte past maxBodyBytes is a 413 JSON error, one exactly at
+// the cap is read in full and judged on its content, and a sweep spec
+// with trailing data is a 400 like a run request.
+func TestRequestBodyLimits(t *testing.T) {
+	h := newServer(2, 4, 64, t.TempDir(), nil).handler()
+	pad := func(body string, size int) string { return body + strings.Repeat(" ", size-len(body)) }
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"run at the cap", "/v1/runs", pad(`{"days":-1}`, maxBodyBytes), http.StatusBadRequest},
+		{"run past the cap", "/v1/runs", pad(`{"days":-1}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"sweep past the cap", "/v1/sweeps", pad(`{"seeds":[1]}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"analyze past the cap", "/v1/analyze", pad(`{"rules":[]}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"sweep with a second value", "/v1/sweeps", `{"seeds":[1]}{"seeds":[2]}`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			if w.Code != tc.want {
+				t.Fatalf("status %d, want %d; body %s", w.Code, tc.want, w.Body)
+			}
+			var e map[string]string
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == "" {
+				t.Fatalf("error body %q is not {\"error\": ...}", w.Body)
+			}
+		})
 	}
 }
 
@@ -465,45 +499,44 @@ func TestCancelledClientDoesNotPoisonCoalesced(t *testing.T) {
 	}
 }
 
-// streamRecorder is a ResponseWriter that surfaces each written NDJSON
-// line as it arrives, so a test can observe streaming order while the
-// handler is still running.
+// streamRecorder is a ResponseWriter that surfaces each NDJSON line as
+// the handler flushes it, so a test can observe streaming order while
+// the handler is still running. A written line stays buffered until the
+// next Flush, as in a real response, so a line arriving on lines proves
+// the handler flushed it. Write and Flush run on the handler goroutine;
+// the test reads only lines.
 type streamRecorder struct {
-	mu      sync.Mutex
 	header  http.Header
-	partial bytes.Buffer
+	pending bytes.Buffer
 	lines   chan string
-	flushes atomic.Int32
 }
 
 func newStreamRecorder() *streamRecorder {
+	// Buffered past any test's line count, so Flush never blocks.
 	return &streamRecorder{header: http.Header{}, lines: make(chan string, 64)}
 }
 
-func (r *streamRecorder) Header() http.Header { return r.header }
-func (r *streamRecorder) WriteHeader(int)     {}
-func (r *streamRecorder) Flush()              { r.flushes.Add(1) }
+func (r *streamRecorder) Header() http.Header         { return r.header }
+func (r *streamRecorder) WriteHeader(int)             {}
+func (r *streamRecorder) Write(p []byte) (int, error) { return r.pending.Write(p) }
 
-func (r *streamRecorder) Write(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.partial.Write(p)
+// Flush publishes every complete buffered line.
+func (r *streamRecorder) Flush() {
 	for {
-		s := r.partial.String()
-		i := strings.IndexByte(s, '\n')
+		i := bytes.IndexByte(r.pending.Bytes(), '\n')
 		if i < 0 {
-			return len(p), nil
+			return
 		}
-		r.lines <- s[:i]
-		r.partial.Next(i + 1)
+		r.lines <- string(r.pending.Next(i + 1)[:i])
 	}
 }
 
 // TestSweepStreamsRows is the regression pin for the buffering bug:
 // row i must be written and flushed as soon as cell i completes, never
-// held until the whole grid finishes. Cell 0 is primed (instant hit)
-// and cell 1 is blocked on the only fleet slot — so row 0 arriving
-// while the slot is still held proves the handler streams.
+// held until the whole grid finishes (the recorder publishes a row only
+// on Flush). Cell 0 is primed (instant hit) and cell 1 is blocked on
+// the only fleet slot — so row 0 arriving while the slot is still held
+// proves the handler streams.
 func TestSweepStreamsRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real campaign")
@@ -537,10 +570,7 @@ func TestSweepStreamsRows(t *testing.T) {
 			t.Fatalf("first streamed row: %+v, want cached cell 0", row)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("row 0 did not stream while cell 1 was still computing")
-	}
-	if rec.flushes.Load() < 1 {
-		t.Error("row 0 was written but never flushed to the client")
+		t.Fatal("row 0 was not written and flushed while cell 1 was still computing")
 	}
 
 	<-s.slots // release: cell 1 runs

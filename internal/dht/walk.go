@@ -13,11 +13,11 @@
 package dht
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"tcsb/internal/ids"
-	"tcsb/internal/intern"
 	"tcsb/internal/kademlia"
 	"tcsb/internal/netsim"
 )
@@ -52,33 +52,38 @@ func NewWalker(net *netsim.Network, self ids.PeerID) *Walker {
 	return &Walker{net: net, self: self}
 }
 
-// walkScratch is the reusable state of one walk: candidate bookkeeping,
-// RPC response buffers, and the provider collection. A walk resets it on
+// walkScratch is the reusable state of one walk: the candidate set, RPC
+// response buffers, and the provider collection. A walk resets it on
 // entry and copies its results out on exit, so a pooled scratch serves
 // arbitrarily many walks — the steady-state walk allocates nothing but
 // its final result.
+//
+// The candidate set hashes nothing. Candidates sit in peers and flags in
+// arrival order, so an index names one candidate for the whole walk.
+// order lists those indices by increasing XOR distance to the target,
+// each next to the leading 64 bits of its distance, so add's binary
+// search reads a full key only on a prefix tie. XOR with the target is a
+// bijection, so a candidate at equal distance is the same peer: the
+// search that places a new candidate also deduplicates it.
 type walkScratch struct {
-	// tab is the world's handle table bundle, read-only from walk lanes
-	// (walks never intern). nil in table-less unit tests.
-	tab *intern.Tables
-	// ext assigns scratch-local handles, from the top of the handle
-	// space downward, to candidates absent from tab — unattached seeds,
-	// which only degenerate tests and empty networks produce. Cleared
-	// per walk.
-	ext map[ids.PeerID]intern.PeerH
-	// flags[idx[h]] holds the queried/failed bits of candidate handle h:
-	// 4-byte keys instead of 32-byte identifiers in the walk's hottest
-	// membership maps.
-	idx    map[intern.PeerH]int32
-	flags  []uint8
-	sorted []ids.PeerID // candidates in increasing distance order
-	batch  []ids.PeerID
+	target ids.Key
+	tp     uint64 // target.Prefix64()
+	peers  []ids.PeerID
+	flags  []uint8 // flagQueried/flagFailed bits of peers[i]
+	order  []cand
+	batch  []int32 // candidate indices: nextBatch's and closest's result
 
 	closer []ids.PeerID            // FindNode / GetProviders response buffer
 	recs   []netsim.ProviderRecord // GetProviders record response buffer
 
-	provSeen map[intern.PeerH]bool
-	provs    []netsim.ProviderRecord
+	provs []netsim.ProviderRecord // one record per provider, in provider-key order
+}
+
+// cand is one entry of the distance order: the leading 64 bits of a
+// candidate's distance to the target, and the candidate's index.
+type cand struct {
+	d uint64
+	i int32
 }
 
 const (
@@ -86,107 +91,98 @@ const (
 	flagFailed
 )
 
-func newWalkScratch(tab *intern.Tables) *walkScratch {
-	return &walkScratch{
-		tab:      tab,
-		ext:      make(map[ids.PeerID]intern.PeerH),
-		idx:      make(map[intern.PeerH]int32),
-		provSeen: make(map[intern.PeerH]bool),
-	}
-}
-
-// peerH resolves a candidate to its dense handle: the world table's if
-// the peer was ever attached (a pure read — safe from concurrent
-// lanes), else a scratch-local one counted down from the top of the
-// handle space (unreachable by the append-only world table).
-func (sc *walkScratch) peerH(p ids.PeerID) intern.PeerH {
-	if sc.tab != nil {
-		if h, ok := sc.tab.Peers.Lookup(p); ok {
-			return h
-		}
-	}
-	if h, ok := sc.ext[p]; ok {
-		return h
-	}
-	h := intern.PeerH(^uint32(0) - uint32(len(sc.ext)))
-	sc.ext[p] = h
-	return h
-}
-
 // walkScratchPool recycles scratch across walks process-wide. Pooling by
 // goroutine concurrency — instead of pinning one scratch per Effects
 // lane — matters at scale: crawl waves and collection phases fan out
-// over tens of thousands of lanes, and a scratch on each (maps sized to
-// the largest walk it ever ran) held hundreds of megabytes live at
+// over tens of thousands of lanes, and a scratch on each (sized to the
+// largest walk it ever ran) held hundreds of megabytes live at
 // scale.10x. Scratch contents never reach the output, so which pooled
 // instance a walk draws is invisible to the determinism contract.
-var walkScratchPool = sync.Pool{New: func() any { return newWalkScratch(nil) }}
+var walkScratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
-// scratch draws a walk scratch from the pool, retargeted at this
-// walker's handle tables. Callers must release it before returning.
-func (w *Walker) scratch() *walkScratch {
-	sc := walkScratchPool.Get().(*walkScratch)
-	sc.tab = w.net.Intern
-	return sc
-}
+// getScratch draws a walk scratch from the pool. Callers must release it
+// before returning.
+func getScratch() *walkScratch { return walkScratchPool.Get().(*walkScratch) }
 
 // release returns a scratch to the pool.
-func (sc *walkScratch) release() {
-	sc.tab = nil
-	walkScratchPool.Put(sc)
-}
+func (sc *walkScratch) release() { walkScratchPool.Put(sc) }
 
-// reset clears the per-walk state, keeping capacity.
-func (sc *walkScratch) reset() {
-	clear(sc.ext)
-	clear(sc.idx)
+// reset clears the per-walk state for a walk toward target, keeping
+// capacity.
+func (sc *walkScratch) reset(target ids.Key) {
+	sc.target, sc.tp = target, target.Prefix64()
+	sc.peers = sc.peers[:0]
 	sc.flags = sc.flags[:0]
-	sc.sorted = sc.sorted[:0]
-	clear(sc.provSeen)
+	sc.order = sc.order[:0]
 	sc.provs = sc.provs[:0]
 }
 
-// add registers a candidate, maintaining distance order to target.
-func (sc *walkScratch) add(target ids.Key, p ids.PeerID) {
+// add registers candidate p unless it is the zero ID or already known.
+func (sc *walkScratch) add(p ids.PeerID) {
 	if p.IsZero() {
 		return
 	}
-	h := sc.peerH(p)
-	if _, ok := sc.idx[h]; ok {
-		return
+	d := p.Prefix64() ^ sc.tp
+	lo, hi := 0, len(sc.order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := sc.order[m]; {
+		case c.d < d:
+			lo = m + 1
+		case c.d > d:
+			hi = m
+		case sc.peers[c.i] == p:
+			return // equal distance: the same peer
+		case ids.Closer(sc.peers[c.i].Key(), p.Key(), sc.target):
+			lo = m + 1
+		default:
+			hi = m
+		}
 	}
-	sc.idx[h] = int32(len(sc.flags))
+	sc.order = slices.Insert(sc.order, lo, cand{d, int32(len(sc.peers))})
+	sc.peers = append(sc.peers, p)
 	sc.flags = append(sc.flags, 0)
-	d := p.Key().Xor(target)
-	i := sort.Search(len(sc.sorted), func(i int) bool {
-		return sc.sorted[i].Key().Xor(target).Cmp(d) > 0
+}
+
+// addAnswer registers every contact of a FindNode/GetProviders answer
+// except the walker itself.
+func (sc *walkScratch) addAnswer(closer []ids.PeerID, self ids.PeerID) {
+	for _, p := range closer {
+		if p != self {
+			sc.add(p)
+		}
+	}
+}
+
+// addProvider keeps the first record seen from each provider, inserted
+// in provider-key order: the deterministic order FindProviders returns.
+func (sc *walkScratch) addProvider(r netsim.ProviderRecord) {
+	k := r.Provider.ID.Key()
+	i := sort.Search(len(sc.provs), func(j int) bool {
+		return sc.provs[j].Provider.ID.Key().Cmp(k) >= 0
 	})
-	sc.sorted = append(sc.sorted, ids.PeerID{})
-	copy(sc.sorted[i+1:], sc.sorted[i:])
-	sc.sorted[i] = p
+	if i == len(sc.provs) || sc.provs[i].Provider.ID != r.Provider.ID {
+		sc.provs = slices.Insert(sc.provs, i, r)
+	}
 }
 
-func (sc *walkScratch) mark(p ids.PeerID, flag uint8) { sc.flags[sc.idx[sc.peerH(p)]] |= flag }
-
-func (sc *walkScratch) has(p ids.PeerID, flag uint8) bool {
-	return sc.flags[sc.idx[sc.peerH(p)]]&flag != 0
-}
-
-// nextBatch refills sc.batch with up to alpha unqueried peers among the
-// closest `horizon` candidates. An empty batch means convergence.
-func (sc *walkScratch) nextBatch(alpha, horizon int) []ids.PeerID {
+// nextBatch refills sc.batch with the indices of up to alpha unqueried
+// candidates among the closest `horizon` non-failed ones. An empty
+// batch means convergence.
+func (sc *walkScratch) nextBatch(alpha, horizon int) []int32 {
 	sc.batch = sc.batch[:0]
 	seen := 0
-	for _, p := range sc.sorted {
-		if sc.has(p, flagFailed) {
+	for _, c := range sc.order {
+		f := sc.flags[c.i]
+		if f&flagFailed != 0 {
 			continue
 		}
 		seen++
 		if seen > horizon {
 			break
 		}
-		if !sc.has(p, flagQueried) {
-			sc.batch = append(sc.batch, p)
+		if f&flagQueried == 0 {
+			sc.batch = append(sc.batch, c.i)
 			if len(sc.batch) == alpha {
 				break
 			}
@@ -195,22 +191,19 @@ func (sc *walkScratch) nextBatch(alpha, horizon int) []ids.PeerID {
 	return sc.batch
 }
 
-// closestIDs returns the n closest non-failed candidate IDs (aliases
-// sc.sorted storage validity-wise: consume before the next walk).
-func (sc *walkScratch) closestIDs(n int, yield func(ids.PeerID) bool) {
-	taken := 0
-	for _, p := range sc.sorted {
-		if sc.has(p, flagFailed) {
-			continue
+// closest refills sc.batch with the indices of the n closest non-failed
+// candidates, closest first.
+func (sc *walkScratch) closest(n int) []int32 {
+	sc.batch = sc.batch[:0]
+	for _, c := range sc.order {
+		if len(sc.batch) == n {
+			break
 		}
-		if !yield(p) {
-			return
-		}
-		taken++
-		if taken == n {
-			return
+		if sc.flags[c.i]&flagFailed == 0 {
+			sc.batch = append(sc.batch, c.i)
 		}
 	}
+	return sc.batch
 }
 
 // GetClosestPeers walks the DHT from the seed peers toward target and
@@ -223,23 +216,22 @@ func (w *Walker) GetClosestPeers(seeds []netsim.PeerInfo, target ids.Key) ([]net
 // GetClosestPeersVia is GetClosestPeers with the walk's RPCs issued
 // through an Effects lane (nil = serial/immediate mode).
 func (w *Walker) GetClosestPeersVia(env *netsim.Effects, seeds []netsim.PeerInfo, target ids.Key) ([]netsim.PeerInfo, WalkStats) {
-	sc := w.scratch()
+	sc := getScratch()
 	defer sc.release()
 	stats := w.walk(env, sc, seeds, target)
 	out := make([]netsim.PeerInfo, 0, K)
-	sc.closestIDs(K, func(p ids.PeerID) bool {
-		out = append(out, w.net.Info(p))
-		return true
-	})
+	for _, i := range sc.closest(K) {
+		out = append(out, w.net.Info(sc.peers[i]))
+	}
 	return out, stats
 }
 
 // walk runs the iterative FindNode lookup toward target over the given
 // scratch, leaving the candidate set populated for the caller to read.
 func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerInfo, target ids.Key) WalkStats {
-	sc.reset()
+	sc.reset(target)
 	for _, s := range seeds {
-		sc.add(target, s.ID)
+		sc.add(s.ID)
 	}
 	var stats WalkStats
 	for {
@@ -247,21 +239,17 @@ func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerI
 		if len(batch) == 0 {
 			break
 		}
-		for _, p := range batch {
-			sc.mark(p, flagQueried)
+		for _, i := range batch {
+			sc.flags[i] |= flagQueried
 			stats.Queried++
-			closer, err := w.net.FindNodeVia(env, sc.closer[:0], w.self, p, target)
+			closer, err := w.net.FindNodeVia(env, sc.closer[:0], w.self, sc.peers[i], target)
 			sc.closer = closer[:0]
 			if err != nil {
-				sc.mark(p, flagFailed)
+				sc.flags[i] |= flagFailed
 				stats.Failed++
 				continue
 			}
-			for _, pi := range closer {
-				if pi != w.self {
-					sc.add(target, pi)
-				}
-			}
+			sc.addAnswer(closer, w.self)
 		}
 	}
 	return stats
@@ -278,20 +266,13 @@ func (w *Walker) Provide(seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.Pee
 // ProvideVia is Provide with the walk and advertisements issued through
 // an Effects lane.
 func (w *Walker) ProvideVia(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) ([]ids.PeerID, WalkStats) {
-	sc := w.scratch()
+	sc := getScratch()
 	defer sc.release()
 	stats := w.walk(env, sc, seeds, c.Key())
 	rec := netsim.ProviderRecord{Provider: selfInfo, Received: w.net.Clock.Now()}
 	var accepted []ids.PeerID
-	// Collect the resolver set first: AddProvider dials must not reuse
-	// the scratch the candidate ordering lives in.
-	resolvers := sc.batch[:0]
-	sc.closestIDs(K, func(p ids.PeerID) bool {
-		resolvers = append(resolvers, p)
-		return true
-	})
-	sc.batch = resolvers
-	for _, r := range resolvers {
+	for _, i := range sc.closest(K) {
+		r := sc.peers[i]
 		if err := w.net.AddProviderVia(env, w.self, r, c, rec); err != nil {
 			stats.Failed++
 			continue
@@ -320,18 +301,18 @@ func (w *Walker) FindProviders(seeds []netsim.PeerInfo, c ids.CID, opts FindProv
 }
 
 // FindProvidersVia is FindProviders with the walk issued through an
-// Effects lane. The returned slice is freshly allocated (callers retain
-// it); all intermediate walk state comes from the lane scratch.
+// Effects lane. It returns the first record seen from each provider, in
+// provider-key order, in a freshly allocated slice (callers retain it);
+// all intermediate walk state comes from the pooled scratch.
 func (w *Walker) FindProvidersVia(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
 	if opts.Max <= 0 {
 		opts.Max = K
 	}
-	target := c.Key()
-	sc := w.scratch()
+	sc := getScratch()
 	defer sc.release()
-	sc.reset()
+	sc.reset(c.Key())
 	for _, s := range seeds {
-		sc.add(target, s.ID)
+		sc.add(s.ID)
 	}
 	var stats WalkStats
 	done := func() bool {
@@ -342,37 +323,26 @@ func (w *Walker) FindProvidersVia(env *netsim.Effects, seeds []netsim.PeerInfo, 
 		if len(batch) == 0 {
 			break
 		}
-		for _, p := range batch {
+		for _, i := range batch {
 			if done() {
 				break
 			}
-			sc.mark(p, flagQueried)
+			sc.flags[i] |= flagQueried
 			stats.Queried++
-			recs, closer, err := w.net.GetProvidersVia(env, sc.recs[:0], sc.closer[:0], w.self, p, c)
+			recs, closer, err := w.net.GetProvidersVia(env, sc.recs[:0], sc.closer[:0], w.self, sc.peers[i], c)
 			sc.recs, sc.closer = recs[:0], closer[:0]
 			if err != nil {
-				sc.mark(p, flagFailed)
+				sc.flags[i] |= flagFailed
 				stats.Failed++
 				continue
 			}
 			for _, r := range recs {
-				if h := sc.peerH(r.Provider.ID); !sc.provSeen[h] {
-					sc.provSeen[h] = true
-					sc.provs = append(sc.provs, r)
-				}
+				sc.addProvider(r)
 			}
-			for _, pi := range closer {
-				if pi != w.self {
-					sc.add(target, pi)
-				}
-			}
+			sc.addAnswer(closer, w.self)
 		}
 	}
 	out := make([]netsim.ProviderRecord, len(sc.provs))
 	copy(out, sc.provs)
-	// Deterministic order: by provider ID key.
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Provider.ID.Key().Cmp(out[j].Provider.ID.Key()) < 0
-	})
 	return out, stats
 }

@@ -78,14 +78,12 @@ func (k *Key) Prefix64() uint64 {
 	return binary.BigEndian.Uint64(k[:8])
 }
 
-// IsZero reports whether the key is the all-zero identifier.
+// IsZero reports whether the key is the all-zero identifier. It ORs
+// the four 64-bit words; byte order cannot change a zero test, so it
+// reads them little-endian, the native order of the common targets.
 func (k Key) IsZero() bool {
-	for _, b := range k {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return binary.LittleEndian.Uint64(k[0:])|binary.LittleEndian.Uint64(k[8:])|
+		binary.LittleEndian.Uint64(k[16:])|binary.LittleEndian.Uint64(k[24:]) == 0
 }
 
 // LeadingZeros returns the number of leading zero bits in the key.

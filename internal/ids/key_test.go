@@ -23,6 +23,12 @@ func TestXorSelfIsZero(t *testing.T) {
 	if d := k.Xor(k); !d.IsZero() {
 		t.Fatalf("k xor k = %s, want zero", d)
 	}
+	// A single set bit anywhere, in any word, makes a key non-zero.
+	for i := 0; i < KeyBits; i++ {
+		if one := (Key{}).WithBit(i, 1); one.IsZero() {
+			t.Fatalf("key with only bit %d set reports IsZero", i)
+		}
+	}
 }
 
 func TestXorProperties(t *testing.T) {
@@ -128,6 +134,9 @@ func TestWordwiseMatchesBytewise(t *testing.T) {
 		lz := 0
 		for lz < KeyBits && x.Bit(lz) == 0 {
 			lz++
+		}
+		if got := x.IsZero(); got != (lz == KeyBits) {
+			t.Fatalf("IsZero = %v, bit-wise %v at trial %d", got, lz == KeyBits, trial)
 		}
 		if got := x.LeadingZeros(); got != lz {
 			t.Fatalf("LeadingZeros = %d, bit-wise %d at trial %d", got, lz, trial)

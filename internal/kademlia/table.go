@@ -12,7 +12,6 @@
 package kademlia
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -82,6 +81,19 @@ func (t *Table) bucket(idx int) []Contact {
 	return nil
 }
 
+// indexOf returns the position of p in bucket b, or -1. Comparing the
+// 64-bit key prefix first settles almost every mismatch without the
+// 32-byte comparison.
+func indexOf(b []Contact, p *ids.PeerID) int {
+	pp := p.Prefix64()
+	for i := range b {
+		if b[i].Peer.Prefix64() == pp && b[i].Peer == *p {
+			return i
+		}
+	}
+	return -1
+}
+
 // Add inserts or refreshes a contact. It returns true if the peer is in
 // the table afterwards. A full bucket rejects new peers unless an existing
 // contact is older than the new one's LastSeen minus staleAfter — Kademlia
@@ -104,13 +116,11 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 	}
 	idx := t.BucketIndex(c.Peer.Key())
 	b := t.bucket(idx)
-	for i := range b {
-		if b[i].Peer == c.Peer {
-			if c.LastSeen > b[i].LastSeen {
-				b[i].LastSeen = c.LastSeen
-			}
-			return true
+	if i := indexOf(b, &c.Peer); i >= 0 {
+		if c.LastSeen > b[i].LastSeen {
+			b[i].LastSeen = c.LastSeen
 		}
+		return true
 	}
 	if len(b) < t.k {
 		if idx >= len(t.buckets) {
@@ -139,29 +149,23 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 func (t *Table) Remove(p ids.PeerID) bool {
 	idx := t.BucketIndex(p.Key())
 	b := t.bucket(idx)
-	for i := range b {
-		if b[i].Peer == p {
-			b[i] = b[len(b)-1]
-			t.buckets[idx] = b[:len(b)-1]
-			t.size--
-			for last := len(t.buckets) - 1; last >= 0 && len(t.buckets[last]) == 0; last-- {
-				t.buckets[last] = nil
-				t.buckets = t.buckets[:last]
-			}
-			return true
-		}
+	i := indexOf(b, &p)
+	if i < 0 {
+		return false
 	}
-	return false
+	b[i] = b[len(b)-1]
+	t.buckets[idx] = b[:len(b)-1]
+	t.size--
+	for last := len(t.buckets) - 1; last >= 0 && len(t.buckets[last]) == 0; last-- {
+		t.buckets[last] = nil
+		t.buckets = t.buckets[:last]
+	}
+	return true
 }
 
 // Contains reports whether the peer is in the table.
 func (t *Table) Contains(p ids.PeerID) bool {
-	for _, c := range t.bucket(t.BucketIndex(p.Key())) {
-		if c.Peer == p {
-			return true
-		}
-	}
-	return false
+	return indexOf(t.bucket(t.BucketIndex(p.Key())), &p) >= 0
 }
 
 // NearestPeers returns up to n peers from the table closest to target
@@ -179,10 +183,11 @@ func (t *Table) NearestPeers(target ids.Key, n int) []ids.PeerID {
 // contacts from its own buckets.
 //
 // Answering FindNode is the simulator's hottest operation (every walk
-// step, crawl sweep and Hydra lookup lands here), so it runs a bounded
-// heap selection over a stack-resident window (see selector) and visits
-// only the buckets that can still improve it. The result is exact and
-// identical to sorting the whole table.
+// step, crawl sweep and Hydra lookup lands here). The buckets cover
+// disjoint intervals of XOR distance to the target and eachBand visits
+// them closest first, so the answer is assembled bucket by bucket in a
+// stack-resident window (see take) until one fills it. The result is
+// exact and identical to sorting the whole table.
 func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || t.size == 0 {
 		return dst
@@ -190,32 +195,54 @@ func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.Pee
 	if n > t.size {
 		n = t.size
 	}
-	// Buckets are visited in increasing-distance-band order. With
-	// cplT = CPL(self, target), a contact in bucket b has XOR distance
-	// to the target whose leading set bit is: > cplT for b == cplT
-	// (strictly closest band), exactly cplT for every b > cplT, and
-	// exactly b for b < cplT (farther the smaller b is). So when bucket
-	// cplT alone fills the window nothing else can enter it, and once
-	// the window is full after the cplT band every remaining bucket
-	// below it is provably farther and gets skipped wholesale.
 	var buf [selectorInline]slot
-	s := newSelector(&buf, n, target)
-	cplT := ids.CommonPrefixLen(t.self, target)
-	s.offerBucket(t.bucket(cplT))
-	if !s.full() {
-		for b := cplT + 1; b < len(t.buckets); b++ {
-			s.offerBucket(t.buckets[b])
-		}
-		for b := min(cplT, len(t.buckets)) - 1; b >= 0 && !s.full(); b-- {
-			s.offerBucket(t.buckets[b])
-		}
-	}
-	return s.appendSorted(dst)
+	h, filled := window(&buf, n), 0
+	tp := target.Prefix64()
+	x := t.self.Xor(target)
+	t.eachBand(&x, func(b int) bool {
+		filled = take(h, filled, t.buckets[b], tp, &target)
+		return filled < len(h)
+	})
+	return appendPeers(dst, h)
 }
 
-// selectorInline is the window size the bounded selection keeps on the
-// caller's stack. Every call site in the tree selects at most 2*dht.K
-// (= 40) peers; larger requests fall back to heap-allocated windows.
+// eachBand calls visit with the index of every stored bucket, closest
+// distance band to the target first, until visit returns false; x is
+// self XOR target and cplT its leading zero count. A contact in bucket
+// b has a distance whose first b bits are x's and whose bit b is ¬x[b],
+// so bucket cplT comes first; then the deeper buckets, each closer than
+// every bucket deeper still exactly when x[b] = 1: those with x[b] = 1
+// in increasing b, then those with x[b] = 0 in decreasing b; last the
+// buckets b < cplT, whose distances lead with bit b, in decreasing b.
+func (t *Table) eachBand(x *ids.Key, visit func(b int) bool) {
+	cplT := x.LeadingZeros()
+	nb := len(t.buckets)
+	if cplT < nb && !visit(cplT) {
+		return
+	}
+	for b := cplT + 1; b < nb; b++ {
+		if bitSet(x, b) && !visit(b) {
+			return
+		}
+	}
+	for b := nb - 1; b > cplT; b-- {
+		if !bitSet(x, b) && !visit(b) {
+			return
+		}
+	}
+	for b := min(cplT, nb) - 1; b >= 0; b-- {
+		if !visit(b) {
+			return
+		}
+	}
+}
+
+// bitSet reports whether bit b (most significant first) of k is 1.
+func bitSet(k *ids.Key, b int) bool { return k[b>>3]&(0x80>>(b&7)) != 0 }
+
+// selectorInline is the window size the selection keeps on the caller's
+// stack. Every call site in the tree selects at most 2*dht.K (= 40)
+// peers; larger requests fall back to heap-allocated windows.
 const selectorInline = 64
 
 // slot is one window entry: the leading 64 bits of the candidate's XOR
@@ -243,86 +270,78 @@ func closerOnTie(a, b *ids.PeerID, target *ids.Key) bool {
 	return ids.Closer(a.Key(), b.Key(), *target)
 }
 
-// selector keeps the n closest candidates offered so far. Until the
-// window fills it is an unsorted array; from then on it is a max-heap
-// under less, so rejecting a candidate is one prefix compare against
-// the root and accepting one is a sift-down. The window is sliced from
-// a caller-owned array, and the selector holds only that slice — never
-// the array itself — so it is not self-referential and escape analysis
-// keeps the whole window on the caller's stack.
-type selector struct {
-	h    []slot
-	size int
-	// worst is the root's distance prefix once the window is full, and
-	// the largest prefix while it fills, so that offer's one compare
-	// admits every candidate during the fill and rejects the provably
-	// farther ones after it.
-	worst  uint64
-	tp     uint64
-	target ids.Key
-}
-
-// newSelector slices a window of capacity n out of buf, falling back to
-// the heap only for n > selectorInline.
-func newSelector(buf *[selectorInline]slot, n int, target ids.Key) selector {
-	h := buf[:0]
+// window slices a selection window of n slots out of the caller's
+// stack array, falling back to the heap only for n > selectorInline.
+func window(buf *[selectorInline]slot, n int) []slot {
 	if n > selectorInline {
-		h = make([]slot, n)
+		return make([]slot, n)
 	}
-	return selector{h: h[:n], worst: math.MaxUint64, tp: target.Prefix64(), target: target}
+	return buf[:n]
 }
 
-func (s *selector) full() bool { return s.size == len(s.h) }
-
-// push adds c to a filling window, heapifying it once it is full, or
-// replaces the root of a full window if c is closer.
-func (s *selector) push(d uint64, p *ids.PeerID) {
-	c := slot{d, p}
-	switch {
-	case s.size < len(s.h):
-		s.h[s.size] = c
-		s.size++
-		if !s.full() {
-			return
+// take adds bucket b to window h, whose first filled slots hold closer
+// candidates in order, and returns the new fill. A bucket that fits is
+// insertion-sorted behind them. A bucket that overflows fills the rest
+// of h by bounded heap selection over that bucket alone: insertion pays
+// a shift per closer slot for every contact, which loses to the heap's
+// one compare per rejection when a Hydra-sized bucket of 8·K contacts
+// overflows a K-slot window.
+func take(h []slot, filled int, b []Contact, tp uint64, target *ids.Key) int {
+	rest := h[filled:]
+	if len(b) > len(rest) {
+		for i := range rest {
+			rest[i] = slot{b[i].Peer.Prefix64() ^ tp, &b[i].Peer}
 		}
-		for i := len(s.h)/2 - 1; i >= 0; i-- {
-			siftDown(s.h, i, &s.target)
+		heapify(rest, target)
+		for i := len(rest); i < len(b); i++ {
+			offer(rest, b[i].Peer.Prefix64()^tp, &b[i].Peer, target)
 		}
-	case less(c, s.h[0], &s.target):
-		s.h[0] = c
-		siftDown(s.h, 0, &s.target)
-	default:
-		return
+		heapSort(rest, target)
+		return len(h)
 	}
-	s.worst = s.h[0].d
-}
-
-// offer considers candidate p, whose distance prefix (p's key XOR the
-// target, leading 64 bits) is d. It inlines into the scan loops, so the
-// common case, a candidate farther than the window's worst on the
-// prefix alone, costs one XOR and one compare.
-func (s *selector) offer(d uint64, p *ids.PeerID) {
-	if d <= s.worst {
-		s.push(d, p)
-	}
-}
-
-func (s *selector) offerBucket(b []Contact) {
 	for i := range b {
-		s.offer(b[i].Peer.Prefix64()^s.tp, &b[i].Peer)
+		c := slot{b[i].Peer.Prefix64() ^ tp, &b[i].Peer}
+		j := filled + i
+		for ; j > filled && less(c, h[j-1], target); j-- {
+			h[j] = h[j-1]
+		}
+		h[j] = c
 	}
+	return filled + len(b)
 }
 
-// appendSorted sorts the window closest first and appends its peers
-// onto dst. Both callers clamp n to the number of candidates and offer
-// all of them, so the window is full, i.e. a heap.
-func (s *selector) appendSorted(dst []ids.PeerID) []ids.PeerID {
-	heapSort(s.h, &s.target)
-	dst = slices.Grow(dst, len(s.h))
-	for _, c := range s.h {
+// appendPeers appends the peers of window h onto dst.
+func appendPeers(dst []ids.PeerID, h []slot) []ids.PeerID {
+	dst = slices.Grow(dst, len(h))
+	for _, c := range h {
 		dst = append(dst, *c.p)
 	}
 	return dst
+}
+
+// offer considers candidate p, whose distance prefix is d, for the
+// max-heap h of the closest candidates so far. It inlines into the scan
+// loops, so the common case, a candidate farther than the root on the
+// prefix alone, costs one XOR and one compare.
+func offer(h []slot, d uint64, p *ids.PeerID, target *ids.Key) {
+	if d <= h[0].d {
+		replaceRoot(h, slot{d, p}, target)
+	}
+}
+
+// replaceRoot puts c in place of the root of max-heap h if c is closer.
+func replaceRoot(h []slot, c slot, target *ids.Key) {
+	if less(c, h[0], target) {
+		h[0] = c
+		siftDown(h, 0, target)
+	}
+}
+
+// heapify arranges h into a max-heap under less.
+func heapify(h []slot, target *ids.Key) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, target)
+	}
 }
 
 // heapSort sorts a max-heap in place into increasing order. Each step
@@ -384,7 +403,8 @@ func SelectNearest(peers []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 }
 
 // AppendSelectNearest is SelectNearest appending onto dst (append-style;
-// scratch-free for n <= selectorInline, like AppendNearest).
+// scratch-free for n <= selectorInline, like AppendNearest). It is the
+// overflowing-bucket case of take with the whole slice as the bucket.
 func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || len(peers) == 0 {
 		return dst
@@ -393,11 +413,17 @@ func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n
 		n = len(peers)
 	}
 	var buf [selectorInline]slot
-	s := newSelector(&buf, n, target)
-	for i := range peers {
-		s.offer(peers[i].Prefix64()^s.tp, &peers[i])
+	h := window(&buf, n)
+	tp := target.Prefix64()
+	for i := range h {
+		h[i] = slot{peers[i].Prefix64() ^ tp, &peers[i]}
 	}
-	return s.appendSorted(dst)
+	heapify(h, &target)
+	for i := len(h); i < len(peers); i++ {
+		offer(h, peers[i].Prefix64()^tp, &peers[i], &target)
+	}
+	heapSort(h, &target)
+	return appendPeers(dst, h)
 }
 
 // AllPeers returns every contact's peer ID. Order is bucket-major and

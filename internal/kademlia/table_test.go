@@ -445,6 +445,64 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBucketBandOrder pins the visit order AppendNearest relies on:
+// eachBand visits every stored bucket exactly once, and every contact of
+// a bucket visited later is farther from the target than every contact
+// of a bucket visited earlier. Peers near self populate the deep
+// buckets; targets include random keys, keys sharing a long prefix with
+// self (high cplT), and self.
+func TestBucketBandOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 30; trial++ {
+		self := ids.KeyFromUint64(rng.Uint64())
+		k := K
+		if trial%2 == 1 {
+			k = 8 * K
+		}
+		tb := NewWithK(self, k)
+		for i := 0; i < 2000; i++ {
+			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
+		}
+		for i := 0; i < 300; i++ {
+			tb.Add(Contact{Peer: ids.PeerIDFromKey(nearTarget(rng, self, 6+rng.Intn(30)))})
+		}
+		targets := []ids.Key{
+			ids.KeyFromUint64(rng.Uint64()),
+			nearTarget(rng, self, 4+rng.Intn(8)),
+			nearTarget(rng, self, 12+rng.Intn(244)),
+			self,
+		}
+		for ti, target := range targets {
+			x := self.Xor(target)
+			visited := make([]bool, len(tb.buckets))
+			var farthest ids.Key // largest distance among the buckets visited so far
+			seen := false
+			tb.eachBand(&x, func(b int) bool {
+				if visited[b] {
+					t.Fatalf("trial %d target %d: bucket %d visited twice", trial, ti, b)
+				}
+				visited[b] = true
+				for _, c := range tb.buckets[b] {
+					if seen && c.Peer.Key().Xor(target).Cmp(farthest) <= 0 {
+						t.Fatalf("trial %d target %d: bucket %d holds a contact closer than one of an earlier bucket", trial, ti, b)
+					}
+				}
+				for _, c := range tb.buckets[b] {
+					if d := c.Peer.Key().Xor(target); !seen || d.Cmp(farthest) > 0 {
+						farthest, seen = d, true
+					}
+				}
+				return true
+			})
+			for b, ok := range visited {
+				if !ok {
+					t.Fatalf("trial %d target %d: bucket %d never visited", trial, ti, b)
+				}
+			}
+		}
+	}
+}
+
 // TestRemoveTrimsBuckets empties a table contact by contact and checks
 // after every removal that the bucket slice ends at the deepest
 // non-empty bucket, and that a regrown table answers exactly.
