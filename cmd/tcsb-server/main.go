@@ -20,8 +20,9 @@
 // -archive-dir makes the cache durable: every fill persists as a run
 // archive (<key>.jsonl plus a manifest of the canonical request), the
 // boot path primes the cache from it (a restarted server serves prior
-// runs as hits, misses stay 0), and /v1/analyze runs the longitudinal
-// analyzer (internal/analyze) over it.
+// runs as hits, misses stay 0; an unreadable entry is logged and
+// skipped), and /v1/analyze runs the longitudinal analyzer
+// (internal/analyze) over it.
 //
 // Profiling: -pprof ADDR (e.g. -pprof localhost:6060) serves the
 // standard net/http/pprof endpoints (/debug/pprof/...) on a separate
@@ -87,12 +88,12 @@ func main() {
 		// missing directory just means nothing is archived yet; the first
 		// cache fill creates it.
 		if _, err := os.Stat(*archiveDir); err == nil {
-			primed, err := s.primeFromArchive()
+			primed, skipped, err := s.primeFromArchive()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tcsb-server: -archive-dir %s: %v\n", *archiveDir, err)
 				os.Exit(2)
 			}
-			log.Printf("primed %d runs from archive %s", primed, *archiveDir)
+			log.Printf("primed %d runs from archive %s (%d skipped)", primed, *archiveDir, skipped)
 		}
 	}
 	srv := &http.Server{

@@ -23,6 +23,7 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 
 	"tcsb/internal/analyze"
@@ -78,24 +79,31 @@ func newServer(fleetSlots, budget, cacheEntries int, archiveDir string, logf fun
 // (misses stay 0 across a restart). Every manifest request is
 // re-resolved and must still canonicalize to its archived key: an
 // archive written by an older engine whose config digest moved on is
-// skipped (logged), never served under a stale address.
-func (s *server) primeFromArchive() (int, error) {
-	runs, err := analyze.LoadArchive(s.archiveDir)
+// skipped (logged), never served under a stale address. So is an entry
+// that cannot be read (a truncated JSONL stream, a manifest naming
+// another key): one bad entry costs its own run, not the boot. Only a
+// directory that cannot be listed is an error.
+func (s *server) primeFromArchive() (primed, skipped int, err error) {
+	runs, bad, err := analyze.ScanArchive(s.archiveDir)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	primed := 0
+	for _, e := range bad {
+		s.logf("archive: %v; skipping", e)
+	}
+	skipped = len(bad)
 	for _, run := range runs {
 		res, err := experiments.Resolve(run.Request)
 		if err != nil || res.Key != run.Key {
 			s.logf("archive %s: stale (re-resolves to err=%v key=%q); skipping", run.Key, err, keyOf(res))
+			skipped++
 			continue
 		}
 		if s.cache.Prime(run.Key, run.Raw) {
 			primed++
 		}
 	}
-	return primed, nil
+	return primed, skipped, nil
 }
 
 func keyOf(res *experiments.Resolved) string {
@@ -343,6 +351,9 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// The whole body is in hand, so it goes out with a Content-Length
+	// instead of chunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-Tcsb-Run-Key", res.Key)
 	w.Header().Set("X-Tcsb-Cache", cacheLabel(hit))
 	w.Write(body)

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +232,46 @@ func TestCacheHitByteIdentity(t *testing.T) {
 				t.Fatal("served bytes differ from a direct engine run")
 			}
 		})
+	}
+}
+
+// TestRunResponseContentLength pins the framing of a run response on a
+// real connection: the stored body goes out whole, with a
+// Content-Length and no chunked encoding, even past net/http's 2 KiB
+// threshold for chunking a response of unknown length.
+func TestRunResponseContentLength(t *testing.T) {
+	s := testServer()
+	res, err := experiments.Resolve(tinyRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := `{"experiment":"table1","section":"§2","table":{"title":"t","columns":["k","v"],"rows":[["total","5"]]}}` + "\n"
+	body := []byte(strings.Repeat(line, 64))
+	s.cache.Prime(res.Key, body)
+	srv := httptest.NewServer(s.handler())
+	defer srv.Close()
+
+	reqBody, err := json.Marshal(tinyRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", bytes.NewReader(reqBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Tcsb-Cache") != "hit" {
+		t.Fatalf("status %d, cache %q; want a 200 hit", resp.StatusCode, resp.Header.Get("X-Tcsb-Cache"))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v; want %d and none", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatal("served bytes differ from the cached body")
 	}
 }
 
@@ -663,8 +707,9 @@ func TestSweepEchoesCanonicalRequest(t *testing.T) {
 // TestServerArchivePrimingAndAnalyze covers the archive lifecycle
 // without running a campaign: a prior run persisted to the archive is
 // primed at boot (served as a hit, misses stay 0), a stale manifest
-// whose request no longer resolves to its key is skipped, and
-// /v1/analyze reports over the same archive.
+// whose request no longer resolves to its key is skipped, corrupt
+// entries are skipped without failing the boot while /v1/analyze stays
+// strict about them, and /v1/analyze reports over the same archive.
 func TestServerArchivePrimingAndAnalyze(t *testing.T) {
 	dir := t.TempDir()
 	res, err := experiments.Resolve(tinyRun())
@@ -682,16 +727,53 @@ func TestServerArchivePrimingAndAnalyze(t *testing.T) {
 	if err := analyze.WriteArchive(dir, "deadbeef", stale, fake); err != nil {
 		t.Fatal(err)
 	}
-
-	s := newServer(2, 4, 64, dir, nil)
-	primed, err := s.primeFromArchive()
+	// Two corrupt entries: a run whose JSONL stream was cut mid-line, and
+	// a manifest whose key disagrees with its file name.
+	truncReq := tinyRun()
+	truncReq.Seed = 4
+	trunc, err := experiments.Resolve(truncReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if primed != 1 {
-		t.Fatalf("primed %d runs, want 1 (stale manifest must be skipped)", primed)
+	if err := analyze.WriteArchive(dir, trunc.Key, trunc.Req, fake[:40]); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, res.Key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misnamed := filepath.Join(dir, "cafef00d.json")
+	if err := os.WriteFile(misnamed, manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	s := newServer(2, 4, 64, dir, func(format string, args ...any) {
+		logs = append(logs, fmt.Sprintf(format, args...))
+	})
+	primed, skipped, err := s.primeFromArchive()
+	if err != nil {
+		t.Fatalf("a corrupt entry failed the boot: %v", err)
+	}
+	if primed != 1 || skipped != 3 {
+		t.Fatalf("primed %d, skipped %d; want 1 primed, 3 skipped (stale, truncated, misnamed)", primed, skipped)
+	}
+	for _, want := range []string{trunc.Key, "cafef00d.json", "deadbeef"} {
+		if !strings.Contains(strings.Join(logs, "\n"), want) {
+			t.Errorf("no log line names skipped entry %s; logs:\n%s", want, strings.Join(logs, "\n"))
+		}
 	}
 	h := s.handler()
+
+	// The analyzer stays strict: a corrupt entry would skew its deltas.
+	if wa := get(t, h, "/v1/analyze"); wa.Code != http.StatusInternalServerError {
+		t.Fatalf("GET /v1/analyze over a corrupt archive: %d %s, want 500", wa.Code, wa.Body)
+	}
+	for _, name := range []string{misnamed, filepath.Join(dir, trunc.Key+".json"), filepath.Join(dir, trunc.Key+".jsonl")} {
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	w := postJSON(t, h, "/v1/runs", tinyRun())
 	if w.Code != http.StatusOK || w.Header().Get("X-Tcsb-Cache") != "hit" {

@@ -186,6 +186,37 @@ func TestLoadArchiveRejectsInconsistency(t *testing.T) {
 	}
 }
 
+// TestScanArchiveSkipsBadEntries pins the lenient reader behind server
+// priming: the readable runs come back in key order, and each bad entry
+// is reported once, in key order, instead of failing the whole read.
+func TestScanArchiveSkipsBadEntries(t *testing.T) {
+	dir := writeFixtureArchive(t)
+	writeFile(t, dir, "aaa0.json", `{"key":"other","request":{"seed":1}}`)
+	writeFile(t, dir, "aaa3.json", `{"key":"aaa3","request":{"seed":1}}`)
+	writeFile(t, dir, "aaa3.jsonl", `{"experiment":"figx","sec`)
+
+	runs, bad, err := ScanArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, r := range runs {
+		keys = append(keys, r.Key)
+	}
+	if got := strings.Join(keys, ","); got != "aaa1,aaa2,bbb1" {
+		t.Fatalf("runs %s, want aaa1,aaa2,bbb1", got)
+	}
+	if len(bad) != 2 || !strings.Contains(bad[0].Error(), "aaa0.json") || !strings.Contains(bad[1].Error(), "aaa3") {
+		t.Fatalf("bad entries %v, want aaa0.json then aaa3", bad)
+	}
+	if _, err := LoadArchive(dir); err == nil || err.Error() != bad[0].Error() {
+		t.Fatalf("LoadArchive err = %v, want the first bad entry %v", err, bad[0])
+	}
+	if _, _, err := ScanArchive(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("ScanArchive of a missing directory succeeded")
+	}
+}
+
 func writeFile(t *testing.T, dir, name, content string) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {

@@ -130,9 +130,25 @@ func writeAtomic(path string, data []byte) error {
 // tampering or truncation, and silently skipping a run would skew
 // every delta downstream.
 func LoadArchive(dir string) ([]Run, error) {
+	runs, bad, err := ScanArchive(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(bad) > 0 {
+		return nil, bad[0]
+	}
+	return runs, nil
+}
+
+// ScanArchive reads dir like LoadArchive but does not stop at an entry
+// it cannot read: the entry is left out of runs and its error, in key
+// order, is returned in bad. err reports only a directory that cannot
+// be listed. A server priming its cache uses it, so one corrupt entry
+// costs that run, not the whole archive.
+func ScanArchive(dir string) (runs []Run, bad []error, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("archive dir: %w", err)
+		return nil, nil, fmt.Errorf("archive dir: %w", err)
 	}
 	var names []string
 	for _, e := range entries {
@@ -142,30 +158,40 @@ func LoadArchive(dir string) ([]Run, error) {
 	}
 	sort.Strings(names)
 
-	runs := make([]Run, 0, len(names))
+	runs = make([]Run, 0, len(names))
 	for _, name := range names {
-		mb, err := os.ReadFile(filepath.Join(dir, name))
+		run, err := readEntry(dir, name)
 		if err != nil {
-			return nil, err
+			bad = append(bad, err)
+			continue
 		}
-		var m manifest
-		dec := json.NewDecoder(strings.NewReader(string(mb)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("manifest %s: %w", name, err)
-		}
-		if want := strings.TrimSuffix(name, ".json"); m.Key != want {
-			return nil, fmt.Errorf("manifest %s names key %q", name, m.Key)
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, m.Key+".jsonl"))
-		if err != nil {
-			return nil, fmt.Errorf("archived run %s: %w", m.Key, err)
-		}
-		rows, err := experiments.ParseJSONL(strings.NewReader(string(raw)))
-		if err != nil {
-			return nil, fmt.Errorf("archived run %s: %w", m.Key, err)
-		}
-		runs = append(runs, Run{Key: m.Key, Request: m.Request, Raw: raw, Rows: rows})
+		runs = append(runs, run)
 	}
-	return runs, nil
+	return runs, bad, nil
+}
+
+// readEntry reads the run whose manifest is dir/name.
+func readEntry(dir, name string) (Run, error) {
+	mb, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		return Run{}, err
+	}
+	var m manifest
+	dec := json.NewDecoder(strings.NewReader(string(mb)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return Run{}, fmt.Errorf("manifest %s: %w", name, err)
+	}
+	if want := strings.TrimSuffix(name, ".json"); m.Key != want {
+		return Run{}, fmt.Errorf("manifest %s names key %q", name, m.Key)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, m.Key+".jsonl"))
+	if err != nil {
+		return Run{}, fmt.Errorf("archived run %s: %w", m.Key, err)
+	}
+	rows, err := experiments.ParseJSONL(strings.NewReader(string(raw)))
+	if err != nil {
+		return Run{}, fmt.Errorf("archived run %s: %w", m.Key, err)
+	}
+	return Run{Key: m.Key, Request: m.Request, Raw: raw, Rows: rows}, nil
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tcsb/internal/scenario"
@@ -115,18 +116,39 @@ func (r RunRequest) RunConfig() RunConfig {
 // experiment selection. Call it on a normalized request with the
 // config experiments.Resolve built — un-normalized specs hash as
 // written and will miss entries primed under the canonical spelling.
+//
+// Run archives are named by these keys, so the hashed stream must never
+// change. Line by line it reads:
+//
+//	cfg=<config digest>
+//	days=N crawls=N sample=N probes=N dnslink=N ens=N
+//	whatif="<spec>"
+//	timeline="<spec>" epochs=N
+//	only="<names, comma-joined>"
 func (r RunRequest) Key(cfg scenario.Config) string {
 	rc := r.RunConfig()
 	only := append([]string(nil), r.Only...)
 	sort.Strings(only)
-	var b strings.Builder
-	fmt.Fprintf(&b, "cfg=%s\n", cfg.Digest())
-	fmt.Fprintf(&b, "days=%d crawls=%d sample=%d probes=%d dnslink=%d ens=%d\n",
-		rc.Days, rc.CrawlsPerDay, rc.DailyCIDSample,
-		rc.GatewayProbeRounds, rc.DNSLinkDomains, rc.ENSNames)
-	fmt.Fprintf(&b, "whatif=%q\n", r.WhatIf)
-	fmt.Fprintf(&b, "timeline=%q epochs=%d\n", r.Timeline, r.Epochs)
-	fmt.Fprintf(&b, "only=%q\n", strings.Join(only, ","))
-	sum := sha256.Sum256([]byte(b.String()))
+	b := append(make([]byte, 0, 512), "cfg="...)
+	b = append(b, cfg.Digest()...)
+	b = appendNum(b, "\ndays=", rc.Days)
+	b = appendNum(b, " crawls=", rc.CrawlsPerDay)
+	b = appendNum(b, " sample=", rc.DailyCIDSample)
+	b = appendNum(b, " probes=", rc.GatewayProbeRounds)
+	b = appendNum(b, " dnslink=", rc.DNSLinkDomains)
+	b = appendNum(b, " ens=", rc.ENSNames)
+	b = appendQuoted(b, "\nwhatif=", r.WhatIf)
+	b = appendQuoted(b, "\ntimeline=", r.Timeline)
+	b = appendNum(b, " epochs=", r.Epochs)
+	b = appendQuoted(b, "\nonly=", strings.Join(only, ","))
+	sum := sha256.Sum256(append(b, '\n'))
 	return hex.EncodeToString(sum[:])
+}
+
+func appendNum(b []byte, label string, n int) []byte {
+	return strconv.AppendInt(append(b, label...), int64(n), 10)
+}
+
+func appendQuoted(b []byte, label, s string) []byte {
+	return strconv.AppendQuote(append(b, label...), s)
 }

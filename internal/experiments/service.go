@@ -58,6 +58,10 @@ type Resolved struct {
 	Parallel int
 }
 
+// defaultConfig is the config every request scales. Scaled returns a
+// deep copy, so resolving never writes to it.
+var defaultConfig = scenario.DefaultConfig()
+
 // Resolve validates a run request and resolves it against every
 // registry: the scale.* presets, the counterfactual interventions, the
 // timeline grammar and presets, the attack-params grammar, the net.*
@@ -112,7 +116,8 @@ func Resolve(req core.RunRequest) (*Resolved, error) {
 		req.Epochs = 0 // folded into the canonical spec
 	}
 
-	// Mode, then selection validation scoped to it.
+	// Mode, then selection validation scoped to it. An empty selection
+	// means every experiment of the mode and cannot fail.
 	mode := ModeRun
 	switch {
 	case len(interventions) > 0:
@@ -120,8 +125,10 @@ func Resolve(req core.RunRequest) (*Resolved, error) {
 	case schedule != nil:
 		mode = ModeTimeline
 	}
-	if _, err := SelectFor(req.Only, mode); err != nil {
-		return nil, err
+	if len(req.Only) > 0 {
+		if _, err := SelectFor(req.Only, mode); err != nil {
+			return nil, err
+		}
 	}
 
 	// Scenario config: scale × preset, attack params, link profile.
@@ -129,7 +136,7 @@ func Resolve(req core.RunRequest) (*Resolved, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	cfg := scenario.DefaultConfig().Scaled(scale)
+	cfg := defaultConfig.Scaled(scale)
 	if req.Preset != "" {
 		p, ok := scenario.LookupScale(req.Preset)
 		if !ok {

@@ -156,6 +156,66 @@ func TestCacheKeyStability(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned pins the key bytes for one request per mode. Run
+// archives are named by these keys and a restarted server primes its
+// cache by re-resolving each archived request, so a key that moves
+// turns every archived run into a miss. It must fail here instead.
+func TestCacheKeyPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		req  core.RunRequest
+		want string
+	}{
+		{
+			"plain",
+			core.RunRequest{Seed: 3005, Scale: 0.1, Days: 1},
+			"40a219bb65c2c9537ea42dcf46120f4afbdb3e297422e87a3eb7e18c323b0085",
+		},
+		{
+			"what-if",
+			core.RunRequest{Seed: 4, Scale: 0.25, Days: 2, WhatIf: "hydra-dissolution"},
+			"8f2212631052020c6e5657734cc903b4861c44a81560fb6970fc9430afb716b1",
+		},
+		{
+			"timeline on a link profile",
+			core.RunRequest{Seed: 6, Scale: 0.1, Timeline: "timeline.dissolution", NetProfile: "net.measured"},
+			"be94a6dd09130e43cbce951866455c5d00bbc362d3800e91f614ae93fc76b2d2",
+		},
+		{
+			"preset, attack params, composed what-if, selection",
+			core.RunRequest{
+				Seed:         2,
+				Preset:       "scale.2x",
+				AttackParams: "band=16;sybils=24",
+				WhatIf:       "attack.sybil-eclipse,churn-2x",
+				Only:         []string{"whatif.fig3", "WHATIF.section3"},
+			},
+			"12750ed2443f5b6ba2946a5c33b40a7cf5b8b2f704f28063750469723efcaf53",
+		},
+	}
+	for _, tc := range cases {
+		if got := mustResolve(t, tc.req).Key; got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+var resolveSink *Resolved
+
+// BenchmarkResolve measures one resolve of the serve-hit request shape:
+// what a cache hit pays before the cache lookup.
+func BenchmarkResolve(b *testing.B) {
+	req := core.RunRequest{Seed: 3005, Scale: 0.1, Days: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Resolve(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resolveSink = res
+	}
+}
+
 // TestCacheKeyCanonicalization pins the equivalence classes: different
 // spellings of the same work must land on the same cache entry, or the
 // CLI and server would silently re-run campaigns they already have.

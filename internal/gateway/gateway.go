@@ -21,8 +21,8 @@ import (
 type Gateway struct {
 	domain      string
 	frontendIPs []netip.Addr
-	nodes []*node.Node
-	next  int
+	nodes       []*node.Node
+	next        int
 	// cache holds the HTTP-side content cache as per-CID flag bits: one
 	// map instead of parallel cached/poisoned sets (half the map
 	// overhead for the common unpoisoned entry). flagPoisoned marks

@@ -29,25 +29,25 @@ var linkGrammarTable = []struct {
 	{spec: "cloud-cloud=10000ms±10000", canonical: "cloud-cloud=10000ms±10000;cloud-resi=0ms±0;resi-resi=0ms±0"},
 	{spec: "resi-resi=1ms,loss=0.9", canonical: "cloud-cloud=0ms±0;cloud-resi=0ms±0;resi-resi=1ms±0,loss=0.9"},
 
-	{spec: "cloud-cloud", rejected: true},               // no value
-	{spec: "=5ms", rejected: true},                      // no pair
-	{spec: "dc-dc=5ms", rejected: true},                 // unknown pair
-	{spec: "cloud-cloud=5", rejected: true},             // missing ms unit
-	{spec: "cloud-cloud=5s", rejected: true},            // wrong unit
-	{spec: "cloud-cloud=", rejected: true},              // empty value
-	{spec: "cloud-cloud=xms", rejected: true},           // non-numeric delay
-	{spec: "cloud-cloud=5ms±x", rejected: true},         // non-numeric jitter
+	{spec: "cloud-cloud", rejected: true},                         // no value
+	{spec: "=5ms", rejected: true},                                // no pair
+	{spec: "dc-dc=5ms", rejected: true},                           // unknown pair
+	{spec: "cloud-cloud=5", rejected: true},                       // missing ms unit
+	{spec: "cloud-cloud=5s", rejected: true},                      // wrong unit
+	{spec: "cloud-cloud=", rejected: true},                        // empty value
+	{spec: "cloud-cloud=xms", rejected: true},                     // non-numeric delay
+	{spec: "cloud-cloud=5ms±x", rejected: true},                   // non-numeric jitter
 	{spec: "cloud-cloud=5ms±2;cloud-cloud=5ms±2", rejected: true}, // duplicate pair
 	{spec: "cloud-resi=5ms±2;resi-cloud=5ms±2", rejected: true},   // duplicate via alias
-	{spec: "cloud-cloud=5ms±6", rejected: true},         // jitter > delay
-	{spec: "cloud-cloud=-5ms", rejected: true},          // negative delay
-	{spec: "cloud-cloud=10001ms", rejected: true},       // delay above bound
-	{spec: "cloud-cloud=5ms,loss=0.91", rejected: true}, // loss above bound
-	{spec: "cloud-cloud=5ms,loss=-0.1", rejected: true}, // negative loss
-	{spec: "cloud-cloud=5ms,loss=nan", rejected: true},  // non-finite loss
-	{spec: "cloud-cloud=infms", rejected: true},         // non-finite delay
-	{spec: "cloud-cloud=5ms,drop=0.1", rejected: true},  // unknown option
-	{spec: "cloud-cloud=5ms,loss", rejected: true},      // option without value
+	{spec: "cloud-cloud=5ms±6", rejected: true},                   // jitter > delay
+	{spec: "cloud-cloud=-5ms", rejected: true},                    // negative delay
+	{spec: "cloud-cloud=10001ms", rejected: true},                 // delay above bound
+	{spec: "cloud-cloud=5ms,loss=0.91", rejected: true},           // loss above bound
+	{spec: "cloud-cloud=5ms,loss=-0.1", rejected: true},           // negative loss
+	{spec: "cloud-cloud=5ms,loss=nan", rejected: true},            // non-finite loss
+	{spec: "cloud-cloud=infms", rejected: true},                   // non-finite delay
+	{spec: "cloud-cloud=5ms,drop=0.1", rejected: true},            // unknown option
+	{spec: "cloud-cloud=5ms,loss", rejected: true},                // option without value
 }
 
 func TestParseLinkProfileTable(t *testing.T) {

@@ -22,6 +22,39 @@ func TestConfigDigestStable(t *testing.T) {
 	}
 }
 
+// TestConfigDigestPinned pins the digest bytes themselves. Every run
+// key hashes a config digest, and run archives on disk are named by
+// those keys, so a change to the encoding — a different float format, a
+// reordered line, a lost quote — would orphan every archived run. It
+// must fail here instead.
+func TestConfigDigestPinned(t *testing.T) {
+	scaled := DefaultConfig().Scaled(0.1)
+	scaled.Seed = 3005
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"default", DefaultConfig(), "5222932b129ed26bb1b7d891afc87cba7e3dfba70a642583e0f7df940337757a"},
+		{"scaled 0.1, seed 3005", scaled, "bf729b2e79da63c2e2dd092fe91f48f8b758727e8e158d280894b2d1fd7ed851"},
+	}
+	for _, tc := range cases {
+		if got := tc.cfg.Digest(); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+var digestSink string
+
+func BenchmarkConfigDigest(b *testing.B) {
+	cfg := DefaultConfig().Scaled(0.1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		digestSink = cfg.Digest()
+	}
+}
+
 // TestConfigDigestFieldSensitivity walks Config by reflection and
 // mutates every field (recursively through nested structs, and one
 // entry of every map), asserting each mutation lands in the digest. A

@@ -66,18 +66,18 @@ type Snapshot struct {
 // name with a note on how. snapshot_reflect_test.go asserts this map
 // and worldSnapshotExcluded partition the World struct exactly.
 var worldSnapshotFields = map[string]string{
-	"Cfg":      "hashed canonically (timeline rewrites mutate it mid-run)",
-	"Net":      "per-actor liveness/addresses via the registry walk + total RPC counter",
-	"Actors":   "walked in creation order: identity, role, liveness, IP, provider ledger",
-	"order":    "walk order + length",
-	"servers":  "role list contents",
-	"clients":  "role list contents",
-	"Monitor":  "streaming accumulator event/class counters",
-	"Hydra":    "streaming accumulator counters + cache size + pending lookups",
-	"PLHydras": "deployment count + per-deployment cache size and pending lookups",
-	"Gateways": "count, domains and served totals",
-	"IPFSBank": "covered by the Gateways walk (it is a member)",
-	"bankIdx":  "hashed directly",
+	"Cfg":           "hashed canonically (timeline rewrites mutate it mid-run)",
+	"Net":           "per-actor liveness/addresses via the registry walk + total RPC counter",
+	"Actors":        "walked in creation order: identity, role, liveness, IP, provider ledger",
+	"order":         "walk order + length",
+	"servers":       "role list contents",
+	"clients":       "role list contents",
+	"Monitor":       "streaming accumulator event/class counters",
+	"Hydra":         "streaming accumulator counters + cache size + pending lookups",
+	"PLHydras":      "deployment count + per-deployment cache size and pending lookups",
+	"Gateways":      "count, domains and served totals",
+	"IPFSBank":      "covered by the Gateways walk (it is a member)",
+	"bankIdx":       "hashed directly",
 	"catalog":       "every entry: cid, owner, born/die ticks, persistence",
 	"live":          "live index list",
 	"tick":          "hashed directly",

@@ -87,8 +87,8 @@ type World struct {
 	// verification cover handle assignment.
 	Intern *intern.Tables
 	DB     *ipdb.DB
-	Alloc   *ipdb.Allocator
-	DNS     *dnssim.Universe
+	Alloc  *ipdb.Allocator
+	DNS    *dnssim.Universe
 
 	Actors  map[ids.PeerID]*Actor
 	order   []ids.PeerID // creation order, for deterministic iteration
