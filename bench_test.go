@@ -65,7 +65,7 @@ func BenchmarkCampaign(b *testing.B) {
 				cfg.Seed = 1
 				rc := core.DefaultRunConfig()
 				rc.Workers = workers
-				o := core.Observe(cfg, rc)
+				o := core.Observe(scenario.NewWorld(cfg), rc)
 				if o.HydraStats().Len() == 0 {
 					b.Fatal("empty campaign")
 				}
@@ -85,7 +85,7 @@ func BenchmarkCampaign(b *testing.B) {
 			cfg.NetProfile = "net.measured"
 			rc := core.DefaultRunConfig()
 			rc.Workers = 8
-			o := core.Observe(cfg, rc)
+			o := core.Observe(scenario.NewWorld(cfg), rc)
 			if o.World.Timing.Sketch(trace.PhaseGateway).Count() == 0 {
 				b.Fatal("no gateway latency samples folded")
 			}
@@ -110,7 +110,7 @@ func benchTimelineResult(b *testing.B) *core.TimelineResult {
 		}
 		rc := campaign.SmallRunConfig()
 		rc.Workers = 2
-		tr, err := core.RunTimeline(campaign.SmallConfig(21), rc, sch)
+		tr, err := core.RunTimeline(campaign.SmallConfig(21), rc, sch, core.TimelineOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkTimeline(b *testing.B) {
 		cfg.Seed = 1
 		rc := core.DefaultRunConfig()
 		rc.Workers = 1
-		tr, err := core.RunTimeline(cfg, rc, sch)
+		tr, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,7 @@
 //	tcsb-experiments -list
 //	tcsb-experiments [-seed N] [-scale F | -preset scale.4x] [-days N]
 //	                 [-only fig3,fig13] [-workers N] [-parallel N]
-//	                 [-json] [-retain-trace] [-net-profile net.measured]
+//	                 [-json] [-net-profile net.measured]
 //	tcsb-experiments -what-if hydra-dissolution[,aws-outage,...]
 //	                 [-only whatif.fig8] [-json] [...]
 //	tcsb-experiments -what-if attack.sybil-eclipse[,attack.provider-spam,...]
@@ -54,9 +54,7 @@
 // multiplier via the Config.Scaled cloning hook); it composes with
 // -scale multiplicatively. The observation path streams: vantage-point
 // events fold into bounded per-shard statistics as they happen, which is
-// what makes scale.4x and beyond routine; -retain-trace additionally
-// keeps the raw event logs (gigabytes at default scale — only for
-// external tooling that needs events).
+// what makes scale.4x and beyond routine.
 // -archive-dir persists each campaign run — the JSONL byte stream plus
 // a manifest of the canonical request — into a run archive;
 // -analyze is the analyze-only mode: it runs no simulation, ingests the
@@ -118,7 +116,7 @@ type options struct {
 // contradiction surfaced at exit 2, never silently ignored.
 var runFlagNames = []string{
 	"seed", "scale", "preset", "net-profile", "days", "only", "what-if",
-	"attack-params", "timeline", "epochs", "workers", "parallel", "retain-trace",
+	"attack-params", "timeline", "epochs", "workers", "parallel",
 }
 
 // validateAnalyzeOptions rejects flag shapes that mix analyze-only mode
@@ -193,7 +191,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.Float64Var(&o.scale, "scale", 1.0, "population scale factor (1.0 ≈ 1/12 of the real network)")
 	flag.StringVar(&o.preset, "preset", "", "named scale.* scenario preset (e.g. scale.4x); composes with -scale")
-	retain := flag.Bool("retain-trace", false, "retain raw vantage-point event logs alongside the streaming statistics (costs gigabytes at default scale)")
 	flag.StringVar(&o.netProfile, "net-profile", "", "per-link impairment model: a net.* preset (net.ideal, net.measured, net.degraded) or a raw spec like \"cloud-cloud=5ms±2;resi-cloud=40ms±15,loss=0.02\"; empty = net.ideal (zero latency)")
 	flag.IntVar(&o.days, "days", 10, "observation days (timeline mode: the schedule owns the calendar; setting -days is an error)")
 	flag.StringVar(&o.only, "only", "", "comma-separated experiment filter (e.g. table1,fig3,fig13)")
@@ -253,7 +250,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcsb-experiments:", err)
 		os.Exit(2)
 	}
-	res.RC.RetainTrace = *retain
 
 	progress := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)

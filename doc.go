@@ -31,10 +31,9 @@
 // day-bucketed expiry instead of identifier-keyed maps — which makes
 // the scale.* scenario family (-preset scale.2x/4x/10x/25x,
 // Config.Scaled cloning hooks) routine under bounded RSS. Raw event
-// logs are available behind the explicit -retain-trace /
-// RunConfig.RetainTrace opt-in; streaming and batch results are pinned
-// equal by the sink-vs-log equivalence property in
-// internal/simtest/invariants.
+// logs are kept only in worlds built with scenario.Config.RetainTrace,
+// a test switch; streaming and batch results are pinned equal by the
+// sink-vs-log equivalence property in internal/simtest/invariants.
 //
 // A counterfactual layer (internal/counterfactual) turns the calibrated
 // replay into an instrument: named interventions — hydra-dissolution,
@@ -80,9 +79,9 @@
 // reuses the sharded worker pool and streaming sinks per epoch and the
 // timeline.* experiments render epoch-tagged rows; warm-start
 // checkpoints (scenario.World.Snapshot state digests, replay-verified
-// by core.ResumeTimeline) make a resumed run byte-identical to a
-// straight-through one, and the invariant suite holds at every epoch
-// boundary.
+// by core.RunTimeline's Resume option) make a resumed run
+// byte-identical to a straight-through one, and the invariant suite
+// holds at every epoch boundary.
 //
 // A campaign service (cmd/tcsb-server) puts the engine behind a
 // long-running HTTP/JSON API: the experiments registry and preset

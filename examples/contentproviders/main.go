@@ -29,7 +29,7 @@ func main() {
 	var col provrecords.Collection
 	fmt.Println("simulating 3 days; collecting each day's sampled CIDs...")
 	for day := 0; day < 3; day++ {
-		w.RunDays(1, nil)
+		w.RunDays(1)
 		sample := w.Monitor.SampleDay(int64(day), 150, rng)
 		collector.CollectDay(&col, sample, int64(day))
 		fmt.Printf("day %d: sampled %d CIDs\n", day, len(sample))

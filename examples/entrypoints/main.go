@@ -20,7 +20,7 @@ func main() {
 	w := scenario.NewWorld(cfg)
 	w.PopulateDNSLink(300)
 	resolvers := w.PopulateENS(200)
-	w.RunDays(1, nil)
+	w.RunDays(1)
 
 	// --- DNSLink (Fig. 17) ---
 	scanner := dnslink.NewScanner(w.DNS, w.GatewayDomains())

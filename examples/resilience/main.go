@@ -18,7 +18,7 @@ func main() {
 	cfg := scenario.DefaultConfig().Scaled(0.3)
 	cfg.Seed = 17
 	w := scenario.NewWorld(cfg)
-	w.RunDays(1, nil)
+	w.RunDays(1)
 
 	snap := w.Crawl(1)
 	g := graph.FromSnapshot(snap)

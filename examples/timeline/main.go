@@ -36,7 +36,7 @@ func main() {
 	}
 
 	fmt.Printf("=== timeline: %s ===\n\n", sch.Spec())
-	tr, err := core.RunTimeline(cfg, rc, sch)
+	tr, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func main() {
 
 	// Warm start: stop at epoch 7, resume from the checkpoint, and show
 	// the resumed epochs match the straight-through run's exactly.
-	prefix, err := core.RunTimelineUntil(cfg, rc, sch, 7)
+	prefix, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{Until: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	resumed, err := core.ResumeTimeline(cfg, rc, sch, prefix.Final)
+	resumed, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{Resume: &prefix.Final})
 	if err != nil {
 		log.Fatal(err)
 	}

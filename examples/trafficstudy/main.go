@@ -23,7 +23,7 @@ func main() {
 	w := scenario.NewWorld(cfg)
 
 	fmt.Println("simulating 3 days of traffic...")
-	w.RunDays(3, nil)
+	w.RunDays(3)
 
 	hydra := w.Hydra.Stats()
 	bitswap := w.Monitor.Stats()

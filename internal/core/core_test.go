@@ -420,8 +420,8 @@ func TestObservatoryDeterminism(t *testing.T) {
 	cfg.Seed = 5
 	rc := core.RunConfig{Days: 1, CrawlsPerDay: 1, DailyCIDSample: 40,
 		GatewayProbeRounds: 4, DNSLinkDomains: 50, ENSNames: 40}
-	a := core.Observe(cfg, rc)
-	b := core.Observe(cfg, rc)
+	a := core.Observe(scenario.NewWorld(cfg), rc)
+	b := core.Observe(scenario.NewWorld(cfg), rc)
 	if a.HydraStats().Len() != b.HydraStats().Len() {
 		t.Fatalf("hydra streams differ: %d vs %d", a.HydraStats().Len(), b.HydraStats().Len())
 	}

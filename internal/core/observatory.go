@@ -42,17 +42,6 @@ type RunConfig struct {
 	// the observatory produces is byte-identical for every Workers
 	// value (0 or 1 = fully serial).
 	Workers int
-	// RetainTrace keeps the raw event logs of the monitoring vantage
-	// points alongside the streaming statistics, exposing them as
-	// Observatory.HydraLog and World.Monitor.Log(). Off by default —
-	// every analysis of the paper folds into bounded trace.Accum state
-	// as events happen, and retaining the full trace of a default-scale
-	// campaign costs ~10 GB of allocations. Enable it only for
-	// consumers that need raw events (event-level diffing, external
-	// tooling, the sink-vs-log equivalence suite). Observe threads the
-	// flag into world construction; ObserveWorld on a pre-built world
-	// can only retain events observed after it starts.
-	RetainTrace bool
 }
 
 // DefaultRunConfig returns the laptop-scale campaign.
@@ -87,29 +76,13 @@ type Observatory struct {
 	ENSRecords []ens.Record
 	// ENSProviders holds provider records resolved for ENS CIDs.
 	ENSProviders provrecords.Collection
-	// HydraLog is the vantage Hydra's raw request log with the
-	// observatory's own measurement traffic (crawler, record collector)
-	// filtered out, as the authors exclude their own tools from the
-	// analysis. It is only populated under RunConfig.RetainTrace; the
-	// analyses themselves read the streaming statistics (HydraStats),
-	// which apply the same exclusion at ingest.
-	HydraLog *trace.Log
 
 	// memo caches derived datasets shared by several experiments; see
 	// memo.go. Safe for concurrent use once observation has finished.
 	memo memo
 }
 
-// Observe builds a world and runs the full observation campaign on it.
-func Observe(cfg scenario.Config, rc RunConfig) *Observatory {
-	if rc.RetainTrace {
-		cfg.RetainTrace = true
-	}
-	w := scenario.NewWorld(cfg)
-	return ObserveWorld(w, rc)
-}
-
-// ObserveWorld runs the campaign on an existing world.
+// Observe runs the full observation campaign on a built world.
 //
 // The campaign parallelizes on rc.Workers without changing a single
 // byte of any dataset: world ticks run their sharded phases on the
@@ -119,44 +92,13 @@ func Observe(cfg scenario.Config, rc RunConfig) *Observatory {
 // stages share no mutable state). Gateway probes stay serial by nature:
 // each probe plants content on the monitor and immediately reads its
 // own Bitswap trace back, an inherently sequential protocol.
-func ObserveWorld(w *scenario.World, rc RunConfig) *Observatory {
+func Observe(w *scenario.World, rc RunConfig) *Observatory {
 	o := &Observatory{World: w, Run: rc}
-	rng := rand.New(rand.NewSource(w.Cfg.Seed ^ 0x0b5e7))
-	if rc.Workers > 0 {
-		w.Workers = rc.Workers
-	}
-	if rc.RetainTrace {
-		// Best effort on a pre-built world: retention starts now (Observe
-		// sets scenario.Config.RetainTrace before construction instead).
-		w.Hydra.Pipeline().EnableRetention()
-		w.Monitor.Pipeline().EnableRetention()
-	}
+	days := newDayLoop(w, rc, &o.Crawls, &o.Records)
 
 	w.PopulateDNSLink(rc.DNSLinkDomains)
 	resolvers := w.PopulateENS(rc.ENSNames)
-
-	collector := provrecords.NewCollector(w.Net,
-		ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48+0xc0113),
-		func(target ids.Key) []netsim.PeerInfo { return w.SeedsNear(target, 8) })
-
-	crawlID := 0
-	for day := 0; day < rc.Days; day++ {
-		// Spread crawls across the day's ticks.
-		interval := scenario.TicksPerDay / max(rc.CrawlsPerDay, 1)
-		for t := 0; t < scenario.TicksPerDay; t++ {
-			w.StepTick()
-			if rc.CrawlsPerDay > 0 && t%interval == interval-1 && crawlID < (day+1)*rc.CrawlsPerDay {
-				crawlID++
-				o.Crawls.Add(w.Crawl(crawlID))
-			}
-		}
-		// Daily sampled Bitswap CIDs → provider record collection, same
-		// day, as in the paper: drawn from the monitor's streaming
-		// statistics (identical to sampling the raw log). Walks are
-		// independent; fan out per CID.
-		sample := w.Monitor.SampleDay(int64(day), rc.DailyCIDSample, rng)
-		collector.CollectDayParallel(&o.Records, sample, int64(day), w.Workers)
-	}
+	days.run(rc.Days)
 
 	// Gateway identification probes via the monitor (serial: each probe
 	// reads its own planted content's trace back from the shared log).
@@ -181,7 +123,7 @@ func ObserveWorld(w *scenario.World, rc RunConfig) *Observatory {
 			seen[r.CID] = true
 			cids = append(cids, r.CID)
 		}
-		collector.CollectDayParallel(&o.ENSProviders, cids, int64(rc.Days), max(w.Workers-1, 1))
+		days.collector.CollectDayParallel(&o.ENSProviders, cids, int64(rc.Days), max(w.Workers-1, 1))
 	}
 	dnsStage := func() {
 		scanner := dnslink.NewScanner(w.DNS, w.GatewayDomains())
@@ -199,15 +141,65 @@ func ObserveWorld(w *scenario.World, rc RunConfig) *Observatory {
 		ensStage()
 		dnsStage()
 	}
-
-	if raw := w.Hydra.Log(); raw != nil {
-		crawlerID := w.CrawlerID()
-		collectorID := w.CollectorID()
-		o.HydraLog = raw.Filter(func(e trace.Event) bool {
-			return e.Peer != crawlerID && e.Peer != collectorID
-		})
-	}
 	return o
+}
+
+// dayLoop is the observation day loop every campaign shape runs: a
+// day's ticks with the DHT crawls spread across them, then that day's
+// sampled Bitswap CIDs collected into provider records, the same day,
+// as in the paper. The crawl and day counters carry across run calls,
+// so a timeline's epochs continue one series.
+type dayLoop struct {
+	w  *scenario.World
+	rc RunConfig
+	// rng draws the daily CID samples, once per day in day order, so a
+	// replayed timeline prefix consumes exactly the draws the original
+	// run did.
+	rng       *rand.Rand
+	collector *provrecords.Collector
+	crawls    *crawler.Series
+	records   *provrecords.Collection
+	crawlID   int
+	day       int
+}
+
+// newDayLoop applies rc.Workers to the world and prepares the loop to
+// append crawls and records to the given datasets.
+func newDayLoop(w *scenario.World, rc RunConfig, crawls *crawler.Series, records *provrecords.Collection) *dayLoop {
+	if rc.Workers > 0 {
+		w.Workers = rc.Workers
+	}
+	return &dayLoop{
+		w:   w,
+		rc:  rc,
+		rng: rand.New(rand.NewSource(w.Cfg.Seed ^ 0x0b5e7)),
+		collector: provrecords.NewCollector(w.Net, w.CollectorID(),
+			func(target ids.Key) []netsim.PeerInfo { return w.SeedsNear(target, 8) }),
+		crawls:  crawls,
+		records: records,
+	}
+}
+
+// run observes n days and returns how many CIDs their samples drew.
+func (l *dayLoop) run(n int) (collected int) {
+	w, rc := l.w, l.rc
+	interval := scenario.TicksPerDay / max(rc.CrawlsPerDay, 1)
+	for d := 0; d < n; d++ {
+		for t := 0; t < scenario.TicksPerDay; t++ {
+			w.StepTick()
+			if rc.CrawlsPerDay > 0 && t%interval == interval-1 && l.crawlID < (l.day+1)*rc.CrawlsPerDay {
+				l.crawlID++
+				l.crawls.Add(w.Crawl(l.crawlID))
+			}
+		}
+		// Drawn from the monitor's streaming statistics (identical to
+		// sampling the raw log). Walks are independent; fan out per CID.
+		sample := w.Monitor.SampleDay(int64(l.day), rc.DailyCIDSample, l.rng)
+		l.collector.CollectDayParallel(l.records, sample, int64(l.day), w.Workers)
+		collected += len(sample)
+		l.day++
+	}
+	return collected
 }
 
 // HydraStats returns the vantage Hydra's streaming request statistics —

@@ -11,22 +11,19 @@ package core
 // accumulators, so a 14-epoch run costs no more memory than a 1-epoch
 // one). Every dataset is byte-identical for every Workers value.
 //
-// Warm starts: RunTimelineUntil stops at an epoch boundary and hands
-// back a timeline.Checkpoint pinning the world's scenario.Snapshot;
-// ResumeTimeline replays the prefix deterministically, verifies the
-// replayed snapshot against the checkpoint, and continues. A spliced
-// (prefix + resumed) result renders byte-identically to a
-// straight-through run — the property TestTimelineWorkerDeterminism
-// pins.
+// Warm starts: TimelineOptions.Until stops at an epoch boundary and
+// hands back a timeline.Checkpoint pinning the world's
+// scenario.Snapshot; TimelineOptions.Resume replays the prefix
+// deterministically, verifies the replayed snapshot against the
+// checkpoint, and continues. A spliced (prefix + resumed) result
+// renders byte-identically to a straight-through run — the property
+// TestTimelineWorkerDeterminism pins.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"tcsb/internal/churn"
 	"tcsb/internal/crawler"
-	"tcsb/internal/ids"
-	"tcsb/internal/netsim"
 	"tcsb/internal/provrecords"
 	"tcsb/internal/scenario"
 	"tcsb/internal/timeline"
@@ -92,78 +89,58 @@ type TimelineResult struct {
 	World *scenario.World
 }
 
-// RunTimeline runs the full schedule: epochs [0, Epochs). The error
-// path exists for symmetry with ResumeTimeline (checkpoint
-// verification is what can fail); a full run from epoch 0 never
-// verifies and so returns a nil error today — but callers must handle
-// it rather than panic, so the library never traps across the CLI or
-// server API boundary.
-func RunTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled) (*TimelineResult, error) {
-	return runTimeline(cfg, rc, sch, 0, sch.Schedule().Epochs, nil, nil)
+// TimelineOptions selects the stretch of a schedule RunTimeline runs.
+// The zero value runs the whole schedule from epoch 0.
+type TimelineOptions struct {
+	// Resume continues a checkpointed run. The prefix
+	// [0, Resume.EpochsDone) is replayed deterministically (restore is
+	// replay-based: RNG state is opaque, world evolution is a pure
+	// function of config and schedule) and the replayed world's snapshot
+	// is verified against the checkpoint before the live epochs run — a
+	// mismatched config, schedule or engine change fails here instead of
+	// silently diverging.
+	Resume *timeline.Checkpoint
+	// Until stops the run at that epoch boundary; the returned Final
+	// checkpoint resumes the remainder. 0 means the schedule's end.
+	Until int
+	// OnEpoch, if non-nil, is called at every epoch's end boundary,
+	// replayed ones included, on the serial path, with the live world —
+	// the attachment point of the epoch-boundary invariant suite.
+	OnEpoch func(epoch int, w *scenario.World)
 }
 
-// RunTimelineUntil runs epochs [0, upTo) and stops at that boundary;
-// the returned Final checkpoint resumes the remainder.
-func RunTimelineUntil(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, upTo int) (*TimelineResult, error) {
+// RunTimeline runs the schedule's epochs [0, Until), reporting rows from
+// the resume checkpoint's epoch onward. The error path covers options
+// that do not fit the schedule and a checkpoint that fails verification;
+// callers must handle it rather than panic, so the library never traps
+// across the CLI or server API boundary.
+func RunTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, opt TimelineOptions) (*TimelineResult, error) {
 	s := sch.Schedule()
-	if upTo < 1 || upTo > s.Epochs {
-		return nil, fmt.Errorf("core: RunTimelineUntil(%d) outside [1, %d]", upTo, s.Epochs)
+	to := s.Epochs
+	if opt.Until != 0 {
+		to = opt.Until
 	}
-	return runTimeline(cfg, rc, sch, 0, upTo, nil, nil)
-}
+	if to < 1 || to > s.Epochs {
+		return nil, fmt.Errorf("core: timeline Until %d outside [1, %d] (0 means the schedule end)", opt.Until, s.Epochs)
+	}
+	from := 0
+	verify := opt.Resume
+	if verify != nil {
+		if verify.Spec != sch.Spec() {
+			return nil, fmt.Errorf("core: checkpoint is for schedule %q, not %q", verify.Spec, sch.Spec())
+		}
+		if verify.Seed != cfg.Seed {
+			return nil, fmt.Errorf("core: checkpoint is for seed %d, not %d", verify.Seed, cfg.Seed)
+		}
+		if verify.EpochsDone < 1 || verify.EpochsDone > to {
+			return nil, fmt.Errorf("core: checkpoint at epoch %d outside [1, %d]", verify.EpochsDone, to)
+		}
+		from = verify.EpochsDone
+	}
 
-// ResumeTimeline continues a checkpointed run to the schedule's end.
-// The prefix [0, cp.EpochsDone) is replayed deterministically (restore
-// is replay-based: RNG state is opaque, world evolution is a pure
-// function of config and schedule) and the replayed world's snapshot
-// is verified against the checkpoint before the live epochs run — a
-// mismatched config, schedule or engine change fails here instead of
-// silently diverging.
-func ResumeTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, cp timeline.Checkpoint) (*TimelineResult, error) {
-	s := sch.Schedule()
-	if cp.Spec != sch.Spec() {
-		return nil, fmt.Errorf("core: checkpoint is for schedule %q, not %q", cp.Spec, sch.Spec())
-	}
-	if cp.Seed != cfg.Seed {
-		return nil, fmt.Errorf("core: checkpoint is for seed %d, not %d", cp.Seed, cfg.Seed)
-	}
-	if cp.EpochsDone < 1 || cp.EpochsDone > s.Epochs {
-		return nil, fmt.Errorf("core: checkpoint at epoch %d outside [1, %d]", cp.EpochsDone, s.Epochs)
-	}
-	return runTimeline(cfg, rc, sch, cp.EpochsDone, s.Epochs, &cp, nil)
-}
-
-// RunTimelineWithHook is RunTimeline with a callback invoked at every
-// epoch's end boundary, on the serial path, with the live world — the
-// attachment point of the epoch-boundary invariant suite.
-func RunTimelineWithHook(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, onEpoch func(epoch int, w *scenario.World)) (*TimelineResult, error) {
-	return runTimeline(cfg, rc, sch, 0, sch.Schedule().Epochs, nil, onEpoch)
-}
-
-// runTimeline executes epochs [0, to), reporting rows from `from`
-// onward and verifying the world against `verify` at the `from`
-// boundary when resuming.
-func runTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, from, to int,
-	verify *timeline.Checkpoint, onEpoch func(int, *scenario.World)) (*TimelineResult, error) {
-
-	s := sch.Schedule()
-	if rc.RetainTrace {
-		cfg.RetainTrace = true
-	}
 	w := scenario.NewWorld(cfg)
-	if rc.Workers > 0 {
-		w.Workers = rc.Workers
-	}
-	// Same derived streams as ObserveWorld: the daily-sample RNG draws
-	// once per day in day order, so a replayed prefix consumes exactly
-	// the draws the original run did.
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b5e7))
-	collector := provrecords.NewCollector(w.Net,
-		ids.PeerIDFromSeed(uint64(cfg.Seed)<<48+0xc0113),
-		func(target ids.Key) []netsim.PeerInfo { return w.SeedsNear(target, 8) })
-
 	tr := &TimelineResult{Spec: sch.Spec(), Schedule: s, From: from, World: w}
-	crawlID, day := 0, 0
+	days := newDayLoop(w, rc, &tr.Crawls, &tr.Records)
 	// Epoch activity is reported as deltas between boundary snapshots;
 	// the initial boundary is the freshly built world, so construction
 	// traffic (initial Provide walks) never pollutes epoch 0's row.
@@ -181,31 +158,17 @@ func runTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, from
 			act.Apply(w)
 		}
 		crawlLo := len(tr.Crawls.Snapshots)
-		collected := 0
-		for d := 0; d < s.DaysPerEpoch; d++ {
-			interval := scenario.TicksPerDay / max(rc.CrawlsPerDay, 1)
-			for t := 0; t < scenario.TicksPerDay; t++ {
-				w.StepTick()
-				if rc.CrawlsPerDay > 0 && t%interval == interval-1 && crawlID < (day+1)*rc.CrawlsPerDay {
-					crawlID++
-					tr.Crawls.Add(w.Crawl(crawlID))
-				}
-			}
-			sample := w.Monitor.SampleDay(int64(day), rc.DailyCIDSample, rng)
-			collector.CollectDayParallel(&tr.Records, sample, int64(day), w.Workers)
-			collected += len(sample)
-			day++
-		}
+		collected := days.run(s.DaysPerEpoch)
 		snap := w.Snapshot()
-		if onEpoch != nil {
-			onEpoch(e, w)
+		if opt.OnEpoch != nil {
+			opt.OnEpoch(e, w)
 		}
 		if e >= from {
 			tr.Epochs = append(tr.Epochs, buildEpochStats(e, s.DaysPerEpoch, fired, w, snap, prev, &tr.Crawls, crawlLo, collected))
 		}
 		prev = snap
 	}
-	// An end-of-schedule checkpoint (from == to) never hits the in-loop
+	// An end-of-run checkpoint (from == to) never hits the in-loop
 	// verification; check it against the fully replayed world here, so a
 	// tampered final checkpoint is refused like any other.
 	if verify != nil && from == to {

@@ -189,12 +189,37 @@ func BuildWorld(cfg scenario.Config, ivs []Intervention) *scenario.World {
 	return w
 }
 
-// Observe runs the paired baseline/intervention campaign on the shared
-// worker pool (core.ObservePaired splits rc.Workers across the two
-// campaigns) and returns both observatories.
+// Observe runs the paired campaign: the baseline world built from cfg
+// as-is and the intervention world BuildWorld builds, each observed with
+// rc, and returns both observatories.
+//
+// The two campaigns share the run's worker budget: with rc.Workers >= 2
+// they execute concurrently, the intervention world on rc.Workers -
+// rc.Workers/2 workers and the baseline on rc.Workers/2; otherwise they
+// run back-to-back fully serial. Either way each campaign's datasets are
+// a pure function of its (config, RunConfig-shape) alone — the engine's
+// Workers-independence guarantee — so every rendered comparison is
+// byte-identical for every rc.Workers value.
 func Observe(cfg scenario.Config, rc core.RunConfig, ivs []Intervention) (baseline, whatif *core.Observatory) {
-	rewrite, mutate := Compose(ivs)
-	return core.ObservePaired(cfg, rewrite, mutate, rc)
+	observe := func(w *scenario.World, workers int) *core.Observatory {
+		r := rc
+		r.Workers = workers
+		return core.Observe(w, r)
+	}
+	if rc.Workers < 2 {
+		baseline = observe(scenario.NewWorld(cfg), 1)
+		whatif = observe(BuildWorld(cfg, ivs), 1)
+		return baseline, whatif
+	}
+	half := rc.Workers / 2
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		whatif = observe(BuildWorld(cfg, ivs), rc.Workers-half)
+	}()
+	baseline = observe(scenario.NewWorld(cfg), half)
+	<-done
+	return baseline, whatif
 }
 
 // ScheduleResolver bridges the intervention registry into the timeline

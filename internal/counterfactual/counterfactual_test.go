@@ -157,7 +157,7 @@ func TestAWSOutageWorld(t *testing.T) {
 	}
 	// The outage must stick through simulated time: churn cannot revive
 	// pinned actors.
-	w.RunDays(1, nil)
+	w.RunDays(1)
 	for _, a := range w.Actors {
 		if a.PinnedOffline && a.Online {
 			t.Fatalf("pinned actor %s came back through churn", a.ID.Short())

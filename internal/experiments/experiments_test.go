@@ -167,7 +167,7 @@ func smallObservatory(seed int64) *core.Observatory {
 func smallObservatoryWorkers(seed int64, workers int) *core.Observatory {
 	rc := campaign.SmallRunConfig()
 	rc.Workers = workers
-	return core.Observe(campaign.SmallConfig(seed), rc)
+	return core.Observe(scenario.NewWorld(campaign.SmallConfig(seed)), rc)
 }
 
 // renderAll runs the full catalog and renders both output formats.
@@ -285,10 +285,11 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 	// Streaming vs retained: RetainTrace keeps raw logs next to the
 	// streaming accumulators but must not change a byte of rendered
 	// output (the analyses read the accumulators in both modes).
+	retainedCfg := campaign.SmallConfig(5)
+	retainedCfg.RetainTrace = true
 	retainedRC := campaign.SmallRunConfig()
 	retainedRC.Workers = 1
-	retainedRC.RetainTrace = true
-	retained := core.Observe(campaign.SmallConfig(5), retainedRC)
+	retained := core.Observe(scenario.NewWorld(retainedCfg), retainedRC)
 	retainedText, retainedJSON := renderAll(t, retained, 1)
 	if retainedText != serialText {
 		t.Error("text output differs between streaming and retained-trace campaigns")
@@ -305,7 +306,7 @@ func TestCampaignWorkerDeterminism(t *testing.T) {
 		cfg.NetProfile = profile
 		rc := campaign.SmallRunConfig()
 		rc.Workers = workers
-		return core.Observe(cfg, rc)
+		return core.Observe(scenario.NewWorld(cfg), rc)
 	}
 	netSerialText, netSerialJSON := renderAll(t, netObservatory("net.measured", 1), 1)
 	netPooledText, netPooledJSON := renderAll(t, netObservatory("net.measured", 8), 4)
@@ -346,7 +347,7 @@ func TestScalePresetWorkerDeterminism(t *testing.T) {
 		cfg := preset.Apply(campaign.SmallConfig(5))
 		rc := campaign.SmallRunConfig()
 		rc.Workers = workers
-		return core.Observe(cfg, rc)
+		return core.Observe(scenario.NewWorld(cfg), rc)
 	}
 	serialText, serialJSON := renderAll(t, build(1), 1)
 	pooledText, pooledJSON := renderAll(t, build(8), 4)

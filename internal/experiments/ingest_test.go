@@ -48,16 +48,8 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	if len(rows) != 5 { // one line per table
 		t.Fatalf("%d rows, want 5", len(rows))
 	}
-	back := make([]Result, len(rows))
-	for i, r := range rows {
-		back[i] = r.Result()
-	}
-	var again bytes.Buffer
-	if err := RenderJSONL(&again, back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatalf("round trip drifted:\n in: %s\nout: %s", buf.Bytes(), again.Bytes())
+	if again := renderParsed(t, rows); !bytes.Equal(buf.Bytes(), again) {
+		t.Fatalf("round trip drifted:\n in: %s\nout: %s", buf.Bytes(), again)
 	}
 
 	// Spot-check the typed view.
@@ -100,4 +92,41 @@ func TestParseJSONLRejections(t *testing.T) {
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("blank input: rows=%d err=%v", len(rows), err)
 	}
+}
+
+// renderParsed renders re-ingested rows back into a JSONL stream.
+func renderParsed(t *testing.T, rows []ParsedRow) []byte {
+	t.Helper()
+	results := make([]Result, len(rows))
+	for i, r := range rows {
+		results[i] = r.Result()
+	}
+	var buf bytes.Buffer
+	if err := RenderJSONL(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzParseJSONL drives the archive decoder with arbitrary bytes. It
+// must never panic, and for an accepted input the rendering of the
+// parsed rows is a byte fixed point: parsing and rendering it again
+// reproduces it exactly. (The input itself need not round-trip: the
+// decoder accepts blank lines, ragged rows and key spellings the
+// renderer never writes.)
+func FuzzParseJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := ParseJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once := renderParsed(t, rows)
+		again, err := ParseJSONL(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("rendered rows do not parse back: %v\n%s", err, once)
+		}
+		if twice := renderParsed(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("rendering is not a fixed point:\n%s\nre-renders as\n%s", once, twice)
+		}
+	})
 }

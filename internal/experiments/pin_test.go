@@ -102,11 +102,11 @@ func TestResumePinned(t *testing.T) {
 		t.Skip("runs a small timeline campaign")
 	}
 	res := resolve(t, core.RunRequest{Seed: 1, Scale: 0.1, Timeline: "epochs=4;days=1;@2:hydra-dissolution"})
-	prefix, err := core.RunTimelineUntil(res.Cfg, res.RC, res.Schedule, 2)
+	prefix, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{Until: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := core.ResumeTimeline(res.Cfg, res.RC, res.Schedule, prefix.Final)
+	rest, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{Resume: &prefix.Final})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func (res *Resolved) Execute(progress Progress) ([]Result, error) {
 		s := res.Schedule.Schedule()
 		progress.printf("building world (%d servers, %d NAT clients) and running %d epochs × %d days, schedule %s (workers=%d)",
 			res.Cfg.Servers, res.Cfg.NATClients, s.Epochs, s.DaysPerEpoch, res.Schedule.Spec(), res.RC.Workers)
-		tr, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule)
+		tr, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +224,7 @@ func (res *Resolved) Execute(progress Progress) ([]Result, error) {
 	default:
 		progress.printf("building world (%d servers, %d NAT clients) and observing %d days (workers=%d)",
 			res.Cfg.Servers, res.Cfg.NATClients, res.RC.Days, res.RC.Workers)
-		o := core.Observe(res.Cfg, res.RC)
+		o := core.Observe(scenario.NewWorld(res.Cfg), res.RC)
 		progress.printf("observation complete (%d total RPCs)", o.World.Net.TotalMessages())
 		return Run(o, res.Req.Only, parallel)
 	}

@@ -15,7 +15,7 @@ import (
 // error path RunTimeline now reports instead of panicking.
 func mustTimeline(t *testing.T, cfg scenario.Config, rc core.RunConfig, sch *timeline.Compiled) *core.TimelineResult {
 	t.Helper()
-	tr, err := core.RunTimeline(cfg, rc, sch)
+	tr, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	}
 
 	// Checkpoint at epoch 7 with one pool shape, resume with another.
-	prefix, err := core.RunTimelineUntil(cfg, rcWith(8), sch, 7)
+	prefix, err := core.RunTimeline(cfg, rcWith(8), sch, core.TimelineOptions{Until: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 		t.Fatalf("prefix: EpochsDone=%d, %d epoch rows; want 7, 7",
 			prefix.Final.EpochsDone, len(prefix.Epochs))
 	}
-	resumed, err := core.ResumeTimeline(cfg, rcWith(1), sch, prefix.Final)
+	resumed, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &prefix.Final})
 	if err != nil {
 		t.Fatalf("resume failed verification: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	// A tampered checkpoint must fail the replay verification loudly.
 	bad := prefix.Final
 	bad.State.Digest ^= 1
-	if _, err := core.ResumeTimeline(cfg, rcWith(1), sch, bad); err == nil ||
+	if _, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &bad}); err == nil ||
 		!strings.Contains(err.Error(), "diverges from checkpoint") {
 		t.Errorf("tampered checkpoint not refused: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	// never hits the in-loop verification, so the post-loop check must
 	// catch the tampering; the untampered one must verify and resume to
 	// zero live epochs.
-	done, err := core.ResumeTimeline(cfg, rcWith(1), sch, serial.Final)
+	done, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &serial.Final})
 	if err != nil {
 		t.Errorf("resume from a completed run's checkpoint failed verification: %v", err)
 	} else if len(done.Epochs) != 0 {
@@ -157,7 +157,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	}
 	badFinal := serial.Final
 	badFinal.State.Digest ^= 1
-	if _, err := core.ResumeTimeline(cfg, rcWith(1), sch, badFinal); err == nil ||
+	if _, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &badFinal}); err == nil ||
 		!strings.Contains(err.Error(), "diverges from checkpoint") {
 		t.Errorf("tampered end-of-schedule checkpoint not refused: %v", err)
 	}
@@ -165,14 +165,14 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	// So must mismatched metadata, before any simulation is paid for.
 	wrongSeed := prefix.Final
 	wrongSeed.Seed = 999
-	if _, err := core.ResumeTimeline(cfg, rcWith(1), sch, wrongSeed); err == nil {
+	if _, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &wrongSeed}); err == nil {
 		t.Error("checkpoint with a foreign seed not refused")
 	}
 	other, err := counterfactual.CompileSchedule("epochs=14;days=1;@6:hydra-dissolution")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.ResumeTimeline(cfg, rcWith(1), other, prefix.Final); err == nil {
+	if _, err := core.RunTimeline(cfg, rcWith(1), other, core.TimelineOptions{Resume: &prefix.Final}); err == nil {
 		t.Error("checkpoint replayed under a different schedule not refused")
 	}
 
@@ -200,11 +200,11 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 		!strings.Contains(attackSerialText, "attack.provider-spam") {
 		t.Error("the scheduled attacks never surfaced in the rendered output")
 	}
-	attackPrefix, err := core.RunTimelineUntil(cfg, rcWith(8), attackSch, 3)
+	attackPrefix, err := core.RunTimeline(cfg, rcWith(8), attackSch, core.TimelineOptions{Until: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	attackResumed, err := core.ResumeTimeline(cfg, rcWith(1), attackSch, attackPrefix.Final)
+	attackResumed, err := core.RunTimeline(cfg, rcWith(1), attackSch, core.TimelineOptions{Resume: &attackPrefix.Final})
 	if err != nil {
 		t.Fatalf("resume through an attack epoch failed verification: %v", err)
 	}
@@ -256,11 +256,11 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	if issued == 0 {
 		t.Error("the degraded epochs issued no impaired RPCs — the swap did not bite")
 	}
-	netPrefix, err := core.RunTimelineUntil(cfg, rcWith(8), netSch, 3)
+	netPrefix, err := core.RunTimeline(cfg, rcWith(8), netSch, core.TimelineOptions{Until: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	netResumed, err := core.ResumeTimeline(cfg, rcWith(1), netSch, netPrefix.Final)
+	netResumed, err := core.RunTimeline(cfg, rcWith(1), netSch, core.TimelineOptions{Resume: &netPrefix.Final})
 	if err != nil {
 		t.Fatalf("resume through a net.degraded epoch failed verification: %v", err)
 	}
@@ -312,10 +312,10 @@ func TestRunTimelineSelection(t *testing.T) {
 	if _, err := RunTimeline(tr, []string{"fig3"}, 1); err == nil {
 		t.Error("plain experiment accepted by the timeline runner")
 	}
-	if _, err := core.RunTimelineUntil(campaign.SmallConfig(3), rc, sch, 0); err == nil {
-		t.Error("RunTimelineUntil(0) accepted")
+	if _, err := core.RunTimeline(campaign.SmallConfig(3), rc, sch, core.TimelineOptions{Until: -1}); err == nil {
+		t.Error("negative Until accepted")
 	}
-	if _, err := core.RunTimelineUntil(campaign.SmallConfig(3), rc, sch, 3); err == nil {
-		t.Error("RunTimelineUntil past the schedule end accepted")
+	if _, err := core.RunTimeline(campaign.SmallConfig(3), rc, sch, core.TimelineOptions{Until: 3}); err == nil {
+		t.Error("Until past the schedule end accepted")
 	}
 }

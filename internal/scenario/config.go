@@ -108,11 +108,18 @@ type Config struct {
 
 	// RetainTrace keeps the raw event logs of the monitoring vantage
 	// points (Bitswap monitor, vantage Hydra) behind Monitor.Log() /
-	// Hydra.Log(). Off by default: every analysis folds into the
-	// streaming trace.Accum as events happen, and retaining the full
-	// trace of a default-scale campaign costs gigabytes. Enable it for
-	// consumers that genuinely need raw events (event-level diffing,
-	// external tooling, the sink-vs-log equivalence suite).
+	// Hydra.Log(), and the raw per-phase timing samples. It is the one
+	// retention switch, meant for tests (the sink-vs-log and
+	// sketch-vs-exact equivalence suites, event-level determinism
+	// checks), and it must be set before the world is built. Off by
+	// default: every analysis folds into the streaming trace.Accum as
+	// events happen, and retaining the full trace of a default-scale
+	// campaign costs gigabytes.
+	//
+	// The field stays in Config although no run request can set it: its
+	// line is hashed by Digest, and the %+v rendering of the config is
+	// hashed into every snapshot digest, so removing it would move every
+	// run key and every timeline.digest row.
 	RetainTrace bool
 
 	// Attack configures the adversarial attack.* scenario family

@@ -59,7 +59,7 @@ func BenchmarkConfigDigest(b *testing.B) {
 // mutates every field (recursively through nested structs, and one
 // entry of every map), asserting each mutation lands in the digest. A
 // field added to Config later is covered with no test change; a field
-// kind the walk cannot mutate fails loudly so writeCanonical and this
+// kind the walk cannot mutate fails loudly so appendCanonical and this
 // test grow together.
 func TestConfigDigestFieldSensitivity(t *testing.T) {
 	cfg := DefaultConfig()
@@ -110,7 +110,7 @@ func TestConfigDigestFieldSensitivity(t *testing.T) {
 			check(path)
 			v.SetString(old)
 		default:
-			t.Fatalf("unhandled Config field kind %s at %s; extend writeCanonical and this walk", v.Kind(), path)
+			t.Fatalf("unhandled Config field kind %s at %s; extend appendCanonical and this walk", v.Kind(), path)
 		}
 	}
 

@@ -115,7 +115,7 @@ func TestContentResolvable(t *testing.T) {
 
 func TestTrafficGeneratesLogs(t *testing.T) {
 	w := NewWorld(testConfig())
-	w.RunDays(1, nil)
+	w.RunDays(1)
 
 	if w.Monitor.Stats().Len() == 0 {
 		t.Error("monitor saw no Bitswap traffic")
@@ -135,7 +135,7 @@ func TestChurnCreatesGhostsAndRotation(t *testing.T) {
 	for _, id := range w.order {
 		before[id] = true
 	}
-	w.RunDays(2, nil)
+	w.RunDays(2)
 
 	offline := 0
 	for _, id := range w.servers {
@@ -160,7 +160,7 @@ func TestChurnCreatesGhostsAndRotation(t *testing.T) {
 
 func TestCrawlOnWorld(t *testing.T) {
 	w := NewWorld(testConfig())
-	w.RunDays(1, nil)
+	w.RunDays(1)
 	snap := w.Crawl(1)
 	total := len(w.servers)
 	if snap.Discovered() < total*7/10 {

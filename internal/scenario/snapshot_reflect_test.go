@@ -132,7 +132,7 @@ func TestSnapshotDetectsEvolution(t *testing.T) {
 	}
 
 	// Identical construction yields identical snapshots (the replay
-	// property ResumeTimeline's verification rests on).
+	// property the timeline resume verification rests on).
 	w2 := NewWorld(cfg)
 	w2.StepTick()
 	if diff := w2.Snapshot().Diff(s1); diff != "" {

@@ -80,16 +80,10 @@ func (w *World) StepTick() {
 	w.Net.Clock.Advance(TickSeconds)
 }
 
-// RunDays advances the world by d full days, invoking afterDay (if
-// non-nil) at the end of each.
-func (w *World) RunDays(d int, afterDay func(day int)) {
-	for i := 0; i < d; i++ {
-		for t := 0; t < TicksPerDay; t++ {
-			w.StepTick()
-		}
-		if afterDay != nil {
-			afterDay(w.Day() - 1)
-		}
+// RunDays advances the world by d full days.
+func (w *World) RunDays(d int) {
+	for t := 0; t < d*TicksPerDay; t++ {
+		w.StepTick()
 	}
 }
 

@@ -68,7 +68,7 @@ func cachedObservatory(kind string, seed int64, workers int, cfg scenario.Config
 		return o
 	}
 	rc.Workers = workers
-	o := core.Observe(cfg, rc)
+	o := core.Observe(scenario.NewWorld(cfg), rc)
 	obsCache[key] = o
 	return o
 }
@@ -81,14 +81,14 @@ func SmallObservatory(seed int64, workers int) *core.Observatory {
 	return cachedObservatory("small", seed, workers, SmallConfig(seed), SmallRunConfig())
 }
 
-// SmallRetainedObservatory is SmallObservatory with RetainTrace on: the
-// raw vantage logs exist alongside the streaming statistics, which is
-// what event-level determinism tests and the sink-vs-log equivalence
-// suite need.
+// SmallRetainedObservatory is SmallObservatory with
+// scenario.Config.RetainTrace on: the raw vantage logs exist alongside
+// the streaming statistics, which is what event-level determinism tests
+// and the sink-vs-log equivalence suite need.
 func SmallRetainedObservatory(seed int64, workers int) *core.Observatory {
-	rc := SmallRunConfig()
-	rc.RetainTrace = true
-	return cachedObservatory("small-retained", seed, workers, SmallConfig(seed), rc)
+	cfg := SmallConfig(seed)
+	cfg.RetainTrace = true
+	return cachedObservatory("small-retained", seed, workers, cfg, SmallRunConfig())
 }
 
 // MediumObservatory returns the process-cached medium campaign.

@@ -32,11 +32,12 @@ func TestObservatoryFixtureWorkerIndependence(t *testing.T) {
 	if serial == pooled {
 		t.Fatal("distinct worker counts must build distinct fixtures")
 	}
-	if a, b := serial.HydraLog.Len(), pooled.HydraLog.Len(); a != b {
-		t.Fatalf("hydra logs differ: %d vs %d", a, b)
+	hydra, hydraP := serial.World.Hydra.Log(), pooled.World.Hydra.Log()
+	if hydra.Len() != hydraP.Len() {
+		t.Fatalf("hydra logs differ: %d vs %d", hydra.Len(), hydraP.Len())
 	}
-	for i, e := range serial.HydraLog.Events() {
-		if e != pooled.HydraLog.Events()[i] {
+	for i, e := range hydra.Events() {
+		if e != hydraP.Events()[i] {
 			t.Fatalf("hydra log event %d differs", i)
 		}
 	}

@@ -34,7 +34,7 @@ func buildAttackWorld(t *testing.T, seed int64, spec string) *scenario.World {
 	}
 	w := counterfactual.BuildWorld(campaign.SmallConfig(seed), ivs)
 	w.Workers = 2
-	w.RunDays(1, nil)
+	w.RunDays(1)
 	return w
 }
 
@@ -59,7 +59,7 @@ func TestAttackSurfaceBaseline(t *testing.T) {
 			t.Parallel()
 			w := scenario.NewWorld(campaign.SmallConfig(seed))
 			w.Workers = 2
-			w.RunDays(1, nil)
+			w.RunDays(1)
 			for _, v := range invariants.CheckAttackSurface(w) {
 				t.Errorf("baseline: %s", v)
 			}
@@ -134,7 +134,7 @@ func TestAttackContractsTimeline(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := campaign.SmallConfig(3)
-			_, err = core.RunTimelineWithHook(cfg, rc, sch, func(epoch int, w *scenario.World) {
+			_, err = core.RunTimeline(cfg, rc, sch, core.TimelineOptions{OnEpoch: func(epoch int, w *scenario.World) {
 				vs := invariants.CheckAttackSurface(w)
 				if epoch < 2 {
 					for _, v := range vs {
@@ -145,7 +145,7 @@ func TestAttackContractsTimeline(t *testing.T) {
 				for _, f := range invariants.EvaluateContract(vs, c.MustBreak, c.MustHold) {
 					t.Errorf("epoch %d: %s", epoch, f)
 				}
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}

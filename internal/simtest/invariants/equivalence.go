@@ -14,8 +14,9 @@ import (
 // CheckStreamingEquivalence verifies the sink-vs-log conservation law:
 // every analysis folded incrementally into the streaming trace.Accum
 // must equal the batch result computed by scanning the retained raw
-// log. It requires a campaign run with RetainTrace (both views exist);
-// on a streaming-only observatory it reports a single setup violation.
+// log. It requires a world built with scenario.Config.RetainTrace (both
+// views exist); on a streaming-only observatory it reports a single
+// setup violation.
 //
 // The comparison covers every Accum-derived analysis the experiments
 // use: mix, per-peer/per-IP activity, days-seen histograms, per-class
@@ -25,13 +26,18 @@ import (
 // results are the contract, not an approximation.
 func CheckStreamingEquivalence(o *core.Observatory) []Violation {
 	var vs violations
-	hydraLog := o.HydraLog
-	monLog := o.World.Monitor.Log()
-	if hydraLog == nil || monLog == nil {
-		vs.addf("sink-log-equivalence", "campaign did not retain raw traces; run with RetainTrace")
+	w := o.World
+	rawHydra, monLog := w.Hydra.Log(), w.Monitor.Log()
+	if rawHydra == nil || monLog == nil {
+		vs.addf("sink-log-equivalence", "campaign did not retain raw traces; build the world with RetainTrace")
 		return vs
 	}
-	w := o.World
+	// The Hydra Accum excludes the observatory's own measurement
+	// identities at ingest; filter the raw log the same way.
+	crawlerID, collectorID := w.CrawlerID(), w.CollectorID()
+	hydraLog := rawHydra.Filter(func(e trace.Event) bool {
+		return e.Peer != crawlerID && e.Peer != collectorID
+	})
 
 	check := func(label string, fromSink, fromLog any) {
 		if !reflect.DeepEqual(fromSink, fromLog) {
@@ -39,8 +45,7 @@ func CheckStreamingEquivalence(o *core.Observatory) []Violation {
 		}
 	}
 
-	// --- Hydra vantage: the Accum excludes measurement identities at
-	// ingest; o.HydraLog is the equivalently filtered raw log.
+	// --- Hydra vantage.
 	hs := o.HydraStats()
 	check("hydra mix", hs.Mix(), hydraLog.Mix())
 	check("hydra activity by peer", hs.ActivityByPeer(), hydraLog.ActivityByPeer())

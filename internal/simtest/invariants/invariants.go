@@ -164,15 +164,6 @@ func CheckObservatory(o *core.Observatory) []Violation {
 			}
 		}
 	}
-	if log := o.HydraLog; log != nil {
-		for _, e := range log.Events() {
-			if e.Peer == crawlerID || e.Peer == collectorID {
-				vs.addf("vantage-purity", "filtered hydra log contains measurement traffic from %s",
-					e.Peer.Short())
-				break
-			}
-		}
-	}
 
 	return vs
 }

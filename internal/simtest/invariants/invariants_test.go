@@ -35,8 +35,7 @@ func retainedConfig(seed int64) scenario.Config {
 func observeWorld(w *scenario.World) *core.Observatory {
 	rc := campaign.SmallRunConfig()
 	rc.Workers = 2
-	rc.RetainTrace = true
-	return core.ObserveWorld(w, rc)
+	return core.Observe(w, rc)
 }
 
 func checkAll(t *testing.T, label string, o *core.Observatory) {

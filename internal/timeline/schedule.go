@@ -451,10 +451,11 @@ func (c *Compiled) LabelsAt(epoch int) []string {
 // Checkpoint is a warm-start handle at an epoch boundary: the canonical
 // schedule, the seed, how many epochs have completed, and the world's
 // state fingerprint at that boundary. Restore is replay-based (the
-// world's RNG state is opaque): core.ResumeTimeline rebuilds the world,
-// replays epochs [0, EpochsDone) and verifies the replayed Snapshot
-// against State before continuing — so a resumed run either matches
-// the straight-through run byte for byte or fails loudly.
+// world's RNG state is opaque): core.RunTimeline with a Resume option
+// rebuilds the world, replays epochs [0, EpochsDone) and verifies the
+// replayed Snapshot against State before continuing — so a resumed run
+// either matches the straight-through run byte for byte or fails
+// loudly.
 type Checkpoint struct {
 	Spec       string
 	Seed       int64

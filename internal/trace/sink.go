@@ -32,9 +32,8 @@ type Options struct {
 	// Retain keeps the raw event slice behind Log(). Off by default in
 	// campaign worlds: the full trace of a default-scale campaign costs
 	// gigabytes, and every analysis of the paper folds into the Accum.
-	// Consumers that genuinely need raw events (external tooling,
-	// event-level diffing) opt in via scenario.Config.RetainTrace /
-	// core.RunConfig.RetainTrace.
+	// Consumers that genuinely need raw events (the equivalence suites,
+	// event-level diffing) opt in via scenario.Config.RetainTrace.
 	Retain bool
 	// Keep filters which events reach the statistics Accum (and taps).
 	// Events failing Keep are still retained in the raw log when Retain
@@ -137,17 +136,6 @@ func (p *Pipeline) Log() *Log { return p.log }
 // pipeline). The accumulator reflects every event observed so far that
 // passed the Keep filter.
 func (p *Pipeline) Stats() *Accum { return p.acc }
-
-// EnableRetention switches raw-event retention on from this point
-// forward. Events observed earlier are not recoverable; campaigns that
-// need the full trace set retention before world construction (via
-// scenario.Config.RetainTrace).
-func (p *Pipeline) EnableRetention() {
-	if p.log == nil {
-		p.log = &Log{}
-	}
-	p.opts.Retain = true
-}
 
 // Tap attaches an additional sink and returns its detach function.
 // Taps see events that pass the Keep filter, in observation order. They

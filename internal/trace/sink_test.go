@@ -251,13 +251,6 @@ func TestPipelineModes(t *testing.T) {
 	if p.Stats().Len() != 1 || p.Stats().SeenPeer(drop) {
 		t.Error("Keep filter leaked into the stats")
 	}
-	// EnableRetention starts retaining from now on.
-	s.Observe(ev(1, 1, 1, netsim.MsgGetProviders, 1))
-	s.EnableRetention()
-	s.Observe(ev(2, 2, 2, netsim.MsgGetProviders, 2))
-	if s.Log().Len() != 1 || s.Stats().Len() != 2 {
-		t.Errorf("late retention: log=%d stats=%d, want 1/2", s.Log().Len(), s.Stats().Len())
-	}
 }
 
 func TestPipelineLaneMerge(t *testing.T) {
