@@ -318,4 +318,7 @@ func TestRunTimelineSelection(t *testing.T) {
 	if _, err := core.RunTimeline(campaign.SmallConfig(3), rc, sch, core.TimelineOptions{Until: 3}); err == nil {
 		t.Error("Until past the schedule end accepted")
 	}
+	if _, err := core.RunTimeline(campaign.SmallConfig(3), rc, sch, core.TimelineOptions{Resume: &tr.Final, Until: 1}); err == nil {
+		t.Error("checkpoint past Until accepted")
+	}
 }
