@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/core"
 	"tcsb/internal/counterfactual"
 	"tcsb/internal/counting"
@@ -32,6 +31,7 @@ import (
 	"tcsb/internal/indexer"
 	"tcsb/internal/netsim"
 	"tcsb/internal/node"
+	"tcsb/internal/provrecords"
 	"tcsb/internal/report"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest"
@@ -240,7 +240,7 @@ func BenchmarkDerivations(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = analysis.Profiles(&o.Records, isCloud)
+			_ = provrecords.Profiles(&o.Records, isCloud)
 		}
 	})
 	// The map-copying accessors vs the iterator accessors the render
@@ -358,14 +358,14 @@ func BenchmarkAblationFindProviders(b *testing.B) {
 	c := ids.CIDFromSeed(77)
 	for i := 0; i < 40; i++ {
 		net.Nodes[i].AddBlock(c)
-		net.Nodes[i].Provide(c)
+		net.Nodes[i].Provide(nil, c)
 	}
 	requester := net.Nodes[450]
 	b.Run("standard", func(b *testing.B) {
 		b.ReportAllocs()
 		var queried int
 		for i := 0; i < b.N; i++ {
-			_, st := requester.FindProviders(c, dht.FindProvidersOpts{})
+			_, st := requester.FindProviders(nil, c, dht.FindProvidersOpts{})
 			queried += st.Queried
 		}
 		b.ReportMetric(float64(queried)/float64(b.N), "peers-queried")
@@ -374,7 +374,7 @@ func BenchmarkAblationFindProviders(b *testing.B) {
 		b.ReportAllocs()
 		var queried int
 		for i := 0; i < b.N; i++ {
-			_, st := requester.FindProviders(c, dht.FindProvidersOpts{Exhaustive: true})
+			_, st := requester.FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 			queried += st.Queried
 		}
 		b.ReportMetric(float64(queried)/float64(b.N), "peers-queried")
@@ -408,8 +408,8 @@ func BenchmarkAblationHydraCache(b *testing.B) {
 			before := net.Network.TotalMessages()
 			for i := 0; i < b.N; i++ {
 				bogus := ids.CIDFromSeed(uint64(1<<40 + i))
-				_, _, _ = net.Network.GetProviders(caller, head, bogus)
-				h.ProcessPending(0)
+				_, _, _ = net.Network.GetProviders(nil, nil, nil, caller, head, bogus)
+				h.ProcessPending(nil, 0)
 			}
 			amplification := float64(net.Network.TotalMessages()-before) / float64(b.N)
 			b.ReportMetric(amplification, "rpcs-per-request")
@@ -425,14 +425,14 @@ func BenchmarkAblationResolution(b *testing.B) {
 	c := ids.CIDFromSeed(5)
 	holder := net.Nodes[3]
 	holder.AddBlock(c)
-	holder.Provide(c)
+	holder.Provide(nil, c)
 	requester := net.Nodes[400]
 	requester.ConnectBitswap(holder.ID())
 	b.Run("bitswap-first", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			requester.RemoveBlock(c)
-			res := requester.Retrieve(c, false)
+			res := requester.Retrieve(nil, c, false)
 			if !res.Found {
 				b.Fatal("retrieval failed")
 			}
@@ -441,7 +441,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 	b.Run("dht-only", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			recs, _ := requester.FindProviders(c, dht.FindProvidersOpts{})
+			recs, _ := requester.FindProviders(nil, c, dht.FindProvidersOpts{})
 			if len(recs) == 0 {
 				b.Fatal("resolution failed")
 			}
@@ -513,7 +513,7 @@ func BenchmarkAblationIndexer(b *testing.B) {
 	c := ids.CIDFromSeed(7)
 	provider := net.Nodes[3]
 	provider.AddBlock(c)
-	provider.Provide(c)
+	provider.Provide(nil, c)
 	ix := indexer.New()
 	ix.Announce(net.Network.Info(provider.ID()), []ids.CID{c})
 	w := dht.NewWalker(net.Network, ids.PeerIDFromSeed(1<<50))
@@ -531,7 +531,7 @@ func BenchmarkAblationIndexer(b *testing.B) {
 		b.ReportAllocs()
 		var queried int
 		for i := 0; i < b.N; i++ {
-			recs, st := w.FindProviders(seeds, c, dht.FindProvidersOpts{})
+			recs, st := w.FindProviders(nil, seeds, c, dht.FindProvidersOpts{})
 			if len(recs) == 0 {
 				b.Fatal("resolution failed")
 			}

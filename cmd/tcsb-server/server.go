@@ -289,7 +289,7 @@ func decodeRequest(r *http.Request, v any) error {
 // run archive when one is configured; an archive write failure is
 // logged, not served — the response bytes are already correct.
 func (s *server) compute(ctx context.Context, res *experiments.Resolved) ([]byte, bool, error) {
-	return s.cache.GetOrComputeCtx(ctx, res.Key, func() ([]byte, error) {
+	return s.cache.GetOrCompute(ctx, res.Key, func() ([]byte, error) {
 		s.slots <- struct{}{}
 		defer func() { <-s.slots }()
 		s.logf("run %s: %s", res.Key[:12], res.Mode)

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/ids"
 	"tcsb/internal/netsim"
 	"tcsb/internal/provrecords"
@@ -31,7 +30,7 @@ func main() {
 	for day := 0; day < 3; day++ {
 		w.RunDays(1)
 		sample := w.Monitor.SampleDay(int64(day), 150, rng)
-		collector.CollectDay(&col, sample, int64(day))
+		collector.CollectDayParallel(&col, sample, int64(day), 1)
 		fmt.Printf("day %d: sampled %d CIDs\n", day, len(sample))
 	}
 	fmt.Printf("\ncollected %d (CID, day) entries, %d records, %d distinct providers\n\n",
@@ -39,28 +38,28 @@ func main() {
 
 	db := w.DB
 	isCloud := func(ip netip.Addr) bool { return db.Lookup(ip).Cloud() }
-	profiles := analysis.Profiles(&col, isCloud)
+	profiles := provrecords.Profiles(&col, isCloud)
 
 	// Fig. 14: provider classification + relay usage.
-	shares := analysis.ClassShares(profiles)
+	shares := provrecords.ClassShares(profiles)
 	t := &report.Table{
 		Title:   "Provider classification (paper Fig. 14)",
 		Columns: []string{"class", "share"},
 	}
-	for _, cl := range []analysis.Class{analysis.NATed, analysis.CloudBased, analysis.NonCloudBased, analysis.Hybrid} {
+	for _, cl := range []provrecords.Class{provrecords.NATed, provrecords.CloudBased, provrecords.NonCloudBased, provrecords.Hybrid} {
 		t.AddRow(cl.String(), report.Pct(shares[cl]))
 	}
 	fmt.Println(t)
 	fmt.Printf("NAT-ed providers relaying through cloud nodes: %s (paper: ~80%%)\n\n",
-		report.Pct(analysis.RelayCloudShare(profiles, isCloud)))
+		report.Pct(provrecords.RelayCloudShare(profiles, isCloud)))
 
 	// Fig. 15: provider popularity.
-	pareto := analysis.PopularityPareto(profiles)
+	pareto := provrecords.PopularityPareto(profiles)
 	fmt.Println(report.CurveTable("Provider popularity (paper Fig. 15)", pareto,
 		[]float64{0.01, 0.05, 0.10, 0.25}))
 
 	// Fig. 16: content-level cloud reliance.
-	cc := analysis.ContentCloud(&col, isCloud)
+	cc := provrecords.ContentCloud(&col, isCloud)
 	ct := &report.Table{
 		Title:   "Content cloud reliance (paper Fig. 16)",
 		Columns: []string{"metric", "value"},

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"tcsb/internal/dnslink"
 	"tcsb/internal/ens"
@@ -34,10 +35,15 @@ func main() {
 	// --- Gateway identification (Section 3 / Fig. 18) ---
 	prober := gwprobe.New(w.Monitor, 0xbeef, w.Net.Online)
 	census := prober.Census(w.PublicGateways(), 12)
+	domains := make([]string, 0, len(census))
+	for domain := range census {
+		domains = append(domains, domain)
+	}
+	sort.Strings(domains)
 	total := 0
-	for domain, overlayIDs := range census {
-		fmt.Printf("gateway %-22s -> %d overlay IDs discovered\n", domain, len(overlayIDs))
-		total += len(overlayIDs)
+	for _, domain := range domains {
+		fmt.Printf("gateway %-22s -> %d overlay IDs discovered\n", domain, len(census[domain]))
+		total += len(census[domain])
 	}
 	fmt.Printf("census: %d overlay IDs total (ground truth for public gateways: %d)\n\n",
 		total, countPublicTruth(w))

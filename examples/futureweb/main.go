@@ -25,7 +25,7 @@ func main() {
 	publisher := w.Actors[w.ServerIDs()[10]]
 	site1 := ids.CIDFromContent([]byte("my website, v1"))
 	publisher.Node.AddBlock(site1)
-	publisher.Node.Provide(site1)
+	publisher.Node.Provide(nil, site1)
 
 	// --- Indexer vs DHT (Fig.-less, Section 9) ---
 	ix := indexer.New()
@@ -35,7 +35,7 @@ func main() {
 	seeds := w.SeedsNear(site1.Key(), 8)
 
 	before := w.Net.TotalMessages()
-	_, stats := walker.FindProviders(seeds, site1, dht.FindProvidersOpts{})
+	_, stats := walker.FindProviders(nil, seeds, site1, dht.FindProvidersOpts{})
 	dhtRPCs := w.Net.TotalMessages() - before
 
 	t := &report.Table{
@@ -67,7 +67,7 @@ func main() {
 	// The site changes: same name, new CID.
 	site2 := ids.CIDFromContent([]byte("my website, v2"))
 	publisher.Node.AddBlock(site2)
-	publisher.Node.Provide(site2)
+	publisher.Node.Provide(nil, site2)
 	if err := pub.Update(registry, site2, now+60); err != nil {
 		panic(err)
 	}

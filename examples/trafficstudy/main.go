@@ -14,6 +14,7 @@ import (
 
 	"tcsb/internal/report"
 	"tcsb/internal/scenario"
+	"tcsb/internal/stats"
 	"tcsb/internal/trace"
 )
 
@@ -45,17 +46,17 @@ func main() {
 		name  string
 		stats *trace.Accum
 	}{{"DHT (hydra)", hydra}, {"Bitswap (monitor)", bitswap}} {
-		act := v.stats.ActivityByIP()
+		act := trace.Seq[netip.Addr](v.stats.EachIPActivity)
 		t := &report.Table{
 			Title:   fmt.Sprintf("%s — IP centralization (paper Fig. 11)", v.name),
 			Columns: []string{"metric", "value"},
 		}
 		t.AddRow("top 5% of IPs' traffic share", report.Pct(trace.TopShare(act, 0.05)))
-		for g, s := range trace.GroupTrafficShare(act, group) {
-			t.AddRow("traffic share: "+g, report.Pct(s))
+		for _, it := range stats.MapToItems(trace.GroupTrafficShare(act, group)) {
+			t.AddRow("traffic share: "+it.Label, report.Pct(it.Count))
 		}
-		for g, s := range trace.GroupMemberShare(act, group) {
-			t.AddRow("IP share: "+g, report.Pct(s))
+		for _, it := range stats.MapToItems(trace.GroupMemberShare(act, group)) {
+			t.AddRow("IP share: "+it.Label, report.Pct(it.Count))
 		}
 		fmt.Println(t)
 	}

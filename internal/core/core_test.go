@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/core"
 	"tcsb/internal/counting"
+	"tcsb/internal/provrecords"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest/campaign"
 	"tcsb/internal/trace"
@@ -281,14 +281,14 @@ func TestFig14ProviderClassShape(t *testing.T) {
 	o := obs(t)
 	shares, relayCloud := o.Fig14ProviderClass()
 	// All three major classes present in paper-like proportions.
-	if shares[analysis.NATed] < 0.15 {
-		t.Errorf("NAT-ed share = %v, want ~0.36", shares[analysis.NATed])
+	if shares[provrecords.NATed] < 0.15 {
+		t.Errorf("NAT-ed share = %v, want ~0.36", shares[provrecords.NATed])
 	}
-	if shares[analysis.CloudBased] < 0.2 {
-		t.Errorf("cloud share = %v, want ~0.45", shares[analysis.CloudBased])
+	if shares[provrecords.CloudBased] < 0.2 {
+		t.Errorf("cloud share = %v, want ~0.45", shares[provrecords.CloudBased])
 	}
-	if shares[analysis.NonCloudBased] < 0.05 {
-		t.Errorf("non-cloud share = %v, want ~0.18", shares[analysis.NonCloudBased])
+	if shares[provrecords.NonCloudBased] < 0.05 {
+		t.Errorf("non-cloud share = %v, want ~0.18", shares[provrecords.NonCloudBased])
 	}
 	// ~80% of NAT-ed providers relay through cloud nodes.
 	if relayCloud < 0.6 {
@@ -314,9 +314,9 @@ func TestFig15PopularityShape(t *testing.T) {
 		t.Errorf("top-10%% of providers cover %v of records, want concentrated", top10)
 	}
 	// Cloud providers dominate appearances; NAT-ed appear far less.
-	if classShares[analysis.CloudBased] <= classShares[analysis.NATed] {
+	if classShares[provrecords.CloudBased] <= classShares[provrecords.NATed] {
 		t.Errorf("cloud appearances (%v) should exceed NAT-ed (%v)",
-			classShares[analysis.CloudBased], classShares[analysis.NATed])
+			classShares[provrecords.CloudBased], classShares[provrecords.NATed])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/churn"
 	"tcsb/internal/counting"
 	"tcsb/internal/crawler"
@@ -12,6 +11,7 @@ import (
 	"tcsb/internal/graph"
 	"tcsb/internal/ids"
 	"tcsb/internal/ipdb"
+	"tcsb/internal/provrecords"
 	"tcsb/internal/report"
 	"tcsb/internal/scenario"
 	"tcsb/internal/stats"
@@ -45,11 +45,6 @@ func Table1() Table1Result {
 	attr := func(ip netip.Addr) string { return geo.Lookup(ip).Country }
 	d := counting.New(rows)
 	return Table1Result{GIP: d.GIP(attr), AN: d.AN(attr, counting.MajorityVote)}
-}
-
-// dataset returns the crawl dataset in counting form (memoized).
-func (o *Observatory) dataset() *counting.Dataset {
-	return o.Dataset()
 }
 
 // --- Section 3 numbers ---
@@ -98,7 +93,7 @@ type Fig3Result struct {
 // Fig3CloudStatus computes the headline comparison: ~80% cloud under
 // A-N vs ~40% under G-IP.
 func (o *Observatory) Fig3CloudStatus() Fig3Result {
-	d := o.dataset()
+	d := o.Dataset()
 	cloudAttr := o.World.CloudAttr()
 
 	an := d.AN(cloudAttr, counting.CloudBothClassifier(ipdb.NonCloud))
@@ -132,7 +127,7 @@ type Fig4Result struct {
 // crawls under both methodologies: stable under A-N, drifting down under
 // G-IP as rotating residential IPs accumulate.
 func (o *Observatory) Fig4Cumulative() Fig4Result {
-	d := o.dataset()
+	d := o.Dataset()
 	cloudAttr := o.World.CloudAttr()
 	anRatio := func(ds *counting.Dataset) float64 {
 		return cloudShare(ds.AN(cloudAttr, counting.CloudBothClassifier(ipdb.NonCloud)))
@@ -171,7 +166,7 @@ type DistResult struct {
 // Fig5CloudProviders attributes nodes to cloud providers under both
 // methodologies (A-N: choopa ≈29%, top-3 ≈52%; G-IP shrinks choopa).
 func (o *Observatory) Fig5CloudProviders() DistResult {
-	d := o.dataset()
+	d := o.Dataset()
 	attr := o.World.ProviderAttr()
 	return DistResult{
 		AN:  normalize(d.AN(attr, counting.CloudBothClassifier(ipdb.NonCloud))),
@@ -181,7 +176,7 @@ func (o *Observatory) Fig5CloudProviders() DistResult {
 
 // Fig6Geolocation attributes nodes to countries under both methodologies.
 func (o *Observatory) Fig6Geolocation() DistResult {
-	d := o.dataset()
+	d := o.Dataset()
 	attr := o.World.CountryAttr()
 	return DistResult{
 		AN:  normalize(d.AN(attr, counting.MajorityVote)),
@@ -368,10 +363,10 @@ func (o *Observatory) Fig10PeerPareto() (dht, bitswap ParetoResult) {
 // copy of the full per-peer activity map.
 func peerPareto(act trace.Seq[ids.PeerID], group func(ids.PeerID) string) ParetoResult {
 	return ParetoResult{
-		Top5Share:    trace.TopShareSeq(act, 0.05),
-		GroupTraffic: trace.GroupTrafficShareSeq(act, group),
-		GroupMembers: trace.GroupMemberShareSeq(act, group),
-		Curves:       trace.SplitParetoSeq(act, group),
+		Top5Share:    trace.TopShare(act, 0.05),
+		GroupTraffic: trace.GroupTrafficShare(act, group),
+		GroupMembers: trace.GroupMemberShare(act, group),
+		Curves:       trace.SplitPareto(act, group),
 	}
 }
 
@@ -382,10 +377,10 @@ func (o *Observatory) Fig11IPPareto() (dht, bitswap ParetoResult) {
 	group := func(ip netip.Addr) string { return cloudAttr(ip) }
 	ipPareto := func(act trace.Seq[netip.Addr]) ParetoResult {
 		return ParetoResult{
-			Top5Share:    trace.TopShareSeq(act, 0.05),
-			GroupTraffic: trace.GroupTrafficShareSeq(act, group),
-			GroupMembers: trace.GroupMemberShareSeq(act, group),
-			Curves:       trace.SplitParetoSeq(act, group),
+			Top5Share:    trace.TopShare(act, 0.05),
+			GroupTraffic: trace.GroupTrafficShare(act, group),
+			GroupMembers: trace.GroupMemberShare(act, group),
+			Curves:       trace.SplitPareto(act, group),
 		}
 	}
 	return ipPareto(o.HydraStats().EachIPActivity), ipPareto(o.MonitorStats().EachIPActivity)
@@ -454,24 +449,24 @@ func (o *Observatory) Fig13Platforms() Fig13Result {
 // --- Figs. 14–16: providers and content ---
 
 // Fig14ProviderClass classifies providers and relay usage.
-func (o *Observatory) Fig14ProviderClass() (map[analysis.Class]float64, float64) {
+func (o *Observatory) Fig14ProviderClass() (map[provrecords.Class]float64, float64) {
 	profiles := o.ProviderProfiles()
-	return analysis.ClassShares(profiles), analysis.RelayCloudShare(profiles, o.isCloud())
+	return provrecords.ClassShares(profiles), provrecords.RelayCloudShare(profiles, o.isCloud())
 }
 
 // Fig15ProviderPopularity returns the popularity Pareto plus per-class
 // appearance shares.
-func (o *Observatory) Fig15ProviderPopularity() ([]stats.ParetoPoint, map[analysis.Class]float64) {
+func (o *Observatory) Fig15ProviderPopularity() ([]stats.ParetoPoint, map[provrecords.Class]float64) {
 	profiles := o.ProviderProfiles()
-	return analysis.PopularityPareto(profiles), analysis.ClassAppearanceShares(profiles)
+	return provrecords.PopularityPareto(profiles), provrecords.ClassAppearanceShares(profiles)
 }
 
 // Fig16ContentCloud classifies CIDs by their providers' cloud share.
-func (o *Observatory) Fig16ContentCloud() analysis.ContentCloudStats {
-	return analysis.ContentCloud(&o.Records, o.isCloud())
+func (o *Observatory) Fig16ContentCloud() provrecords.ContentCloudStats {
+	return provrecords.ContentCloud(&o.Records, o.isCloud())
 }
 
-func (o *Observatory) isCloud() analysis.CloudFunc {
+func (o *Observatory) isCloud() provrecords.CloudFunc {
 	db := o.World.DB
 	return func(ip netip.Addr) bool { return db.Lookup(ip).Cloud() }
 }

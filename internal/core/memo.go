@@ -3,9 +3,9 @@ package core
 import (
 	"sync"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/counting"
 	"tcsb/internal/graph"
+	"tcsb/internal/provrecords"
 )
 
 // memo caches derived datasets that several experiments share. Each field
@@ -25,7 +25,7 @@ type memo struct {
 	undirected     [][]int32
 
 	profilesOnce sync.Once
-	profiles     []analysis.ProviderProfile
+	profiles     []provrecords.ProviderProfile
 }
 
 // Dataset returns the crawl series in counting form, built once.
@@ -55,9 +55,9 @@ func (o *Observatory) UndirectedAdj() [][]int32 {
 
 // ProviderProfiles returns the per-provider profiles of the record
 // collection, built once (shared by Figs. 14 and 15).
-func (o *Observatory) ProviderProfiles() []analysis.ProviderProfile {
+func (o *Observatory) ProviderProfiles() []provrecords.ProviderProfile {
 	o.memo.profilesOnce.Do(func() {
-		o.memo.profiles = analysis.Profiles(&o.Records, o.isCloud())
+		o.memo.profiles = provrecords.Profiles(&o.Records, o.isCloud())
 	})
 	return o.memo.profiles
 }

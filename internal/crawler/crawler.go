@@ -135,9 +135,6 @@ type Snapshot struct {
 	LinkLatencyUS int64
 }
 
-// LinkLatencySec returns the cumulative drawn link latency in seconds.
-func (s *Snapshot) LinkLatencySec() float64 { return float64(s.LinkLatencyUS) / 1e6 }
-
 // Discovered returns the number of peers seen (crawlable or not).
 func (s *Snapshot) Discovered() int { return len(s.Peers) }
 
@@ -275,7 +272,7 @@ func sweep(net *netsim.Network, env *netsim.Effects, cfg Config, p ids.PeerID) s
 		// bucket cpl of p's table.
 		target := p.Key().FlipBit(cpl)
 		res.rpcs++
-		peers, err := net.FindNodeVia(env, sc.closer[:0], cfg.CrawlerID, p, target)
+		peers, err := net.FindNode(env, sc.closer[:0], cfg.CrawlerID, p, target)
 		sc.closer = peers[:0]
 		if err != nil {
 			return sweepResult{rpcs: res.rpcs, elapsedUS: net.LatencyMark(env) - mark,

@@ -209,13 +209,7 @@ func (sc *walkScratch) closest(n int) []int32 {
 // GetClosestPeers walks the DHT from the seed peers toward target and
 // returns the K closest reachable peers found, in increasing distance
 // order.
-func (w *Walker) GetClosestPeers(seeds []netsim.PeerInfo, target ids.Key) ([]netsim.PeerInfo, WalkStats) {
-	return w.GetClosestPeersVia(nil, seeds, target)
-}
-
-// GetClosestPeersVia is GetClosestPeers with the walk's RPCs issued
-// through an Effects lane (nil = serial/immediate mode).
-func (w *Walker) GetClosestPeersVia(env *netsim.Effects, seeds []netsim.PeerInfo, target ids.Key) ([]netsim.PeerInfo, WalkStats) {
+func (w *Walker) GetClosestPeers(env *netsim.Effects, seeds []netsim.PeerInfo, target ids.Key) ([]netsim.PeerInfo, WalkStats) {
 	sc := getScratch()
 	defer sc.release()
 	stats := w.walk(env, sc, seeds, target)
@@ -242,7 +236,7 @@ func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerI
 		for _, i := range batch {
 			sc.flags[i] |= flagQueried
 			stats.Queried++
-			closer, err := w.net.FindNodeVia(env, sc.closer[:0], w.self, sc.peers[i], target)
+			closer, err := w.net.FindNode(env, sc.closer[:0], w.self, sc.peers[i], target)
 			sc.closer = closer[:0]
 			if err != nil {
 				sc.flags[i] |= flagFailed
@@ -259,13 +253,7 @@ func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerI
 // circuit addresses for NAT-ed providers) as a provider for c: it locates
 // the K closest peers to c's key and sends each a provider record. It
 // returns the resolvers that accepted the record.
-func (w *Walker) Provide(seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) ([]ids.PeerID, WalkStats) {
-	return w.ProvideVia(nil, seeds, c, selfInfo)
-}
-
-// ProvideVia is Provide with the walk and advertisements issued through
-// an Effects lane.
-func (w *Walker) ProvideVia(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) ([]ids.PeerID, WalkStats) {
+func (w *Walker) Provide(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) ([]ids.PeerID, WalkStats) {
 	sc := getScratch()
 	defer sc.release()
 	stats := w.walk(env, sc, seeds, c.Key())
@@ -273,7 +261,7 @@ func (w *Walker) ProvideVia(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.
 	var accepted []ids.PeerID
 	for _, i := range sc.closest(K) {
 		r := sc.peers[i]
-		if err := w.net.AddProviderVia(env, w.self, r, c, rec); err != nil {
+		if err := w.net.AddProvider(env, w.self, r, c, rec); err != nil {
 			stats.Failed++
 			continue
 		}
@@ -295,16 +283,11 @@ type FindProvidersOpts struct {
 }
 
 // FindProviders resolves c to provider records by walking the DHT toward
-// c's key, querying every encountered peer for provider records.
-func (w *Walker) FindProviders(seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
-	return w.FindProvidersVia(nil, seeds, c, opts)
-}
-
-// FindProvidersVia is FindProviders with the walk issued through an
-// Effects lane. It returns the first record seen from each provider, in
-// provider-key order, in a freshly allocated slice (callers retain it);
-// all intermediate walk state comes from the pooled scratch.
-func (w *Walker) FindProvidersVia(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
+// c's key, querying every encountered peer for provider records. It
+// returns the first record seen from each provider, in provider-key
+// order, in a freshly allocated slice (callers retain it); all
+// intermediate walk state comes from the pooled scratch.
+func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
 	if opts.Max <= 0 {
 		opts.Max = K
 	}
@@ -329,7 +312,7 @@ func (w *Walker) FindProvidersVia(env *netsim.Effects, seeds []netsim.PeerInfo, 
 			}
 			sc.flags[i] |= flagQueried
 			stats.Queried++
-			recs, closer, err := w.net.GetProvidersVia(env, sc.recs[:0], sc.closer[:0], w.self, sc.peers[i], c)
+			recs, closer, err := w.net.GetProviders(env, sc.recs[:0], sc.closer[:0], w.self, sc.peers[i], c)
 			sc.recs, sc.closer = recs[:0], closer[:0]
 			if err != nil {
 				sc.flags[i] |= flagFailed

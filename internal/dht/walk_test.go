@@ -329,7 +329,7 @@ func TestFindProvidersKeepsFirstRecord(t *testing.T) {
 	net.Attach(first.ID, recordServer{[]netsim.ProviderRecord{{Provider: p, Received: 5}}}, netsim.HostConfig{Reachable: true})
 	net.Attach(second.ID, recordServer{[]netsim.ProviderRecord{{Provider: q, Received: 9}, {Provider: p, Received: 9}}}, netsim.HostConfig{Reachable: true})
 	w := NewWalker(net, pi(1).ID)
-	recs, stats := w.FindProviders([]netsim.PeerInfo{second, first}, c, FindProvidersOpts{Exhaustive: true})
+	recs, stats := w.FindProviders(nil, []netsim.PeerInfo{second, first}, c, FindProvidersOpts{Exhaustive: true})
 	if stats.Queried != 2 || stats.Failed != 0 {
 		t.Fatalf("stats = %+v, want 2 queried / 0 failed", stats)
 	}
@@ -350,7 +350,7 @@ func TestFindProvidersOptsDefaults(t *testing.T) {
 	// Max <= 0 defaults to K; exercised through a degenerate walker with
 	// no network interaction (empty seeds).
 	w := NewWalker(netsim.New(), ids.PeerIDFromSeed(1))
-	recs, stats := w.FindProviders(nil, ids.CIDFromSeed(1), FindProvidersOpts{})
+	recs, stats := w.FindProviders(nil, nil, ids.CIDFromSeed(1), FindProvidersOpts{})
 	if len(recs) != 0 || stats.Queried != 0 {
 		t.Fatalf("walk over empty seeds did something: %v %v", recs, stats)
 	}
@@ -362,7 +362,7 @@ func TestWalkStatsFailureAccounting(t *testing.T) {
 	net := netsim.New()
 	w := NewWalker(net, ids.PeerIDFromSeed(1))
 	seeds := []netsim.PeerInfo{pi(10), pi(11), pi(12)}
-	_, stats := w.GetClosestPeers(seeds, ids.KeyFromUint64(5))
+	_, stats := w.GetClosestPeers(nil, seeds, ids.KeyFromUint64(5))
 	if stats.Queried != 3 || stats.Failed != 3 {
 		t.Fatalf("stats = %+v, want 3 queried / 3 failed", stats)
 	}
@@ -373,8 +373,8 @@ func TestScratchReuseAcrossWalks(t *testing.T) {
 	// walks must not leak candidate or provider state into each other.
 	net := netsim.New()
 	w := NewWalker(net, ids.PeerIDFromSeed(1))
-	_, _ = w.GetClosestPeers([]netsim.PeerInfo{pi(10)}, ids.KeyFromUint64(5))
-	recs, stats := w.FindProviders([]netsim.PeerInfo{pi(11)}, ids.CIDFromSeed(2), FindProvidersOpts{})
+	_, _ = w.GetClosestPeers(nil, []netsim.PeerInfo{pi(10)}, ids.KeyFromUint64(5))
+	recs, stats := w.FindProviders(nil, []netsim.PeerInfo{pi(11)}, ids.CIDFromSeed(2), FindProvidersOpts{})
 	if len(recs) != 0 {
 		t.Fatalf("provider records leaked across walks: %v", recs)
 	}

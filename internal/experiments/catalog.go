@@ -7,8 +7,8 @@ package experiments
 import (
 	"fmt"
 
-	"tcsb/internal/analysis"
 	"tcsb/internal/core"
+	"tcsb/internal/provrecords"
 	"tcsb/internal/report"
 	"tcsb/internal/trace"
 )
@@ -372,7 +372,7 @@ func runFig14(o *core.Observatory) []*report.Table {
 		Title:   "Fig 14 — provider classification (paper: NAT-ed 35.6%, cloud 45%, non-cloud 18%, hybrid 0.6%; ~80% of relays cloud)",
 		Columns: []string{"class", "share"},
 	}
-	for _, cl := range []analysis.Class{analysis.NATed, analysis.CloudBased, analysis.NonCloudBased, analysis.Hybrid} {
+	for _, cl := range []provrecords.Class{provrecords.NATed, provrecords.CloudBased, provrecords.NonCloudBased, provrecords.Hybrid} {
 		t.AddRow(cl.String(), report.Pct(shares[cl]))
 	}
 	summary := &report.Table{
@@ -392,7 +392,7 @@ func runFig15(o *core.Observatory) []*report.Table {
 		Title:   "Fig 15 — record appearances by provider class (paper: cloud 70%, non-cloud 22%, NAT-ed <8%)",
 		Columns: []string{"class", "share of appearances"},
 	}
-	for _, cl := range []analysis.Class{analysis.CloudBased, analysis.NonCloudBased, analysis.NATed, analysis.Hybrid} {
+	for _, cl := range []provrecords.Class{provrecords.CloudBased, provrecords.NonCloudBased, provrecords.NATed, provrecords.Hybrid} {
 		t.AddRow(cl.String(), report.Pct(classShares[cl]))
 	}
 	return []*report.Table{curve, t}

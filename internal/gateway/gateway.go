@@ -39,8 +39,6 @@ type Gateway struct {
 	// PoisonedServed counts cache hits answered from a poisoned entry —
 	// every one is an integrity failure served to a client.
 	PoisonedServed int64
-	// poisonedCount tracks entries carrying flagPoisoned.
-	poisonedCount int
 }
 
 // Cache entry flag bits.
@@ -85,31 +83,21 @@ func (g *Gateway) OverlayIDs() []ids.PeerID {
 func (g *Gateway) Nodes() []*node.Node { return g.nodes }
 
 // FetchHTTP handles an HTTP GET for a CID: check the cache, otherwise
-// retrieve via IPFS from the next overlay node (round-robin, modelling
-// the operator's load balancer), then cache. Returns whether the content
-// was obtained.
-func (g *Gateway) FetchHTTP(c ids.CID) bool {
-	ok, _ := g.FetchHTTPNode(c)
-	return ok
-}
-
-// FetchHTTPNode is FetchHTTP but also reports which overlay node
-// performed the retrieval (nil on a cache hit). Scenario drivers use the
-// node to model the gateway re-providing downloaded content.
-func (g *Gateway) FetchHTTPNode(c ids.CID) (bool, *node.Node) {
-	return g.FetchHTTPNodeVia(nil, c, nil)
-}
-
-// FetchHTTPNodeVia is FetchHTTPNode with the retrieval issued through an
-// Effects lane and backend liveness supplied by the caller: the
-// load balancer skips offline overlay nodes (health checks), and a
-// cluster with no online backend is dark — the request fails before the
-// cache, which is hosted on the same dead machines. A nil predicate
-// treats every backend as online. Gateway-local state (request
-// counters, HTTP cache, round-robin cursor) is mutated in place: the
-// scenario assigns each gateway's HTTP traffic to exactly one shard
-// lane per phase, so only one goroutine ever touches it.
-func (g *Gateway) FetchHTTPNodeVia(env *netsim.Effects, c ids.CID, online func(ids.PeerID) bool) (bool, *node.Node) {
+// retrieve via IPFS from the next online overlay node (round-robin,
+// modelling the operator's load balancer), then cache. It returns
+// whether the content was obtained and which overlay node performed the
+// retrieval (nil on a cache hit); scenario drivers use the node to model
+// the gateway re-providing downloaded content.
+//
+// The online predicate supplies backend liveness: the load balancer
+// skips offline overlay nodes (health checks), and a cluster with no
+// online backend is dark — the request fails before the cache, which is
+// hosted on the same dead machines. A nil predicate treats every
+// backend as online. Gateway-local state (request counters, HTTP cache,
+// round-robin cursor) is mutated in place: the scenario assigns each
+// gateway's HTTP traffic to exactly one shard lane per phase, so only
+// one goroutine ever touches it.
+func (g *Gateway) FetchHTTP(env *netsim.Effects, c ids.CID, online func(ids.PeerID) bool) (bool, *node.Node) {
 	g.Requests++
 	if !g.hasOnline(online) {
 		return false, nil // the whole cluster is dark
@@ -122,7 +110,7 @@ func (g *Gateway) FetchHTTPNodeVia(env *netsim.Effects, c ids.CID, online func(i
 		return true, nil
 	}
 	nd := g.nextOnline(online)
-	res := nd.RetrieveVia(env, c, false)
+	res := nd.Retrieve(env, c, false)
 	if res.Found {
 		g.cache[c] |= flagCached
 	}
@@ -135,14 +123,8 @@ func (g *Gateway) FetchHTTPNodeVia(env *netsim.Effects, c ids.CID, online func(i
 // response for a popular path; the model skips the trick and plants the
 // outcome directly.
 func (g *Gateway) Poison(c ids.CID) {
-	if g.cache[c]&flagPoisoned == 0 {
-		g.poisonedCount++
-	}
 	g.cache[c] = flagCached | flagPoisoned
 }
-
-// PoisonedCIDs reports how many poisoned entries the cache holds.
-func (g *Gateway) PoisonedCIDs() int { return g.poisonedCount }
 
 // hasOnline reports whether any backend is online, without moving the
 // round-robin cursor (cache hits must not advance it).

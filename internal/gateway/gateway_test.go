@@ -36,8 +36,8 @@ func TestRoundRobinAcrossNodes(t *testing.T) {
 		c := ids.CIDFromSeed(uint64(100 + i))
 		holder := net.Nodes[10+i]
 		holder.AddBlock(c)
-		holder.Provide(c)
-		ok, nd := gw.FetchHTTPNode(c)
+		holder.Provide(nil, c)
+		ok, nd := gw.FetchHTTP(nil, c, nil)
 		if !ok || nd == nil {
 			t.Fatalf("fetch %d failed", i)
 		}
@@ -53,12 +53,12 @@ func TestCacheAccounting(t *testing.T) {
 	gw := New("gw.example", nil, net.Nodes[:1])
 	c := ids.CIDFromSeed(1)
 	net.Nodes[5].AddBlock(c)
-	net.Nodes[5].Provide(c)
+	net.Nodes[5].Provide(nil, c)
 
-	if !gw.FetchHTTP(c) {
+	if ok, _ := gw.FetchHTTP(nil, c, nil); !ok {
 		t.Fatal("first fetch failed")
 	}
-	ok, nd := gw.FetchHTTPNode(c)
+	ok, nd := gw.FetchHTTP(nil, c, nil)
 	if !ok || nd != nil {
 		t.Fatalf("cache hit should return (true, nil), got (%v, %v)", ok, nd)
 	}
@@ -71,14 +71,14 @@ func TestFetchMissNotCached(t *testing.T) {
 	net := simtest.BuildServers(40)
 	gw := New("gw.example", nil, net.Nodes[:1])
 	bogus := ids.CIDFromSeed(1 << 40)
-	if gw.FetchHTTP(bogus) {
+	if ok, _ := gw.FetchHTTP(nil, bogus, nil); ok {
 		t.Fatal("fetched non-existent content")
 	}
 	// A later provider makes it fetchable: the miss must not be cached
 	// as a negative entry.
 	net.Nodes[7].AddBlock(bogus)
-	net.Nodes[7].Provide(bogus)
-	if !gw.FetchHTTP(bogus) {
+	net.Nodes[7].Provide(nil, bogus)
+	if ok, _ := gw.FetchHTTP(nil, bogus, nil); !ok {
 		t.Fatal("content not fetchable after being provided")
 	}
 }
@@ -107,7 +107,7 @@ func TestBackendLiveness(t *testing.T) {
 	c := ids.CIDFromSeed(777)
 	holder := net.Nodes[20]
 	holder.AddBlock(c)
-	holder.Provide(c)
+	holder.Provide(nil, c)
 
 	// Only backing[1] is up: every fetch must be served by it.
 	up := backing[1].ID()
@@ -115,8 +115,8 @@ func TestBackendLiveness(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cc := ids.CIDFromSeed(uint64(800 + i))
 		holder.AddBlock(cc)
-		holder.Provide(cc)
-		ok, nd := gw.FetchHTTPNodeVia(nil, cc, online)
+		holder.Provide(nil, cc)
+		ok, nd := gw.FetchHTTP(nil, cc, online)
 		if !ok || nd == nil || nd.ID() != up {
 			t.Fatalf("fetch %d: ok=%v served by %v, want the one online backend", i, ok, nd)
 		}
@@ -124,15 +124,15 @@ func TestBackendLiveness(t *testing.T) {
 
 	// Warm the cache through the online backend, then take the cluster
 	// dark: even cached content must fail.
-	if ok, _ := gw.FetchHTTPNodeVia(nil, c, online); !ok {
+	if ok, _ := gw.FetchHTTP(nil, c, online); !ok {
 		t.Fatal("warm-up fetch failed")
 	}
 	dark := func(ids.PeerID) bool { return false }
-	if ok, nd := gw.FetchHTTPNodeVia(nil, c, dark); ok || nd != nil {
+	if ok, nd := gw.FetchHTTP(nil, c, dark); ok || nd != nil {
 		t.Fatal("fully dark cluster served a request")
 	}
 	// The idealised (nil-predicate) view still serves from cache.
-	if ok, _ := gw.FetchHTTPNodeVia(nil, c, nil); !ok {
+	if ok, _ := gw.FetchHTTP(nil, c, nil); !ok {
 		t.Fatal("nil predicate should treat backends as online")
 	}
 }

@@ -88,7 +88,7 @@ func (p *Prober) ProbeOnce(gw *gateway.Gateway) (ids.PeerID, bool) {
 	if p.net != nil {
 		mark = p.net.LatencyMark(nil)
 	}
-	ok, _ := gw.FetchHTTPNodeVia(nil, c, p.online)
+	ok, _ := gw.FetchHTTP(nil, c, p.online)
 	if p.net != nil {
 		p.timing.Record(nil, trace.PhaseProbe, p.net.LatencyMark(nil)-mark)
 	}

@@ -22,7 +22,7 @@ func fixture(t *testing.T, gwNodes int) (*simtest.Net, *monitor.Monitor, *gatewa
 	net := simtest.BuildServers(100)
 
 	monID := ids.PeerIDFromSeed(1 << 61)
-	mon := monitor.New(monID, net.Network)
+	mon := monitor.New(monID, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
 	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
 
 	var backing []*node.Node
@@ -86,10 +86,10 @@ func TestGatewayCacheServesRepeats(t *testing.T) {
 	p := New(mon, 42, nil)
 	c := p.uniqueCID()
 	mon.AddBlock(c)
-	if !gw.FetchHTTP(c) {
+	if ok, _ := gw.FetchHTTP(nil, c, nil); !ok {
 		t.Fatal("first fetch failed")
 	}
-	if !gw.FetchHTTP(c) {
+	if ok, _ := gw.FetchHTTP(nil, c, nil); !ok {
 		t.Fatal("cached fetch failed")
 	}
 	if gw.CacheHits != 1 {
@@ -172,7 +172,7 @@ func TestInstrumentedProbeLatency(t *testing.T) {
 func TestProbeFailsWithoutBitswapPath(t *testing.T) {
 	net := simtest.BuildServers(50)
 	monID := ids.PeerIDFromSeed(1 << 61)
-	mon := monitor.New(monID, net.Network)
+	mon := monitor.New(monID, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
 	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
 	// Gateway node NOT connected to the monitor and content not in DHT:
 	// the unique content is unreachable, probe must fail gracefully.

@@ -105,7 +105,7 @@ func New(net *netsim.Network, seed uint64, cfg Config) *Hydra {
 	// One shared routing table across heads, organized around the first
 	// head's key; lookups and FindNode answers use XOR distance to the
 	// *requested* target, so the organising key only affects retention.
-	h.table = kademlia.NewWithK(h.heads[0].Key(), 8*kademlia.K)
+	h.table = kademlia.New(h.heads[0].Key(), 8*kademlia.K)
 	h.walker = dht.NewWalker(net, h.heads[0])
 	return h
 }
@@ -268,25 +268,21 @@ func (h *Hydra) PendingLookups() int { return len(h.pending) }
 // ProcessPending drains up to max queued proactive lookups (all if max
 // <= 0), performing real FindProviders walks on the network. Returns the
 // number of lookups performed. Drivers call this between request batches.
-func (h *Hydra) ProcessPending(max int) int {
-	return h.ProcessPendingVia(nil, max)
-}
-
-// ProcessPendingVia is ProcessPending with all walk RPCs issued through
-// an Effects lane and all self-mutations (cache fills, queue pop, RPC
-// accounting) deferred to the lane merge. Several Hydra deployments can
+//
+// All self-mutations (cache fills, queue pop, RPC accounting) are
+// deferred through the env lane. Several Hydra deployments can
 // therefore drain their queues concurrently: each walks a stable
 // snapshot of the network (including the other Hydras' handler state)
 // and the merged outcome is independent of scheduling. Lookups enqueued
 // by other lanes during the phase are appended at merge time and drain
 // on the next call, exactly like requests that arrive while a real
 // booster is busy.
-func (h *Hydra) ProcessPendingVia(env *netsim.Effects, max int) int {
+func (h *Hydra) ProcessPending(env *netsim.Effects, max int) int {
 	n := 0
 	for ; n < len(h.pending) && (max <= 0 || n < max); n++ {
 		c := h.pending[n]
 		seeds := h.seedInfos(c.Key())
-		recs, stats := h.walker.FindProvidersVia(env, seeds, c, dht.FindProvidersOpts{})
+		recs, stats := h.walker.FindProviders(env, seeds, c, dht.FindProvidersOpts{})
 		queried := stats.Queried
 		// Negative results are cached as an empty (non-nil) entry so the
 		// same missing CID does not re-trigger lookups — asking a Hydra
@@ -309,7 +305,7 @@ func (h *Hydra) ProcessPendingVia(env *netsim.Effects, max int) int {
 }
 
 func (h *Hydra) seedInfos(target ids.Key) []netsim.PeerInfo {
-	peers := h.table.NearestPeers(target, kademlia.K)
+	peers := h.table.AppendNearest(nil, target, kademlia.K)
 	out := make([]netsim.PeerInfo, 0, len(peers))
 	for _, p := range peers {
 		out = append(out, h.net.Info(p))

@@ -59,9 +59,9 @@ func TestHydraLogsRequests(t *testing.T) {
 	caller := net.Nodes[3]
 	c := ids.CIDFromSeed(1)
 
-	_, _ = net.Network.FindNode(caller.ID(), head, ids.KeyFromUint64(9))
-	_, _, _ = net.Network.GetProviders(caller.ID(), head, c)
-	_ = net.Network.AddProvider(caller.ID(), head, c,
+	_, _ = net.Network.FindNode(nil, nil, caller.ID(), head, ids.KeyFromUint64(9))
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, caller.ID(), head, c)
+	_ = net.Network.AddProvider(nil, caller.ID(), head, c,
 		netsim.ProviderRecord{Provider: net.Network.Info(caller.ID())})
 
 	if h.Log().Len() != 3 {
@@ -88,7 +88,7 @@ func TestHydraServesDHT(t *testing.T) {
 	head := h.Heads()[0]
 
 	// FindNode answers with contacts.
-	peers, err := net.Network.FindNode(net.Nodes[0].ID(), head, ids.KeyFromUint64(3))
+	peers, err := net.Network.FindNode(nil, nil, net.Nodes[0].ID(), head, ids.KeyFromUint64(3))
 	if err != nil || len(peers) == 0 {
 		t.Fatalf("hydra FindNode: %v peers, err %v", len(peers), err)
 	}
@@ -96,8 +96,8 @@ func TestHydraServesDHT(t *testing.T) {
 	// Stored provider records are served back.
 	c := ids.CIDFromSeed(2)
 	rec := netsim.ProviderRecord{Provider: net.Network.Info(net.Nodes[1].ID())}
-	_ = net.Network.AddProvider(net.Nodes[1].ID(), head, c, rec)
-	recs, closer, err := net.Network.GetProviders(net.Nodes[2].ID(), head, c)
+	_ = net.Network.AddProvider(nil, net.Nodes[1].ID(), head, c, rec)
+	recs, closer, err := net.Network.GetProviders(nil, nil, nil, net.Nodes[2].ID(), head, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +117,21 @@ func TestProactiveLookupAmplification(t *testing.T) {
 	// Real content provided by a node.
 	c := ids.CIDFromSeed(3)
 	net.Nodes[10].AddBlock(c)
-	net.Nodes[10].Provide(c)
+	net.Nodes[10].Provide(nil, c)
 
 	// A cache-missing request enqueues a lookup.
-	_, _, _ = net.Network.GetProviders(net.Nodes[5].ID(), head, c)
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), head, c)
 	if h.PendingLookups() != 1 {
 		t.Fatalf("pending = %d, want 1", h.PendingLookups())
 	}
 	// Duplicate requests do not enqueue twice.
-	_, _, _ = net.Network.GetProviders(net.Nodes[6].ID(), head, c)
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[6].ID(), head, c)
 	if h.PendingLookups() != 1 {
 		t.Fatalf("pending after dup = %d, want 1", h.PendingLookups())
 	}
 
 	before := net.Network.TotalMessages()
-	if n := h.ProcessPending(0); n != 1 {
+	if n := h.ProcessPending(nil, 0); n != 1 {
 		t.Fatalf("processed %d lookups", n)
 	}
 	amplified := net.Network.TotalMessages() - before
@@ -140,7 +140,7 @@ func TestProactiveLookupAmplification(t *testing.T) {
 	}
 
 	// The cache now answers directly.
-	recs, _, _ := net.Network.GetProviders(net.Nodes[7].ID(), head, c)
+	recs, _, _ := net.Network.GetProviders(nil, nil, nil, net.Nodes[7].ID(), head, c)
 	if len(recs) == 0 {
 		t.Fatal("cache not serving after proactive lookup")
 	}
@@ -157,14 +157,14 @@ func TestProactiveLookupDoSVector(t *testing.T) {
 	head := h.Heads()[0]
 	bogus := ids.CIDFromSeed(1 << 40)
 
-	_, _, _ = net.Network.GetProviders(net.Nodes[5].ID(), head, bogus)
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), head, bogus)
 	before := net.Network.TotalMessages()
-	h.ProcessPending(0)
+	h.ProcessPending(nil, 0)
 	if net.Network.TotalMessages() == before {
 		t.Fatal("lookup for bogus CID generated no traffic")
 	}
 	// Second request: negative result cached, no new lookup.
-	_, _, _ = net.Network.GetProviders(net.Nodes[6].ID(), head, bogus)
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[6].ID(), head, bogus)
 	if h.PendingLookups() != 0 {
 		t.Fatal("bogus CID re-enqueued despite negative cache")
 	}
@@ -173,7 +173,7 @@ func TestProactiveLookupDoSVector(t *testing.T) {
 func TestProactiveDisabled(t *testing.T) {
 	net := simtest.BuildServers(100)
 	h := attach(net, Config{Heads: 3, ProactiveLookups: false})
-	_, _, _ = net.Network.GetProviders(net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(9))
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(9))
 	if h.PendingLookups() != 0 {
 		t.Fatal("lookup enqueued despite ProactiveLookups=false")
 	}
@@ -184,9 +184,9 @@ func TestOwnHeadsNotLogged(t *testing.T) {
 	h := attach(net, Config{Heads: 5, ProactiveLookups: true})
 	// Trigger proactive lookup; hydra's own walk may hit its other heads,
 	// which must not pollute the log.
-	_, _, _ = net.Network.GetProviders(net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(12))
+	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(12))
 	logBefore := h.Log().Len()
-	h.ProcessPending(0)
+	h.ProcessPending(nil, 0)
 	for _, e := range h.Log().Events()[logBefore:] {
 		if h.IsHead(e.Peer) {
 			t.Fatal("hydra logged its own head's traffic")
@@ -199,7 +199,7 @@ func TestPendingQueueBounded(t *testing.T) {
 	h := attach(net, Config{Heads: 2, ProactiveLookups: true, MaxPendingLookups: 5})
 	head := h.Heads()[0]
 	for i := 0; i < 20; i++ {
-		_, _, _ = net.Network.GetProviders(net.Nodes[1].ID(), head, ids.CIDFromSeed(uint64(100+i)))
+		_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[1].ID(), head, ids.CIDFromSeed(uint64(100+i)))
 	}
 	if h.PendingLookups() > 5 {
 		t.Fatalf("pending = %d exceeds bound", h.PendingLookups())
@@ -214,10 +214,10 @@ func TestHydraReachableViaWalk(t *testing.T) {
 	_ = attach(net, Config{Heads: 20})
 	c := ids.CIDFromSeed(4)
 	net.Nodes[3].AddBlock(c)
-	if rs, _ := net.Nodes[3].Provide(c); len(rs) == 0 {
+	if rs, _ := net.Nodes[3].Provide(nil, c); len(rs) == 0 {
 		t.Fatal("provide failed")
 	}
-	recs, _ := net.Nodes[80].FindProviders(c, dht.FindProvidersOpts{})
+	recs, _ := net.Nodes[80].FindProviders(nil, c, dht.FindProvidersOpts{})
 	if len(recs) != 1 {
 		t.Fatalf("resolution through hydra-augmented DHT found %d records", len(recs))
 	}
@@ -232,6 +232,6 @@ func BenchmarkHydraGetProviders(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = net.Network.GetProviders(caller, head, c)
+		_, _, _ = net.Network.GetProviders(nil, nil, nil, caller, head, c)
 	}
 }

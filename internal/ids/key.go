@@ -139,11 +139,6 @@ func (k Key) Short() string {
 	return hex.EncodeToString(k[:4])
 }
 
-// Distance returns the XOR distance between a and b.
-func Distance(a, b Key) Key {
-	return a.Xor(b)
-}
-
 // CommonPrefixLen returns the number of leading bits shared by a and b.
 // It is 256 when a == b. In Kademlia, a peer with common prefix length cpl
 // relative to the local node belongs in bucket cpl.

@@ -18,12 +18,6 @@ type PeerID struct {
 // PeerIDFromKey wraps an existing keyspace point as a PeerID.
 func PeerIDFromKey(k Key) PeerID { return PeerID{k: k} }
 
-// PeerIDFromPublicKey derives a PeerID by hashing a public key, matching
-// how libp2p derives IDs from Ed25519/RSA keys.
-func PeerIDFromPublicKey(pub []byte) PeerID {
-	return PeerID{k: KeyFromBytes(pub)}
-}
-
 // PeerIDFromSeed deterministically derives a PeerID from a 64-bit seed.
 // Scenario generation uses this to create reproducible populations.
 func PeerIDFromSeed(seed uint64) PeerID {

@@ -117,6 +117,6 @@ func ResolveWithFallback(ix *Indexer, w *dht.Walker, seeds []netsim.PeerInfo, c 
 	if recs := ix.Resolve(c); len(recs) > 0 {
 		return Resolution{Records: recs, ViaIndexer: true}
 	}
-	recs, stats := w.FindProviders(seeds, c, dht.FindProvidersOpts{})
+	recs, stats := w.FindProviders(nil, seeds, c, dht.FindProvidersOpts{})
 	return Resolution{Records: recs, Walk: stats}
 }

@@ -76,7 +76,7 @@ func TestFallbackKeepsContentResolvable(t *testing.T) {
 	c := ids.CIDFromSeed(7)
 	provider := net.Nodes[3]
 	provider.AddBlock(c)
-	provider.Provide(c)
+	provider.Provide(nil, c)
 
 	ix := New()
 	ix.Announce(net.Network.Info(provider.ID()), []ids.CID{c})
@@ -115,12 +115,12 @@ func TestFallbackSpeedAsymmetry(t *testing.T) {
 	net := simtest.BuildServers(300)
 	c := ids.CIDFromSeed(9)
 	net.Nodes[5].AddBlock(c)
-	net.Nodes[5].Provide(c)
+	net.Nodes[5].Provide(nil, c)
 	ix := New()
 	ix.Announce(net.Network.Info(net.Nodes[5].ID()), []ids.CID{c})
 	w := dht.NewWalker(net.Network, ids.PeerIDFromSeed(1<<50))
 
-	recs, stats := w.FindProviders(net.Seeds(4), c, dht.FindProvidersOpts{})
+	recs, stats := w.FindProviders(nil, net.Seeds(4), c, dht.FindProvidersOpts{})
 	if len(recs) == 0 {
 		t.Fatal("DHT resolution failed")
 	}

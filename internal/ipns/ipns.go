@@ -4,11 +4,12 @@
 // a key-pair-derived name to an IPFS path, republished periodically and
 // resolved by picking the valid record with the highest sequence number.
 //
-// DNSLink entries of the form dnslink=/ipns/<key> resolve through this
-// layer to a CID, which is then fetched like any other content — which
-// is why the paper skips measuring IPNS separately; this package exists
-// so the ecosystem model is complete and the /ipns/ DNSLink path is
-// exercised end to end.
+// A DNSLink entry of the form dnslink=/ipns/<key> names such a record,
+// and the CID it resolves to is fetched like any other content — which
+// is why the paper skips measuring IPNS separately. internal/dnslink
+// only parses /ipns/ entries and never resolves them through this
+// package; the package completes the ecosystem model, and
+// examples/futureweb drives its publish, republish and resolve paths.
 package ipns
 
 import (

@@ -55,7 +55,7 @@ func FuzzTableInsert(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		self := ids.PeerIDFromSeed(0xdead)
-		tb := New(self.Key())
+		tb := New(self.Key(), K)
 		clock := int64(0)
 		for off := 0; off+9 <= len(data); off += 9 {
 			op := data[off] % 3

@@ -44,15 +44,9 @@ type Table struct {
 	size    int
 }
 
-// New creates a table for the given local key with the standard bucket
-// capacity K.
-func New(self ids.Key) *Table {
-	return NewWithK(self, K)
-}
-
-// NewWithK creates a table with a custom bucket capacity, used by tests
-// and ablation benchmarks.
-func NewWithK(self ids.Key, k int) *Table {
+// New creates a table for the given local key with bucket capacity k
+// (K for a standard node).
+func New(self ids.Key, k int) *Table {
 	if k <= 0 {
 		panic("kademlia: bucket capacity must be positive")
 	}
@@ -168,19 +162,11 @@ func (t *Table) Contains(p ids.PeerID) bool {
 	return indexOf(t.bucket(t.BucketIndex(p.Key())), &p) >= 0
 }
 
-// NearestPeers returns up to n peers from the table closest to target
-// under the XOR metric, in increasing distance order. It is
-// AppendNearest over a nil destination; hot callers (the FindNode
-// handlers) use AppendNearest with a reusable buffer instead.
-func (t *Table) NearestPeers(target ids.Key, n int) []ids.PeerID {
-	return t.AppendNearest(nil, target, n)
-}
-
-// AppendNearest appends up to n peers from the table closest to target,
-// in increasing distance order, onto dst and returns it (append-style:
-// the result may alias dst's storage). This is the local half of the
-// FindNode RPC: a queried DHT server answers with the K closest
-// contacts from its own buckets.
+// AppendNearest appends up to n peers from the table closest to target
+// under the XOR metric, in increasing distance order, onto dst and
+// returns it (append-style: the result may alias dst's storage). This
+// is the local half of the FindNode RPC: a queried DHT server answers
+// with the K closest contacts from its own buckets.
 //
 // Answering FindNode is the simulator's hottest operation (every walk
 // step, crawl sweep and Hydra lookup lands here). The buckets cover
@@ -394,17 +380,13 @@ func siftDown(h []slot, i int, target *ids.Key) {
 	h[i] = x
 }
 
-// SelectNearest returns the n peers from the slice closest to target in
-// increasing distance order, via the same bounded selection NearestPeers
-// uses. It is the allocation-light replacement for sort-the-whole-slice
-// call sites (topology oracles, resolver sets).
-func SelectNearest(peers []ids.PeerID, target ids.Key, n int) []ids.PeerID {
-	return AppendSelectNearest(nil, peers, target, n)
-}
-
-// AppendSelectNearest is SelectNearest appending onto dst (append-style;
-// scratch-free for n <= selectorInline, like AppendNearest). It is the
-// overflowing-bucket case of take with the whole slice as the bucket.
+// AppendSelectNearest appends the n peers from the slice closest to
+// target onto dst, in increasing distance order, via the same bounded
+// selection AppendNearest uses (append-style; scratch-free for
+// n <= selectorInline). It is the allocation-light replacement for
+// sort-the-whole-slice call sites (topology oracles, resolver sets),
+// and the overflowing-bucket case of take with the whole slice as the
+// bucket.
 func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || len(peers) == 0 {
 		return dst

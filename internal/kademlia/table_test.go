@@ -10,7 +10,7 @@ import (
 )
 
 func TestAddAndContains(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0))
+	tab := New(ids.KeyFromUint64(0), K)
 	p := ids.PeerIDFromSeed(1)
 	if !tab.Add(Contact{Peer: p, LastSeen: 1}) {
 		t.Fatal("Add failed on empty table")
@@ -25,14 +25,14 @@ func TestAddAndContains(t *testing.T) {
 
 func TestAddSelfRejected(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self)
+	tab := New(self, K)
 	if tab.Add(Contact{Peer: ids.PeerIDFromKey(self)}) {
 		t.Fatal("table stored its own key")
 	}
 }
 
 func TestAddIdempotentRefreshesLastSeen(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0))
+	tab := New(ids.KeyFromUint64(0), K)
 	p := ids.PeerIDFromSeed(1)
 	tab.Add(Contact{Peer: p, LastSeen: 1})
 	tab.Add(Contact{Peer: p, LastSeen: 5})
@@ -52,7 +52,7 @@ func TestAddIdempotentRefreshesLastSeen(t *testing.T) {
 
 func TestBucketCapacity(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := NewWithK(self, 3)
+	tab := New(self, 3)
 	// Fill bucket 0 (peers whose first bit differs from self's).
 	added := 0
 	for s := uint64(0); added < 10 && s < 100000; s++ {
@@ -73,7 +73,7 @@ func TestBucketCapacity(t *testing.T) {
 
 func TestAddReplacingStale(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := NewWithK(self, 2)
+	tab := New(self, 2)
 	var inBucket []ids.PeerID
 	for s := uint64(0); len(inBucket) < 3; s++ {
 		p := ids.PeerIDFromSeed(s)
@@ -106,7 +106,7 @@ func TestAddReplacingStale(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0))
+	tab := New(ids.KeyFromUint64(0), K)
 	p := ids.PeerIDFromSeed(1)
 	tab.Add(Contact{Peer: p})
 	if !tab.Remove(p) {
@@ -122,13 +122,13 @@ func TestRemove(t *testing.T) {
 
 func TestNearestPeersOrdering(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self)
+	tab := New(self, K)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
 	}
 	target := ids.KeyFromUint64(999)
-	got := tab.NearestPeers(target, 20)
+	got := tab.AppendNearest(nil, target, 20)
 	if len(got) != 20 {
 		t.Fatalf("got %d peers, want 20", len(got))
 	}
@@ -154,15 +154,15 @@ func TestNearestPeersOrdering(t *testing.T) {
 }
 
 func TestNearestPeersEdgeCases(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0))
-	if got := tab.NearestPeers(ids.KeyFromUint64(1), 5); len(got) != 0 {
+	tab := New(ids.KeyFromUint64(0), K)
+	if got := tab.AppendNearest(nil, ids.KeyFromUint64(1), 5); len(got) != 0 {
 		t.Fatalf("empty table returned %d peers", len(got))
 	}
 	tab.Add(Contact{Peer: ids.PeerIDFromSeed(1)})
-	if got := tab.NearestPeers(ids.KeyFromUint64(1), 0); got != nil {
+	if got := tab.AppendNearest(nil, ids.KeyFromUint64(1), 0); got != nil {
 		t.Fatal("n=0 should return nil")
 	}
-	if got := tab.NearestPeers(ids.KeyFromUint64(1), 5); len(got) != 1 {
+	if got := tab.AppendNearest(nil, ids.KeyFromUint64(1), 5); len(got) != 1 {
 		t.Fatalf("n beyond size returned %d peers", len(got))
 	}
 }
@@ -172,7 +172,7 @@ func TestBucketShape(t *testing.T) {
 	// capacity while deep buckets stay sparse: the structural property
 	// both Kademlia and the paper's crawler rely on.
 	self := ids.KeyFromUint64(0)
-	tab := New(self)
+	tab := New(self, K)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20000; i++ {
 		tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
@@ -195,7 +195,7 @@ func TestBucketShape(t *testing.T) {
 }
 
 func TestAllPeersCount(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0))
+	tab := New(ids.KeyFromUint64(0), K)
 	rng := rand.New(rand.NewSource(3))
 	want := 0
 	for i := 0; i < 1000; i++ {
@@ -250,17 +250,17 @@ func TestSortByDistanceProperty(t *testing.T) {
 	}
 }
 
-func TestNewWithKValidation(t *testing.T) {
+func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewWithK(0) did not panic")
+			t.Fatal("New(0) did not panic")
 		}
 	}()
-	NewWithK(ids.KeyFromUint64(0), 0)
+	New(ids.KeyFromUint64(0), 0)
 }
 
 func BenchmarkAdd(b *testing.B) {
-	tab := New(ids.KeyFromUint64(0))
+	tab := New(ids.KeyFromUint64(0), K)
 	rng := rand.New(rand.NewSource(1))
 	peers := make([]ids.PeerID, 4096)
 	for i := range peers {
@@ -280,7 +280,7 @@ func BenchmarkAdd(b *testing.B) {
 func BenchmarkNearestPeers(b *testing.B) {
 	for _, k := range []int{K, 8 * K} {
 		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
-			tab := NewWithK(ids.KeyFromUint64(0), k)
+			tab := New(ids.KeyFromUint64(0), k)
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 5000; i++ {
 				tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
@@ -388,7 +388,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 			k = 8 * K
 		}
 		self := ids.KeyFromUint64(rng.Uint64())
-		tb := NewWithK(self, k)
+		tb := New(self, k)
 		offered := 30 + rng.Intn(1500)
 		for i := 0; i < offered; i++ {
 			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64()), LastSeen: int64(i)})
@@ -439,7 +439,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 		for ti, target := range targets {
 			for _, n := range []int{1, 3, K, 2 * K, selectorInline + 1, len(all) + 5} {
 				label := fmt.Sprintf("trial %d k=%d target %d", trial, k, ti)
-				checkNearest(t, label, tb.NearestPeers(target, n), all, target, n)
+				checkNearest(t, label, tb.AppendNearest(nil, target, n), all, target, n)
 			}
 		}
 	}
@@ -459,7 +459,7 @@ func TestBucketBandOrder(t *testing.T) {
 		if trial%2 == 1 {
 			k = 8 * K
 		}
-		tb := NewWithK(self, k)
+		tb := New(self, k)
 		for i := 0; i < 2000; i++ {
 			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
 		}
@@ -509,7 +509,7 @@ func TestBucketBandOrder(t *testing.T) {
 func TestRemoveTrimsBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	self := ids.KeyFromUint64(9)
-	tb := New(self)
+	tb := New(self, K)
 	for i := 0; i < 2000; i++ {
 		tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
 	}
@@ -528,10 +528,10 @@ func TestRemoveTrimsBuckets(t *testing.T) {
 		tb.Add(Contact{Peer: p})
 	}
 	target := nearTarget(rng, self, 30)
-	checkNearest(t, "regrown", tb.NearestPeers(target, K), tb.AllPeers(), target, K)
+	checkNearest(t, "regrown", tb.AppendNearest(nil, target, K), tb.AllPeers(), target, K)
 }
 
-// TestSelectNearestMatchesSort pins SelectNearest the same way, over
+// TestSelectNearestMatchesSort pins AppendSelectNearest the same way, over
 // random candidates, candidates tied on the 64-bit distance prefix,
 // duplicates, and windows past selectorInline.
 func TestSelectNearestMatchesSort(t *testing.T) {
@@ -553,7 +553,7 @@ func TestSelectNearestMatchesSort(t *testing.T) {
 		for ti, target := range targets {
 			for _, n := range []int{1, K, 24, selectorInline, selectorInline + 1, len(peers) + 1} {
 				label := fmt.Sprintf("trial %d target %d", trial, ti)
-				checkNearest(t, label, SelectNearest(peers, target, n), peers, target, n)
+				checkNearest(t, label, AppendSelectNearest(nil, peers, target, n), peers, target, n)
 			}
 		}
 	}

@@ -32,16 +32,10 @@ type Monitor struct {
 	blocks map[ids.CID]bool
 }
 
-// New creates a monitor with the given overlay identity and a
-// raw-event-retaining pipeline (the standalone / test-facing default;
-// campaign worlds use NewWithPipeline to stream instead). The caller
-// attaches it to the network (reachable, unlimited inbound).
-func New(id ids.PeerID, net *netsim.Network) *Monitor {
-	return NewWithPipeline(id, net, trace.NewPipeline(trace.Options{Retain: true}))
-}
-
-// NewWithPipeline creates a monitor observing into the given pipeline.
-func NewWithPipeline(id ids.PeerID, net *netsim.Network, pipe *trace.Pipeline) *Monitor {
+// New creates a monitor with the given overlay identity, observing into
+// the given pipeline. The caller attaches it to the network (reachable,
+// unlimited inbound).
+func New(id ids.PeerID, net *netsim.Network, pipe *trace.Pipeline) *Monitor {
 	return &Monitor{
 		id:     id,
 		net:    net,

@@ -12,7 +12,7 @@ import (
 
 func attachMonitor(net *simtest.Net) *Monitor {
 	id := ids.PeerIDFromSeed(1 << 61)
-	m := New(id, net.Network)
+	m := New(id, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
 	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
 	return m
 }
@@ -26,7 +26,7 @@ func TestMonitorLogsBroadcasts(t *testing.T) {
 	}
 	c := ids.CIDFromSeed(1)
 	for i := 0; i < 3; i++ {
-		net.Nodes[i].Retrieve(c, false)
+		net.Nodes[i].Retrieve(nil, c, false)
 	}
 	if m.Log().Len() != 3 {
 		t.Fatalf("monitor logged %d events, want 3", m.Log().Len())
@@ -59,7 +59,7 @@ func TestMonitorObservesRelayIPForNATedSenders(t *testing.T) {
 	natNode := newClientNode(net, natID, relay.ID())
 	natNode.ConnectBitswap(m.ID())
 
-	natNode.Retrieve(ids.CIDFromSeed(5), false)
+	natNode.Retrieve(nil, ids.CIDFromSeed(5), false)
 	if m.Log().Len() == 0 {
 		t.Fatal("no events logged")
 	}
@@ -81,7 +81,7 @@ func TestMonitorServesPlantedContent(t *testing.T) {
 		t.Fatal("AddBlock failed")
 	}
 	net.Nodes[1].ConnectBitswap(m.ID())
-	res := net.Nodes[1].Retrieve(c, false)
+	res := net.Nodes[1].Retrieve(nil, c, false)
 	if !res.Found || !res.ViaBitswap || res.Provider != m.ID() {
 		t.Fatalf("Retrieve = %+v, want found via monitor", res)
 	}
@@ -105,11 +105,11 @@ func TestMonitorStreamingStats(t *testing.T) {
 	// requesters — with Log() unavailable by design.
 	net := simtest.BuildServers(20)
 	id := ids.PeerIDFromSeed(1 << 60)
-	m := NewWithPipeline(id, net.Network, trace.NewPipeline(trace.Options{}))
+	m := New(id, net.Network, trace.NewPipeline(trace.Options{}))
 	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
 	for i := 0; i < 3; i++ {
 		net.Nodes[i].ConnectBitswap(m.ID())
-		net.Nodes[i].Retrieve(ids.CIDFromSeed(uint64(i)), false)
+		net.Nodes[i].Retrieve(nil, ids.CIDFromSeed(uint64(i)), false)
 	}
 	if m.Log() != nil {
 		t.Fatal("streaming monitor retained a raw log")
@@ -132,12 +132,12 @@ func TestMonitorTapSeesEvents(t *testing.T) {
 	net.Nodes[0].ConnectBitswap(m.ID())
 	var tapped []trace.Event
 	remove := m.Tap(trace.SinkFunc(func(e trace.Event) { tapped = append(tapped, e) }))
-	net.Nodes[0].Retrieve(ids.CIDFromSeed(3), false)
+	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(3), false)
 	if len(tapped) != 1 || tapped[0].CID != ids.CIDFromSeed(3) {
 		t.Fatalf("tap saw %v", tapped)
 	}
 	remove()
-	net.Nodes[0].Retrieve(ids.CIDFromSeed(4), false)
+	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(4), false)
 	if len(tapped) != 1 {
 		t.Fatal("detached tap still observing")
 	}

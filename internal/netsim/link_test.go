@@ -125,7 +125,7 @@ func linkWorldPair() (*Network, ids.PeerID, ids.PeerID) {
 func TestLinkIdentityFastPath(t *testing.T) {
 	n, cloud, resi := linkWorldPair()
 	for i := 0; i < 50; i++ {
-		if _, err := n.FindNode(cloud, resi, resi.Key()); err != nil {
+		if _, err := n.FindNode(nil, nil, cloud, resi, resi.Key()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestLinkImpairment(t *testing.T) {
 		prof := MustParseLinkProfile("cloud-resi=40ms±15,loss=0.2")
 		n.SetLinkModel(prof, ids.DeriveSeed(7, 0x11ac))
 		for i := 0; i < 400; i++ {
-			_, err := n.FindNode(cloud, resi, resi.Key())
+			_, err := n.FindNode(nil, nil, cloud, resi, resi.Key())
 			if errors.Is(err, ErrLinkLoss) {
 				losses++
 			} else if err != nil {
@@ -209,7 +209,7 @@ func TestLinkLaneDeterminism(t *testing.T) {
 		for ti := range tasks {
 			tasks[ti] = func(env *Effects) {
 				for i := 0; i < 25; i++ {
-					n.FindNodeVia(env, nil, cloud, resi, resi.Key())
+					n.FindNode(env, nil, cloud, resi, resi.Key())
 				}
 			}
 		}
@@ -234,7 +234,7 @@ func TestLatencyMark(t *testing.T) {
 	n, cloud, resi := linkWorldPair()
 	n.SetLinkModel(MustParseLinkProfile("cloud-resi=10ms±0"), 1)
 	before := n.LatencyMark(nil)
-	if _, err := n.FindNode(cloud, resi, resi.Key()); err != nil {
+	if _, err := n.FindNode(nil, nil, cloud, resi, resi.Key()); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.LatencyMark(nil) - before; got != 10_000 {
@@ -243,7 +243,7 @@ func TestLatencyMark(t *testing.T) {
 	var lane int64
 	n.Fanout(1, []func(env *Effects){func(env *Effects) {
 		m := n.LatencyMark(env)
-		n.FindNodeVia(env, nil, cloud, resi, resi.Key())
+		n.FindNode(env, nil, cloud, resi, resi.Key())
 		lane = n.LatencyMark(env) - m
 	}})
 	if lane != 10_000 {

@@ -429,54 +429,39 @@ func (n *Network) dial(to ids.PeerID) (*hostRecord, error) {
 	return h, nil
 }
 
-// FindNode performs a FindNode RPC from `from` to `to`.
-func (n *Network) FindNode(from, to ids.PeerID, target ids.Key) ([]ids.PeerID, error) {
-	return n.FindNodeVia(nil, nil, from, to, target)
-}
-
-// FindNodeVia is FindNode issued through an Effects lane (nil = serial).
-// The response is appended to closer and returned (append-style: pass a
-// reusable buffer sliced to length 0 to avoid a per-RPC allocation).
-func (n *Network) FindNodeVia(e *Effects, closer []ids.PeerID, from, to ids.PeerID, target ids.Key) ([]ids.PeerID, error) {
+// FindNode performs a FindNode RPC from `from` to `to`. The response is
+// appended to closer and returned (append-style: pass a reusable buffer
+// sliced to length 0 to avoid a per-RPC allocation).
+func (n *Network) FindNode(env *Effects, closer []ids.PeerID, from, to ids.PeerID, target ids.Key) ([]ids.PeerID, error) {
 	h, err := n.dial(to)
 	if err != nil {
 		return closer, err
 	}
-	if err := n.impair(e, from, h); err != nil {
+	if err := n.impair(env, from, h); err != nil {
 		return closer, err
 	}
-	n.count(e, MsgFindNode)
-	return h.handler.HandleFindNode(e, from, target, closer), nil
+	n.count(env, MsgFindNode)
+	return h.handler.HandleFindNode(env, from, target, closer), nil
 }
 
-// GetProviders performs a GetProviders RPC.
-func (n *Network) GetProviders(from, to ids.PeerID, c ids.CID) ([]ProviderRecord, []ids.PeerID, error) {
-	return n.GetProvidersVia(nil, nil, nil, from, to, c)
-}
-
-// GetProvidersVia is GetProviders issued through an Effects lane, with
-// the record and closer-peer responses appended to the caller's buffers
-// (append-style, like FindNodeVia).
-func (n *Network) GetProvidersVia(e *Effects, recs []ProviderRecord, closer []ids.PeerID, from, to ids.PeerID, c ids.CID) ([]ProviderRecord, []ids.PeerID, error) {
+// GetProviders performs a GetProviders RPC, with the record and
+// closer-peer responses appended to the caller's buffers (append-style,
+// like FindNode).
+func (n *Network) GetProviders(env *Effects, recs []ProviderRecord, closer []ids.PeerID, from, to ids.PeerID, c ids.CID) ([]ProviderRecord, []ids.PeerID, error) {
 	h, err := n.dial(to)
 	if err != nil {
 		return recs, closer, err
 	}
-	if err := n.impair(e, from, h); err != nil {
+	if err := n.impair(env, from, h); err != nil {
 		return recs, closer, err
 	}
-	n.count(e, MsgGetProviders)
-	recs, closer = h.handler.HandleGetProviders(e, from, c, recs, closer)
+	n.count(env, MsgGetProviders)
+	recs, closer = h.handler.HandleGetProviders(env, from, c, recs, closer)
 	return recs, closer, nil
 }
 
 // AddProvider performs an AddProvider RPC.
-func (n *Network) AddProvider(from, to ids.PeerID, c ids.CID, rec ProviderRecord) error {
-	return n.AddProviderVia(nil, from, to, c, rec)
-}
-
-// AddProviderVia is AddProvider issued through an Effects lane.
-func (n *Network) AddProviderVia(env *Effects, from, to ids.PeerID, c ids.CID, rec ProviderRecord) error {
+func (n *Network) AddProvider(env *Effects, from, to ids.PeerID, c ids.CID, rec ProviderRecord) error {
 	h, err := n.dial(to)
 	if err != nil {
 		return err
@@ -491,12 +476,7 @@ func (n *Network) AddProviderVia(env *Effects, from, to ids.PeerID, c ids.CID, r
 
 // BitswapWant performs a Bitswap WANT RPC, returning whether the target
 // has the block.
-func (n *Network) BitswapWant(from, to ids.PeerID, c ids.CID) (bool, error) {
-	return n.BitswapWantVia(nil, from, to, c)
-}
-
-// BitswapWantVia is BitswapWant issued through an Effects lane.
-func (n *Network) BitswapWantVia(env *Effects, from, to ids.PeerID, c ids.CID) (bool, error) {
+func (n *Network) BitswapWant(env *Effects, from, to ids.PeerID, c ids.CID) (bool, error) {
 	h, err := n.dial(to)
 	if err != nil {
 		return false, err

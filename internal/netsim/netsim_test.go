@@ -75,14 +75,14 @@ func TestDialBasics(t *testing.T) {
 	hb := &stubHandler{has: true}
 	n.Attach(b, hb, HostConfig{Reachable: true, Addrs: []maddr.Addr{addrOf("52.1.2.3")}})
 
-	got, err := n.BitswapWant(a, b, ids.CIDFromSeed(1))
+	got, err := n.BitswapWant(nil, a, b, ids.CIDFromSeed(1))
 	if err != nil || !got {
 		t.Fatalf("BitswapWant = %v, %v", got, err)
 	}
 	if hb.wantCalls != 1 {
 		t.Fatalf("handler called %d times", hb.wantCalls)
 	}
-	if _, err := n.FindNode(a, ids.PeerIDFromSeed(99), ids.KeyFromUint64(1)); err != ErrUnknownPeer {
+	if _, err := n.FindNode(nil, nil, a, ids.PeerIDFromSeed(99), ids.KeyFromUint64(1)); err != ErrUnknownPeer {
 		t.Fatalf("dial unknown peer: err = %v", err)
 	}
 }
@@ -92,11 +92,11 @@ func TestOfflineRefusesDial(t *testing.T) {
 	b := ids.PeerIDFromSeed(2)
 	n.Attach(b, &stubHandler{}, HostConfig{Reachable: true})
 	n.SetOnline(b, false)
-	if _, err := n.FindNode(ids.PeerIDFromSeed(1), b, ids.KeyFromUint64(0)); err != ErrOffline {
+	if _, err := n.FindNode(nil, nil, ids.PeerIDFromSeed(1), b, ids.KeyFromUint64(0)); err != ErrOffline {
 		t.Fatalf("err = %v, want ErrOffline", err)
 	}
 	n.SetOnline(b, true)
-	if _, err := n.FindNode(ids.PeerIDFromSeed(1), b, ids.KeyFromUint64(0)); err != nil {
+	if _, err := n.FindNode(nil, nil, ids.PeerIDFromSeed(1), b, ids.KeyFromUint64(0)); err != nil {
 		t.Fatalf("err after re-online = %v", err)
 	}
 }
@@ -109,62 +109,76 @@ func TestNATReachabilityRules(t *testing.T) {
 
 	// NAT-ed without relay: unreachable.
 	n.Attach(nat, &stubHandler{}, HostConfig{Reachable: false})
-	if _, err := n.FindNode(caller, nat, ids.KeyFromUint64(0)); err != ErrUnreachable {
+	if _, err := n.FindNode(nil, nil, caller, nat, ids.KeyFromUint64(0)); err != ErrUnreachable {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
 
 	// With relay but relay not registered: relay down.
 	n.SetRelay(nat, relay)
-	if _, err := n.FindNode(caller, nat, ids.KeyFromUint64(0)); err != ErrRelayDown {
+	if _, err := n.FindNode(nil, nil, caller, nat, ids.KeyFromUint64(0)); err != ErrRelayDown {
 		t.Fatalf("err = %v, want ErrRelayDown", err)
 	}
 
 	// Relay online: dial goes through.
 	n.Attach(relay, &stubHandler{}, HostConfig{Reachable: true})
-	if _, err := n.FindNode(caller, nat, ids.KeyFromUint64(0)); err != nil {
+	if _, err := n.FindNode(nil, nil, caller, nat, ids.KeyFromUint64(0)); err != nil {
 		t.Fatalf("err = %v, want nil via relay", err)
 	}
 
 	// Relay offline again: fails.
 	n.SetOnline(relay, false)
-	if _, err := n.FindNode(caller, nat, ids.KeyFromUint64(0)); err != ErrRelayDown {
+	if _, err := n.FindNode(nil, nil, caller, nat, ids.KeyFromUint64(0)); err != ErrRelayDown {
 		t.Fatalf("err = %v, want ErrRelayDown after relay offline", err)
 	}
 }
 
 func TestMessageCounters(t *testing.T) {
-	n := New()
 	a, b := ids.PeerIDFromSeed(1), ids.PeerIDFromSeed(2)
-	n.Attach(b, &stubHandler{}, HostConfig{Reachable: true})
 	c := ids.CIDFromSeed(1)
+	// script issues five delivered RPCs and one failed dial, which must
+	// not count.
+	script := func(n *Network, env *Effects) {
+		_, _ = n.FindNode(env, nil, a, b, ids.KeyFromUint64(0))
+		_, _, _ = n.GetProviders(env, nil, nil, a, b, c)
+		_ = n.AddProvider(env, a, b, c, ProviderRecord{})
+		_, _ = n.BitswapWant(env, a, b, c)
+		_, _ = n.BitswapWant(env, a, b, c)
+		_, _ = n.FindNode(env, nil, a, ids.PeerIDFromSeed(9), ids.KeyFromUint64(0))
+	}
+	network := func() *Network {
+		n := New()
+		n.Attach(b, quietHandler{}, HostConfig{Reachable: true})
+		return n
+	}
+	check := func(path string, n *Network) {
+		t.Helper()
+		want := []struct {
+			typ MsgType
+			n   int64
+		}{{MsgFindNode, 1}, {MsgGetProviders, 1}, {MsgAddProvider, 1}, {MsgBitswapWant, 2}}
+		for _, w := range want {
+			if got := n.MessageCount(w.typ); got != w.n {
+				t.Errorf("%s: %v count = %d, want %d", path, w.typ, got, w.n)
+			}
+		}
+		if got := n.TotalMessages(); got != 5 {
+			t.Errorf("%s: TotalMessages = %d, want 5", path, got)
+		}
+	}
 
-	_, _ = n.FindNode(a, b, ids.KeyFromUint64(0))
-	_, _, _ = n.GetProviders(a, b, c)
-	_ = n.AddProvider(a, b, c, ProviderRecord{})
-	_, _ = n.BitswapWant(a, b, c)
-	_, _ = n.BitswapWant(a, b, c)
+	serial := network()
+	script(serial, nil)
+	check("serial", serial)
 
-	if got := n.MessageCount(MsgFindNode); got != 1 {
-		t.Errorf("FindNode count = %d", got)
-	}
-	if got := n.MessageCount(MsgGetProviders); got != 1 {
-		t.Errorf("GetProviders count = %d", got)
-	}
-	if got := n.MessageCount(MsgAddProvider); got != 1 {
-		t.Errorf("AddProvider count = %d", got)
-	}
-	if got := n.MessageCount(MsgBitswapWant); got != 2 {
-		t.Errorf("BitswapWant count = %d", got)
-	}
-	if got := n.TotalMessages(); got != 5 {
-		t.Errorf("TotalMessages = %d, want 5", got)
-	}
-
-	// Failed dials must not count.
-	_, _ = n.FindNode(a, ids.PeerIDFromSeed(9), ids.KeyFromUint64(0))
-	if got := n.MessageCount(MsgFindNode); got != 1 {
-		t.Errorf("failed dial incremented counter to %d", got)
-	}
+	// Through a lane the counts stay on the lane until Fanout merges it.
+	lane := network()
+	lane.Fanout(2, []func(*Effects){func(env *Effects) {
+		script(lane, env)
+		if got := lane.TotalMessages(); got != 0 {
+			t.Errorf("lane: TotalMessages = %d before the merge, want 0", got)
+		}
+	}})
+	check("lane", lane)
 }
 
 func TestAddrsAndPrimaryIP(t *testing.T) {
@@ -270,6 +284,6 @@ func BenchmarkFindNodeRPC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = n.FindNode(a, t, target)
+		_, _ = n.FindNode(nil, nil, a, t, target)
 	}
 }

@@ -147,14 +147,6 @@ func (e *Effects) DeferLookup(q LookupEnqueuer, c ids.CID) {
 	e.deferred = append(e.deferred, deferredOp{enq: q, cid: c})
 }
 
-// Pending returns the number of buffered side effects.
-func (e *Effects) Pending() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.deferred)
-}
-
 // Lane returns this lane's instance of the given root, creating it on
 // first use. Callers must not hold the result across phases.
 func (e *Effects) Lane(root Lane) Lane {

@@ -72,10 +72,10 @@ func New(id ids.PeerID, net *netsim.Network, cfg Config) *Node {
 	return &Node{
 		id:           id,
 		net:          net,
-		rt:           kademlia.New(id.Key()),
+		rt:           kademlia.New(id.Key(), kademlia.K),
 		walker:       dht.NewWalker(net, id),
 		cfg:          cfg,
-		providers:    NewProviderStoreWith(ttl, net.Intern),
+		providers:    NewProviderStore(ttl, net.Intern),
 		blocks:       make(map[ids.CID]bool),
 		bitswapPeers: make(map[ids.PeerID]bool),
 	}
@@ -88,9 +88,6 @@ func (n *Node) ID() ids.PeerID { return n.id }
 // never touches this directly — it enumerates via FindNode like the real
 // tool — but scenario setup and tests do).
 func (n *Node) RoutingTable() *kademlia.Table { return n.rt }
-
-// IsDHTServer reports whether the node answers DHT RPCs.
-func (n *Node) IsDHTServer() bool { return n.cfg.DHTServer }
 
 // Served returns how many Bitswap blocks the node has sent.
 func (n *Node) Served() int64 { return n.served }
@@ -174,7 +171,7 @@ func (n *Node) LearnContact(from ids.PeerID) {
 // seedInfos converts the routing table's closest peers to a target into
 // walk seeds.
 func (n *Node) seedInfos(target ids.Key) []netsim.PeerInfo {
-	seeds := n.rt.NearestPeers(target, kademlia.K)
+	seeds := n.rt.AppendNearest(nil, target, kademlia.K)
 	out := make([]netsim.PeerInfo, 0, len(seeds))
 	for _, p := range seeds {
 		out = append(out, n.net.Info(p))
@@ -186,7 +183,7 @@ func (n *Node) seedInfos(target ids.Key) []netsim.PeerInfo {
 // node walks toward its own ID and stores every peer the walk returns.
 // Real nodes follow with periodic bucket refreshes; RefreshBuckets does.
 func (n *Node) Bootstrap(bootstrap []netsim.PeerInfo) dht.WalkStats {
-	closest, stats := n.walker.GetClosestPeers(bootstrap, n.id.Key())
+	closest, stats := n.walker.GetClosestPeers(nil, bootstrap, n.id.Key())
 	now := n.net.Clock.Now()
 	for _, pi := range bootstrap {
 		n.learnInfo(pi, now)
@@ -207,7 +204,7 @@ func (n *Node) RefreshBuckets(maxCPL int) dht.WalkStats {
 		// Flip bit `cpl` of our own key: the canonical refresh target
 		// with that exact CPL.
 		target := n.id.Key().FlipBit(cpl)
-		closest, stats := n.walker.GetClosestPeers(n.seedInfos(target), target)
+		closest, stats := n.walker.GetClosestPeers(nil, n.seedInfos(target), target)
 		now := n.net.Clock.Now()
 		for _, pi := range closest {
 			n.learnInfo(pi, now)
@@ -236,13 +233,8 @@ func (n *Node) LearnPeer(p ids.PeerID, lastSeen netsim.Time) bool {
 
 // Provide advertises this node as a provider for c, per the paper: a
 // GetClosestPeers walk to find the K resolvers, then AddProvider to each.
-func (n *Node) Provide(c ids.CID) ([]ids.PeerID, dht.WalkStats) {
-	return n.ProvideVia(nil, c)
-}
-
-// ProvideVia is Provide issued through an Effects lane (nil = serial).
-func (n *Node) ProvideVia(env *netsim.Effects, c ids.CID) ([]ids.PeerID, dht.WalkStats) {
-	return n.walker.ProvideVia(env, n.seedInfos(c.Key()), c, n.net.Info(n.id))
+func (n *Node) Provide(env *netsim.Effects, c ids.CID) ([]ids.PeerID, dht.WalkStats) {
+	return n.walker.Provide(env, n.seedInfos(c.Key()), c, n.net.Info(n.id))
 }
 
 // ProvideDirect advertises without the iterative walk, sending
@@ -251,16 +243,11 @@ func (n *Node) ProvideVia(env *netsim.Effects, c ids.CID) ([]ids.PeerID, dht.Wal
 // platforms maintain a full routing table and skip the per-CID walk,
 // which is why the paper's Hydra sees 40% ADD_PROVIDER but only 3%
 // FIND_NODE traffic). Returns the resolvers that accepted the record.
-func (n *Node) ProvideDirect(c ids.CID, resolvers []ids.PeerID) []ids.PeerID {
-	return n.ProvideDirectVia(nil, c, resolvers)
-}
-
-// ProvideDirectVia is ProvideDirect issued through an Effects lane.
-func (n *Node) ProvideDirectVia(env *netsim.Effects, c ids.CID, resolvers []ids.PeerID) []ids.PeerID {
+func (n *Node) ProvideDirect(env *netsim.Effects, c ids.CID, resolvers []ids.PeerID) []ids.PeerID {
 	rec := netsim.ProviderRecord{Provider: n.net.Info(n.id), Received: n.net.Clock.Now()}
 	var accepted []ids.PeerID
 	for _, r := range resolvers {
-		if err := n.net.AddProviderVia(env, n.id, r, c, rec); err == nil {
+		if err := n.net.AddProvider(env, n.id, r, c, rec); err == nil {
 			accepted = append(accepted, r)
 		}
 	}
@@ -268,13 +255,8 @@ func (n *Node) ProvideDirectVia(env *netsim.Effects, c ids.CID, resolvers []ids.
 }
 
 // FindProviders resolves c via the DHT.
-func (n *Node) FindProviders(c ids.CID, opts dht.FindProvidersOpts) ([]netsim.ProviderRecord, dht.WalkStats) {
-	return n.FindProvidersVia(nil, c, opts)
-}
-
-// FindProvidersVia is FindProviders issued through an Effects lane.
-func (n *Node) FindProvidersVia(env *netsim.Effects, c ids.CID, opts dht.FindProvidersOpts) ([]netsim.ProviderRecord, dht.WalkStats) {
-	return n.walker.FindProvidersVia(env, n.seedInfos(c.Key()), c, opts)
+func (n *Node) FindProviders(env *netsim.Effects, c ids.CID, opts dht.FindProvidersOpts) ([]netsim.ProviderRecord, dht.WalkStats) {
+	return n.walker.FindProviders(env, n.seedInfos(c.Key()), c, opts)
 }
 
 // --- Blockstore ---
@@ -287,9 +269,6 @@ func (n *Node) HasBlock(c ids.CID) bool { return n.blocks[c] }
 
 // RemoveBlock drops content (garbage collection).
 func (n *Node) RemoveBlock(c ids.CID) { delete(n.blocks, c) }
-
-// Blocks returns the number of blocks stored.
-func (n *Node) Blocks() int { return len(n.blocks) }
 
 // --- Bitswap neighbours ---
 
@@ -363,16 +342,11 @@ type RetrieveResult struct {
 // neighbours, then — if that fails — a DHT FindProviders walk followed by
 // direct Bitswap requests to discovered providers. On success the node
 // stores the block and (matching IPFS defaults) becomes a provider,
-// advertising itself when reprovide is true.
-func (n *Node) Retrieve(c ids.CID, reprovide bool) RetrieveResult {
-	return n.RetrieveVia(nil, c, reprovide)
-}
-
-// RetrieveVia is Retrieve issued through an Effects lane: all RPCs count
-// against the lane and the block store/reprovide writes are deferred to
-// the merge, so concurrent retrievals across shards stay race-free and
+// advertising itself when reprovide is true. All RPCs count against the
+// env lane and the block store/reprovide writes are deferred to the
+// merge, so concurrent retrievals across shards stay race-free and
 // deterministic.
-func (n *Node) RetrieveVia(env *netsim.Effects, c ids.CID, reprovide bool) RetrieveResult {
+func (n *Node) Retrieve(env *netsim.Effects, c ids.CID, reprovide bool) RetrieveResult {
 	var res RetrieveResult
 	if n.blocks[c] {
 		res.Found = true
@@ -382,7 +356,7 @@ func (n *Node) RetrieveVia(env *netsim.Effects, c ids.CID, reprovide bool) Retri
 
 	// Step 1: Bitswap broadcast.
 	for _, p := range n.BitswapPeers() {
-		has, err := n.net.BitswapWantVia(env, n.id, p, c)
+		has, err := n.net.BitswapWant(env, n.id, p, c)
 		res.WantsSent++
 		if err == nil && has {
 			res.Found = true
@@ -394,13 +368,13 @@ func (n *Node) RetrieveVia(env *netsim.Effects, c ids.CID, reprovide bool) Retri
 
 	// Step 2: DHT resolution.
 	if !res.Found {
-		recs, stats := n.FindProvidersVia(env, c, dht.FindProvidersOpts{})
+		recs, stats := n.FindProviders(env, c, dht.FindProvidersOpts{})
 		res.Walk = stats
 		for _, r := range recs {
 			if r.Provider.ID == n.id {
 				continue
 			}
-			has, err := n.net.BitswapWantVia(env, n.id, r.Provider.ID, c)
+			has, err := n.net.BitswapWant(env, n.id, r.Provider.ID, c)
 			if err != nil || !has {
 				continue
 			}
@@ -413,7 +387,7 @@ func (n *Node) RetrieveVia(env *netsim.Effects, c ids.CID, reprovide bool) Retri
 	if res.Found {
 		env.Defer(func() { n.blocks[c] = true })
 		if reprovide {
-			n.ProvideVia(env, c)
+			n.Provide(env, c)
 		}
 	}
 	return res

@@ -6,6 +6,7 @@ import (
 
 	"tcsb/internal/dht"
 	"tcsb/internal/ids"
+	"tcsb/internal/intern"
 	"tcsb/internal/maddr"
 	"tcsb/internal/netsim"
 )
@@ -58,7 +59,7 @@ func TestWalkFindsTrueClosestPeers(t *testing.T) {
 	_, nodes := buildNet(t, 300)
 	for trial := 0; trial < 5; trial++ {
 		target := ids.KeyFromUint64(uint64(1000 + trial))
-		got, stats := nodesWalker(nodes[trial]).GetClosestPeers(seedsOf(nodes[trial], target), target)
+		got, stats := nodesWalker(nodes[trial]).GetClosestPeers(nil, seedsOf(nodes[trial], target), target)
 		want := bruteForceClosest(nodes, target, dht.K)
 		if len(got) != dht.K {
 			t.Fatalf("walk returned %d peers, want %d", len(got), dht.K)
@@ -93,7 +94,7 @@ func TestProvideAndFindProviders(t *testing.T) {
 	c := ids.CIDFromSeed(42)
 	provider.AddBlock(c)
 
-	resolvers, _ := provider.Provide(c)
+	resolvers, _ := provider.Provide(nil, c)
 	if len(resolvers) == 0 {
 		t.Fatal("Provide stored no records")
 	}
@@ -110,7 +111,7 @@ func TestProvideAndFindProviders(t *testing.T) {
 	}
 
 	// A different node resolves the CID.
-	recs, stats := nodes[150].FindProviders(c, dht.FindProvidersOpts{})
+	recs, stats := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
 	if len(recs) != 1 {
 		t.Fatalf("FindProviders returned %d records, want 1", len(recs))
 	}
@@ -128,14 +129,14 @@ func TestFindProvidersStopsAtMax(t *testing.T) {
 	// 30 providers advertise.
 	for i := 0; i < 30; i++ {
 		nodes[i].AddBlock(c)
-		nodes[i].Provide(c)
+		nodes[i].Provide(nil, c)
 	}
-	recs, _ := nodes[150].FindProviders(c, dht.FindProvidersOpts{Max: 5})
+	recs, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Max: 5})
 	if len(recs) < 5 {
 		t.Fatalf("standard walk found %d providers, want >= 5", len(recs))
 	}
 	// Exhaustive collects everyone.
-	all, _ := nodes[150].FindProviders(c, dht.FindProvidersOpts{Exhaustive: true})
+	all, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 	if len(all) != 30 {
 		t.Fatalf("exhaustive walk found %d providers, want 30", len(all))
 	}
@@ -148,10 +149,10 @@ func TestExhaustiveEqualsStandardForSparseCIDs(t *testing.T) {
 	c := ids.CIDFromSeed(5)
 	for i := 0; i < 3; i++ {
 		nodes[i].AddBlock(c)
-		nodes[i].Provide(c)
+		nodes[i].Provide(nil, c)
 	}
-	std, _ := nodes[100].FindProviders(c, dht.FindProvidersOpts{})
-	exh, _ := nodes[100].FindProviders(c, dht.FindProvidersOpts{Exhaustive: true})
+	std, _ := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{})
+	exh, _ := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 	if len(std) != len(exh) {
 		t.Fatalf("standard found %d, exhaustive %d — must match for sparse CIDs", len(std), len(exh))
 	}
@@ -164,7 +165,7 @@ func TestRetrieveViaBitswapNeighbour(t *testing.T) {
 	holder.AddBlock(c)
 	downloader.ConnectBitswap(holder.ID())
 
-	res := downloader.Retrieve(c, false)
+	res := downloader.Retrieve(nil, c, false)
 	if !res.Found || !res.ViaBitswap {
 		t.Fatalf("Retrieve = %+v, want found via bitswap", res)
 	}
@@ -184,9 +185,9 @@ func TestRetrieveViaDHT(t *testing.T) {
 	c := ids.CIDFromSeed(9)
 	provider, downloader := nodes[3], nodes[120]
 	provider.AddBlock(c)
-	provider.Provide(c)
+	provider.Provide(nil, c)
 
-	res := downloader.Retrieve(c, true)
+	res := downloader.Retrieve(nil, c, true)
 	if !res.Found || res.ViaBitswap {
 		t.Fatalf("Retrieve = %+v, want found via DHT", res)
 	}
@@ -195,7 +196,7 @@ func TestRetrieveViaDHT(t *testing.T) {
 	}
 
 	// reprovide=true: the downloader is now itself discoverable.
-	recs, _ := nodes[60].FindProviders(c, dht.FindProvidersOpts{Exhaustive: true})
+	recs, _ := nodes[60].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 	found := false
 	for _, r := range recs {
 		if r.Provider.ID == downloader.ID() {
@@ -209,7 +210,7 @@ func TestRetrieveViaDHT(t *testing.T) {
 
 func TestRetrieveMissingContent(t *testing.T) {
 	_, nodes := buildNet(t, 100)
-	res := nodes[5].Retrieve(ids.CIDFromSeed(12345), false)
+	res := nodes[5].Retrieve(nil, ids.CIDFromSeed(12345), false)
 	if res.Found {
 		t.Fatal("retrieved content nobody provides")
 	}
@@ -239,12 +240,12 @@ func TestNATProviderViaRelay(t *testing.T) {
 
 	c := ids.CIDFromSeed(31)
 	nat.AddBlock(c)
-	if rs, _ := nat.Provide(c); len(rs) == 0 {
+	if rs, _ := nat.Provide(nil, c); len(rs) == 0 {
 		t.Fatal("NAT-ed node could not publish provider records")
 	}
 
 	// The advertised record carries the circuit address.
-	recs, _ := nodes[150].FindProviders(c, dht.FindProvidersOpts{})
+	recs, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -253,14 +254,14 @@ func TestNATProviderViaRelay(t *testing.T) {
 	}
 
 	// Retrieval succeeds through the relay.
-	res := nodes[150].Retrieve(c, false)
+	res := nodes[150].Retrieve(nil, c, false)
 	if !res.Found || res.Provider != natID {
 		t.Fatalf("Retrieve via relay = %+v", res)
 	}
 
 	// Relay offline: the NAT-ed provider becomes unreachable.
 	net.SetOnline(relay.ID(), false)
-	res2 := nodes[160].Retrieve(c, false)
+	res2 := nodes[160].Retrieve(nil, c, false)
 	if res2.Found && res2.Provider == natID {
 		t.Fatal("retrieved from NAT-ed provider while its relay was offline")
 	}
@@ -356,7 +357,7 @@ func TestBitswapConnectionManager(t *testing.T) {
 }
 
 func TestProviderStoreTTL(t *testing.T) {
-	s := NewProviderStore(100)
+	s := NewProviderStore(100, intern.NewTables())
 	c := ids.CIDFromSeed(1)
 	rec := netsim.ProviderRecord{Provider: netsim.PeerInfo{ID: ids.PeerIDFromSeed(1)}, Received: 10}
 	s.Put(c, rec)
@@ -378,7 +379,7 @@ func TestProviderStoreTTL(t *testing.T) {
 }
 
 func TestProviderStoreRefresh(t *testing.T) {
-	s := NewProviderStore(100)
+	s := NewProviderStore(100, intern.NewTables())
 	c := ids.CIDFromSeed(1)
 	p := netsim.PeerInfo{ID: ids.PeerIDFromSeed(1)}
 	s.Put(c, netsim.ProviderRecord{Provider: p, Received: 0})
@@ -396,7 +397,7 @@ func TestProviderStoreRefresh(t *testing.T) {
 }
 
 func TestProviderStoreDeterministicOrder(t *testing.T) {
-	s := NewProviderStore(1000)
+	s := NewProviderStore(1000, intern.NewTables())
 	c := ids.CIDFromSeed(1)
 	for i := 0; i < 10; i++ {
 		s.Put(c, netsim.ProviderRecord{Provider: netsim.PeerInfo{ID: ids.PeerIDFromSeed(uint64(i))}})
@@ -422,7 +423,7 @@ func TestWalkToleratesOfflinePeers(t *testing.T) {
 		net.SetOnline(nodes[i*3].ID(), false)
 	}
 	target := ids.KeyFromUint64(555)
-	got, stats := nodesWalker(nodes[1]).GetClosestPeers(seedsOf(nodes[1], target), target)
+	got, stats := nodesWalker(nodes[1]).GetClosestPeers(nil, seedsOf(nodes[1], target), target)
 	if len(got) == 0 {
 		t.Fatal("walk found nothing in a churned network")
 	}
@@ -442,7 +443,7 @@ func BenchmarkGetClosestPeers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodesWalker(nodes[i%100]).GetClosestPeers(seedsOf(nodes[i%100], target), target)
+		nodesWalker(nodes[i%100]).GetClosestPeers(nil, seedsOf(nodes[i%100], target), target)
 	}
 }
 
@@ -452,7 +453,7 @@ func BenchmarkProvide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := ids.CIDFromSeed(uint64(i))
-		nodes[i%100].Provide(c)
+		nodes[i%100].Provide(nil, c)
 	}
 }
 
@@ -460,12 +461,12 @@ func BenchmarkRetrieveDHT(b *testing.B) {
 	_, nodes := buildNet(b, 500)
 	c := ids.CIDFromSeed(1)
 	nodes[0].AddBlock(c)
-	nodes[0].Provide(c)
+	nodes[0].Provide(nil, c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dl := nodes[1+i%400]
 		dl.RemoveBlock(c)
-		_ = dl.Retrieve(c, false)
+		_ = dl.Retrieve(nil, c, false)
 	}
 }

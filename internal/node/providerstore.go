@@ -77,15 +77,10 @@ type ProviderStats struct {
 	Stored int64
 }
 
-// NewProviderStore creates a store with the given record TTL and a
-// private handle table bundle (standalone/test use).
-func NewProviderStore(ttl netsim.Time) *ProviderStore {
-	return NewProviderStoreWith(ttl, intern.NewTables())
-}
-
-// NewProviderStoreWith creates a store sharing the world's handle
-// tables, so every store of one world resolves the same dense handles.
-func NewProviderStoreWith(ttl netsim.Time, tab *intern.Tables) *ProviderStore {
+// NewProviderStore creates a store with the given record TTL over the
+// given handle tables; every store of one world shares the world's
+// tables, so they all resolve the same dense handles.
+func NewProviderStore(ttl netsim.Time, tab *intern.Tables) *ProviderStore {
 	if ttl <= 0 {
 		panic("node: provider TTL must be positive")
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcsb/internal/ids"
+	"tcsb/internal/intern"
 	"tcsb/internal/netsim"
 )
 
@@ -35,7 +36,7 @@ func TestProviderStoreExpiryAtDayBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewProviderStore(day)
+			s := NewProviderStore(day, intern.NewTables())
 			c := ids.CIDFromSeed(7)
 			s.Put(c, netsim.ProviderRecord{
 				Provider: netsim.PeerInfo{ID: ids.PeerIDFromSeed(7)},
@@ -87,7 +88,7 @@ func TestProviderStoreExpireCostIsOutputSensitive(t *testing.T) {
 		day  = 24 * hour
 		ttl  = 36 * hour // the scenario's provider TTL
 	)
-	s := NewProviderStore(ttl)
+	s := NewProviderStore(ttl, intern.NewTables())
 
 	// A large stable population: 20k records refreshed every day (so
 	// they never expire), plus 10 records per day that are published
@@ -133,7 +134,7 @@ func TestProviderStoreExpireCostIsOutputSensitive(t *testing.T) {
 // re-advertisement: a refresh replaces in place (no new creation), and
 // a record re-published after pruning counts as a fresh creation.
 func TestProviderStoreStatsRefresh(t *testing.T) {
-	s := NewProviderStore(100)
+	s := NewProviderStore(100, intern.NewTables())
 	c := ids.CIDFromSeed(1)
 	p := netsim.PeerInfo{ID: ids.PeerIDFromSeed(1)}
 

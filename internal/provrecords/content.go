@@ -1,7 +1,6 @@
-package analysis
+package provrecords
 
 import (
-	"tcsb/internal/provrecords"
 	"tcsb/internal/stats"
 )
 
@@ -27,7 +26,7 @@ type ContentCloudStats struct {
 
 // ContentCloud computes Fig. 16 from a collection. Each (CID, day) entry
 // with at least one reachable provider contributes one sample.
-func ContentCloud(col *provrecords.Collection, isCloud CloudFunc) ContentCloudStats {
+func ContentCloud(col *Collection, isCloud CloudFunc) ContentCloudStats {
 	var out ContentCloudStats
 	var fractions []float64
 	for _, cr := range col.PerCID {

@@ -1,17 +1,10 @@
-// Package analysis implements the content-provider analyses of Section 6
-// (Figures 14–16) and the entry-point summaries of Section 7: classifying
-// providers as NAT-ed / cloud / non-cloud / hybrid from their provider
-// records' multiaddresses, measuring the cloud share of circuit relays,
-// provider popularity across records, and the per-CID cloud reliance of
-// content.
-package analysis
+package provrecords
 
 import (
 	"net/netip"
 
 	"tcsb/internal/ids"
 	"tcsb/internal/netsim"
-	"tcsb/internal/provrecords"
 	"tcsb/internal/stats"
 )
 
@@ -92,7 +85,7 @@ func ClassifyRecord(rec netsim.ProviderRecord, isCloud CloudFunc) Class {
 // with different address mixes across records are classified over the
 // union of their addresses (so cloud+non-cloud across records → hybrid,
 // matching the paper's "moved during the collection" note).
-func Profiles(col *provrecords.Collection, isCloud CloudFunc) []ProviderProfile {
+func Profiles(col *Collection, isCloud CloudFunc) []ProviderProfile {
 	type acc struct {
 		appearances int
 		hasCircuit  bool

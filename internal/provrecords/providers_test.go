@@ -1,4 +1,4 @@
-package analysis
+package provrecords
 
 import (
 	"math"
@@ -8,7 +8,6 @@ import (
 	"tcsb/internal/ids"
 	"tcsb/internal/maddr"
 	"tcsb/internal/netsim"
-	"tcsb/internal/provrecords"
 )
 
 var (
@@ -67,25 +66,25 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func collection() *provrecords.Collection {
-	col := &provrecords.Collection{}
+func collection() *Collection {
+	col := &Collection{}
 	// CID A: cloud + NAT-ed providers.
-	col.PerCID = append(col.PerCID, provrecords.CIDRecords{
+	col.PerCID = append(col.PerCID, CIDRecords{
 		CID:     ids.CIDFromSeed(1),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), relayed(2, cloudIP2)},
 	})
 	// CID B: only cloud.
-	col.PerCID = append(col.PerCID, provrecords.CIDRecords{
+	col.PerCID = append(col.PerCID, CIDRecords{
 		CID:     ids.CIDFromSeed(2),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), direct(3, cloudIP2)},
 	})
 	// CID C: only non-cloud.
-	col.PerCID = append(col.PerCID, provrecords.CIDRecords{
+	col.PerCID = append(col.PerCID, CIDRecords{
 		CID:     ids.CIDFromSeed(3),
 		Records: []netsim.ProviderRecord{direct(4, homeIP1)},
 	})
 	// CID D: popular cloud provider again + NAT via non-cloud relay.
-	col.PerCID = append(col.PerCID, provrecords.CIDRecords{
+	col.PerCID = append(col.PerCID, CIDRecords{
 		CID:     ids.CIDFromSeed(4),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), relayed(5, homeIP2)},
 	})
@@ -180,7 +179,7 @@ func TestContentCloud(t *testing.T) {
 }
 
 func TestContentCloudEmpty(t *testing.T) {
-	got := ContentCloud(&provrecords.Collection{}, isCloud)
+	got := ContentCloud(&Collection{}, isCloud)
 	if got.CIDs != 0 || got.AtLeastOneCloud != 0 {
 		t.Fatalf("empty collection stats = %+v", got)
 	}

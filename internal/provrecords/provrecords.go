@@ -1,9 +1,17 @@
 // Package provrecords implements the paper's provider-record collection
-// (Section 3, "Provider Records"): for every CID in the daily sampled
-// Bitswap set, run the modified (exhaustive) FindProviders that queries
-// all resolvers, verify each discovered provider's reachability at
-// collection time, and ignore unreachable ones. Repeated daily, this
-// yields the 28-day, 5.6M-CID dataset behind Figures 14–16.
+// (Section 3, "Provider Records") and the content-provider analyses of
+// Section 6 built on it (Figures 14–16).
+//
+// Collection: for every CID in the daily sampled Bitswap set, run the
+// modified (exhaustive) FindProviders that queries all resolvers, verify
+// each discovered provider's reachability at collection time, and ignore
+// unreachable ones. Repeated daily, this yields the 28-day, 5.6M-CID
+// dataset behind Figures 14–16.
+//
+// Analysis: classify providers as NAT-ed / cloud / non-cloud / hybrid
+// from their provider records' multiaddresses, and measure the cloud
+// share of circuit relays, provider popularity across records, and the
+// per-CID cloud reliance of content.
 package provrecords
 
 import (
@@ -68,14 +76,8 @@ func Verify(net *netsim.Network, rec netsim.ProviderRecord) bool {
 }
 
 // CollectOne retrieves and verifies all provider records for one CID.
-func (c *Collector) CollectOne(cid ids.CID, day int64) CIDRecords {
-	return c.CollectOneVia(nil, cid, day)
-}
-
-// CollectOneVia is CollectOne with the exhaustive walk issued through an
-// Effects lane.
-func (c *Collector) CollectOneVia(env *netsim.Effects, cid ids.CID, day int64) CIDRecords {
-	recs, _ := c.walker.FindProvidersVia(env, c.seeds(cid.Key()), cid, dht.FindProvidersOpts{Exhaustive: true})
+func (c *Collector) CollectOne(env *netsim.Effects, cid ids.CID, day int64) CIDRecords {
+	recs, _ := c.walker.FindProviders(env, c.seeds(cid.Key()), cid, dht.FindProvidersOpts{Exhaustive: true})
 	out := CIDRecords{CID: cid, Day: day}
 	for _, r := range recs {
 		if Verify(c.net, r) {
@@ -87,14 +89,9 @@ func (c *Collector) CollectOneVia(env *netsim.Effects, cid ids.CID, day int64) C
 	return out
 }
 
-// CollectDay runs CollectOne over a day's sampled CIDs, appending to the
-// collection.
-func (c *Collector) CollectDay(col *Collection, cids []ids.CID, day int64) {
-	c.CollectDayParallel(col, cids, day, 1)
-}
-
-// CollectDayParallel is CollectDay with the per-CID walks fanned out
-// over at most `workers` goroutines. Every walk is independent and the
+// CollectDayParallel runs CollectOne over a day's sampled CIDs,
+// appending to the collection, with the per-CID walks fanned out over
+// at most `workers` goroutines. Every walk is independent and the
 // results are appended in sampled-CID order, so the collection — and the
 // deferred handler effects the walks generate (Hydra log entries and
 // proactive-lookup enqueues among them) — is identical for every worker
@@ -108,7 +105,7 @@ func (c *Collector) CollectDayParallel(col *Collection, cids []ids.CID, day int6
 	for i := range cids {
 		i := i
 		tasks[i] = func(env *netsim.Effects) {
-			out[i] = c.CollectOneVia(env, cids[i], day)
+			out[i] = c.CollectOne(env, cids[i], day)
 		}
 	}
 	c.net.Fanout(workers, tasks)

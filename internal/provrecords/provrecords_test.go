@@ -19,10 +19,10 @@ func TestCollectOne(t *testing.T) {
 	c := ids.CIDFromSeed(1)
 	for i := 0; i < 5; i++ {
 		net.Nodes[i].AddBlock(c)
-		net.Nodes[i].Provide(c)
+		net.Nodes[i].Provide(nil, c)
 	}
 	col := NewCollector(net.Network, ids.PeerIDFromSeed(1<<55), seedsFunc(net))
-	got := col.CollectOne(c, 0)
+	got := col.CollectOne(nil, c, 0)
 	if len(got.Records) != 5 {
 		t.Fatalf("collected %d records, want 5", len(got.Records))
 	}
@@ -36,14 +36,14 @@ func TestCollectIgnoresUnreachable(t *testing.T) {
 	c := ids.CIDFromSeed(2)
 	for i := 0; i < 4; i++ {
 		net.Nodes[i].AddBlock(c)
-		net.Nodes[i].Provide(c)
+		net.Nodes[i].Provide(nil, c)
 	}
 	// Two providers go offline after advertising: stale records.
 	net.Network.SetOnline(net.Nodes[0].ID(), false)
 	net.Network.SetOnline(net.Nodes[1].ID(), false)
 
 	col := NewCollector(net.Network, ids.PeerIDFromSeed(1<<55), seedsFunc(net))
-	got := col.CollectOne(c, 3)
+	got := col.CollectOne(nil, c, 3)
 	if len(got.Records) != 2 {
 		t.Fatalf("collected %d reachable records, want 2", len(got.Records))
 	}
@@ -87,13 +87,13 @@ func TestCollectDayAndAggregates(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c := ids.CIDFromSeed(uint64(100 + i))
 		net.Nodes[i].AddBlock(c)
-		net.Nodes[i].Provide(c)
+		net.Nodes[i].Provide(nil, c)
 		cids = append(cids, c)
 	}
 	col := NewCollector(net.Network, ids.PeerIDFromSeed(1<<55), seedsFunc(net))
 	var collection Collection
-	col.CollectDay(&collection, cids, 0)
-	col.CollectDay(&collection, cids[:3], 1)
+	col.CollectDayParallel(&collection, cids, 0, 1)
+	col.CollectDayParallel(&collection, cids[:3], 1, 1)
 
 	if collection.CIDs() != 9 {
 		t.Fatalf("CIDs() = %d, want 9", collection.CIDs())

@@ -74,12 +74,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// GetOrCompute is GetOrComputeCtx with an uncancellable wait.
-func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	return c.GetOrComputeCtx(context.Background(), key, compute)
-}
-
-// GetOrComputeCtx returns the bytes stored under key, computing and
+// GetOrCompute returns the bytes stored under key, computing and
 // storing them on a miss. hit reports whether the bytes came from the
 // cache (a coalesced follower of an in-flight computation counts as a
 // hit: it paid no compute). Compute errors are returned to every
@@ -91,7 +86,7 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (val []
 // cancelled gets ctx.Err() back, but the flight keeps running and its
 // result is stored and delivered to every other waiter — the flight
 // belongs to the cache, not to the requester that happened to start it.
-func (c *Cache) GetOrComputeCtx(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.entries[key]; ok {
 		c.hits++

@@ -16,11 +16,11 @@ func TestGetOrComputeStoresAndHits(t *testing.T) {
 	calls := 0
 	compute := func() ([]byte, error) { calls++; return []byte("payload"), nil }
 
-	v, hit, err := c.GetOrCompute("k", compute)
+	v, hit, err := c.GetOrCompute(context.Background(), "k", compute)
 	if err != nil || hit || string(v) != "payload" {
 		t.Fatalf("first call: v=%q hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.GetOrCompute("k", compute)
+	v, hit, err = c.GetOrCompute(context.Background(), "k", compute)
 	if err != nil || !hit || string(v) != "payload" {
 		t.Fatalf("second call: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -36,10 +36,10 @@ func TestGetOrComputeStoresAndHits(t *testing.T) {
 func TestErrorsAreNotCached(t *testing.T) {
 	c := New(0)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompute("k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, hit, err := c.GetOrCompute("k", func() ([]byte, error) { return []byte("ok"), nil })
+	v, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || hit || string(v) != "ok" {
 		t.Fatalf("after error: v=%q hit=%v err=%v (error must not poison the key)", v, hit, err)
 	}
@@ -60,7 +60,7 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.GetOrCompute("hot", func() ([]byte, error) {
+			v, _, err := c.GetOrCompute(context.Background(), "hot", func() ([]byte, error) {
 				computes.Add(1)
 				<-release
 				return []byte("hot-bytes"), nil
@@ -101,7 +101,7 @@ func TestCancelledWaiterDoesNotPoisonFlight(t *testing.T) {
 
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrComputeCtx(ctx, "k", func() ([]byte, error) {
+		_, _, err := c.GetOrCompute(ctx, "k", func() ([]byte, error) {
 			<-release
 			return []byte("survives"), nil
 		})
@@ -117,7 +117,7 @@ func TestCancelledWaiterDoesNotPoisonFlight(t *testing.T) {
 	var ferr error
 	go func() {
 		defer close(followerDone)
-		fv, fhit, ferr = c.GetOrComputeCtx(context.Background(), "k",
+		fv, fhit, ferr = c.GetOrCompute(context.Background(), "k",
 			func() ([]byte, error) { t.Error("follower recomputed a coalesced key"); return nil, nil })
 	}()
 	for c.Stats().Coalesced < 1 {
@@ -227,7 +227,7 @@ func TestEvictionAccountingUnderConcurrency(t *testing.T) {
 					c.Put(fmt.Sprintf("p%d-%d", g, i), val)
 					puts.Add(1)
 				} else {
-					c.GetOrCompute(fmt.Sprintf("c%d", i%20), func() ([]byte, error) {
+					c.GetOrCompute(context.Background(), fmt.Sprintf("c%d", i%20), func() ([]byte, error) {
 						computes.Add(1)
 						return val, nil
 					})

@@ -39,17 +39,6 @@ func (w *World) LiveCIDs() []ids.CID {
 	return out
 }
 
-// PersistentCIDs returns the platform-held (never expiring) CIDs.
-func (w *World) PersistentCIDs() []ids.CID {
-	var out []ids.CID
-	for _, e := range w.catalog {
-		if e.persistent {
-			out = append(out, e.cid)
-		}
-	}
-	return out
-}
-
 // ContentInfo reports a CID's catalogue state: its publisher, whether it
 // is persistent, and whether it is currently live (provided). ok is
 // false for CIDs outside the catalogue (e.g. bogus request targets).

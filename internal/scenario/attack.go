@@ -318,7 +318,7 @@ func (w *World) stepSpam(ac AttackConfig) {
 			resolvers = resolvers[:spamFanout]
 		}
 		for _, r := range resolvers {
-			w.Net.AddProvider(spammer, r, c, rec)
+			w.Net.AddProvider(nil, spammer, r, c, rec)
 		}
 	}
 }
@@ -335,7 +335,7 @@ func (w *World) stepStampede(ac AttackConfig) {
 		idx := w.tick*ac.StampedePerTick + i
 		gw := w.Gateways[idx%len(w.Gateways)]
 		c := w.attackTargets[idx%len(w.attackTargets)]
-		gw.FetchHTTPNodeVia(nil, c, w.Net.Online)
+		gw.FetchHTTP(nil, c, w.Net.Online)
 	}
 }
 
@@ -392,7 +392,7 @@ func (w *World) PoisonedServedTotal() int64 {
 func (w *World) LookupClosest(target ids.Key) []ids.PeerID {
 	probe := ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48 + 0xa11ce)
 	walker := dht.NewWalker(w.Net, probe)
-	infos, _ := walker.GetClosestPeers(w.SeedsNear(target, 8), target)
+	infos, _ := walker.GetClosestPeers(nil, w.SeedsNear(target, 8), target)
 	out := make([]ids.PeerID, len(infos))
 	for i, pi := range infos {
 		out[i] = pi.ID
@@ -411,7 +411,7 @@ func (w *World) SybilResolverEntries(c ids.CID) int {
 		if a == nil {
 			continue
 		}
-		for _, q := range a.Node.RoutingTable().NearestPeers(c.Key(), dht.K) {
+		for _, q := range a.Node.RoutingTable().AppendNearest(nil, c.Key(), dht.K) {
 			if w.IsAttacker(q) {
 				total++
 			}

@@ -184,7 +184,7 @@ func (w *World) PopulateENS(names int) []*ens.Resolver {
 		}
 		c := w.nextCID()
 		owner.Node.AddBlock(c)
-		owner.Node.ProvideDirect(c, w.resolversFor(c))
+		owner.Node.ProvideDirect(nil, c, w.resolversFor(c))
 		owner.Owned = append(owner.Owned, c)
 		w.catalog = append(w.catalog, catalogEntry{cid: c, owner: owner.ID, bornTick: w.tick, persistent: true})
 		w.live = append(w.live, len(w.catalog)-1)

@@ -260,9 +260,9 @@ func (w *World) applyBirths(plans [][]birthPlan) {
 			})
 			a.Node.AddBlock(c)
 			if b.walk {
-				a.Node.Provide(c)
+				a.Node.Provide(nil, c)
 			} else {
-				a.Node.ProvideDirect(c, w.resolversFor(c))
+				a.Node.ProvideDirect(nil, c, w.resolversFor(c))
 			}
 			a.Owned = append(a.Owned, c)
 			w.live = append(w.live, len(w.catalog)-1)
@@ -342,9 +342,9 @@ func (w *World) planRequestCID(rng *rand.Rand, tail bool) (ids.CID, bool) {
 	}
 	var idx int
 	if tail {
-		idx = w.zipfTail.DrawWith(rng)
+		idx = w.zipfTail.Draw(rng)
 	} else {
-		idx = w.zipf.DrawWith(rng)
+		idx = w.zipf.Draw(rng)
 	}
 	if idx >= len(w.catalog) {
 		idx = len(w.catalog) - 1
@@ -417,12 +417,12 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 	if p.gateway >= 0 {
 		gw := w.Gateways[p.gateway]
 		mark := w.Net.LatencyMark(env)
-		ok, nd := gw.FetchHTTPNodeVia(env, p.cid, w.Net.Online)
+		ok, nd := gw.FetchHTTP(env, p.cid, w.Net.Online)
 		// The fetch alone is the user-perceived latency; the reprovide
 		// below is a background batch and stays outside the bracket.
 		w.Timing.Record(env, trace.PhaseGateway, w.Net.LatencyMark(env)-mark)
 		if ok && nd != nil && p.coin < 0.7 {
-			nd.ProvideDirectVia(env, p.cid, w.resolversFor(p.cid))
+			nd.ProvideDirect(env, p.cid, w.resolversFor(p.cid))
 		}
 		return
 	}
@@ -431,7 +431,7 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 		return
 	}
 	mark := w.Net.LatencyMark(env)
-	res := a.Node.RetrieveVia(env, p.cid, false)
+	res := a.Node.Retrieve(env, p.cid, false)
 	w.Timing.Record(env, trace.PhaseLookup, w.Net.LatencyMark(env)-mark)
 	// IPFS clients become providers for what they download; the
 	// reprovider runs in batches (every 12-22h), modelled as a throttled
@@ -442,7 +442,7 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 		reprovideP = 0.3
 	}
 	if res.Found && p.coin < reprovideP {
-		a.Node.ProvideDirectVia(env, p.cid, w.resolversFor(p.cid))
+		a.Node.ProvideDirect(env, p.cid, w.resolversFor(p.cid))
 	}
 }
 
@@ -458,7 +458,7 @@ func (w *World) drainHydras() {
 	tasks := make([]func(env *netsim.Effects), len(hydras))
 	for i, h := range hydras {
 		h := h
-		tasks[i] = func(env *netsim.Effects) { h.ProcessPendingVia(env, 128) }
+		tasks[i] = func(env *netsim.Effects) { h.ProcessPending(env, 128) }
 	}
 	w.Net.Fanout(w.Workers, tasks)
 }

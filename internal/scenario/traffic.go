@@ -73,8 +73,8 @@ func (w *World) StepTick() {
 		// newly published content becomes requestable (rank order keeps
 		// platform content at the head). Shard planners draw from these
 		// shared immutable tables with their own RNGs.
-		w.zipf = stats.NewZipfApprox(w.Rng, w.Cfg.ZipfExponent, len(w.catalog))
-		w.zipfTail = stats.NewZipfApprox(w.Rng, 0.35, len(w.catalog))
+		w.zipf = stats.NewZipfApprox(w.Cfg.ZipfExponent, len(w.catalog))
+		w.zipfTail = stats.NewZipfApprox(0.35, len(w.catalog))
 	}
 	w.tick++
 	w.Net.Clock.Advance(TickSeconds)
@@ -215,11 +215,11 @@ func (w *World) stepPlatformAdvertise() {
 			for j := 0; j < 2 && j < len(cluster); j++ {
 				nd := cluster[(idx+j)%len(cluster)]
 				nd.AddBlock(e.cid)
-				nd.ProvideDirect(e.cid, resolvers)
+				nd.ProvideDirect(nil, e.cid, resolvers)
 			}
 			continue
 		}
-		owner.Node.ProvideDirect(e.cid, resolvers)
+		owner.Node.ProvideDirect(nil, e.cid, resolvers)
 	}
 }
 
@@ -290,6 +290,6 @@ func (w *World) FindProvidersExhaustive(c ids.CID) []netsim.ProviderRecord {
 			seeds = append(seeds, w.Net.Info(p))
 		}
 	}
-	recs, _ := walker.FindProviders(seeds, c, dht.FindProvidersOpts{Exhaustive: true})
+	recs, _ := walker.FindProviders(nil, seeds, c, dht.FindProvidersOpts{Exhaustive: true})
 	return recs
 }

@@ -402,7 +402,7 @@ func (w *World) actorOf(nd *node.Node) *Actor { return w.Actors[nd.ID()] }
 
 func (w *World) buildMonitor() {
 	id := w.nextPeerID()
-	w.Monitor = monitor.NewWithPipeline(id, w.Net, trace.NewPipeline(trace.Options{
+	w.Monitor = monitor.New(id, w.Net, trace.NewPipeline(trace.Options{
 		Retain:  w.Cfg.RetainTrace,
 		TagPeer: w.IsHydraHead,
 		Intern:  w.Net.Intern,
@@ -618,7 +618,7 @@ func (w *World) nearestServers(target ids.Key, n int) []ids.PeerID {
 	// small. Selection (kademlia.SelectNearest) replaces the former
 	// window sort: same result, no O(w log w) comparator churn.
 	if len(w.ring) <= 8*n {
-		return kademlia.SelectNearest(w.ring, target, n)
+		return kademlia.AppendSelectNearest(nil, w.ring, target, n)
 	}
 	i := sort.Search(len(w.ring), func(i int) bool {
 		return w.ring[i].Key().Cmp(target) >= 0
@@ -631,7 +631,7 @@ func (w *World) nearestServers(target ids.Key, n int) []ids.PeerID {
 	if hi > len(w.ring) {
 		hi = len(w.ring)
 	}
-	return kademlia.SelectNearest(w.ring[lo:hi], target, n)
+	return kademlia.AppendSelectNearest(nil, w.ring[lo:hi], target, n)
 }
 
 // wireBitswap sets up Bitswap neighbourhoods: ordinary nodes get
@@ -682,7 +682,7 @@ func (w *World) seedContent() {
 			c := w.nextCID()
 			owner := owners[w.Rng.Intn(len(owners))]
 			owner.Node.AddBlock(c)
-			owner.Node.Provide(c)
+			owner.Node.Provide(nil, c)
 			owner.Owned = append(owner.Owned, c)
 			w.catalog = append(w.catalog, catalogEntry{cid: c, owner: owner.ID, persistent: true})
 			w.live = append(w.live, len(w.catalog)-1)
@@ -695,8 +695,8 @@ func (w *World) seedContent() {
 	for i := 0; i < w.Cfg.UserCIDs; i++ {
 		w.publishUserContentAged(-w.Rng.Intn(48))
 	}
-	w.zipf = stats.NewZipfApprox(w.Rng, w.Cfg.ZipfExponent, len(w.catalog))
-	w.zipfTail = stats.NewZipfApprox(w.Rng, 0.35, len(w.catalog))
+	w.zipf = stats.NewZipfApprox(w.Cfg.ZipfExponent, len(w.catalog))
+	w.zipfTail = stats.NewZipfApprox(0.35, len(w.catalog))
 }
 
 // publishUserContentAged publishes a user CID as if it were created
@@ -725,9 +725,9 @@ func (w *World) publishUserContentAged(ageOffset int) {
 	// A growing share of nodes runs the accelerated DHT client; the rest
 	// publish with the standard iterative walk.
 	if w.Rng.Float64() < 0.4 {
-		a.Node.Provide(c)
+		a.Node.Provide(nil, c)
 	} else {
-		a.Node.ProvideDirect(c, w.resolversFor(c))
+		a.Node.ProvideDirect(nil, c, w.resolversFor(c))
 	}
 	a.Owned = append(a.Owned, c)
 	w.live = append(w.live, len(w.catalog)-1)

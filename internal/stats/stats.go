@@ -291,39 +291,17 @@ func MapToItems(m map[string]float64) []CountItem {
 	return SortedByCount(items)
 }
 
-// Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s, the canonical model for content popularity in P2P request
-// workloads. It wraps math/rand's generator with validation.
-type Zipf struct {
-	z *rand.Zipf
-	n int
-}
-
-// NewZipf creates a Zipf sampler over n items with exponent s > 1 required
-// by math/rand; for s <= 1 use NewZipfApprox.
-func NewZipf(rng *rand.Rand, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf over non-positive item count")
-	}
-	if s <= 1 {
-		panic("stats: math/rand Zipf requires s > 1; use NewZipfApprox")
-	}
-	return &Zipf{z: rand.NewZipf(rng, s, 1, uint64(n-1)), n: n}
-}
-
-// Draw returns a rank in [0, n).
-func (z *Zipf) Draw() int { return int(z.z.Uint64()) }
-
 // ZipfApprox samples from a general Zipf(s) distribution over n items via
-// inverse-CDF on precomputed weights. It supports any s > 0, including the
+// inverse-CDF on precomputed weights: rank r is drawn with probability
+// proportional to 1/(r+1)^s, the canonical model for content popularity
+// in P2P request workloads. It supports any s > 0, including the
 // s ≈ 0.7–1.0 range typical of measured CID popularity.
 type ZipfApprox struct {
 	cum []float64
-	rng *rand.Rand
 }
 
 // NewZipfApprox builds the sampler. O(n) memory; n is the catalogue size.
-func NewZipfApprox(rng *rand.Rand, s float64, n int) *ZipfApprox {
+func NewZipfApprox(s float64, n int) *ZipfApprox {
 	if n <= 0 {
 		panic("stats: Zipf over non-positive item count")
 	}
@@ -336,19 +314,14 @@ func NewZipfApprox(rng *rand.Rand, s float64, n int) *ZipfApprox {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &ZipfApprox{cum: cum, rng: rng}
+	return &ZipfApprox{cum: cum}
 }
 
-// Draw returns a rank in [0, n): rank 0 is the most popular item.
-func (z *ZipfApprox) Draw() int {
-	return z.DrawWith(z.rng)
-}
-
-// DrawWith draws a rank using the supplied RNG instead of the sampler's
-// own. The precomputed weight table is immutable after construction, so
-// one sampler can be shared by concurrent shard planners that each hold
-// a private RNG stream.
-func (z *ZipfApprox) DrawWith(rng *rand.Rand) int {
+// Draw returns a rank in [0, n) drawn with rng: rank 0 is the most
+// popular item. The precomputed weight table is immutable after
+// construction, so one sampler can be shared by concurrent shard
+// planners that each hold a private RNG stream.
+func (z *ZipfApprox) Draw(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cum, u)
 }

@@ -15,42 +15,19 @@ func paretoShare(weights []float64, topFraction float64) float64 {
 // is irrelevant: every consumer either sorts or sums.
 type Seq[K comparable] func(yield func(K, int64))
 
-// mapSeq adapts an activity map to a Seq for the map-based wrappers.
-func mapSeq[K comparable](activity map[K]int64) Seq[K] {
-	return func(yield func(K, int64)) {
-		for k, v := range activity {
-			yield(k, v)
-		}
-	}
-}
-
-// ParetoCurveSeq builds the full "simplified Pareto chart" (the paper's
-// term) from an activity stream: entities ranked by descending traffic,
-// with cumulative traffic share.
-func ParetoCurveSeq[K comparable](activity Seq[K]) []stats.ParetoPoint {
-	var weights []float64
-	activity(func(_ K, v int64) { weights = append(weights, float64(v)) })
-	return stats.Pareto(weights)
-}
-
-// ParetoCurve is ParetoCurveSeq over a materialized activity map.
-func ParetoCurve[K comparable](activity map[K]int64) []stats.ParetoPoint {
-	return ParetoCurveSeq(mapSeq(activity))
-}
-
-// TopShareSeq returns the fraction of total traffic generated by the
+// TopShare returns the fraction of total traffic generated by the
 // most active `topFraction` of entities in the stream — the "top 5% of
 // peer IDs generate 97% of traffic" readings of Figs. 10/11.
-func TopShareSeq[K comparable](activity Seq[K], topFraction float64) float64 {
+func TopShare[K comparable](activity Seq[K], topFraction float64) float64 {
 	var weights []float64
 	activity(func(_ K, v int64) { weights = append(weights, float64(v)) })
 	return paretoShare(weights, topFraction)
 }
 
-// SplitParetoSeq builds Pareto curves for the whole population and for
+// SplitPareto builds Pareto curves for the whole population and for
 // each subgroup (e.g. "cloud" vs "non-cloud" IPs, or "gateway" vs
 // "non-gateway" peers), as drawn in Figs. 10 and 11.
-func SplitParetoSeq[K comparable](activity Seq[K], group func(K) string) map[string][]stats.ParetoPoint {
+func SplitPareto[K comparable](activity Seq[K], group func(K) string) map[string][]stats.ParetoPoint {
 	byGroup := make(map[string][]float64)
 	var all []float64
 	activity(func(k K, v int64) {
@@ -67,16 +44,11 @@ func SplitParetoSeq[K comparable](activity Seq[K], group func(K) string) map[str
 	return out
 }
 
-// SplitPareto is SplitParetoSeq over a materialized activity map.
-func SplitPareto[K comparable](activity map[K]int64, group func(K) string) map[string][]stats.ParetoPoint {
-	return SplitParetoSeq(mapSeq(activity), group)
-}
-
-// GroupTrafficShareSeq returns, for each subgroup, the fraction of total
+// GroupTrafficShare returns, for each subgroup, the fraction of total
 // traffic its members generate (e.g. cloud IPs generating ~85% of DHT
 // traffic in Fig. 11). Weights are integer-valued, so the float sums are
 // exact and emission order cannot change the result.
-func GroupTrafficShareSeq[K comparable](activity Seq[K], group func(K) string) map[string]float64 {
+func GroupTrafficShare[K comparable](activity Seq[K], group func(K) string) map[string]float64 {
 	shares := make(map[string]float64)
 	var total float64
 	activity(func(k K, v int64) {
@@ -92,16 +64,11 @@ func GroupTrafficShareSeq[K comparable](activity Seq[K], group func(K) string) m
 	return shares
 }
 
-// GroupTrafficShare is GroupTrafficShareSeq over a materialized map.
-func GroupTrafficShare[K comparable](activity map[K]int64, group func(K) string) map[string]float64 {
-	return GroupTrafficShareSeq(mapSeq(activity), group)
-}
-
-// GroupMemberShareSeq returns, for each subgroup, the fraction of
+// GroupMemberShare returns, for each subgroup, the fraction of
 // *entities* (not traffic) that belong to it — the population
 // counterpart used to contrast "similar in number, much less active"
 // (non-cloud nodes in Fig. 11).
-func GroupMemberShareSeq[K comparable](activity Seq[K], group func(K) string) map[string]float64 {
+func GroupMemberShare[K comparable](activity Seq[K], group func(K) string) map[string]float64 {
 	shares := make(map[string]float64)
 	var total float64
 	activity(func(k K, _ int64) {
@@ -115,9 +82,4 @@ func GroupMemberShareSeq[K comparable](activity Seq[K], group func(K) string) ma
 		shares[g] /= total
 	}
 	return shares
-}
-
-// GroupMemberShare is GroupMemberShareSeq over a materialized map.
-func GroupMemberShare[K comparable](activity map[K]int64, group func(K) string) map[string]float64 {
-	return GroupMemberShareSeq(mapSeq(activity), group)
 }

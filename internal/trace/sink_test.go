@@ -166,7 +166,7 @@ func TestLogEmptyEdgeCases(t *testing.T) {
 	if got := l.ActivityByIP(); len(got) != 0 {
 		t.Errorf("empty ActivityByIP = %v", got)
 	}
-	if got := TopShare(map[int]int64{}, 0.05); got != 0 {
+	if got := TopShare(seqOf(map[int]int64{}), 0.05); got != 0 {
 		t.Errorf("empty TopShare = %v", got)
 	}
 	// Single-event histogram.

@@ -244,10 +244,3 @@ func (l *Log) UniqueIPShare(attr func(netip.Addr) string) map[string]float64 {
 	}
 	return counts
 }
-
-// TopShare returns the fraction of total traffic generated by the most
-// active `topFraction` of entities under the given activity map — the
-// "top 5% of peer IDs generate 97% of traffic" readings of Figs. 10/11.
-func TopShare[K comparable](activity map[K]int64, topFraction float64) float64 {
-	return TopShareSeq(mapSeq(activity), topFraction)
-}

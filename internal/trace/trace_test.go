@@ -94,6 +94,15 @@ func TestActivityMaps(t *testing.T) {
 	}
 }
 
+// seqOf streams an activity map as a Seq.
+func seqOf[K comparable](activity map[K]int64) Seq[K] {
+	return func(yield func(K, int64)) {
+		for k, v := range activity {
+			yield(k, v)
+		}
+	}
+}
+
 func TestTopShare(t *testing.T) {
 	activity := map[string]int64{}
 	// 100 entities: one generates 901 messages, 99 generate 1 each.
@@ -101,11 +110,11 @@ func TestTopShare(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		activity[string(rune('a'+i%26))+string(rune('0'+i/26))] = 1
 	}
-	got := TopShare(activity, 0.01) // top 1% = the whale
+	got := TopShare(seqOf(activity), 0.01) // top 1% = the whale
 	if math.Abs(got-0.901) > 1e-9 {
 		t.Fatalf("TopShare(1%%) = %v, want 0.901", got)
 	}
-	if got := TopShare(activity, 1.0); math.Abs(got-1) > 1e-9 {
+	if got := TopShare(seqOf(activity), 1.0); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("TopShare(100%%) = %v", got)
 	}
 }
@@ -120,11 +129,11 @@ func TestGroupShares(t *testing.T) {
 		}
 		return "non-cloud"
 	}
-	traffic := GroupTrafficShare(activity, group)
+	traffic := GroupTrafficShare(seqOf(activity), group)
 	if math.Abs(traffic["cloud"]-0.9) > 1e-12 {
 		t.Errorf("cloud traffic share = %v, want 0.9", traffic["cloud"])
 	}
-	members := GroupMemberShare(activity, group)
+	members := GroupMemberShare(seqOf(activity), group)
 	if members["cloud"] != 0.5 || members["non-cloud"] != 0.5 {
 		t.Errorf("member shares = %v", members)
 	}
@@ -138,7 +147,7 @@ func TestSplitPareto(t *testing.T) {
 		}
 		return "non-cloud"
 	}
-	curves := SplitPareto(activity, group)
+	curves := SplitPareto(seqOf(activity), group)
 	if len(curves) != 3 {
 		t.Fatalf("got %d curves, want all+2 groups", len(curves))
 	}
@@ -197,7 +206,7 @@ func TestEmptyLogSafety(t *testing.T) {
 	if got := l.GroupShare(func(Event) string { return "x" }); len(got) != 0 {
 		t.Error("empty group share should have no entries")
 	}
-	if TopShare(map[string]int64{}, 0.5) != 0 {
+	if TopShare(seqOf(map[string]int64{}), 0.5) != 0 {
 		t.Error("TopShare over empty activity should be 0")
 	}
 }
