@@ -88,12 +88,10 @@ func main() {
 		// missing directory just means nothing is archived yet; the first
 		// cache fill creates it.
 		if _, err := os.Stat(*archiveDir); err == nil {
-			primed, skipped, err := s.primeFromArchive()
-			if err != nil {
+			if _, _, err := s.primeFromArchive(); err != nil {
 				fmt.Fprintf(os.Stderr, "tcsb-server: -archive-dir %s: %v\n", *archiveDir, err)
 				os.Exit(2)
 			}
-			log.Printf("primed %d runs from archive %s (%d skipped)", primed, *archiveDir, skipped)
 		}
 	}
 	srv := &http.Server{

@@ -25,6 +25,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"time"
 
 	"tcsb/internal/analyze"
 	"tcsb/internal/core"
@@ -82,8 +83,11 @@ func newServer(fleetSlots, budget, cacheEntries int, archiveDir string, logf fun
 // skipped (logged), never served under a stale address. So is an entry
 // that cannot be read (a truncated JSONL stream, a manifest naming
 // another key): one bad entry costs its own run, not the boot. Only a
-// directory that cannot be listed is an error.
+// directory that cannot be listed is an error. The closing log line
+// gives the counts, how long the prime took and how many bytes of run
+// streams it read.
 func (s *server) primeFromArchive() (primed, skipped int, err error) {
+	start := time.Now()
 	runs, bad, err := analyze.ScanArchive(s.archiveDir)
 	if err != nil {
 		return 0, 0, err
@@ -92,7 +96,9 @@ func (s *server) primeFromArchive() (primed, skipped int, err error) {
 		s.logf("archive: %v; skipping", e)
 	}
 	skipped = len(bad)
+	read := 0
 	for _, run := range runs {
+		read += len(run.Raw)
 		res, err := experiments.Resolve(run.Request)
 		if err != nil || res.Key != run.Key {
 			s.logf("archive %s: stale (re-resolves to err=%v key=%q); skipping", run.Key, err, keyOf(res))
@@ -103,6 +109,8 @@ func (s *server) primeFromArchive() (primed, skipped int, err error) {
 			primed++
 		}
 	}
+	s.logf("primed %d runs from archive %s (%d skipped) in %s, %d run bytes read",
+		primed, s.archiveDir, skipped, time.Since(start).Round(time.Microsecond), read)
 	return primed, skipped, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -763,6 +764,13 @@ func TestServerArchivePrimingAndAnalyze(t *testing.T) {
 			t.Errorf("no log line names skipped entry %s; logs:\n%s", want, strings.Join(logs, "\n"))
 		}
 	}
+	// The summary closes the prime: counts, duration and the bytes of
+	// the two readable streams (the primed run and the stale one).
+	summary := fmt.Sprintf(`^primed 1 runs from archive %s \(3 skipped\) in [0-9.]+[µm]?s, %d run bytes read$`,
+		regexp.QuoteMeta(dir), 2*len(fake))
+	if last := logs[len(logs)-1]; !regexp.MustCompile(summary).MatchString(last) {
+		t.Errorf("last log line %q does not match %s", last, summary)
+	}
 	h := s.handler()
 
 	// The analyzer stays strict: a corrupt entry would skew its deltas.
@@ -814,5 +822,53 @@ func TestServerArchivePrimingAndAnalyze(t *testing.T) {
 	}
 	if off := get(t, testServer().handler(), "/v1/analyze"); off.Code != http.StatusNotFound {
 		t.Fatalf("analyze without an archive: %d, want 404", off.Code)
+	}
+}
+
+// TestServerPrimesLegacyArchive boots over a checked-in archive written
+// before manifests carried a content sha256 (by tcsb-experiments
+// -archive-dir for tinyRun): the run must still prime and be served as
+// a hit with its archived bytes.
+func TestServerPrimesLegacyArchive(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "legacy-archive")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(b), "sha256") {
+			t.Fatalf("%s records a sha256; the fixture must predate the field", e.Name())
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := experiments.Resolve(tinyRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived, err := os.ReadFile(filepath.Join(dir, res.Key+".jsonl"))
+	if err != nil {
+		t.Fatalf("legacy archive has no run for tinyRun's key: %v", err)
+	}
+
+	s := newServer(2, 4, 64, dir, nil)
+	if primed, skipped, err := s.primeFromArchive(); err != nil || primed != 1 || skipped != 0 {
+		t.Fatalf("primed %d, skipped %d, err %v; want 1 primed, 0 skipped", primed, skipped, err)
+	}
+	w := postJSON(t, s.handler(), "/v1/runs", tinyRun())
+	if w.Code != http.StatusOK || w.Header().Get("X-Tcsb-Cache") != "hit" {
+		t.Fatalf("legacy run: %d cache=%s", w.Code, w.Header().Get("X-Tcsb-Cache"))
+	}
+	if !bytes.Equal(w.Body.Bytes(), archived) {
+		t.Fatal("primed bytes differ from the legacy archive")
+	}
+	if st := s.cache.Stats(); st.Misses != 0 || st.Primed != 1 {
+		t.Fatalf("stats: %s, want misses=0 primed=1", st)
 	}
 }

@@ -2,9 +2,16 @@ package analyze
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -199,11 +206,7 @@ func TestScanArchiveSkipsBadEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for _, r := range runs {
-		keys = append(keys, r.Key)
-	}
-	if got := strings.Join(keys, ","); got != "aaa1,aaa2,bbb1" {
+	if got := runKeys(runs); got != "aaa1,aaa2,bbb1" {
 		t.Fatalf("runs %s, want aaa1,aaa2,bbb1", got)
 	}
 	if len(bad) != 2 || !strings.Contains(bad[0].Error(), "aaa0.json") || !strings.Contains(bad[1].Error(), "aaa3") {
@@ -214,6 +217,171 @@ func TestScanArchiveSkipsBadEntries(t *testing.T) {
 	}
 	if _, _, err := ScanArchive(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("ScanArchive of a missing directory succeeded")
+	}
+}
+
+// TestScanArchiveRejectsTrailingData pins the strict archive decoders:
+// a row line or a manifest followed by anything but whitespace is a bad
+// entry, never a run a primed server would serve as a hit.
+func TestScanArchiveRejectsTrailingData(t *testing.T) {
+	dir := writeFixtureArchive(t)
+	row := fixtureJSONL("91.9%", 100)
+	if err := WriteArchive(dir, "aaa3", fixtureReq(3), bytes.Replace(row, []byte("}\n"), []byte("} trailing-garbage\n"), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArchive(dir, "aaa4", fixtureReq(4), row); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, filepath.Join(dir, "aaa4.json"), ` {"junk":1}`+"\n")
+	if err := WriteArchive(dir, "aaa5", fixtureReq(5), row); err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, filepath.Join(dir, "aaa5.json"), " \n\t\n") // whitespace is not data
+
+	runs, bad, err := ScanArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runKeys(runs); got != "aaa1,aaa2,aaa5,bbb1" {
+		t.Fatalf("runs %s, want aaa1,aaa2,aaa5,bbb1", got)
+	}
+	if len(bad) != 2 || !strings.Contains(bad[0].Error(), "archived run aaa3: jsonl line 1: trailing data") ||
+		!strings.Contains(bad[1].Error(), "manifest aaa4.json: trailing data") {
+		t.Fatalf("bad entries %v, want aaa3's row line then aaa4's manifest", bad)
+	}
+}
+
+// TestArchiveContentHash pins the manifest's content sha256: WriteArchive
+// records it, an entry whose stream no longer matches it is skipped by
+// ScanArchive and fails LoadArchive, and a manifest without the field
+// (written before it existed) still loads.
+func TestArchiveContentHash(t *testing.T) {
+	dir := writeFixtureArchive(t)
+	mb, err := os.ReadFile(filepath.Join(dir, "aaa1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(fixtureJSONL("91.9%", 100, 98, 96))
+	if want := `"sha256": "` + hex.EncodeToString(sum[:]) + `"`; !strings.Contains(string(mb), want) {
+		t.Fatalf("manifest does not record %s:\n%s", want, mb)
+	}
+
+	// aaa2's stream is replaced by other bytes that still parse.
+	writeFile(t, dir, "aaa2.jsonl", string(fixtureJSONL("99.9%", 100, 97, 95)))
+	// bbb1's manifest loses the field, as one written before it existed.
+	mb, err = os.ReadFile(filepath.Join(dir, "bbb1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy map[string]any
+	if err := json.Unmarshal(mb, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	delete(legacy, "sha256")
+	lb, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, dir, "bbb1.json", string(lb))
+
+	runs, bad, err := ScanArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runKeys(runs); got != "aaa1,bbb1" {
+		t.Fatalf("runs %s, want aaa1,bbb1", got)
+	}
+	if len(bad) != 1 || !strings.Contains(bad[0].Error(), "archived run aaa2: content sha256") {
+		t.Fatalf("bad entries %v, want aaa2's hash mismatch", bad)
+	}
+	if _, err := LoadArchive(dir); err == nil || err.Error() != bad[0].Error() {
+		t.Fatalf("LoadArchive err = %v, want %v", err, bad[0])
+	}
+}
+
+// TestScanArchiveMatchesSerialRead checks the concurrent read against
+// an entry-by-entry one over an archive with every kind of bad entry
+// mixed in: the same runs and the same errors, in the same order. CI
+// runs it under the race detector.
+func TestScanArchiveMatchesSerialRead(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	dir := t.TempDir()
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		jsonl := fixtureJSONL(fmt.Sprintf("%d%%", i), 100, float64(i))
+		if err := WriteArchive(dir, key, fixtureReq(int64(i)), jsonl); err != nil {
+			t.Fatal(err)
+		}
+		switch i % 8 {
+		case 1: // truncated stream
+			writeFile(t, dir, key+".jsonl", string(jsonl[:30]))
+		case 3: // missing stream
+			if err := os.Remove(filepath.Join(dir, key+".jsonl")); err != nil {
+				t.Fatal(err)
+			}
+		case 5: // manifest naming another key
+			writeFile(t, dir, key+".json", `{"key":"other","request":{"seed":1}}`)
+		case 6: // stream that parses but is not the recorded one
+			writeFile(t, dir, key+".jsonl", string(fixtureJSONL("0%", 1)))
+		}
+	}
+
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var wantRuns []Run
+	var wantBad []string
+	for _, name := range names {
+		run, err := readEntry(dir, filepath.Base(name))
+		if err != nil {
+			wantBad = append(wantBad, err.Error())
+			continue
+		}
+		wantRuns = append(wantRuns, run)
+	}
+	if len(wantRuns) != 20 || len(wantBad) != 20 {
+		t.Fatalf("serial read: %d runs, %d bad; want 20 of each", len(wantRuns), len(wantBad))
+	}
+
+	for round := 0; round < 5; round++ {
+		runs, bad, err := ScanArchive(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(runs, wantRuns) {
+			t.Fatalf("round %d: runs %s, want %s", round, runKeys(runs), runKeys(wantRuns))
+		}
+		got := make([]string, len(bad))
+		for i, e := range bad {
+			got[i] = e.Error()
+		}
+		if !slices.Equal(got, wantBad) {
+			t.Fatalf("round %d: bad entries\n%s\nwant\n%s", round, strings.Join(got, "\n"), strings.Join(wantBad, "\n"))
+		}
+	}
+}
+
+func runKeys(runs []Run) string {
+	keys := make([]string, len(runs))
+	for i, r := range runs {
+		keys[i] = r.Key
+	}
+	return strings.Join(keys, ",")
+}
+
+func appendFile(t *testing.T, path, content string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

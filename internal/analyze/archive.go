@@ -20,12 +20,18 @@
 package analyze
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"tcsb/internal/core"
 	"tcsb/internal/experiments"
@@ -42,10 +48,20 @@ type Run struct {
 }
 
 // manifest is the `<key>.json` sidecar written next to each archived
-// JSONL stream.
+// JSONL stream. SHA256 is the hex sha256 of that stream; manifests
+// written before it existed omit it and load without the check. The
+// manifest decode is strict, so a binary older than the field rejects a
+// manifest that carries it.
 type manifest struct {
 	Key     string          `json:"key"`
 	Request core.RunRequest `json:"request"`
+	SHA256  string          `json:"sha256,omitempty"`
+}
+
+// contentHash is the manifest's SHA256 of a JSONL stream.
+func contentHash(jsonl []byte) string {
+	sum := sha256.Sum256(jsonl)
+	return hex.EncodeToString(sum[:])
 }
 
 // ManifestRequest is the request as archived: the canonical request
@@ -75,10 +91,11 @@ func Shape(req core.RunRequest) string {
 }
 
 // WriteArchive persists one run into dir: `<key>.jsonl` (the exact
-// rendered byte stream) then `<key>.json` (the manifest). Writes go
-// through a temp file and rename, and the manifest lands last, so a
-// torn write never leaves a manifest pointing at missing or partial
-// bytes. Re-archiving an existing key rewrites the identical content.
+// rendered byte stream) then `<key>.json` (the manifest, with the
+// stream's sha256). Writes go through a temp file and rename, and the
+// manifest lands last, so a torn write never leaves a manifest pointing
+// at missing or partial bytes. Re-archiving an existing key rewrites
+// the identical content.
 func WriteArchive(dir, key string, req core.RunRequest, jsonl []byte) error {
 	if key == "" || key != filepath.Base(key) {
 		return fmt.Errorf("archive key %q is not a bare file name", key)
@@ -89,7 +106,7 @@ func WriteArchive(dir, key string, req core.RunRequest, jsonl []byte) error {
 	if err := writeAtomic(filepath.Join(dir, key+".jsonl"), jsonl); err != nil {
 		return err
 	}
-	mb, err := json.MarshalIndent(manifest{Key: key, Request: ManifestRequest(req)}, "", "  ")
+	mb, err := json.MarshalIndent(manifest{Key: key, Request: ManifestRequest(req), SHA256: contentHash(jsonl)}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -125,10 +142,10 @@ func writeAtomic(path string, data []byte) error {
 
 // LoadArchive reads every archived run in dir, keyed by its manifest,
 // in deterministic (key-sorted) order. A manifest whose key disagrees
-// with its file name, or whose JSONL sidecar is missing or unparsable,
-// is an error: archives are written atomically, so disagreement means
-// tampering or truncation, and silently skipping a run would skew
-// every delta downstream.
+// with its file name, or whose JSONL sidecar is missing, unparsable or
+// not the bytes its recorded sha256 names, is an error: archives are
+// written atomically, so disagreement means tampering or truncation,
+// and silently skipping a run would skew every delta downstream.
 func LoadArchive(dir string) ([]Run, error) {
 	runs, bad, err := ScanArchive(dir)
 	if err != nil {
@@ -145,6 +162,10 @@ func LoadArchive(dir string) ([]Run, error) {
 // order, is returned in bad. err reports only a directory that cannot
 // be listed. A server priming its cache uses it, so one corrupt entry
 // costs that run, not the whole archive.
+//
+// Entries are independent, so they are read on up to GOMAXPROCS
+// goroutines, each into its own slot; runs and bad come back in key
+// order, exactly as an entry-by-entry read returns them.
 func ScanArchive(dir string) (runs []Run, bad []error, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -158,28 +179,49 @@ func ScanArchive(dir string) (runs []Run, bad []error, err error) {
 	}
 	sort.Strings(names)
 
+	type slot struct {
+		run Run
+		err error
+	}
+	slots := make([]slot, len(names))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(names) {
+					return
+				}
+				slots[i].run, slots[i].err = readEntry(dir, names[i])
+			}
+		}()
+	}
+	wg.Wait()
+
 	runs = make([]Run, 0, len(names))
-	for _, name := range names {
-		run, err := readEntry(dir, name)
-		if err != nil {
-			bad = append(bad, err)
+	for _, s := range slots {
+		if s.err != nil {
+			bad = append(bad, s.err)
 			continue
 		}
-		runs = append(runs, run)
+		runs = append(runs, s.run)
 	}
 	return runs, bad, nil
 }
 
-// readEntry reads the run whose manifest is dir/name.
+// readEntry reads the run whose manifest is dir/name. The content hash
+// is checked last, after the run has parsed, so it adds a check and
+// replaces none.
 func readEntry(dir, name string) (Run, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		return Run{}, err
 	}
 	var m manifest
-	dec := json.NewDecoder(strings.NewReader(string(mb)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := experiments.DecodeStrict(mb, &m); err != nil {
 		return Run{}, fmt.Errorf("manifest %s: %w", name, err)
 	}
 	if want := strings.TrimSuffix(name, ".json"); m.Key != want {
@@ -189,9 +231,14 @@ func readEntry(dir, name string) (Run, error) {
 	if err != nil {
 		return Run{}, fmt.Errorf("archived run %s: %w", m.Key, err)
 	}
-	rows, err := experiments.ParseJSONL(strings.NewReader(string(raw)))
+	rows, err := experiments.ParseJSONL(bytes.NewReader(raw))
 	if err != nil {
 		return Run{}, fmt.Errorf("archived run %s: %w", m.Key, err)
+	}
+	if m.SHA256 != "" {
+		if got := contentHash(raw); got != m.SHA256 {
+			return Run{}, fmt.Errorf("archived run %s: content sha256 %s, manifest records %s", m.Key, got, m.SHA256)
+		}
 	}
 	return Run{Key: m.Key, Request: m.Request, Raw: raw, Rows: rows}, nil
 }

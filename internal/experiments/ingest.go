@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -42,10 +43,25 @@ type jsonlLine struct {
 	} `json:"table"`
 }
 
-// ParseJSONL reads a RenderJSONL stream back into typed rows. Decoding
-// is strict (unknown fields are an error): an archive that does not
-// parse was not written by this engine's renderer and must not be
-// silently analyzed.
+// DecodeStrict decodes the one JSON value in data into v. Unknown
+// fields and anything but whitespace after the value are errors: the
+// archive decoders (JSONL lines, run manifests) accept only what this
+// engine writes.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// ParseJSONL reads a RenderJSONL stream back into typed rows. Each line
+// is decoded with DecodeStrict: an archive that does not parse was not
+// written by this engine's renderer and must not be silently analyzed.
 func ParseJSONL(r io.Reader) ([]ParsedRow, error) {
 	var out []ParsedRow
 	sc := bufio.NewScanner(r)
@@ -57,10 +73,8 @@ func ParseJSONL(r io.Reader) ([]ParsedRow, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
 		var l jsonlLine
-		if err := dec.Decode(&l); err != nil {
+		if err := DecodeStrict(raw, &l); err != nil {
 			return nil, fmt.Errorf("jsonl line %d: %w", lineNo, err)
 		}
 		if l.Experiment == "" || len(l.Table.Columns) == 0 {

@@ -71,6 +71,8 @@ func TestParseJSONLRejections(t *testing.T) {
 		{"unknown field", `{"experiment":"x","section":"s","tabel":{}}`, "line 1"},
 		{"missing experiment", `{"section":"s","table":{"title":"t","columns":["a"],"rows":[]}}`, "line 1"},
 		{"missing columns", `{"experiment":"x","section":"s","table":{"title":"t","rows":[]}}`, "line 1"},
+		{"trailing garbage", `{"experiment":"x","section":"s","table":{"title":"t","columns":["a"],"rows":[]}} trailing-garbage`, "line 1: trailing data"},
+		{"second value", `{"experiment":"x","section":"s","table":{"title":"t","columns":["a"],"rows":[]}} {"junk":1}`, "line 1: trailing data"},
 		{
 			"second line bad",
 			`{"experiment":"x","section":"s","table":{"title":"t","columns":["a"],"rows":[]}}` + "\n" + `{`,

@@ -77,6 +77,9 @@ type rangeEntry struct {
 	country  string
 }
 
+// pair is a (provider, country) index key.
+type pair struct{ provider, country string }
+
 // DB is an immutable IP-intelligence database. It is safe for concurrent
 // use.
 type DB struct {
@@ -84,6 +87,11 @@ type DB struct {
 	// length so that longest-prefix match can scan backwards from the
 	// insertion point.
 	entries []rangeEntry
+	// byProvider and byPair hold the entries of each provider and of
+	// each (provider, country), in entries order, so an allocation
+	// draws from the same slice a scan of entries would build.
+	byProvider map[string][]rangeEntry
+	byPair     map[pair][]rangeEntry
 }
 
 var (
@@ -130,7 +138,17 @@ func build(entries []rangeEntry) *DB {
 		}
 		return a.Bits() < b.Bits() // wider ranges first at equal start
 	})
-	return &DB{entries: entries}
+	db := &DB{
+		entries:    entries,
+		byProvider: make(map[string][]rangeEntry),
+		byPair:     make(map[pair][]rangeEntry),
+	}
+	for _, e := range entries {
+		db.byProvider[e.provider] = append(db.byProvider[e.provider], e)
+		k := pair{e.provider, e.country}
+		db.byPair[k] = append(db.byPair[k], e)
+	}
+	return db
 }
 
 // Lookup returns provider and country information for ip. Addresses
@@ -156,34 +174,31 @@ func (db *DB) Lookup(ip netip.Addr) Info {
 // Providers returns the distinct cloud provider labels in the database,
 // sorted alphabetically.
 func (db *DB) Providers() []string {
-	set := map[string]bool{}
-	for _, e := range db.entries {
-		if e.provider != NonCloud {
-			set[e.provider] = true
+	out := make([]string, 0, len(db.byProvider))
+	for p := range db.byProvider {
+		if p != NonCloud {
+			out = append(out, p)
 		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// Covers reports whether the database has a range of provider in
+// country, or in any country when country is "". The Allocator panics
+// exactly for the pairs it does not cover.
+func (db *DB) Covers(provider, country string) bool {
+	return len(db.rangesFor(provider, country)) > 0
+}
+
 // rangesFor returns all ranges matching the provider (and country if
-// non-empty).
+// non-empty), in entries order. The slice belongs to the index: callers
+// must not modify it.
 func (db *DB) rangesFor(provider, country string) []rangeEntry {
-	var out []rangeEntry
-	for _, e := range db.entries {
-		if e.provider != provider {
-			continue
-		}
-		if country != "" && e.country != country {
-			continue
-		}
-		out = append(out, e)
+	if country == "" {
+		return db.byProvider[provider]
 	}
-	return out
+	return db.byPair[pair{provider, country}]
 }
 
 // Allocator hands out unique addresses from the database's pools. It is

@@ -3,6 +3,7 @@ package ipdb
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -196,6 +197,66 @@ func TestResidentialPlanCoversAllCountries(t *testing.T) {
 		ip := al.ResidentialIP(c)
 		if got := Default().Lookup(ip).Country; got != c {
 			t.Errorf("residential %s allocation geolocates to %q", c, got)
+		}
+	}
+}
+
+// linearRangesFor is the scan the (provider, country) index replaced:
+// every entry of provider, limited to country when it is non-empty, in
+// entries order.
+func linearRangesFor(db *DB, provider, country string) []rangeEntry {
+	var out []rangeEntry
+	for _, e := range db.entries {
+		if e.provider == provider && (country == "" || e.country == country) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestRangeIndexMatchesLinearScan pins the index to the scan it
+// replaced: the same ranges in the same order, so an Allocator draws the
+// same addresses from the same RNG stream.
+func TestRangeIndexMatchesLinearScan(t *testing.T) {
+	db := Default()
+	providers := append(db.Providers(), NonCloud, "no-such-provider")
+	countries := append(append([]string{}, Countries...), "", "XX")
+	for _, p := range providers {
+		for _, c := range countries {
+			got, want := db.rangesFor(p, c), linearRangesFor(db, p, c)
+			if !slices.Equal(got, want) {
+				t.Fatalf("rangesFor(%q, %q) = %v, want %v", p, c, got, want)
+			}
+			if db.Covers(p, c) != (len(want) > 0) {
+				t.Fatalf("Covers(%q, %q) = %v with %d ranges", p, c, db.Covers(p, c), len(want))
+			}
+		}
+	}
+}
+
+// TestCoversMatchesSampledFootprint keeps the sampler that once worked
+// out the plan's (provider, country) pairs at package load — 256 cloud
+// addresses per provider drawn with seed 0xf007 — as the oracle for
+// Covers: a world picks a server's country from exactly these pairs.
+func TestCoversMatchesSampledFootprint(t *testing.T) {
+	db := Default()
+	al := NewAllocator(db, rand.New(rand.NewSource(0xf007)))
+	sampled := map[pair]bool{}
+	for _, p := range db.Providers() {
+		for i := 0; i < 256; i++ {
+			sampled[pair{p, db.Lookup(al.CloudIP(p, "")).Country}] = true
+		}
+	}
+	for k := range sampled {
+		if !db.Covers(k.provider, k.country) {
+			t.Errorf("sampled pair %v is not covered", k)
+		}
+	}
+	for _, p := range db.Providers() {
+		for _, c := range Countries {
+			if got, want := db.Covers(p, c), sampled[pair{p, c}]; got != want {
+				t.Errorf("Covers(%q, %q) = %v, sampled footprint says %v", p, c, got, want)
+			}
 		}
 	}
 }

@@ -226,41 +226,16 @@ func (w *World) pickWeighted(m map[string]float64) string {
 }
 
 // cloudCountryFor picks a country for a provider, retrying the weighted
-// country draw against the provider's actual footprint.
+// country draw until the address plan has a range of the provider in
+// that country, so the allocator never panics on the pair.
 func (w *World) cloudCountryFor(provider string) string {
 	for i := 0; i < 32; i++ {
 		c := w.pickWeighted(w.Cfg.CloudCountryWeights)
-		if hasFootprint(provider, c) {
+		if w.DB.Covers(provider, c) {
 			return c
 		}
 	}
 	return "" // allocator picks any of the provider's ranges
-}
-
-// hasFootprint reports whether the default address plan gives the
-// provider presence in the country. Determined empirically once; kept as
-// a fast lookup to avoid allocator panics.
-func hasFootprint(provider, country string) bool {
-	key := provider + "/" + country
-	return footprint[key]
-}
-
-var footprint = buildFootprint()
-
-func buildFootprint() map[string]bool {
-	out := make(map[string]bool)
-	db := ipdb.Default()
-	probe := rand.New(rand.NewSource(0xf007))
-	al := ipdb.NewAllocator(db, probe)
-	for _, p := range db.Providers() {
-		// Sample the provider's footprint.
-		for i := 0; i < 256; i++ {
-			ip := al.CloudIP(p, "")
-			info := db.Lookup(ip)
-			out[p+"/"+info.Country] = true
-		}
-	}
-	return out
 }
 
 // addServerActor creates a reachable DHT server actor.
