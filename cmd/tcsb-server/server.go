@@ -268,20 +268,18 @@ func (s *server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.cache.Stats())
 }
 
-// decodeRequest parses a request body holding exactly one JSON value,
-// strictly: unknown fields and anything after the value are errors, not
-// silently dropped — a typoed field name or a second concatenated
-// request must never quietly run the wrong campaign.
+// decodeRequest reads the capped request body and parses it with
+// experiments.DecodeStrict: unknown fields and anything after the one
+// JSON value are errors, not silently dropped — a typoed field name or
+// a second concatenated request must never quietly run the wrong
+// campaign. A body past maxBodyBytes fails the read with an
+// *http.MaxBytesError.
 func decodeRequest(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("request body: %w", err)
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = experiments.DecodeStrict(body, v)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			err = errors.New("trailing data after the JSON value")
-		}
+	if err != nil {
 		return fmt.Errorf("request body: %w", err)
 	}
 	return nil

@@ -145,7 +145,8 @@ func TestRunRequestValidation(t *testing.T) {
 // TestRequestBodyLimits pins the body cap on every POST endpoint: a
 // body one byte past maxBodyBytes is a 413 JSON error, one exactly at
 // the cap is read in full and judged on its content, and a sweep spec
-// with trailing data is a 400 like a run request.
+// or an expectations document with trailing data is a 400 like a run
+// request.
 func TestRequestBodyLimits(t *testing.T) {
 	h := newServer(2, 4, 64, t.TempDir(), nil).handler()
 	pad := func(body string, size int) string { return body + strings.Repeat(" ", size-len(body)) }
@@ -158,6 +159,7 @@ func TestRequestBodyLimits(t *testing.T) {
 		{"sweep past the cap", "/v1/sweeps", pad(`{"seeds":[1]}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
 		{"analyze past the cap", "/v1/analyze", pad(`{"rules":[]}`, maxBodyBytes+1), http.StatusRequestEntityTooLarge},
 		{"sweep with a second value", "/v1/sweeps", `{"seeds":[1]}{"seeds":[2]}`, http.StatusBadRequest},
+		{"analyze with a second value", "/v1/analyze", `{"rules":[]}{"rules":[]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		tc := tc

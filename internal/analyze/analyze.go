@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -39,13 +38,12 @@ type Expectations struct {
 	Rules []Rule `json:"rules"`
 }
 
-// ParseExpectations strictly decodes and validates an expectations
+// ParseExpectations strictly decodes (experiments.DecodeStrict: exactly
+// one JSON value, no unknown fields) and validates an expectations
 // document.
 func ParseExpectations(data []byte) (Expectations, error) {
 	var exp Expectations
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&exp); err != nil {
+	if err := experiments.DecodeStrict(data, &exp); err != nil {
 		return Expectations{}, fmt.Errorf("expectations: %w", err)
 	}
 	for i, r := range exp.Rules {

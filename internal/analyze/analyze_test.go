@@ -13,10 +13,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"tcsb/internal/core"
+	"tcsb/internal/netsim"
 )
 
 // fixtureJSONL renders a tiny two-table archive stream: one plain
@@ -119,18 +119,11 @@ func TestConcurrentWritersOfOneKey(t *testing.T) {
 	jsonl := fixtureJSONL("91.9%", online...)
 	dir := t.TempDir()
 	for round := 0; round < 5; round++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs <- WriteArchive(dir, "aaa1", fixtureReq(1), jsonl)
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
+		errs := make([]error, 8)
+		netsim.ParallelFor(len(errs), len(errs), func(i int) {
+			errs[i] = WriteArchive(dir, "aaa1", fixtureReq(1), jsonl)
+		})
+		for _, err := range errs {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -397,6 +390,8 @@ func TestParseExpectationsValidation(t *testing.T) {
 		name, in, want string
 	}{
 		{"unknown field", `{"ruless":[]}`, "unknown field"},
+		{"trailing data", `{"rules":[{"column":"c","max":1}]} x`, "trailing data"},
+		{"second value", `{"rules":[]}{"rules":[]}`, "trailing data"},
 		{"missing column", `{"rules":[{"max":1}]}`, "column is required"},
 		{"no bound", `{"rules":[{"column":"c"}]}`, "at least one"},
 		{"min above max", `{"rules":[{"column":"c","min":2,"max":1}]}`, "min 2 > max 1"},

@@ -30,11 +30,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tcsb/internal/core"
 	"tcsb/internal/experiments"
+	"tcsb/internal/netsim"
 )
 
 // Run is one archived run: its content address, the canonical request
@@ -184,22 +183,9 @@ func ScanArchive(dir string) (runs []Run, bad []error, err error) {
 		err error
 	}
 	slots := make([]slot, len(names))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				slots[i].run, slots[i].err = readEntry(dir, names[i])
-			}
-		}()
-	}
-	wg.Wait()
+	netsim.ParallelFor(runtime.GOMAXPROCS(0), len(names), func(i int) {
+		slots[i].run, slots[i].err = readEntry(dir, names[i])
+	})
 
 	runs = make([]Run, 0, len(names))
 	for _, s := range slots {

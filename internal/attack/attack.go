@@ -14,22 +14,21 @@
 // as a scheduled @E:attack.* timeline epoch, and inherits the engine's
 // byte-identical-across-Workers guarantee.
 //
-// The contracts (Contracts) are the executable threat model: the
-// invariant suite asserts each attack breaks exactly the
-// attack-surface invariants it targets — an expected breakage that
-// fails to appear fails the suite, so an attack can never silently
-// no-op (the ConstructionOnly bug class).
+// The contracts are the executable threat model and live with the
+// invariant suite (internal/simtest/invariants.Contracts), which
+// production code never imports: the suite asserts each attack breaks
+// exactly the attack-surface invariants it targets — an expected
+// breakage that fails to appear fails the suite, so an attack can
+// never silently no-op (the ConstructionOnly bug class).
 package attack
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"tcsb/internal/counterfactual"
 	"tcsb/internal/scenario"
-	"tcsb/internal/simtest/invariants"
 )
 
 // Params is the attack parameter set behind the shared grammar: every
@@ -187,85 +186,36 @@ func (p Params) Apply(c *scenario.Config) {
 	c.Attack.PoisonCIDs = p.Poison
 }
 
-// Contract is one attack's invariant contract: the attack-surface
-// invariants (invariants.CheckAttackSurface) it must break and the ones
-// it must leave intact. The suite asserts both directions — see
-// invariants.EvaluateContract.
-type Contract struct {
-	// Attack is the intervention name, e.g. "attack.sybil-eclipse".
-	Attack string
-	// MustBreak are invariants the attack exists to violate; the suite
-	// fails if any of them holds (the attack silently no-op'd).
-	MustBreak []string
-	// MustHold are invariants the attack must not collaterally damage.
-	MustHold []string
-}
-
-// The four attacks, their registry entries and their contracts.
-var family = []struct {
-	iv       counterfactual.Intervention
-	contract Contract
-}{
+// The four attacks, in registration order.
+var family = []counterfactual.Intervention{
 	{
-		iv: counterfactual.Intervention{
-			Name: "attack.sybil-eclipse",
-			Description: "rented sybil swarms minted in a keyspace band around the most " +
-				"valuable CIDs flood the resolver-neighbourhood routing tables and " +
-				"capture the lookup horizon",
-			Rewrite: func(c *scenario.Config) { c.Attack.Eclipse = true },
-			Mutate:  launch,
-		},
-		contract: Contract{
-			Attack:    "attack.sybil-eclipse",
-			MustBreak: []string{invariants.InvResolverHorizon, invariants.InvCrawlPurity},
-			MustHold: []string{invariants.InvSpamQuiescence, invariants.InvGatewayIntegrity,
-				invariants.InvTargetLiveness},
-		},
+		Name: "attack.sybil-eclipse",
+		Description: "rented sybil swarms minted in a keyspace band around the most " +
+			"valuable CIDs flood the resolver-neighbourhood routing tables and " +
+			"capture the lookup horizon",
+		Rewrite: func(c *scenario.Config) { c.Attack.Eclipse = true },
+		Mutate:  launch,
 	},
 	{
-		iv: counterfactual.Intervention{
-			Name: "attack.provider-spam",
-			Description: "an unreachable spammer identity floods resolvers with provider " +
-				"records for synthetic CIDs, stressing the Created/Pruned/Stored expiry ledger",
-			Rewrite: func(c *scenario.Config) { c.Attack.Spam = true },
-			Mutate:  launch,
-		},
-		contract: Contract{
-			Attack:    "attack.provider-spam",
-			MustBreak: []string{invariants.InvSpamQuiescence},
-			MustHold: []string{invariants.InvResolverHorizon, invariants.InvCrawlPurity,
-				invariants.InvGatewayIntegrity, invariants.InvTargetLiveness},
-		},
+		Name: "attack.provider-spam",
+		Description: "an unreachable spammer identity floods resolvers with provider " +
+			"records for synthetic CIDs, stressing the Created/Pruned/Stored expiry ledger",
+		Rewrite: func(c *scenario.Config) { c.Attack.Spam = true },
+		Mutate:  launch,
 	},
 	{
-		iv: counterfactual.Intervention{
-			Name: "attack.gateway-stampede",
-			Description: "hot-CID request surges hammer the public gateways while poisoned " +
-				"cache entries for the targets serve attacker-controlled bytes",
-			Rewrite: func(c *scenario.Config) { c.Attack.Stampede = true },
-			Mutate:  launch,
-		},
-		contract: Contract{
-			Attack:    "attack.gateway-stampede",
-			MustBreak: []string{invariants.InvGatewayIntegrity},
-			MustHold: []string{invariants.InvResolverHorizon, invariants.InvCrawlPurity,
-				invariants.InvSpamQuiescence, invariants.InvTargetLiveness},
-		},
+		Name: "attack.gateway-stampede",
+		Description: "hot-CID request surges hammer the public gateways while poisoned " +
+			"cache entries for the targets serve attacker-controlled bytes",
+		Rewrite: func(c *scenario.Config) { c.Attack.Stampede = true },
+		Mutate:  launch,
 	},
 	{
-		iv: counterfactual.Intervention{
-			Name: "attack.targeted-censorship",
-			Description: "the composite: a sybil eclipse absorbs lookups for the targets " +
-				"while the platform cluster publishing them is taken down for good",
-			Rewrite: func(c *scenario.Config) { c.Attack.Censor = true },
-			Mutate:  launch,
-		},
-		contract: Contract{
-			Attack: "attack.targeted-censorship",
-			MustBreak: []string{invariants.InvResolverHorizon, invariants.InvCrawlPurity,
-				invariants.InvTargetLiveness},
-			MustHold: []string{invariants.InvSpamQuiescence, invariants.InvGatewayIntegrity},
-		},
+		Name: "attack.targeted-censorship",
+		Description: "the composite: a sybil eclipse absorbs lookups for the targets " +
+			"while the platform cluster publishing them is taken down for good",
+		Rewrite: func(c *scenario.Config) { c.Attack.Censor = true },
+		Mutate:  launch,
 	},
 }
 
@@ -276,8 +226,8 @@ var family = []struct {
 func launch(w *scenario.World) { w.LaunchAttacks() }
 
 func init() {
-	for _, f := range family {
-		counterfactual.Register(f.iv)
+	for _, iv := range family {
+		counterfactual.Register(iv)
 	}
 }
 
@@ -285,32 +235,7 @@ func init() {
 func Names() []string {
 	out := make([]string, len(family))
 	for i := range family {
-		out[i] = family[i].iv.Name
+		out[i] = family[i].Name
 	}
 	return out
-}
-
-// Contracts returns every attack's invariant contract, in registration
-// order, with the lists sorted for stable comparison.
-func Contracts() []Contract {
-	out := make([]Contract, len(family))
-	for i := range family {
-		c := family[i].contract
-		c.MustBreak = append([]string(nil), c.MustBreak...)
-		c.MustHold = append([]string(nil), c.MustHold...)
-		sort.Strings(c.MustBreak)
-		sort.Strings(c.MustHold)
-		out[i] = c
-	}
-	return out
-}
-
-// ContractFor returns the contract of the named attack.
-func ContractFor(name string) (Contract, bool) {
-	for _, c := range Contracts() {
-		if c.Attack == name {
-			return c, true
-		}
-	}
-	return Contract{}, false
 }

@@ -127,8 +127,6 @@ type GroupSummary struct {
 	MedianSessions float64
 	// MeanIPs is the average distinct-IP count per peer.
 	MeanIPs float64
-	// UptimeCDF is the distribution of per-peer uptimes.
-	UptimeCDF []stats.CDFPoint
 }
 
 // Summarize groups per-peer statistics by an attribute of the peer
@@ -160,7 +158,6 @@ func Summarize(peers []PeerStats, group func(PeerStats) string) []GroupSummary {
 		sum.MeanUptime = stats.Mean(uptimes)
 		sum.MedianSessions = stats.Percentile(sessions, 50)
 		sum.MeanIPs = ipTotal / float64(len(ps))
-		sum.UptimeCDF = stats.CDF(uptimes)
 		out = append(out, sum)
 	}
 	return out

@@ -131,9 +131,6 @@ func TestSummarizeGroups(t *testing.T) {
 		if g.MeanIPs != 1.0 {
 			t.Errorf("group %s mean IPs %v", g.Group, g.MeanIPs)
 		}
-		if len(g.UptimeCDF) == 0 {
-			t.Errorf("group %s missing CDF", g.Group)
-		}
 	}
 }
 

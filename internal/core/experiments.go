@@ -208,10 +208,8 @@ func TopNShare(m map[string]float64, n int, skip ...string) float64 {
 
 // --- Fig. 7: degree distribution ---
 
-// Fig7Result holds degree CDFs of the latest crawl graph.
+// Fig7Result holds degree percentiles of the latest crawl graph.
 type Fig7Result struct {
-	OutCDF []stats.CDFPoint
-	InCDF  []stats.CDFPoint
 	// OutP10/OutP90 bound the out-degree band; InP90 is the paper's
 	// "90th percentile below ≈500".
 	OutP10, OutP90, InP90 float64
@@ -223,10 +221,7 @@ func (o *Observatory) Fig7Degrees() Fig7Result {
 	g := o.LastGraph()
 	outs := g.OutDegrees()
 	ins := g.InDegrees()
-	res := Fig7Result{
-		OutCDF: stats.CDF(outs),
-		InCDF:  stats.CDF(ins),
-	}
+	var res Fig7Result
 	if len(outs) > 0 {
 		res.OutP10 = stats.Percentile(outs, 10)
 		res.OutP90 = stats.Percentile(outs, 90)
@@ -340,8 +335,6 @@ type ParetoResult struct {
 	GroupTraffic map[string]float64
 	// GroupMembers maps subgroup → share of entities.
 	GroupMembers map[string]float64
-	// Curves holds the full Pareto curves per subgroup plus "all".
-	Curves map[string][]stats.ParetoPoint
 }
 
 // Fig10PeerPareto computes per-peer traffic centralization for the DHT
@@ -366,7 +359,6 @@ func peerPareto(act trace.Seq[ids.PeerID], group func(ids.PeerID) string) Pareto
 		Top5Share:    trace.TopShare(act, 0.05),
 		GroupTraffic: trace.GroupTrafficShare(act, group),
 		GroupMembers: trace.GroupMemberShare(act, group),
-		Curves:       trace.SplitPareto(act, group),
 	}
 }
 
@@ -380,7 +372,6 @@ func (o *Observatory) Fig11IPPareto() (dht, bitswap ParetoResult) {
 			Top5Share:    trace.TopShare(act, 0.05),
 			GroupTraffic: trace.GroupTrafficShare(act, group),
 			GroupMembers: trace.GroupMemberShare(act, group),
-			Curves:       trace.SplitPareto(act, group),
 		}
 	}
 	return ipPareto(o.HydraStats().EachIPActivity), ipPareto(o.MonitorStats().EachIPActivity)

@@ -110,8 +110,8 @@ func Observe(w *scenario.World, rc RunConfig) *Observatory {
 	// Post-simulation stages over the finished world: the DNSLink active
 	// scan touches only the DNS universe, the ENS pipeline touches only
 	// the overlay — run them concurrently when the pool allows. With a
-	// single worker both stages run on this goroutine (the documented
-	// fully-serial mode); results are identical either way.
+	// single worker both stages run on this goroutine, ENS first (the
+	// documented fully-serial mode); results are identical either way.
 	ensStage := func() {
 		o.ENSRecords = ens.Extract(resolvers)
 		seen := map[ids.CID]bool{}
@@ -129,18 +129,8 @@ func Observe(w *scenario.World, rc RunConfig) *Observatory {
 		scanner := dnslink.NewScanner(w.DNS, w.GatewayDomains())
 		o.DNSLinkResults = scanner.Scan()
 	}
-	if w.Workers > 1 {
-		ensDone := make(chan struct{})
-		go func() {
-			defer close(ensDone)
-			ensStage()
-		}()
-		dnsStage()
-		<-ensDone
-	} else {
-		ensStage()
-		dnsStage()
-	}
+	stages := []func(){ensStage, dnsStage}
+	netsim.ParallelFor(w.Workers, len(stages), func(i int) { stages[i]() })
 	return o
 }
 

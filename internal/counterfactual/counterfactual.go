@@ -26,6 +26,7 @@ import (
 
 	"tcsb/internal/core"
 	"tcsb/internal/ipdb"
+	"tcsb/internal/netsim"
 	"tcsb/internal/scenario"
 	"tcsb/internal/timeline"
 )
@@ -196,29 +197,27 @@ func BuildWorld(cfg scenario.Config, ivs []Intervention) *scenario.World {
 // The two campaigns share the run's worker budget: with rc.Workers >= 2
 // they execute concurrently, the intervention world on rc.Workers -
 // rc.Workers/2 workers and the baseline on rc.Workers/2; otherwise they
-// run back-to-back fully serial. Either way each campaign's datasets are
-// a pure function of its (config, RunConfig-shape) alone — the engine's
-// Workers-independence guarantee — so every rendered comparison is
-// byte-identical for every rc.Workers value.
+// run back-to-back fully serial, baseline first. Either way each
+// campaign's datasets are a pure function of its (config, RunConfig-shape)
+// alone — the engine's Workers-independence guarantee — so every rendered
+// comparison is byte-identical for every rc.Workers value.
 func Observe(cfg scenario.Config, rc core.RunConfig, ivs []Intervention) (baseline, whatif *core.Observatory) {
+	half, rest := 1, 1
+	if rc.Workers >= 2 {
+		half, rest = rc.Workers/2, rc.Workers-rc.Workers/2
+	}
 	observe := func(w *scenario.World, workers int) *core.Observatory {
 		r := rc
 		r.Workers = workers
 		return core.Observe(w, r)
 	}
-	if rc.Workers < 2 {
-		baseline = observe(scenario.NewWorld(cfg), 1)
-		whatif = observe(BuildWorld(cfg, ivs), 1)
-		return baseline, whatif
-	}
-	half := rc.Workers / 2
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		whatif = observe(BuildWorld(cfg, ivs), rc.Workers-half)
-	}()
-	baseline = observe(scenario.NewWorld(cfg), half)
-	<-done
+	netsim.ParallelFor(rc.Workers, 2, func(lane int) {
+		if lane == 0 {
+			baseline = observe(scenario.NewWorld(cfg), half)
+		} else {
+			whatif = observe(BuildWorld(cfg, ivs), rest)
+		}
+	})
 	return baseline, whatif
 }
 

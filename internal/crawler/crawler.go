@@ -210,14 +210,9 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 		frontier := queue
 		queue = nil
 		results := make([]sweepResult, len(frontier))
-		tasks := make([]func(env *netsim.Effects), len(frontier))
-		for i := range frontier {
-			i := i
-			tasks[i] = func(env *netsim.Effects) {
-				results[i] = sweep(net, env, cfg, frontier[i])
-			}
-		}
-		net.Fanout(cfg.Parallel, tasks)
+		net.Fanout(cfg.Parallel, len(frontier), func(i int, env *netsim.Effects) {
+			results[i] = sweep(net, env, cfg, frontier[i])
+		})
 
 		for i, p := range frontier {
 			r := results[i]

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"tcsb/internal/core"
+	"tcsb/internal/netsim"
 	"tcsb/internal/report"
 )
 
@@ -34,34 +34,15 @@ type Result struct {
 // workers, collecting results in registration order regardless of
 // completion order.
 func runPool(exps []Experiment, parallel int, derive func(Experiment) []*report.Table) []Result {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(exps) {
-		parallel = len(exps)
-	}
 	results := make([]Result, len(exps))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				start := time.Now()
-				results[i] = Result{
-					Experiment: exps[i],
-					Tables:     derive(exps[i]),
-					Elapsed:    time.Since(start),
-				}
-			}
-		}()
-	}
-	for i := range exps {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	netsim.ParallelFor(parallel, len(exps), func(i int) {
+		start := time.Now()
+		results[i] = Result{
+			Experiment: exps[i],
+			Tables:     derive(exps[i]),
+			Elapsed:    time.Since(start),
+		}
+	})
 	return results
 }
 

@@ -421,8 +421,8 @@ func (t *Table) AllPeers() []ids.PeerID {
 }
 
 // BucketSizes returns the occupancy of each non-empty bucket, keyed by
-// common prefix length. The crawler uses this shape (full far buckets,
-// sparse near buckets) to know when its sweep is complete.
+// common prefix length. Only tests read it, to check the table's shape
+// (full far buckets, sparse near buckets, none above capacity).
 func (t *Table) BucketSizes() map[int]int {
 	out := make(map[int]int)
 	for i := range t.buckets {
@@ -442,8 +442,9 @@ func (t *Table) Bucket(i int) []Contact {
 }
 
 // SortByDistance orders peers by XOR distance to target, closest first,
-// and returns a new slice. It is the shared helper behind lookup
-// convergence checks in the DHT walk and the crawler.
+// and returns a new slice. Only tests call it: it is the brute-force
+// specification AppendNearest and AppendSelectNearest are checked
+// against.
 func SortByDistance(peers []ids.PeerID, target ids.Key) []ids.PeerID {
 	out := append([]ids.PeerID(nil), peers...)
 	sort.Slice(out, func(i, j int) bool {

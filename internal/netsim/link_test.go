@@ -205,15 +205,11 @@ func TestLinkLaneDeterminism(t *testing.T) {
 		n.Attach(cloud, quietHandler{}, HostConfig{Reachable: true, Addrs: []maddr.Addr{addrOf("10.0.0.1")}, LinkClass: LinkCloud})
 		n.Attach(resi, quietHandler{}, HostConfig{Reachable: true, Addrs: []maddr.Addr{addrOf("10.0.0.2")}, LinkClass: LinkResi})
 		n.SetLinkModel(MustParseLinkProfile("cloud-resi=10ms±5,loss=0.1"), 99)
-		tasks := make([]func(env *Effects), 8)
-		for ti := range tasks {
-			tasks[ti] = func(env *Effects) {
-				for i := 0; i < 25; i++ {
-					n.FindNode(env, nil, cloud, resi, resi.Key())
-				}
+		n.Fanout(workers, 8, func(_ int, env *Effects) {
+			for i := 0; i < 25; i++ {
+				n.FindNode(env, nil, cloud, resi, resi.Key())
 			}
-		}
-		n.Fanout(workers, tasks)
+		})
 		issued, dropped, delivered := n.LinkStats()
 		return issued, dropped, delivered, n.LinkElapsedUS()
 	}
@@ -241,11 +237,11 @@ func TestLatencyMark(t *testing.T) {
 		t.Fatalf("serial mark diff = %dµs, want 10000", got)
 	}
 	var lane int64
-	n.Fanout(1, []func(env *Effects){func(env *Effects) {
+	n.Fanout(1, 1, func(_ int, env *Effects) {
 		m := n.LatencyMark(env)
 		n.FindNode(env, nil, cloud, resi, resi.Key())
 		lane = n.LatencyMark(env) - m
-	}})
+	})
 	if lane != 10_000 {
 		t.Fatalf("lane mark diff = %dµs, want 10000", lane)
 	}

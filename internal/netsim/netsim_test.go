@@ -172,12 +172,12 @@ func TestMessageCounters(t *testing.T) {
 
 	// Through a lane the counts stay on the lane until Fanout merges it.
 	lane := network()
-	lane.Fanout(2, []func(*Effects){func(env *Effects) {
+	lane.Fanout(2, 1, func(_ int, env *Effects) {
 		script(lane, env)
 		if got := lane.TotalMessages(); got != 0 {
 			t.Errorf("lane: TotalMessages = %d before the merge, want 0", got)
 		}
-	}})
+	})
 	check("lane", lane)
 }
 

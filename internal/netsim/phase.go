@@ -201,9 +201,9 @@ func (n *Network) Apply(envs ...*Effects) {
 	}
 }
 
-// Fanout runs tasks concurrently on at most `workers` goroutines, hands
-// each task a private Effects lane, and — once every task has returned —
-// applies all lanes in task order. The observable outcome is therefore
+// Fanout runs task(0..count-1) on at most `workers` goroutines, hands
+// each index a private Effects lane, and — once every index has run —
+// applies all lanes in index order. The observable outcome is therefore
 // byte-identical for every workers value (including 1): only wall-clock
 // changes. During the phase the network must not be mutated directly;
 // handlers route their writes through the lane, and phase code may only
@@ -212,21 +212,12 @@ func (n *Network) Apply(envs ...*Effects) {
 // Lane values are pooled on the Network and reused across phases;
 // Fanout is a driver-side call and is never invoked concurrently for
 // one Network.
-func (n *Network) Fanout(workers int, tasks []func(env *Effects)) {
-	if len(tasks) == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	for len(n.lanePool) < len(tasks) {
+func (n *Network) Fanout(workers, count int, task func(i int, env *Effects)) {
+	for len(n.lanePool) < count {
 		n.lanePool = append(n.lanePool, &Effects{laneSalt: uint64(len(n.lanePool)) + 1})
 	}
-	envs := n.lanePool[:len(tasks)]
-	ParallelFor(workers, len(tasks), func(i int) { tasks[i](envs[i]) })
+	envs := n.lanePool[:count]
+	ParallelFor(workers, count, func(i int) { task(i, envs[i]) })
 	n.Apply(envs...)
 	// Only the first warmLanes lanes keep their buffer capacity between
 	// phases. Crawl waves and collection phases fan out over one lane
@@ -249,9 +240,11 @@ func (n *Network) Fanout(workers int, tasks []func(env *Effects)) {
 const warmLanes = 64
 
 // ParallelFor runs f(0..n-1) on at most `workers` goroutines (in the
-// calling goroutine when workers <= 1). It is the one worker-pool
-// idiom every phase engine shares; callers are responsible for f being
-// safe to fan out and for consuming results in a fixed index order.
+// calling goroutine when workers <= 1) and returns once every index has
+// run. It is the module's one worker pool: Fanout and every other stage
+// that runs independent work concurrently go through it. Callers are
+// responsible for f being safe to fan out and for consuming results in
+// a fixed index order.
 func ParallelFor(workers, n int, f func(i int)) {
 	if workers > n {
 		workers = n

@@ -1,9 +1,5 @@
 package provrecords
 
-import (
-	"tcsb/internal/stats"
-)
-
 // ContentCloudStats summarises the per-CID cloud reliance of content
 // (Fig. 16). NAT-ed providers count as non-cloud, as in the paper.
 type ContentCloudStats struct {
@@ -19,16 +15,12 @@ type ContentCloudStats struct {
 	OnlyCloud float64
 	// AtLeastOneNonCloud is the complementary reading (~77%).
 	AtLeastOneNonCloud float64
-	// CloudFractionCDF is the distribution of per-CID "% cloud
-	// providers".
-	CloudFractionCDF []stats.CDFPoint
 }
 
 // ContentCloud computes Fig. 16 from a collection. Each (CID, day) entry
 // with at least one reachable provider contributes one sample.
 func ContentCloud(col *Collection, isCloud CloudFunc) ContentCloudStats {
 	var out ContentCloudStats
-	var fractions []float64
 	for _, cr := range col.PerCID {
 		if len(cr.Records) == 0 {
 			continue
@@ -42,8 +34,6 @@ func ContentCloud(col *Collection, isCloud CloudFunc) ContentCloudStats {
 			}
 		}
 		total := len(cr.Records)
-		frac := float64(cloud) / float64(total)
-		fractions = append(fractions, frac)
 		out.CIDs++
 		if cloud >= 1 {
 			out.AtLeastOneCloud++
@@ -65,6 +55,5 @@ func ContentCloud(col *Collection, isCloud CloudFunc) ContentCloudStats {
 		out.OnlyCloud /= n
 		out.AtLeastOneNonCloud /= n
 	}
-	out.CloudFractionCDF = stats.CDF(fractions)
 	return out
 }

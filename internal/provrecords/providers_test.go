@@ -173,9 +173,6 @@ func TestContentCloud(t *testing.T) {
 	if got.AtLeastOneNonCloud != 0.75 {
 		t.Errorf("AtLeastOneNonCloud = %v, want 0.75", got.AtLeastOneNonCloud)
 	}
-	if len(got.CloudFractionCDF) == 0 {
-		t.Error("missing CDF")
-	}
 }
 
 func TestContentCloudEmpty(t *testing.T) {

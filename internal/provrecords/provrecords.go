@@ -20,15 +20,6 @@ import (
 	"tcsb/internal/netsim"
 )
 
-// VerifiedRecord is a provider record plus its reachability check.
-type VerifiedRecord struct {
-	Rec netsim.ProviderRecord
-	// Reachable is the dial check result at collection time: true when
-	// the provider is online and publicly dialable, or NAT-ed with a
-	// live relay.
-	Reachable bool
-}
-
 // CIDRecords is the provider set collected for one CID on one day.
 type CIDRecords struct {
 	CID ids.CID
@@ -97,18 +88,10 @@ func (c *Collector) CollectOne(env *netsim.Effects, cid ids.CID, day int64) CIDR
 // proactive-lookup enqueues among them) — is identical for every worker
 // count.
 func (c *Collector) CollectDayParallel(col *Collection, cids []ids.CID, day int64, workers int) {
-	if len(cids) == 0 {
-		return
-	}
 	out := make([]CIDRecords, len(cids))
-	tasks := make([]func(env *netsim.Effects), len(cids))
-	for i := range cids {
-		i := i
-		tasks[i] = func(env *netsim.Effects) {
-			out[i] = c.CollectOne(env, cids[i], day)
-		}
-	}
-	c.net.Fanout(workers, tasks)
+	c.net.Fanout(workers, len(cids), func(i int, env *netsim.Effects) {
+		out[i] = c.CollectOne(env, cids[i], day)
+	})
 	col.PerCID = append(col.PerCID, out...)
 }
 

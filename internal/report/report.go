@@ -163,15 +163,6 @@ func CurveTable(title string, curve []stats.ParetoPoint, fractions []float64) *T
 	return t
 }
 
-// CDFTable samples an empirical CDF at the given values.
-func CDFTable(title, valueCol string, cdf []stats.CDFPoint, at []float64) *Table {
-	t := &Table{Title: title, Columns: []string{valueCol, "CDF"}}
-	for _, x := range at {
-		t.AddRow(fmt.Sprintf("%.0f", x), Pct(stats.CDFAt(cdf, x)))
-	}
-	return t
-}
-
 // HistTable renders an int-keyed histogram in key order.
 func HistTable(title, keyCol string, hist map[int]int) *Table {
 	t := &Table{Title: title, Columns: []string{keyCol, "count"}}

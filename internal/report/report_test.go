@@ -100,14 +100,6 @@ func TestCurveTable(t *testing.T) {
 	}
 }
 
-func TestCDFTable(t *testing.T) {
-	cdf := stats.CDF([]float64{1, 2, 3, 4})
-	tbl := CDFTable("D", "v", cdf, []float64{2, 4})
-	if tbl.Rows[0][1] != "50.0%" || tbl.Rows[1][1] != "100.0%" {
-		t.Fatalf("CDF cells: %v", tbl.Rows)
-	}
-}
-
 func TestHistTableOrdered(t *testing.T) {
 	tbl := HistTable("H", "days", map[int]int{3: 1, 1: 5, 2: 2})
 	if tbl.Rows[0][0] != "1" || tbl.Rows[2][0] != "3" {

@@ -397,16 +397,11 @@ func (w *World) runRequests(plans [][]requestPlan) {
 			exec[target] = append(exec[target], p)
 		}
 	}
-	tasks := make([]func(env *netsim.Effects), Shards)
-	for s := 0; s < Shards; s++ {
-		items := exec[s]
-		tasks[s] = func(env *netsim.Effects) {
-			for _, p := range items {
-				w.execRequest(env, p)
-			}
+	w.Net.Fanout(w.Workers, Shards, func(s int, env *netsim.Effects) {
+		for _, p := range exec[s] {
+			w.execRequest(env, p)
 		}
-	}
-	w.Net.Fanout(w.Workers, tasks)
+	})
 }
 
 // execRequest performs one planned retrieval on a lane. It consumes no
@@ -455,10 +450,7 @@ func (w *World) drainHydras() {
 	hydras := make([]*hydra.Hydra, 0, 1+len(w.PLHydras))
 	hydras = append(hydras, w.Hydra)
 	hydras = append(hydras, w.PLHydras...)
-	tasks := make([]func(env *netsim.Effects), len(hydras))
-	for i, h := range hydras {
-		h := h
-		tasks[i] = func(env *netsim.Effects) { h.ProcessPending(env, 128) }
-	}
-	w.Net.Fanout(w.Workers, tasks)
+	w.Net.Fanout(w.Workers, len(hydras), func(i int, env *netsim.Effects) {
+		hydras[i].ProcessPending(env, 128)
+	})
 }

@@ -3,18 +3,21 @@ package invariants
 // Attack-surface invariants and the contract harness for the attack.*
 // scenario family (internal/attack). Where CheckWorld asserts laws that
 // survive every intervention, the attack-surface checks are exactly the
-// laws an attack is *supposed* to break: each attack ships a contract
+// laws an attack is *supposed* to break: each attack has a contract
 // naming the checks it must break and the checks it must leave intact,
 // and EvaluateContract turns "expected to break" into an assertion —
 // a breakage that fails to appear is a failure (the attack no-op'd),
-// not a pass.
+// not a pass. The contracts live here, not in internal/attack, so no
+// production package imports the invariant suite.
 
 import (
+	"sort"
+
 	"tcsb/internal/scenario"
 )
 
-// The attack-surface invariant names. internal/attack's contracts
-// reference these; keeping them as constants pins the vocabulary.
+// The attack-surface invariant names. The attack contracts reference
+// these; keeping them as constants pins the vocabulary.
 const (
 	// InvResolverHorizon: no attacker identity appears in the K-closest
 	// horizon a neutral DHT walk converges on for any targeted CID — the
@@ -36,6 +39,70 @@ const (
 	// asks whether the *publisher* can still be censored away.
 	InvTargetLiveness = "targeted-provider-liveness"
 )
+
+// Contract is one attack's invariant contract: the attack-surface
+// invariants (CheckAttackSurface) it must break and the ones it must
+// leave intact. The suite asserts both directions — see
+// EvaluateContract.
+type Contract struct {
+	// Attack is the intervention name, e.g. "attack.sybil-eclipse".
+	Attack string
+	// MustBreak are invariants the attack exists to violate; the suite
+	// fails if any of them holds (the attack silently no-op'd).
+	MustBreak []string
+	// MustHold are invariants the attack must not collaterally damage.
+	MustHold []string
+}
+
+// contracts lists one contract per attack.* intervention, in
+// internal/attack's registration order (TestContractVocabulary pins
+// the correspondence).
+var contracts = []Contract{
+	{
+		Attack:    "attack.sybil-eclipse",
+		MustBreak: []string{InvResolverHorizon, InvCrawlPurity},
+		MustHold:  []string{InvSpamQuiescence, InvGatewayIntegrity, InvTargetLiveness},
+	},
+	{
+		Attack:    "attack.provider-spam",
+		MustBreak: []string{InvSpamQuiescence},
+		MustHold:  []string{InvResolverHorizon, InvCrawlPurity, InvGatewayIntegrity, InvTargetLiveness},
+	},
+	{
+		Attack:    "attack.gateway-stampede",
+		MustBreak: []string{InvGatewayIntegrity},
+		MustHold:  []string{InvResolverHorizon, InvCrawlPurity, InvSpamQuiescence, InvTargetLiveness},
+	},
+	{
+		Attack:    "attack.targeted-censorship",
+		MustBreak: []string{InvResolverHorizon, InvCrawlPurity, InvTargetLiveness},
+		MustHold:  []string{InvSpamQuiescence, InvGatewayIntegrity},
+	},
+}
+
+// Contracts returns every attack's invariant contract, in registration
+// order, with the lists sorted for stable comparison.
+func Contracts() []Contract {
+	out := make([]Contract, len(contracts))
+	for i, c := range contracts {
+		c.MustBreak = append([]string(nil), c.MustBreak...)
+		c.MustHold = append([]string(nil), c.MustHold...)
+		sort.Strings(c.MustBreak)
+		sort.Strings(c.MustHold)
+		out[i] = c
+	}
+	return out
+}
+
+// ContractFor returns the contract of the named attack.
+func ContractFor(name string) (Contract, bool) {
+	for _, c := range Contracts() {
+		if c.Attack == name {
+			return c, true
+		}
+	}
+	return Contract{}, false
+}
 
 // attackProbeCrawlID labels the fresh crawl CheckAttackSurface runs
 // (well clear of the campaign's daily crawl IDs).

@@ -4,9 +4,7 @@ package invariants_test
 // exactly the attack-surface invariants its contract names — in what-if
 // worlds, in composed what-if worlds, and as scheduled timeline epochs
 // — and the harness itself must fail when an expected breakage does not
-// appear (the negative path). External test package: the invariants
-// library is imported by internal/attack for the invariant vocabulary,
-// so these tests cannot live inside package invariants.
+// appear (the negative path).
 
 import (
 	"fmt"
@@ -38,7 +36,7 @@ func buildAttackWorld(t *testing.T, seed int64, spec string) *scenario.World {
 	return w
 }
 
-func assertContract(t *testing.T, label string, w *scenario.World, c attack.Contract) {
+func assertContract(t *testing.T, label string, w *scenario.World, c invariants.Contract) {
 	t.Helper()
 	vs := invariants.CheckAttackSurface(w)
 	for _, f := range invariants.EvaluateContract(vs, c.MustBreak, c.MustHold) {
@@ -74,7 +72,7 @@ func TestAttackContracts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evolves worlds")
 	}
-	for _, c := range attack.Contracts() {
+	for _, c := range invariants.Contracts() {
 		c := c
 		t.Run(c.Attack, func(t *testing.T) {
 			for seed := int64(1); seed <= contractSeeds; seed++ {
@@ -97,7 +95,7 @@ func TestAttackContractsComposed(t *testing.T) {
 		t.Skip("evolves a world")
 	}
 	spec := "attack.sybil-eclipse,attack.provider-spam,attack.gateway-stampede"
-	composed := attack.Contract{
+	composed := invariants.Contract{
 		Attack: spec,
 		MustBreak: []string{invariants.InvResolverHorizon, invariants.InvCrawlPurity,
 			invariants.InvSpamQuiescence, invariants.InvGatewayIntegrity},
@@ -125,7 +123,7 @@ func TestAttackContractsTimeline(t *testing.T) {
 	}
 	rc := campaign.SmallRunConfig()
 	rc.Workers = 2
-	for _, c := range attack.Contracts() {
+	for _, c := range invariants.Contracts() {
 		c := c
 		t.Run(c.Attack, func(t *testing.T) {
 			t.Parallel()
@@ -190,7 +188,7 @@ func TestExpectedBreakMustBreakOnWorld(t *testing.T) {
 		t.Skip("builds a world")
 	}
 	w := scenario.NewWorld(campaign.SmallConfig(1))
-	c, ok := attack.ContractFor("attack.sybil-eclipse")
+	c, ok := invariants.ContractFor("attack.sybil-eclipse")
 	if !ok {
 		t.Fatal("eclipse contract missing")
 	}
@@ -207,10 +205,11 @@ func TestExpectedBreakMustBreakOnWorld(t *testing.T) {
 	}
 }
 
-// TestContractVocabulary pins the contract/invariant wiring: every
-// contract names a registered intervention, references only known
-// attack-surface invariants, never lists an invariant on both sides,
-// and every attack has at least one expected breakage.
+// TestContractVocabulary pins the contract/invariant wiring: the
+// contracts match attack.Names() one to one, in order, every contract
+// names a registered intervention, references only known attack-surface
+// invariants, never lists an invariant on both sides, and every attack
+// has at least one expected breakage.
 func TestContractVocabulary(t *testing.T) {
 	known := map[string]bool{
 		invariants.InvResolverHorizon:  true,
@@ -219,9 +218,18 @@ func TestContractVocabulary(t *testing.T) {
 		invariants.InvGatewayIntegrity: true,
 		invariants.InvTargetLiveness:   true,
 	}
-	contracts := attack.Contracts()
+	contracts := invariants.Contracts()
 	if len(contracts) != 4 {
 		t.Fatalf("want 4 attack contracts, got %d", len(contracts))
+	}
+	names := attack.Names()
+	if len(names) != len(contracts) {
+		t.Fatalf("%d contracts for %d attacks %v", len(contracts), len(names), names)
+	}
+	for i, c := range contracts {
+		if c.Attack != names[i] {
+			t.Errorf("contract %d is for %q, want %q (one per attack, in registration order)", i, c.Attack, names[i])
+		}
 	}
 	for _, c := range contracts {
 		iv, ok := counterfactual.Lookup(c.Attack)

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the measurement
-// pipeline relies on: empirical CDFs, percentiles, Lorenz/Pareto curves for
+// pipeline relies on: percentiles, Lorenz/Pareto curves for
 // traffic-centralization plots, histograms of categorical data, Zipf
 // sampling for content popularity, and confidence intervals for repeated
 // randomized experiments (e.g. the random node-removal runs behind Fig. 8).
@@ -11,46 +11,6 @@ import (
 	"math/rand"
 	"sort"
 )
-
-// CDFPoint is a single point on an empirical cumulative distribution:
-// Fraction of samples are <= Value.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF computes the empirical CDF of the samples. The input is not modified.
-// The result has one point per distinct value, in increasing order, with
-// Fraction strictly increasing to 1. An empty input yields nil.
-func CDF(samples []float64) []CDFPoint {
-	if len(samples) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, 0, len(s))
-	n := float64(len(s))
-	for i := 0; i < len(s); {
-		j := i
-		for j < len(s) && s[j] == s[i] {
-			j++
-		}
-		out = append(out, CDFPoint{Value: s[i], Fraction: float64(j) / n})
-		i = j
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at x: the fraction
-// of samples <= x. Points must be sorted by Value, which CDF guarantees.
-func CDFAt(points []CDFPoint, x float64) float64 {
-	// First point with Value > x; everything before it is <= x.
-	i := sort.Search(len(points), func(i int) bool { return points[i].Value > x })
-	if i == 0 {
-		return 0
-	}
-	return points[i-1].Fraction
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the samples
 // using linear interpolation between order statistics. It panics on an

@@ -9,73 +9,6 @@ import (
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestCDFBasics(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2, 2})
-	if len(pts) != 3 {
-		t.Fatalf("got %d distinct points, want 3", len(pts))
-	}
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1.0}}
-	for i, w := range want {
-		if pts[i] != w {
-			t.Errorf("point %d = %+v, want %+v", i, pts[i], w)
-		}
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	if CDF(nil) != nil {
-		t.Fatal("CDF(nil) should be nil")
-	}
-}
-
-func TestCDFDoesNotMutateInput(t *testing.T) {
-	in := []float64{5, 1, 3}
-	_ = CDF(in)
-	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
-		t.Fatal("CDF mutated its input")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	pts := CDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
-	}
-	for _, c := range cases {
-		if got := CDFAt(pts, c.x); got != c.want {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]float64, len(raw))
-		for i, v := range raw {
-			samples[i] = float64(v % 100)
-		}
-		pts := CDF(samples)
-		prevV := math.Inf(-1)
-		prevF := 0.0
-		for _, p := range pts {
-			if p.Value <= prevV || p.Fraction <= prevF {
-				return false
-			}
-			prevV, prevF = p.Value, p.Fraction
-		}
-		return almostEq(pts[len(pts)-1].Fraction, 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	if got := Percentile(s, 0); got != 1 {

@@ -24,26 +24,6 @@ func TopShare[K comparable](activity Seq[K], topFraction float64) float64 {
 	return paretoShare(weights, topFraction)
 }
 
-// SplitPareto builds Pareto curves for the whole population and for
-// each subgroup (e.g. "cloud" vs "non-cloud" IPs, or "gateway" vs
-// "non-gateway" peers), as drawn in Figs. 10 and 11.
-func SplitPareto[K comparable](activity Seq[K], group func(K) string) map[string][]stats.ParetoPoint {
-	byGroup := make(map[string][]float64)
-	var all []float64
-	activity(func(k K, v int64) {
-		w := float64(v)
-		all = append(all, w)
-		g := group(k)
-		byGroup[g] = append(byGroup[g], w)
-	})
-	out := make(map[string][]stats.ParetoPoint, len(byGroup)+1)
-	out["all"] = stats.Pareto(all)
-	for g, ws := range byGroup {
-		out[g] = stats.Pareto(ws)
-	}
-	return out
-}
-
 // GroupTrafficShare returns, for each subgroup, the fraction of total
 // traffic its members generate (e.g. cloud IPs generating ~85% of DHT
 // traffic in Fig. 11). Weights are integer-valued, so the float sums are

@@ -13,17 +13,12 @@ func TestTimingSinkLaneOrder(t *testing.T) {
 	n := netsim.New()
 	fold := func(workers int) *TimingSink {
 		sink := NewTimingSink(false)
-		tasks := make([]func(env *netsim.Effects), 4)
-		for ti := range tasks {
-			ti := ti
-			tasks[ti] = func(env *netsim.Effects) {
-				for i := 0; i < 10; i++ {
-					sink.Record(env, PhaseGateway, int64(1000*(ti+1)+i))
-					sink.Record(env, PhaseCrawl, int64(50*(ti+1)))
-				}
+		n.Fanout(workers, 4, func(ti int, env *netsim.Effects) {
+			for i := 0; i < 10; i++ {
+				sink.Record(env, PhaseGateway, int64(1000*(ti+1)+i))
+				sink.Record(env, PhaseCrawl, int64(50*(ti+1)))
 			}
-		}
-		n.Fanout(workers, tasks)
+		})
 		return sink
 	}
 	a, b := fold(1), fold(4)

@@ -139,27 +139,6 @@ func TestGroupShares(t *testing.T) {
 	}
 }
 
-func TestSplitPareto(t *testing.T) {
-	activity := map[string]int64{"c1": 80, "c2": 10, "h1": 5, "h2": 5}
-	group := func(k string) string {
-		if k[0] == 'c' {
-			return "cloud"
-		}
-		return "non-cloud"
-	}
-	curves := SplitPareto(seqOf(activity), group)
-	if len(curves) != 3 {
-		t.Fatalf("got %d curves, want all+2 groups", len(curves))
-	}
-	if len(curves["all"]) != 4 || len(curves["cloud"]) != 2 {
-		t.Fatal("curve lengths wrong")
-	}
-	// Top 25% of all entities (= c1) hold 80% of traffic.
-	if got := curves["all"][0].WeightFraction; math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("top-1 share = %v, want 0.8", got)
-	}
-}
-
 func TestGroupShareAndUniqueIPShare(t *testing.T) {
 	var l Log
 	cloudIP, homeIP := ip("52.0.0.1"), ip("91.0.0.1")
