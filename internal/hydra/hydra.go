@@ -19,6 +19,7 @@ import (
 	"tcsb/internal/ids"
 	"tcsb/internal/kademlia"
 	"tcsb/internal/netsim"
+	"tcsb/internal/node"
 	"tcsb/internal/trace"
 )
 
@@ -48,6 +49,8 @@ type Config struct {
 }
 
 // cacheEntry is one proactive-lookup result with its collection time.
+// ExpireProviders releases a stale entry's records but keeps the entry:
+// CacheSize counts it, and every world snapshot digest hashes CacheSize.
 type cacheEntry struct {
 	recs []netsim.ProviderRecord
 	at   netsim.Time
@@ -62,8 +65,8 @@ type Hydra struct {
 	headSet map[ids.PeerID]bool
 	table   *kademlia.Table
 	walker  *dht.Walker
-	store   map[ids.CID]map[ids.PeerID]netsim.ProviderRecord // regular DHT records
-	cache   map[ids.CID]cacheEntry                           // proactive-lookup results
+	store   *node.ProviderStore    // regular DHT records
+	cache   map[ids.CID]cacheEntry // proactive-lookup results
 	pipe    *trace.Pipeline
 
 	pending   []ids.CID
@@ -93,7 +96,7 @@ func New(net *netsim.Network, seed uint64, cfg Config) *Hydra {
 		net:       net,
 		pipe:      cfg.Pipe,
 		headSet:   make(map[ids.PeerID]bool),
-		store:     make(map[ids.CID]map[ids.PeerID]netsim.ProviderRecord),
+		store:     node.NewProviderStore(node.DefaultProviderTTL, net.Intern),
 		cache:     make(map[ids.CID]cacheEntry),
 		pendingIn: make(map[ids.CID]bool),
 	}
@@ -197,11 +200,7 @@ func (h *Hydra) HandleGetProviders(env *netsim.Effects, from ids.PeerID, c ids.C
 	}
 	start := len(recs)
 	now := h.net.Clock.Now()
-	for _, rec := range h.store[c] {
-		if now-rec.Received < 24*3600 {
-			recs = append(recs, rec)
-		}
-	}
+	recs = h.store.AppendGet(recs, c, now)
 	if ce, ok := h.cache[c]; ok && now-ce.at < h.cfg.CacheTTL {
 		recs = append(recs, ce.recs...)
 	}
@@ -221,17 +220,30 @@ func (h *Hydra) HandleAddProvider(env *netsim.Effects, from ids.PeerID, c ids.CI
 }
 
 // PutProvider applies a deferred record store at lane merge
-// (netsim.ProviderSink). Received is stamped at merge, exactly as the
-// deferred closure it replaces did.
+// (netsim.ProviderSink), or on the spot in serial mode; either way no
+// phase is running, so the store may intern. Received is stamped here.
 func (h *Hydra) PutProvider(c ids.CID, rec netsim.ProviderRecord) {
-	m := h.store[c]
-	if m == nil {
-		m = make(map[ids.PeerID]netsim.ProviderRecord)
-		h.store[c] = m
-	}
 	rec.Received = h.net.Clock.Now()
-	m[rec.Provider.ID] = rec
+	h.store.Put(c, rec)
 }
+
+// ExpireProviders prunes the expired regular records and releases the
+// records of stale proactive-cache entries, keeping their keys (see
+// cacheEntry). Serial-only; scenarios call it daily, beside the node
+// stores' GC.
+func (h *Hydra) ExpireProviders() {
+	now := h.net.Clock.Now()
+	h.store.Expire(now)
+	for c, ce := range h.cache {
+		if ce.recs != nil && now-ce.at >= h.cfg.CacheTTL {
+			h.cache[c] = cacheEntry{at: ce.at}
+		}
+	}
+}
+
+// ProviderStats returns the regular record store's conservation ledger,
+// as Node.ProviderStats does for a node.
+func (h *Hydra) ProviderStats() node.ProviderStats { return h.store.Stats() }
 
 // LearnContact applies a deferred table learn at lane merge
 // (netsim.ContactLearner).

@@ -6,6 +6,7 @@ import (
 	"tcsb/internal/dht"
 	"tcsb/internal/ids"
 	"tcsb/internal/netsim"
+	"tcsb/internal/node"
 	"tcsb/internal/simtest"
 )
 
@@ -147,6 +148,81 @@ func TestProactiveLookupAmplification(t *testing.T) {
 	if h.CacheSize() != 1 {
 		t.Fatalf("cache size = %d", h.CacheSize())
 	}
+}
+
+// TestHydraStoreBounded pins the Hydra's memory to live state: a regular
+// record is served until its TTL and not after, the daily prune moves it
+// from the stored to the pruned ledger, and a stale proactive-cache entry
+// releases its records but keeps its key (CacheSize is hashed into every
+// world snapshot digest), while a fresh entry is still served.
+func TestHydraStoreBounded(t *testing.T) {
+	served := func(net *simtest.Net, h *Hydra, c ids.CID) int {
+		recs, _, err := net.Network.GetProviders(nil, nil, nil, net.Nodes[2].ID(), h.Heads()[0], c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(recs)
+	}
+
+	t.Run("records", func(t *testing.T) {
+		net := simtest.BuildServers(100)
+		h := attach(net, Config{Heads: 5})
+		c := ids.CIDFromSeed(2)
+		_ = net.Network.AddProvider(nil, net.Nodes[1].ID(), h.Heads()[0], c,
+			netsim.ProviderRecord{Provider: net.Network.Info(net.Nodes[1].ID())})
+		live := node.ProviderStats{Created: 1, Stored: 1}
+		if got := h.ProviderStats(); got != live {
+			t.Fatalf("after the put: ledger %+v, want %+v", got, live)
+		}
+		net.Network.Clock.Advance(node.DefaultProviderTTL - 1)
+		h.ExpireProviders()
+		if served(net, h, c) != 1 {
+			t.Fatal("record not served before its TTL")
+		}
+		if got := h.ProviderStats(); got != live {
+			t.Fatalf("prune before the TTL: ledger %+v, want %+v", got, live)
+		}
+		net.Network.Clock.Advance(1)
+		if served(net, h, c) != 0 {
+			t.Fatal("record served at its TTL")
+		}
+		h.ExpireProviders()
+		if got, want := h.ProviderStats(), (node.ProviderStats{Created: 1, Pruned: 1}); got != want {
+			t.Fatalf("daily prune: ledger %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("cache", func(t *testing.T) {
+		net := simtest.BuildServers(150)
+		h := attach(net, Config{Heads: 5, ProactiveLookups: true})
+		fill := func(c ids.CID, provider *node.Node) int {
+			provider.AddBlock(c)
+			provider.Provide(nil, c)
+			if served(net, h, c) != 0 || h.ProcessPending(nil, 0) != 1 {
+				t.Fatalf("CID %s did not miss the cache", c.Short())
+			}
+			n := served(net, h, c)
+			if n == 0 {
+				t.Fatalf("proactive lookup did not fill the cache for %s", c.Short())
+			}
+			return n
+		}
+		stale, fresh := ids.CIDFromSeed(3), ids.CIDFromSeed(5)
+		fill(stale, net.Nodes[10])
+		net.Network.Clock.Advance(h.cfg.CacheTTL)
+		want := fill(fresh, net.Nodes[11])
+
+		h.ExpireProviders()
+		if got := h.CacheSize(); got != 2 {
+			t.Fatalf("CacheSize = %d after the prune, want 2 (stale keys stay)", got)
+		}
+		if ce := h.cache[stale]; ce.recs != nil {
+			t.Fatalf("stale cache entry still holds %d records", len(ce.recs))
+		}
+		if got := served(net, h, fresh); got != want {
+			t.Fatalf("fresh entry serves %d records after the prune, want %d", got, want)
+		}
+	})
 }
 
 func TestProactiveLookupDoSVector(t *testing.T) {

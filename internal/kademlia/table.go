@@ -120,6 +120,14 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 		if idx >= len(t.buckets) {
 			t.buckets = append(t.buckets, make([][]Contact, idx+1-len(t.buckets))...)
 		}
+		if len(b) == cap(b) {
+			// Double toward k, never past it: append's growth would leave
+			// a full K-bucket with capacity 32 and a Hydra-sized one with
+			// 272.
+			grown := make([]Contact, len(b), min(max(2*len(b), 1), t.k))
+			copy(grown, b)
+			b = grown
+		}
 		t.buckets[idx] = append(b, c)
 		t.size++
 		return true

@@ -50,24 +50,31 @@ func TestAddIdempotentRefreshesLastSeen(t *testing.T) {
 	}
 }
 
+// TestBucketCapacity fills bucket 0 (peers whose first bit differs from
+// self's) until it rejects a peer: it holds exactly k contacts, and its
+// storage holds no more than k (a full bucket is never over-allocated).
 func TestBucketCapacity(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self, 3)
-	// Fill bucket 0 (peers whose first bit differs from self's).
-	added := 0
-	for s := uint64(0); added < 10 && s < 100000; s++ {
-		p := ids.PeerIDFromSeed(s)
-		if ids.CommonPrefixLen(self, p.Key()) != 0 {
-			continue
+	for _, k := range []int{3, K, 8 * K} {
+		tab := New(self, k)
+		added := 0
+		for s := uint64(0); added <= k && s < 100000; s++ {
+			p := ids.PeerIDFromSeed(s)
+			if ids.CommonPrefixLen(self, p.Key()) != 0 {
+				continue
+			}
+			if tab.Add(Contact{Peer: p, LastSeen: int64(s)}) {
+				added++
+			} else {
+				break
+			}
 		}
-		if tab.Add(Contact{Peer: p, LastSeen: int64(s)}) {
-			added++
-		} else {
-			break
+		if added != k {
+			t.Fatalf("k=%d: bucket 0 accepted %d contacts, want %d", k, added, k)
 		}
-	}
-	if added != 3 {
-		t.Fatalf("bucket 0 accepted %d contacts, want capacity 3", added)
+		if got := cap(tab.buckets[0]); got != k {
+			t.Errorf("k=%d: full bucket has capacity %d, want %d", k, got, k)
+		}
 	}
 }
 

@@ -40,9 +40,19 @@ type laneSlot struct {
 // single-threaded drivers, tests) use nil and behave exactly as the
 // pre-concurrency simulator did.
 type Effects struct {
-	deferred []deferredOp
-	counts   [msgTypeCount]int64
-	lanes    []laneSlot
+	// ops lists the deferred side effects in emission order, one kind
+	// per op; the payload of the n-th op of a kind is the n-th entry of
+	// that kind's slice. Each op thus costs one byte plus its own kind's
+	// payload: 48 bytes for a routing-table learn, the most common op,
+	// where a provider put needs 112.
+	ops     []opKind
+	fns     []func()
+	learns  []learnOp
+	puts    []putOp
+	lookups []lookupOp
+
+	counts [msgTypeCount]int64
+	lanes  []laneSlot
 
 	// Link impairment state. laneSalt permanently identifies the lane's
 	// draw stream (pool index + 1; 0 is the serial stream) and latSeq
@@ -60,7 +70,7 @@ type Effects struct {
 
 // ContactLearner consumes a deferred routing-table learn. Handlers
 // record learns through DeferLearn instead of a closure: the arguments
-// go into the flat op queue, so the per-RPC heap allocation the closure
+// go into the typed op queue, so the per-RPC heap allocation the closure
 // capture cost is gone (the learns were the single largest allocation
 // source of a campaign).
 type ContactLearner interface {
@@ -79,32 +89,31 @@ type LookupEnqueuer interface {
 	EnqueueLookup(c ids.CID)
 }
 
-// deferredOp is one entry of the merge-time replay queue: either a
-// generic closure (fn) or one of the typed fast paths (exactly one of
-// fn/learner/sink/enq is set). All ops live in one queue so replay
-// order is exactly emission order, closure or not.
-type deferredOp struct {
-	fn      func()
-	learner ContactLearner
-	sink    ProviderSink
-	enq     LookupEnqueuer
-	from    ids.PeerID
-	cid     ids.CID
-	rec     ProviderRecord
+// opKind names the payload slice a deferred op lives in.
+type opKind uint8
+
+const (
+	opFn opKind = iota
+	opLearn
+	opPut
+	opLookup
+)
+
+// learnOp, putOp and lookupOp are the payloads of the typed fast paths.
+type learnOp struct {
+	l    ContactLearner
+	from ids.PeerID
 }
 
-// apply replays one op.
-func (op *deferredOp) apply() {
-	switch {
-	case op.fn != nil:
-		op.fn()
-	case op.learner != nil:
-		op.learner.LearnContact(op.from)
-	case op.sink != nil:
-		op.sink.PutProvider(op.cid, op.rec)
-	default:
-		op.enq.EnqueueLookup(op.cid)
-	}
+type putOp struct {
+	s   ProviderSink
+	cid ids.CID
+	rec ProviderRecord
+}
+
+type lookupOp struct {
+	q   LookupEnqueuer
+	cid ids.CID
 }
 
 // Defer records a side effect to apply at merge time, or applies it
@@ -114,7 +123,8 @@ func (e *Effects) Defer(f func()) {
 		f()
 		return
 	}
-	e.deferred = append(e.deferred, deferredOp{fn: f})
+	e.ops = append(e.ops, opFn)
+	e.fns = append(e.fns, f)
 }
 
 // DeferLearn is Defer for a routing-table learn, allocation-free in
@@ -124,7 +134,8 @@ func (e *Effects) DeferLearn(l ContactLearner, from ids.PeerID) {
 		l.LearnContact(from)
 		return
 	}
-	e.deferred = append(e.deferred, deferredOp{learner: l, from: from})
+	e.ops = append(e.ops, opLearn)
+	e.learns = append(e.learns, learnOp{l, from})
 }
 
 // DeferProviderPut is Defer for a provider-record store, allocation-free
@@ -134,7 +145,8 @@ func (e *Effects) DeferProviderPut(s ProviderSink, c ids.CID, rec ProviderRecord
 		s.PutProvider(c, rec)
 		return
 	}
-	e.deferred = append(e.deferred, deferredOp{sink: s, cid: c, rec: rec})
+	e.ops = append(e.ops, opPut)
+	e.puts = append(e.puts, putOp{s, c, rec})
 }
 
 // DeferLookup is Defer for a proactive-lookup enqueue, allocation-free
@@ -144,7 +156,8 @@ func (e *Effects) DeferLookup(q LookupEnqueuer, c ids.CID) {
 		q.EnqueueLookup(c)
 		return
 	}
-	e.deferred = append(e.deferred, deferredOp{enq: q, cid: c})
+	e.ops = append(e.ops, opLookup)
+	e.lookups = append(e.lookups, lookupOp{q, c})
 }
 
 // Lane returns this lane's instance of the given root, creating it on
@@ -158,6 +171,37 @@ func (e *Effects) Lane(root Lane) Lane {
 	l := root.NewLane()
 	e.lanes = append(e.lanes, laneSlot{root: root, local: l})
 	return l
+}
+
+// replay runs the deferred ops in emission order, then empties the
+// queue, keeping capacity but dropping the closure, handler and address
+// references for the GC.
+func (e *Effects) replay() {
+	var fn, ln, pt, lk int
+	for _, k := range e.ops {
+		switch k {
+		case opFn:
+			e.fns[fn]()
+			fn++
+		case opLearn:
+			op := &e.learns[ln]
+			op.l.LearnContact(op.from)
+			ln++
+		case opPut:
+			op := &e.puts[pt]
+			op.s.PutProvider(op.cid, op.rec)
+			pt++
+		case opLookup:
+			op := &e.lookups[lk]
+			op.q.EnqueueLookup(op.cid)
+			lk++
+		}
+	}
+	clear(e.fns)
+	clear(e.learns)
+	clear(e.puts)
+	clear(e.lookups)
+	e.ops, e.fns, e.learns, e.puts, e.lookups = e.ops[:0], e.fns[:0], e.learns[:0], e.puts[:0], e.lookups[:0]
 }
 
 // count records one RPC of type t against the lane (or the network
@@ -184,9 +228,7 @@ func (n *Network) Apply(envs ...*Effects) {
 		for t, c := range e.counts {
 			n.msgCount[t] += c
 		}
-		for i := range e.deferred {
-			e.deferred[i].apply()
-		}
+		e.replay()
 		for i := range e.lanes {
 			e.lanes[i].root.MergeLane(e.lanes[i].local)
 		}
@@ -195,8 +237,6 @@ func (n *Network) Apply(envs ...*Effects) {
 		n.linkDelivered += e.linkDelivered
 		n.linkElapsedUS += e.linkElapsedUS
 		e.linkIssued, e.linkDropped, e.linkDelivered, e.linkElapsedUS = 0, 0, 0, 0
-		clear(e.deferred) // drop closure/addrs references for the GC
-		e.deferred = e.deferred[:0]
 		e.counts = [msgTypeCount]int64{}
 	}
 }
@@ -229,9 +269,8 @@ func (n *Network) Fanout(workers, count int, task func(i int, env *Effects)) {
 	// their buffers on next use. The threshold is a constant, never
 	// derived from `workers`, keeping byte-identity across worker
 	// counts.
-	for i := warmLanes; i < len(envs); i++ {
-		envs[i].deferred = nil
-		envs[i].lanes = nil
+	for _, e := range envs[min(warmLanes, count):] {
+		*e = Effects{laneSalt: e.laneSalt, latSeq: e.latSeq}
 	}
 }
 

@@ -8,6 +8,7 @@
 package node
 
 import (
+	"slices"
 	"sort"
 
 	"tcsb/internal/dht"
@@ -53,8 +54,9 @@ type Node struct {
 	providers *ProviderStore
 	blocks    map[ids.CID]bool
 
-	bitswapPeers  map[ids.PeerID]bool
-	bitswapSorted []ids.PeerID // maintained key-sorted on connect/disconnect
+	// bitswapSorted is the Bitswap neighbour set, key-sorted on
+	// connect/disconnect; membership is a binary search.
+	bitswapSorted []ids.PeerID
 
 	// served counts Bitswap blocks this node sent to others.
 	served int64
@@ -70,14 +72,13 @@ func New(id ids.PeerID, net *netsim.Network, cfg Config) *Node {
 	}
 	cfg.ProviderTTL = ttl
 	return &Node{
-		id:           id,
-		net:          net,
-		rt:           kademlia.New(id.Key(), kademlia.K),
-		walker:       dht.NewWalker(net, id),
-		cfg:          cfg,
-		providers:    NewProviderStore(ttl, net.Intern),
-		blocks:       make(map[ids.CID]bool),
-		bitswapPeers: make(map[ids.PeerID]bool),
+		id:        id,
+		net:       net,
+		rt:        kademlia.New(id.Key(), kademlia.K),
+		walker:    dht.NewWalker(net, id),
+		cfg:       cfg,
+		providers: NewProviderStore(ttl, net.Intern),
+		blocks:    make(map[ids.CID]bool),
 	}
 }
 
@@ -276,42 +277,40 @@ func (n *Node) RemoveBlock(c ids.CID) { delete(n.blocks, c) }
 // Scenario code calls it on both ends for a bidirectional link. It
 // returns false when the connection manager is at capacity.
 //
-// The sorted neighbour cache is maintained eagerly on (single-threaded)
-// connect/disconnect rather than rebuilt lazily on read: BitswapPeers
-// is called from concurrent retrieval lanes, which must see a stable,
+// The neighbour set is kept sorted eagerly on (single-threaded)
+// connect/disconnect rather than sorted lazily on read: BitswapPeers is
+// called from concurrent retrieval lanes, which must see a stable,
 // read-only slice.
 func (n *Node) ConnectBitswap(p ids.PeerID) bool {
 	if p == n.id || p.IsZero() {
 		return false
 	}
-	if n.bitswapPeers[p] {
+	i, ok := n.bitswapIndex(p)
+	if ok {
 		return true
 	}
-	if n.cfg.MaxBitswapPeers > 0 && len(n.bitswapPeers) >= n.cfg.MaxBitswapPeers {
+	if n.cfg.MaxBitswapPeers > 0 && len(n.bitswapSorted) >= n.cfg.MaxBitswapPeers {
 		return false
 	}
-	n.bitswapPeers[p] = true
-	k := p.Key()
-	i := sort.Search(len(n.bitswapSorted), func(i int) bool {
-		return n.bitswapSorted[i].Key().Cmp(k) >= 0
-	})
-	n.bitswapSorted = append(n.bitswapSorted, ids.PeerID{})
-	copy(n.bitswapSorted[i+1:], n.bitswapSorted[i:])
-	n.bitswapSorted[i] = p
+	n.bitswapSorted = slices.Insert(n.bitswapSorted, i, p)
 	return true
 }
 
 // DisconnectBitswap removes a Bitswap connection.
 func (n *Node) DisconnectBitswap(p ids.PeerID) {
-	if n.bitswapPeers[p] {
-		delete(n.bitswapPeers, p)
-		for i, q := range n.bitswapSorted {
-			if q == p {
-				n.bitswapSorted = append(n.bitswapSorted[:i], n.bitswapSorted[i+1:]...)
-				break
-			}
-		}
+	if i, ok := n.bitswapIndex(p); ok {
+		n.bitswapSorted = slices.Delete(n.bitswapSorted, i, i+1)
 	}
+}
+
+// bitswapIndex returns where p sits, or would be inserted, in the
+// key-sorted neighbour set, and whether it is there.
+func (n *Node) bitswapIndex(p ids.PeerID) (int, bool) {
+	k := p.Key()
+	i := sort.Search(len(n.bitswapSorted), func(i int) bool {
+		return n.bitswapSorted[i].Key().Cmp(k) >= 0
+	})
+	return i, i < len(n.bitswapSorted) && n.bitswapSorted[i] == p
 }
 
 // BitswapPeers returns the current neighbour set in deterministic

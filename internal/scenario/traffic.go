@@ -226,10 +226,15 @@ func (w *World) stepPlatformAdvertise() {
 // refreshTopology re-fills neighbourhood buckets daily, modelling bucket
 // refreshes; churn ghosts remain in the far buckets of peers that have
 // not refreshed them, which is what crawls observe as uncrawlable leaves.
-// It also runs the daily provider-record GC (the store filters expired
-// records on read; pruning is batched here so reads stay pure).
+// It also runs the daily provider-record GC on every node and Hydra
+// deployment (the stores filter expired records on read; pruning is
+// batched here so reads stay pure).
 func (w *World) refreshTopology() {
 	w.rebuildRing()
+	w.Hydra.ExpireProviders()
+	for _, h := range w.PLHydras {
+		h.ExpireProviders()
+	}
 	for _, id := range w.order {
 		a := w.Actors[id]
 		if a == nil {

@@ -18,6 +18,7 @@ import (
 
 	"tcsb/internal/core"
 	"tcsb/internal/ids"
+	"tcsb/internal/node"
 	"tcsb/internal/scenario"
 	"tcsb/internal/trace"
 )
@@ -76,15 +77,21 @@ func CheckWorld(w *scenario.World) []Violation {
 		}
 	}
 
-	// provider-record-conservation: on every node, the stored record
-	// population equals records created minus records expired.
-	for id, a := range w.Actors {
-		st := a.Node.ProviderStats()
+	// provider-record-conservation: on every node and every Hydra
+	// deployment, the stored record population equals records created
+	// minus records expired.
+	conserved := func(label string, st node.ProviderStats) {
 		if st.Stored != st.Created-st.Pruned {
-			vs.addf("provider-record-conservation",
-				"node %s: stored %d != created %d - pruned %d",
-				id.Short(), st.Stored, st.Created, st.Pruned)
+			vs.addf("provider-record-conservation", "%s: stored %d != created %d - pruned %d",
+				label, st.Stored, st.Created, st.Pruned)
 		}
+	}
+	for id, a := range w.Actors {
+		conserved("node "+id.Short(), a.Node.ProviderStats())
+	}
+	conserved("vantage hydra", w.Hydra.ProviderStats())
+	for i, h := range w.PLHydras {
+		conserved(fmt.Sprintf("PL hydra %d", i), h.ProviderStats())
 	}
 
 	// live-catalog-containment: every live CID is a catalogued, currently
