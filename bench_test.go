@@ -28,9 +28,7 @@ import (
 	"tcsb/internal/graph"
 	"tcsb/internal/hydra"
 	"tcsb/internal/ids"
-	"tcsb/internal/indexer"
 	"tcsb/internal/netsim"
-	"tcsb/internal/node"
 	"tcsb/internal/provrecords"
 	"tcsb/internal/report"
 	"tcsb/internal/scenario"
@@ -243,22 +241,9 @@ func BenchmarkDerivations(b *testing.B) {
 			_ = provrecords.Profiles(&o.Records, isCloud)
 		}
 	})
-	// The map-copying accessors vs the iterator accessors the render
-	// path (peerPareto/ipPareto, Figs. 10–11) migrated to. The copy
-	// materializes every distinct identifier per call — ~127 KB / 20
-	// allocs on this fixture, and before the migration four such maps
-	// (hydra/monitor × peer/IP) were memoized per observatory (doubled
-	// by every what-if pairing). The iterator walks the accumulator's
-	// dense columnar storage and allocates nothing; the per-experiment
-	// BenchmarkExperiments/fig10,fig11 rows carry a few extra stack
-	// frames per yield but no retained copies at all.
-	b.Run("hydra-activity-copy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = o.HydraStats().ActivityByPeer()
-			_ = o.HydraStats().ActivityByIP()
-		}
-	})
+	// The iterator accessors the render path (peerPareto/ipPareto,
+	// Figs. 10–11) reads activity through: they walk the accumulator's
+	// dense columnar storage and allocate nothing.
 	b.Run("hydra-activity-iter", func(b *testing.B) {
 		b.ReportAllocs()
 		var n int64
@@ -449,28 +434,6 @@ func BenchmarkAblationResolution(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTopologyFill compares protocol-accurate joins
-// (bootstrap walk + bucket refreshes) with the oracle fill used for large
-// scenarios.
-func BenchmarkAblationTopologyFill(b *testing.B) {
-	b.Run("oracle-fill", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = simtest.BuildServers(300)
-		}
-	})
-	b.Run("bootstrap-walks", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			net := simtest.BuildServers(300)
-			// One additional node joins the protocol-accurate way.
-			nd := newJoiner(net, uint64(1<<45+i))
-			nd.Bootstrap([]netsim.PeerInfo{net.Network.Info(net.Nodes[0].ID())})
-			nd.RefreshBuckets(8)
-		}
-	})
-}
-
 // BenchmarkRemovalOrders compares random and targeted removal-order
 // computation on a crawled topology (the Fig. 8 inner loops).
 func BenchmarkRemovalOrders(b *testing.B) {
@@ -491,63 +454,6 @@ func BenchmarkRemovalOrders(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			order := graph.TargetedOrder(adj)
 			_ = graph.RemovalCurve(adj, order)
-		}
-	})
-}
-
-// newJoiner creates a fresh DHT server node attached to the fixture
-// network, for join-cost measurements.
-func newJoiner(net *simtest.Net, seed uint64) *node.Node {
-	id := ids.PeerIDFromSeed(seed)
-	nd := node.New(id, net.Network, node.Config{DHTServer: true})
-	net.Network.Attach(id, nd, netsim.HostConfig{Reachable: true})
-	return nd
-}
-
-// BenchmarkAblationIndexer quantifies the Section 9 trade-off: resolution
-// through a centralized network indexer (one lookup, zero overlay RPCs)
-// vs a DHT walk. The speed asymmetry is the centralization pressure the
-// paper warns about.
-func BenchmarkAblationIndexer(b *testing.B) {
-	net := simtest.BuildServers(500)
-	c := ids.CIDFromSeed(7)
-	provider := net.Nodes[3]
-	provider.AddBlock(c)
-	provider.Provide(nil, c)
-	ix := indexer.New()
-	ix.Announce(net.Network.Info(provider.ID()), []ids.CID{c})
-	w := dht.NewWalker(net.Network, ids.PeerIDFromSeed(1<<50))
-	seeds := net.Seeds(4)
-
-	b.Run("indexer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if recs := ix.Resolve(c); len(recs) == 0 {
-				b.Fatal("resolution failed")
-			}
-		}
-	})
-	b.Run("dht-walk", func(b *testing.B) {
-		b.ReportAllocs()
-		var queried int
-		for i := 0; i < b.N; i++ {
-			recs, st := w.FindProviders(nil, seeds, c, dht.FindProvidersOpts{})
-			if len(recs) == 0 {
-				b.Fatal("resolution failed")
-			}
-			queried += st.Queried
-		}
-		b.ReportMetric(float64(queried)/float64(b.N), "peers-queried")
-	})
-	b.Run("indexer-with-dht-fallback-blocked", func(b *testing.B) {
-		ix.Block(c)
-		defer ix.Unblock(c)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := indexer.ResolveWithFallback(ix, w, seeds, c)
-			if len(res.Records) == 0 || res.ViaIndexer {
-				b.Fatal("fallback failed")
-			}
 		}
 	})
 }

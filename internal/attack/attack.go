@@ -127,15 +127,6 @@ func Parse(spec string) (Params, error) {
 	return p, nil
 }
 
-// MustParse is Parse for vetted specs; it panics on error.
-func MustParse(spec string) Params {
-	p, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func lookupKey(key string) int {
 	for i := range paramKeys {
 		if paramKeys[i].key == key {
@@ -229,13 +220,4 @@ func init() {
 	for _, iv := range family {
 		counterfactual.Register(iv)
 	}
-}
-
-// Names returns the attack intervention names in registration order.
-func Names() []string {
-	out := make([]string, len(family))
-	for i := range family {
-		out[i] = family[i].Name
-	}
-	return out
 }

@@ -46,9 +46,6 @@ func (p PeerStats) Uptime() float64 {
 	return float64(p.Appearances) / float64(p.Crawls)
 }
 
-// Lifespan returns the observed lifetime in crawls (inclusive).
-func (p PeerStats) Lifespan() int { return p.LastSeen - p.FirstSeen + 1 }
-
 // Analyze computes per-peer statistics over a crawl series. Crawl order
 // follows the series' snapshot order.
 func Analyze(s *crawler.Series) []PeerStats {

@@ -1,10 +1,14 @@
 package churn
 
 import (
+	"net/netip"
 	"testing"
 
 	"tcsb/internal/crawler"
 	"tcsb/internal/ids"
+	"tcsb/internal/maddr"
+	"tcsb/internal/netsim"
+	"tcsb/internal/node"
 	"tcsb/internal/simtest"
 )
 
@@ -41,8 +45,8 @@ func TestAnalyzeStablePeers(t *testing.T) {
 		if p.Sessions != 1 || p.LongestSession != 4 {
 			t.Fatalf("stable peer sessions=%d longest=%d", p.Sessions, p.LongestSession)
 		}
-		if p.Lifespan() != 4 {
-			t.Fatalf("lifespan = %d", p.Lifespan())
+		if p.FirstSeen != 0 || p.LastSeen != 3 {
+			t.Fatalf("seen in crawls %d..%d, want 0..3", p.FirstSeen, p.LastSeen)
 		}
 		if p.IPs != 1 {
 			t.Fatalf("IPs = %d", p.IPs)
@@ -53,34 +57,34 @@ func TestAnalyzeStablePeers(t *testing.T) {
 func TestAnalyzeFlickeringPeers(t *testing.T) {
 	// Uncrawlable (offline) peers still appear in snapshots as bucket
 	// ghosts, so "present" means "discovered", matching the paper's
-	// dataset. To create true absence, take the peer offline AND purge
-	// it from every bucket so no crawl sweep can learn of it.
+	// dataset. For true absence the flickering peer joins after the
+	// oracle fill, so no routing table holds it: a crawl discovers it
+	// exactly when it is one of the crawl's seeds.
 	net := simtest.BuildServers(40)
-	flicker := net.Nodes[0]
+	flicker := ids.PeerIDFromSeed(1000)
+	net.Network.Attach(flicker, node.New(flicker, net.Network, node.Config{DHTServer: true}), netsim.HostConfig{
+		Reachable: true,
+		Addrs:     []maddr.Addr{maddr.New(netip.AddrFrom4([4]byte{52, 1, 0, 0}), maddr.TCP, 4001)},
+	})
 	var s crawler.Series
-	crawlOnce := func(id int) {
-		seeds := net.Seeds(4)[1:] // never seed with the flickering peer
+	crawlOnce := func(id int, present bool) {
+		seeds := net.Seeds(4)
+		if present {
+			seeds = append(seeds, net.Network.Info(flicker))
+		}
 		s.Add(crawler.Crawl(net.Network, crawler.Config{
 			ID: id, CrawlerID: ids.PeerIDFromSeed(1 << 60),
 		}, seeds))
 	}
 
-	crawlOnce(0) // present
-	net.Network.SetOnline(flicker.ID(), false)
-	for _, nd := range net.Nodes[1:] {
-		nd.RoutingTable().Remove(flicker.ID())
-	}
-	crawlOnce(1) // absent
-	crawlOnce(2) // absent
-	net.Network.SetOnline(flicker.ID(), true)
-	for _, nd := range net.Nodes[1:] {
-		nd.LearnPeer(flicker.ID(), 0)
-	}
-	crawlOnce(3) // present again
+	crawlOnce(0, true)
+	crawlOnce(1, false)
+	crawlOnce(2, false)
+	crawlOnce(3, true)
 
 	var got *PeerStats
 	for _, p := range Analyze(&s) {
-		if p.Peer == flicker.ID() {
+		if p.Peer == flicker {
 			q := p
 			got = &q
 			break
@@ -95,7 +99,7 @@ func TestAnalyzeFlickeringPeers(t *testing.T) {
 	if got.Uptime() != 0.5 {
 		t.Fatalf("uptime = %v, want 0.5", got.Uptime())
 	}
-	if got.FirstSeen != 0 || got.LastSeen != 3 || got.Lifespan() != 4 {
+	if got.FirstSeen != 0 || got.LastSeen != 3 {
 		t.Fatalf("lifespan bookkeeping: %+v", got)
 	}
 	if got.LongestSession != 1 {

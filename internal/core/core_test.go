@@ -6,6 +6,7 @@ import (
 
 	"tcsb/internal/core"
 	"tcsb/internal/counting"
+	"tcsb/internal/ids"
 	"tcsb/internal/provrecords"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest/campaign"
@@ -404,7 +405,12 @@ func TestFig20ENSShape(t *testing.T) {
 
 func TestGatewayCensusFindsRealNodes(t *testing.T) {
 	o := obs(t)
-	truth := o.World.GatewayOverlayGroundTruth()
+	truth := make(map[ids.PeerID]bool) // every gateway's true overlay IDs
+	for _, gw := range o.World.Gateways {
+		for _, id := range gw.OverlayIDs() {
+			truth[id] = true
+		}
+	}
 	if len(o.GatewaySet) == 0 {
 		t.Fatal("census discovered nothing")
 	}

@@ -299,7 +299,7 @@ type Fig9Result struct {
 
 // Fig9Frequency computes request-frequency histograms per identifier,
 // folded from the streaming statistics (identical to the batch
-// DaysSeenHistogram over the raw log).
+// days-seen histogram over the raw log; see internal/simtest/invariants).
 func (o *Observatory) Fig9Frequency() Fig9Result {
 	st := o.HydraStats()
 	return Fig9Result{

@@ -79,12 +79,6 @@ func FromSeries(s *crawler.Series) *Dataset {
 	return New(rows)
 }
 
-// Rows returns the dataset's row count.
-func (d *Dataset) Rows() int { return len(d.rows) }
-
-// Crawls returns the number of distinct crawls.
-func (d *Dataset) Crawls() int { return len(d.crawls) }
-
 // Prefix returns a dataset containing only the first k crawls (by crawl
 // ID order), used for the cumulative-crawls comparison of Fig. 4.
 func (d *Dataset) Prefix(k int) *Dataset {
@@ -119,24 +113,6 @@ func (d *Dataset) GIP(attr AttrFunc) map[string]float64 {
 	return out
 }
 
-// UniqueIPs returns the number of distinct IPs in the dataset.
-func (d *Dataset) UniqueIPs() int {
-	seen := make(map[netip.Addr]bool)
-	for _, r := range d.rows {
-		seen[r.IP] = true
-	}
-	return len(seen)
-}
-
-// UniquePeers returns the number of distinct peer IDs in the dataset.
-func (d *Dataset) UniquePeers() int {
-	seen := make(map[ids.PeerID]bool)
-	for _, r := range d.rows {
-		seen[r.Peer] = true
-	}
-	return len(seen)
-}
-
 // AN applies the Average-over-Crawls-Unique-Nodes methodology with the
 // given per-peer classifier. Returns label → average peer count per
 // crawl.
@@ -163,27 +139,6 @@ func (d *Dataset) AN(attr AttrFunc, classify ClassifyFunc) map[string]float64 {
 		totals[k] /= n
 	}
 	return totals
-}
-
-// PeersPerCrawl returns the mean number of distinct peers per crawl.
-func (d *Dataset) PeersPerCrawl() float64 {
-	if len(d.crawls) == 0 {
-		return 0
-	}
-	perCrawl := make(map[int]map[ids.PeerID]bool)
-	for _, r := range d.rows {
-		m := perCrawl[r.Crawl]
-		if m == nil {
-			m = make(map[ids.PeerID]bool)
-			perCrawl[r.Crawl] = m
-		}
-		m[r.Peer] = true
-	}
-	total := 0
-	for _, m := range perCrawl {
-		total += len(m)
-	}
-	return float64(total) / float64(len(d.crawls))
 }
 
 // MajorityVote returns the most frequent attribute value, breaking ties

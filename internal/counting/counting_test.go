@@ -113,20 +113,6 @@ func TestPrefix(t *testing.T) {
 	}
 }
 
-func TestUniqueCounts(t *testing.T) {
-	rows, _ := table1Rows()
-	d := New(rows)
-	if d.UniqueIPs() != 4 {
-		t.Errorf("UniqueIPs = %d, want 4", d.UniqueIPs())
-	}
-	if d.UniquePeers() != 2 {
-		t.Errorf("UniquePeers = %d, want 2", d.UniquePeers())
-	}
-	if got := d.PeersPerCrawl(); got != 1.5 {
-		t.Errorf("PeersPerCrawl = %v, want 1.5", got)
-	}
-}
-
 func TestANIPRotationInflation(t *testing.T) {
 	// A churny peer that rotates IPs every crawl: G-IP counts it N times,
 	// A-N counts it once — the paper's core methodological argument.
@@ -209,9 +195,6 @@ func TestEmptyDataset(t *testing.T) {
 	}
 	if len(d.GIP(func(netip.Addr) string { return "x" })) != 0 {
 		t.Error("GIP on empty dataset should be empty")
-	}
-	if d.PeersPerCrawl() != 0 {
-		t.Error("PeersPerCrawl on empty dataset should be 0")
 	}
 }
 

@@ -149,12 +149,6 @@ func (s *Snapshot) Crawlable() int {
 	return n
 }
 
-// Get returns the observation for a peer, or nil.
-func (s *Snapshot) Get(p ids.PeerID) *Observation { return s.Peers[p] }
-
-// Contact resolves a contact handle back to its peer ID.
-func (s *Snapshot) Contact(h intern.PeerH) ids.PeerID { return s.Intern.Peers.Value(h) }
-
 // sweepResult is what one parallel sweep learned about one peer before
 // the deterministic merge. Contacts carry IDs only: the merge resolves
 // addresses through the registry (netsim.Info), whose snapshots are

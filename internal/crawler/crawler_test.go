@@ -29,12 +29,12 @@ func TestCrawlEnumeratesFullBuckets(t *testing.T) {
 	// For every crawlable peer, the sweep must have enumerated its entire
 	// routing table: contacts == table contents.
 	for _, nd := range net.Nodes {
-		o := snap.Get(nd.ID())
+		o := snap.Peers[nd.ID()]
 		if o == nil || !o.Crawlable {
 			t.Fatalf("peer %s not crawled", nd.ID().Short())
 		}
 		want := make(map[ids.PeerID]bool)
-		for _, p := range nd.RoutingTable().AllPeers() {
+		for _, p := range nd.RoutingTable().AppendNearest(nil, nd.ID().Key(), len(net.Nodes)) {
 			want[p] = true
 		}
 		if len(o.Contacts) != len(want) {
@@ -42,7 +42,7 @@ func TestCrawlEnumeratesFullBuckets(t *testing.T) {
 				nd.ID().Short(), len(o.Contacts), len(want))
 		}
 		for _, c := range o.Contacts {
-			if id := snap.Contact(c); !want[id] {
+			if id := snap.Intern.Peers.Value(c); !want[id] {
 				t.Fatalf("peer %s: contact %s not in table", nd.ID().Short(), id.Short())
 			}
 		}
@@ -64,7 +64,7 @@ func TestCrawlWithChurn(t *testing.T) {
 		t.Fatalf("crawlable %d, want 150", got)
 	}
 	for i := 0; i < 50; i++ {
-		o := snap.Get(net.Nodes[i].ID())
+		o := snap.Peers[net.Nodes[i].ID()]
 		if o == nil {
 			t.Fatalf("offline peer %d not discovered via buckets", i)
 		}

@@ -92,13 +92,6 @@ func (u *Universe) SetALIAS(name, target string) {
 	u.zoneFor(name, true).alias = norm(target)
 }
 
-// Registered reports whether a name answers SOA (i.e. exists as a
-// registered domain, the paper's NXDOMAIN filter).
-func (u *Universe) Registered(name string) bool {
-	z := u.zones[norm(name)]
-	return z != nil && z.soa
-}
-
 // Domains returns all registered domain names, sorted — the scanner's
 // input list (the paper's 286M root domains, at simulation scale).
 func (u *Universe) Domains() []string {

@@ -10,12 +10,6 @@ func ip(s string) netip.Addr { return netip.MustParseAddr(s) }
 func TestRegisterAndSOA(t *testing.T) {
 	u := NewUniverse()
 	u.RegisterDomain("Example.COM.")
-	if !u.Registered("example.com") {
-		t.Fatal("normalized lookup failed")
-	}
-	if u.Registered("other.com") {
-		t.Fatal("unregistered domain answers SOA")
-	}
 	doms := u.Domains()
 	if len(doms) != 1 || doms[0] != "example.com" {
 		t.Fatalf("Domains = %v", doms)

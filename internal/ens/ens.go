@@ -144,9 +144,6 @@ type Resolver struct {
 // NewResolver creates a resolver with a synthetic contract address.
 func NewResolver(addr string) *Resolver { return &Resolver{addr: addr} }
 
-// Addr returns the contract address.
-func (r *Resolver) Addr() string { return r.addr }
-
 // SetContenthash records a content-hash update for a name.
 func (r *Resolver) SetContenthash(name string, hash []byte) {
 	r.block++

@@ -42,35 +42,36 @@ var timelineUnits = []string{
 func registrySize() int { return len(paperUnits) + len(whatifUnits) + len(timelineUnits) }
 
 func TestRegistryCompleteness(t *testing.T) {
-	names := Names()
-	have := make(map[string]bool, len(names))
-	for _, n := range names {
-		have[n] = true
+	have := make(map[string]Experiment)
+	for _, e := range All() {
+		have[e.Name] = e
 	}
 	for _, want := range paperUnits {
-		if !have[want] {
+		if _, ok := have[want]; !ok {
 			t.Errorf("paper unit %q has no registered experiment", want)
 		}
 	}
 	for _, want := range whatifUnits {
-		if !have[want] {
+		e, ok := have[want]
+		if !ok {
 			t.Errorf("counterfactual unit %q has no registered experiment", want)
 		}
-		if e, _ := Lookup(want); !e.IsDelta() {
+		if e.Kind() != ModeDelta {
 			t.Errorf("counterfactual unit %q must be a Delta experiment", want)
 		}
 	}
 	for _, want := range timelineUnits {
-		if !have[want] {
+		e, ok := have[want]
+		if !ok {
 			t.Errorf("timeline unit %q has no registered experiment", want)
 		}
-		if e, _ := Lookup(want); e.Kind() != ModeTimeline {
+		if e.Kind() != ModeTimeline {
 			t.Errorf("timeline unit %q must be a Timeline experiment", want)
 		}
 	}
-	if len(names) != registrySize() {
+	if len(have) != registrySize() {
 		t.Errorf("registry has %d experiments, coverage lists %d — update paperUnits/whatifUnits/timelineUnits or the catalog",
-			len(names), registrySize())
+			len(have), registrySize())
 	}
 	for _, e := range All() {
 		if e.Section == "" || e.Description == "" {
@@ -79,7 +80,7 @@ func TestRegistryCompleteness(t *testing.T) {
 		if e.Name != strings.ToLower(e.Name) {
 			t.Errorf("experiment name %q must be lower-case (it is a CLI key)", e.Name)
 		}
-		if e.IsDelta() != strings.HasPrefix(e.Name, "whatif.") {
+		if (e.Kind() == ModeDelta) != strings.HasPrefix(e.Name, "whatif.") {
 			t.Errorf("experiment %q: the whatif. prefix and the Delta kind must coincide", e.Name)
 		}
 		if (e.Kind() == ModeTimeline) != strings.HasPrefix(e.Name, "timeline.") {
@@ -89,11 +90,11 @@ func TestRegistryCompleteness(t *testing.T) {
 }
 
 func TestLookupAndSelect(t *testing.T) {
-	if _, ok := Lookup("fig3"); !ok {
-		t.Fatal("fig3 not found")
+	if got, err := Select([]string{"fig3"}); err != nil || len(got) != 1 || got[0].Name != "fig3" {
+		t.Fatalf("Select(fig3) = %v, %v", got, err)
 	}
-	if _, ok := Lookup("fig999"); ok {
-		t.Fatal("fig999 should not exist")
+	if _, err := Select([]string{"fig999", "fig3"}); err == nil || !strings.Contains(err.Error(), "fig999") {
+		t.Fatalf("Select(fig999) should name the unknown experiment, got %v", err)
 	}
 	all, err := Select(nil)
 	if err != nil || len(all) != registrySize() {

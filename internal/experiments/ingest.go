@@ -97,15 +97,3 @@ func ParseJSONL(r io.Reader) ([]ParsedRow, error) {
 	}
 	return out, nil
 }
-
-// Result converts a parsed row back into a single-table Result.
-// RenderJSONL emits one line per table, so rendering the converted
-// results reproduces the original stream byte for byte.
-func (p ParsedRow) Result() Result {
-	return Result{
-		Experiment: Experiment{Name: p.Experiment, Section: p.Section},
-		Tables:     []*report.Table{p.Table},
-		WhatIf:     p.WhatIf,
-		Timeline:   p.Timeline,
-	}
-}

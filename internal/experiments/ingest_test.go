@@ -101,7 +101,14 @@ func renderParsed(t *testing.T, rows []ParsedRow) []byte {
 	t.Helper()
 	results := make([]Result, len(rows))
 	for i, r := range rows {
-		results[i] = r.Result()
+		// RenderJSONL emits one line per table, so one single-table
+		// Result per row reproduces the original stream byte for byte.
+		results[i] = Result{
+			Experiment: Experiment{Name: r.Experiment, Section: r.Section},
+			Tables:     []*report.Table{r.Table},
+			WhatIf:     r.WhatIf,
+			Timeline:   r.Timeline,
+		}
 	}
 	var buf bytes.Buffer
 	if err := RenderJSONL(&buf, results); err != nil {

@@ -82,14 +82,11 @@ func (e Experiment) Kind() Mode {
 	}
 }
 
-// IsDelta reports whether the experiment is a paired (whatif.*) entry.
-func (e Experiment) IsDelta() bool { return e.Delta != nil }
-
 // The catalog preserves registration order (= paper order), which is the
 // order results are reported in regardless of execution interleaving.
 var (
 	catalog []Experiment
-	byName  = make(map[string]int)
+	byName  = make(map[string]bool)
 )
 
 // Register adds an experiment to the global catalog. It panics on an
@@ -105,34 +102,16 @@ func Register(e Experiment) {
 	if e.Name == "" || kinds != 1 {
 		panic("experiments: Register needs a name and exactly one of Run/Delta/Timeline")
 	}
-	if _, dup := byName[e.Name]; dup {
+	if byName[e.Name] {
 		panic(fmt.Sprintf("experiments: duplicate registration of %q", e.Name))
 	}
-	byName[e.Name] = len(catalog)
+	byName[e.Name] = true
 	catalog = append(catalog, e)
 }
 
 // All returns the registered experiments in registration order.
 func All() []Experiment {
 	return append([]Experiment(nil), catalog...)
-}
-
-// Names returns the registered experiment names in registration order.
-func Names() []string {
-	out := make([]string, len(catalog))
-	for i, e := range catalog {
-		out[i] = e.Name
-	}
-	return out
-}
-
-// Lookup returns the experiment registered under name.
-func Lookup(name string) (Experiment, bool) {
-	i, ok := byName[name]
-	if !ok {
-		return Experiment{}, false
-	}
-	return catalog[i], true
 }
 
 // Select resolves a set of names to experiments in registration order
@@ -145,7 +124,7 @@ func Select(names []string) ([]Experiment, error) {
 	want := make(map[string]bool, len(names))
 	var unknown []string
 	for _, n := range names {
-		if _, ok := byName[n]; !ok {
+		if !byName[n] {
 			unknown = append(unknown, n)
 			continue
 		}

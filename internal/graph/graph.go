@@ -12,7 +12,6 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
 
 	"tcsb/internal/crawler"
 	"tcsb/internal/ids"
@@ -82,17 +81,6 @@ func (g *Graph) NumCrawlable() int {
 	return n
 }
 
-// Peer returns the peer ID for a node index.
-func (g *Graph) Peer(i int) ids.PeerID { return g.peers[i] }
-
-// Index returns the node index for a peer ID (-1 if absent).
-func (g *Graph) Index(p ids.PeerID) int {
-	if i, ok := g.index[p]; ok {
-		return i
-	}
-	return -1
-}
-
 // Edges returns the total number of directed edges.
 func (g *Graph) Edges() int {
 	total := 0
@@ -123,26 +111,6 @@ func (g *Graph) InDegrees() []float64 {
 		out[i] = float64(d)
 	}
 	return out
-}
-
-// TopInDegree returns the indices of the k nodes with the highest
-// estimated in-degree, descending — the paper inspects the top 10
-// (finding Filebase nodes and AWS-hosted go-ipfs v0.11 peers).
-func (g *Graph) TopInDegree(k int) []int {
-	idx := make([]int, len(g.inDeg))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if g.inDeg[idx[a]] != g.inDeg[idx[b]] {
-			return g.inDeg[idx[a]] > g.inDeg[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }
 
 // Undirected returns the symmetrized adjacency lists (deduplicated),
@@ -319,41 +287,6 @@ func RemovalCurve(adj [][]int32, order []int) []float64 {
 		curve[k] = float64(maxComp) / float64(n-k)
 	}
 	return curve
-}
-
-// ComponentSizes returns the sizes of all connected components of the
-// undirected graph, descending.
-func ComponentSizes(adj [][]int32) []int {
-	n := len(adj)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var sizes []int
-	var stack []int32
-	for i := 0; i < n; i++ {
-		if comp[i] != -1 {
-			continue
-		}
-		id := len(sizes)
-		sz := 0
-		stack = append(stack[:0], int32(i))
-		comp[i] = id
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			sz++
-			for _, nb := range adj[v] {
-				if comp[nb] == -1 {
-					comp[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-		}
-		sizes = append(sizes, sz)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
 }
 
 // SampleCurve extracts curve values at the given removal fractions

@@ -82,24 +82,6 @@ func TestOutDegreeTightBand(t *testing.T) {
 	}
 }
 
-func TestTopInDegree(t *testing.T) {
-	g := buildGraph(t, 150)
-	top := g.TopInDegree(10)
-	if len(top) != 10 {
-		t.Fatalf("TopInDegree returned %d", len(top))
-	}
-	ins := g.InDegrees()
-	for i := 1; i < len(top); i++ {
-		if ins[top[i]] > ins[top[i-1]] {
-			t.Fatal("TopInDegree not descending")
-		}
-	}
-	// Beyond n clamps.
-	if got := len(g.TopInDegree(100000)); got != g.N() {
-		t.Fatalf("TopInDegree(huge) = %d", got)
-	}
-}
-
 func TestUndirectedSymmetric(t *testing.T) {
 	g := buildGraph(t, 100)
 	adj := g.Undirected()
@@ -225,30 +207,6 @@ func TestRandomVsTargetedOnDHTGraph(t *testing.T) {
 		if tg > r+0.05 {
 			t.Errorf("at %.0f%% removed: targeted (%v) beats random (%v)", f*100, tg, r)
 		}
-	}
-}
-
-func TestComponentSizes(t *testing.T) {
-	// Two components: a triangle and an edge.
-	adj := make([][]int32, 5)
-	link := func(a, b int32) {
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	link(0, 1)
-	link(1, 2)
-	link(2, 0)
-	link(3, 4)
-	sizes := ComponentSizes(adj)
-	if len(sizes) != 2 || sizes[0] != 3 || sizes[1] != 2 {
-		t.Fatalf("ComponentSizes = %v, want [3 2]", sizes)
-	}
-}
-
-func TestComponentSizesSingletons(t *testing.T) {
-	sizes := ComponentSizes(make([][]int32, 4))
-	if len(sizes) != 4 {
-		t.Fatalf("got %v", sizes)
 	}
 }
 

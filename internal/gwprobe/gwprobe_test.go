@@ -69,7 +69,7 @@ func TestIdentifyEnumeratesAllNodes(t *testing.T) {
 func TestProbeUsesUniqueContent(t *testing.T) {
 	_, mon, gw := fixture(t, 1)
 	p := New(mon, 42, nil)
-	logBefore := mon.Log().Len()
+	logBefore := len(mon.Log().Events())
 	p.ProbeOnce(gw)
 	p.ProbeOnce(gw)
 	events := mon.Log().Events()[logBefore:]
@@ -135,7 +135,11 @@ func TestInstrumentedProbeLatency(t *testing.T) {
 	census := func(instrument bool, spec string) (map[string][]ids.PeerID, *trace.TimingSink) {
 		net, mon, gw := fixture(t, 2)
 		if spec != "" {
-			net.Network.SetLinkModel(netsim.MustParseLinkProfile(spec), 7)
+			prof, err := netsim.ParseLinkProfile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Network.SetLinkModel(prof, 7)
 		}
 		p := New(mon, 42, nil)
 		sink := trace.NewTimingSink(false)

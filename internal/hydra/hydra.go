@@ -127,9 +127,6 @@ func (h *Hydra) Log() *trace.Log { return h.pipe.Log() }
 // pipeline).
 func (h *Hydra) Stats() *trace.Accum { return h.pipe.Stats() }
 
-// Pipeline returns the observation pipeline requests are logged to.
-func (h *Hydra) Pipeline() *trace.Pipeline { return h.pipe }
-
 // CacheSize returns the number of CIDs with proactively cached records.
 func (h *Hydra) CacheSize() int { return len(h.cache) }
 

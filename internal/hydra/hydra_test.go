@@ -65,8 +65,8 @@ func TestHydraLogsRequests(t *testing.T) {
 	_ = net.Network.AddProvider(nil, caller.ID(), head, c,
 		netsim.ProviderRecord{Provider: net.Network.Info(caller.ID())})
 
-	if h.Log().Len() != 3 {
-		t.Fatalf("logged %d events, want 3", h.Log().Len())
+	if len(h.Log().Events()) != 3 {
+		t.Fatalf("logged %d events, want 3", len(h.Log().Events()))
 	}
 	types := map[netsim.MsgType]bool{}
 	for _, e := range h.Log().Events() {
@@ -261,7 +261,7 @@ func TestOwnHeadsNotLogged(t *testing.T) {
 	// Trigger proactive lookup; hydra's own walk may hit its other heads,
 	// which must not pollute the log.
 	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(12))
-	logBefore := h.Log().Len()
+	logBefore := len(h.Log().Events())
 	h.ProcessPending(nil, 0)
 	for _, e := range h.Log().Events()[logBefore:] {
 		if h.IsHead(e.Peer) {

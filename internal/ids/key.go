@@ -127,16 +127,9 @@ func (k Key) FlipBit(i int) Key {
 	return k.WithBit(i, 1-k.Bit(i))
 }
 
-// String returns the key as lowercase hex. Full keys are long; see Short
-// for a log-friendly prefix.
+// String returns the key as lowercase hex.
 func (k Key) String() string {
 	return hex.EncodeToString(k[:])
-}
-
-// Short returns the first 8 hex characters of the key, enough to tell keys
-// apart in logs and test failures.
-func (k Key) Short() string {
-	return hex.EncodeToString(k[:4])
 }
 
 // CommonPrefixLen returns the number of leading bits shared by a and b.

@@ -287,16 +287,6 @@ func TestBase32RoundLength(t *testing.T) {
 	}
 }
 
-func TestKeyShort(t *testing.T) {
-	k := KeyFromUint64(3)
-	if len(k.Short()) != 8 {
-		t.Fatalf("Short() length = %d, want 8", len(k.Short()))
-	}
-	if k.String()[:8] != k.Short() {
-		t.Fatal("Short() is not a prefix of String()")
-	}
-}
-
 func BenchmarkXor(b *testing.B) {
 	x := KeyFromUint64(1)
 	y := KeyFromUint64(2)

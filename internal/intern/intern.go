@@ -85,10 +85,6 @@ func (t *Table[K, H]) Lookup(k K) (H, bool) {
 // Value returns the identifier behind a handle. Read-only.
 func (t *Table[K, H]) Value(h H) K { return t.rev[h] }
 
-// Len returns the number of interned identifiers (including the
-// pre-interned zero value, so Len is always ≥ 1).
-func (t *Table[K, H]) Len() int { return len(t.rev) }
-
 // Tables bundles the three handle tables of one world. One bundle is
 // owned by the world's netsim.Network and shared by every component of
 // that world; independent worlds (what-if pairs, service fleets) each

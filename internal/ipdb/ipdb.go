@@ -52,12 +52,6 @@ const (
 	NonCloud = "non-cloud"
 )
 
-// Countries used by the synthetic address plan (ISO 3166-1 alpha-2).
-var Countries = []string{
-	"US", "DE", "KR", "CN", "GB", "FR", "SG", "NL", "JP", "CA",
-	"PL", "RU", "FI", "IE", "AU", "BR", "IN", "SE", "CH", "IT",
-}
-
 // Info is the result of a database lookup.
 type Info struct {
 	// Provider is the cloud/hosting provider owning the address, or
@@ -108,28 +102,6 @@ func Default() *DB {
 	return defaultDB
 }
 
-// NewFromRanges builds a database from explicit (prefix, provider, country)
-// triples. Prefixes may nest; the most specific match wins. Intended for
-// tests and alternative address plans.
-func NewFromRanges(ranges []Range) (*DB, error) {
-	entries := make([]rangeEntry, 0, len(ranges))
-	for _, r := range ranges {
-		p, err := netip.ParsePrefix(r.CIDR)
-		if err != nil {
-			return nil, fmt.Errorf("ipdb: bad prefix %q: %w", r.CIDR, err)
-		}
-		entries = append(entries, rangeEntry{prefix: p.Masked(), provider: r.Provider, country: r.Country})
-	}
-	return build(entries), nil
-}
-
-// Range is one row of an explicit database definition.
-type Range struct {
-	CIDR     string
-	Provider string
-	Country  string
-}
-
 func build(entries []rangeEntry) *DB {
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i].prefix, entries[j].prefix
@@ -155,10 +127,10 @@ func build(entries []rangeEntry) *DB {
 // outside every range get Provider == NonCloud and an empty Country.
 //
 // Prefixes in the database may nest but must not partially overlap (the
-// built-in plan and NewFromRanges inputs follow this). Under that rule the
-// longest match is the containing prefix with the greatest start address,
-// which is the first containing entry found scanning backwards from the
-// binary-search insertion point.
+// built-in plan follows this, as do the tests' hand-built databases).
+// Under that rule the longest match is the containing prefix with the
+// greatest start address, which is the first containing entry found
+// scanning backwards from the binary-search insertion point.
 func (db *DB) Lookup(ip netip.Addr) Info {
 	i := sort.Search(len(db.entries), func(i int) bool {
 		return db.entries[i].prefix.Addr().Compare(ip) > 0

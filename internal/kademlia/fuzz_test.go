@@ -7,11 +7,13 @@ import (
 	"tcsb/internal/ids"
 )
 
-// FuzzTableInsert drives a routing table through an arbitrary
-// insert/remove sequence decoded from the fuzz input. Invariants after
-// every operation:
+// FuzzTableInsert drives a routing table through an arbitrary sequence
+// of inserts and nearest-peer queries decoded from the fuzz input.
+// Invariants:
 //
 //   - no panic, whatever the operation order;
+//   - every query's AppendNearest answer equals the brute-force
+//     reference (SortByDistance over AllPeers) at that state;
 //   - every bucket respects its capacity bound k;
 //   - the table never stores its own key (self-exclusion);
 //   - Len agrees with the bucket occupancy sum, and every stored
@@ -19,9 +21,12 @@ import (
 //   - the bucket slice ends at the deepest non-empty bucket.
 //
 // The input is consumed as records of 9 bytes: one opcode byte and a
-// uint64 peer seed. The seed corpus under testdata/fuzz/FuzzTableInsert
-// covers plain fills, duplicate refreshes, self-inserts, stale
-// replacement and removal interleavings.
+// uint64 seed. Opcode 0 adds the seed's peer, 1 adds it with stale
+// replacement, and 2 queries the seed's key for the opcode byte / 3
+// nearest peers (0 to 85, so windows past selectorInline occur). The
+// seed corpus under testdata/fuzz/FuzzTableInsert covers plain fills,
+// duplicate refreshes, self-inserts, stale replacement and queries
+// interleaved with inserts.
 func FuzzTableInsert(f *testing.F) {
 	f.Add([]byte{})
 	// A run of straight inserts.
@@ -33,7 +38,7 @@ func FuzzTableInsert(f *testing.F) {
 		fill = append(fill, rec...)
 	}
 	f.Add(fill)
-	// Duplicate refreshes of one peer, then its removal.
+	// Duplicate refreshes of one peer, with a query in between.
 	dup := make([]byte, 0, 9*6)
 	for _, op := range []byte{0, 0, 1, 0, 2, 0} {
 		rec := make([]byte, 9)
@@ -52,6 +57,16 @@ func FuzzTableInsert(f *testing.F) {
 		selfish = append(selfish, rec...)
 	}
 	f.Add(selfish)
+	// Queries of growing width over the filled table: opcode bytes 2, 5,
+	// 62, 122, 200 and 254 ask for 0, 1, 20, 40, 66 and 84 peers.
+	queries := append([]byte(nil), fill...)
+	for i, op := range []byte{2, 5, 62, 122, 200, 254} {
+		rec := make([]byte, 9)
+		rec[0] = op
+		binary.BigEndian.PutUint64(rec[1:], uint64(1000+i))
+		queries = append(queries, rec...)
+	}
+	f.Add(queries)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		self := ids.PeerIDFromSeed(0xdead)
@@ -68,7 +83,8 @@ func FuzzTableInsert(f *testing.F) {
 			case 1:
 				tb.AddReplacingStale(Contact{Peer: p, LastSeen: clock}, clock-10)
 			case 2:
-				tb.Remove(p)
+				target, n := p.Key(), int(data[off]/3)
+				checkNearest(t, "fuzzed query", tb.AppendNearest(nil, target, n), tb.AllPeers(), target, n)
 			}
 		}
 

@@ -13,7 +13,6 @@ package kademlia
 
 import (
 	"slices"
-	"sort"
 
 	"tcsb/internal/ids"
 )
@@ -36,10 +35,10 @@ type Table struct {
 	self ids.Key
 	k    int
 	// buckets is indexed by common prefix length and ends at the deepest
-	// non-empty bucket: Add grows it, Remove trims it. Random keys leave
-	// every bucket past cpl ≈ log2(network size) empty, so this saves
-	// ~6 KB of empty headers per table over all KeyBits+1 buckets, and
-	// FindNode answers never walk them.
+	// non-empty bucket: Add grows it. Random keys leave every bucket past
+	// cpl ≈ log2(network size) empty, so this saves ~6 KB of empty
+	// headers per table over all KeyBits+1 buckets, and FindNode answers
+	// never walk them.
 	buckets [][]Contact
 	size    int
 }
@@ -52,15 +51,6 @@ func New(self ids.Key, k int) *Table {
 	}
 	return &Table{self: self, k: k}
 }
-
-// Self returns the local key the table is organized around.
-func (t *Table) Self() ids.Key { return t.self }
-
-// K returns the bucket capacity.
-func (t *Table) K() int { return t.k }
-
-// Len returns the number of contacts stored.
-func (t *Table) Len() int { return t.size }
 
 // BucketIndex returns the bucket a peer with key `other` belongs to.
 func (t *Table) BucketIndex(other ids.Key) int {
@@ -145,29 +135,6 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 		}
 	}
 	return false
-}
-
-// Remove deletes a peer from the table, returning true if it was present.
-func (t *Table) Remove(p ids.PeerID) bool {
-	idx := t.BucketIndex(p.Key())
-	b := t.bucket(idx)
-	i := indexOf(b, &p)
-	if i < 0 {
-		return false
-	}
-	b[i] = b[len(b)-1]
-	t.buckets[idx] = b[:len(b)-1]
-	t.size--
-	for last := len(t.buckets) - 1; last >= 0 && len(t.buckets[last]) == 0; last-- {
-		t.buckets[last] = nil
-		t.buckets = t.buckets[:last]
-	}
-	return true
-}
-
-// Contains reports whether the peer is in the table.
-func (t *Table) Contains(p ids.PeerID) bool {
-	return indexOf(t.bucket(t.BucketIndex(p.Key())), &p) >= 0
 }
 
 // AppendNearest appends up to n peers from the table closest to target
@@ -414,49 +381,4 @@ func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n
 	}
 	heapSort(h, &target)
 	return appendPeers(dst, h)
-}
-
-// AllPeers returns every contact's peer ID. Order is bucket-major and
-// deterministic for a given insertion history.
-func (t *Table) AllPeers() []ids.PeerID {
-	out := make([]ids.PeerID, 0, t.size)
-	for i := range t.buckets {
-		for _, c := range t.buckets[i] {
-			out = append(out, c.Peer)
-		}
-	}
-	return out
-}
-
-// BucketSizes returns the occupancy of each non-empty bucket, keyed by
-// common prefix length. Only tests read it, to check the table's shape
-// (full far buckets, sparse near buckets, none above capacity).
-func (t *Table) BucketSizes() map[int]int {
-	out := make(map[int]int)
-	for i := range t.buckets {
-		if len(t.buckets[i]) > 0 {
-			out[i] = len(t.buckets[i])
-		}
-	}
-	return out
-}
-
-// Bucket returns a copy of the contacts in bucket i.
-func (t *Table) Bucket(i int) []Contact {
-	if i < 0 {
-		return nil
-	}
-	return append([]Contact(nil), t.bucket(i)...)
-}
-
-// SortByDistance orders peers by XOR distance to target, closest first,
-// and returns a new slice. Only tests call it: it is the brute-force
-// specification AppendNearest and AppendSelectNearest are checked
-// against.
-func SortByDistance(peers []ids.PeerID, target ids.Key) []ids.PeerID {
-	out := append([]ids.PeerID(nil), peers...)
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key().Xor(target).Cmp(out[j].Key().Xor(target)) < 0
-	})
-	return out
 }

@@ -112,21 +112,6 @@ func TestAddReplacingStale(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0), K)
-	p := ids.PeerIDFromSeed(1)
-	tab.Add(Contact{Peer: p})
-	if !tab.Remove(p) {
-		t.Fatal("Remove returned false for present peer")
-	}
-	if tab.Contains(p) || tab.Len() != 0 {
-		t.Fatal("peer still present after Remove")
-	}
-	if tab.Remove(p) {
-		t.Fatal("Remove returned true for absent peer")
-	}
-}
-
 func TestNearestPeersOrdering(t *testing.T) {
 	self := ids.KeyFromUint64(0)
 	tab := New(self, K)
@@ -384,9 +369,9 @@ func tiedPeers(rng *rand.Rand, groups, perGroup int) []ids.PeerID {
 // TestNearestPeersMatchesBruteForce pins the bounded selection to the
 // obviously-correct specification (SortByDistance) across node-sized
 // (k = K) and Hydra-sized (k = 8·K) tables, random and high-cplT
-// targets, windows past selectorInline, tables trimmed by Remove and
-// churned by AddReplacingStale, and candidates that tie on the 64-bit
-// distance prefix.
+// targets, windows past selectorInline, tables churned by
+// AddReplacingStale, and candidates that tie on the 64-bit distance
+// prefix.
 func TestNearestPeersMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -402,19 +387,6 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 		}
 		switch trial % 6 {
 		case 2, 3:
-			// Remove about half the contacts, then empty the three
-			// deepest buckets, so the bucket slice is trimmed.
-			for _, p := range tb.AllPeers() {
-				if rng.Intn(2) == 0 {
-					tb.Remove(p)
-				}
-			}
-			deepest := len(tb.buckets) - 1
-			for b := deepest; b >= 0 && b > deepest-3; b-- {
-				for _, c := range tb.Bucket(b) {
-					tb.Remove(c.Peer)
-				}
-			}
 			// Churn full buckets with stale replacements.
 			for i := 0; i < offered/2; i++ {
 				tb.AddReplacingStale(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64()), LastSeen: int64(offered + i)}, int64(offered/2))
@@ -508,34 +480,6 @@ func TestBucketBandOrder(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRemoveTrimsBuckets empties a table contact by contact and checks
-// after every removal that the bucket slice ends at the deepest
-// non-empty bucket, and that a regrown table answers exactly.
-func TestRemoveTrimsBuckets(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	self := ids.KeyFromUint64(9)
-	tb := New(self, K)
-	for i := 0; i < 2000; i++ {
-		tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
-	}
-	all := tb.AllPeers()
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	for i, p := range all {
-		if !tb.Remove(p) {
-			t.Fatalf("Remove(%s) = false for a stored peer", p.Short())
-		}
-		checkTrimmed(t, fmt.Sprintf("after %d removals", i+1), tb)
-	}
-	if len(tb.buckets) != 0 || tb.Len() != 0 {
-		t.Fatalf("emptied table keeps %d buckets, Len %d", len(tb.buckets), tb.Len())
-	}
-	for _, p := range all[:len(all)/2] {
-		tb.Add(Contact{Peer: p})
-	}
-	target := nearTarget(rng, self, 30)
-	checkNearest(t, "regrown", tb.AppendNearest(nil, target, K), tb.AllPeers(), target, K)
 }
 
 // TestSelectNearestMatchesSort pins AppendSelectNearest the same way, over

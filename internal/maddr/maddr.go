@@ -1,9 +1,12 @@
-// Package maddr implements the subset of the multiaddr format that IPFS
+// Package maddr models the subset of the multiaddr format that IPFS
 // provider records and peer advertisements use: plain IP transport
 // addresses (/ip4/…/tcp/…, /ip6/…/udp/…), peer-qualified addresses
 // (…/p2p/<peerID>) and circuit-relay addresses
 // (/ip4/<relayIP>/tcp/<port>/p2p/<relayID>/p2p-circuit), which NAT-ed
 // providers advertise so downloads can be reverse-proxied through a relay.
+// The simulation carries structured Addr values and no binary reads a
+// multiaddr string, so the package has no text grammar: String renders
+// the canonical form, and nothing parses it back.
 //
 // The paper's provider analysis (Section 6) hinges on exactly these
 // distinctions: a provider whose multiaddrs are all circuit addresses is a
@@ -12,7 +15,6 @@
 package maddr
 
 import (
-	"fmt"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -29,8 +31,8 @@ const (
 	QUIC Transport = "quic-v1"
 )
 
-// Addr is a parsed multiaddr. The zero Addr is invalid; construct values
-// with New, NewCircuit, or Parse.
+// Addr is a multiaddr. The zero Addr has no IP; construct values with
+// New or NewCircuit.
 type Addr struct {
 	// IP is the network address: the node's own IP for direct addresses,
 	// the relay's IP for circuit addresses.
@@ -52,30 +54,10 @@ func New(ip netip.Addr, tr Transport, port uint16) Addr {
 	return Addr{IP: ip, Port: port, Transport: tr}
 }
 
-// WithPeer returns a copy of the address qualified with a /p2p/<id>
-// component.
-func (a Addr) WithPeer(peerID string) Addr {
-	a.PeerID = peerID
-	return a
-}
-
 // NewCircuit builds a circuit-relay address: connections to the advertising
 // peer are proxied through the relay at relayIP:relayPort.
 func NewCircuit(relayIP netip.Addr, tr Transport, relayPort uint16, relayID string) Addr {
 	return Addr{IP: relayIP, Port: relayPort, Transport: tr, PeerID: relayID, Circuit: true}
-}
-
-// IsValid reports whether the address has a routable shape: a valid IP and
-// a known transport.
-func (a Addr) IsValid() bool {
-	if !a.IP.IsValid() {
-		return false
-	}
-	switch a.Transport {
-	case TCP, UDP, QUIC:
-		return true
-	}
-	return false
 }
 
 // IsLocal reports whether the address points at loopback, link-local,
@@ -115,99 +97,4 @@ func (a Addr) String() string {
 		sb.WriteString("/p2p-circuit")
 	}
 	return sb.String()
-}
-
-// Parse parses a multiaddr string produced by String (or hand-written in
-// the same dialect). It returns a descriptive error for malformed input.
-func Parse(s string) (Addr, error) {
-	if !strings.HasPrefix(s, "/") {
-		return Addr{}, fmt.Errorf("maddr: %q does not start with /", s)
-	}
-	parts := strings.Split(strings.TrimPrefix(s, "/"), "/")
-	var a Addr
-	i := 0
-	next := func() (string, bool) {
-		if i >= len(parts) {
-			return "", false
-		}
-		v := parts[i]
-		i++
-		return v, true
-	}
-
-	proto, ok := next()
-	if !ok {
-		return Addr{}, fmt.Errorf("maddr: empty address")
-	}
-	switch proto {
-	case "ip4", "ip6":
-		ipStr, ok := next()
-		if !ok {
-			return Addr{}, fmt.Errorf("maddr: %q missing IP after /%s", s, proto)
-		}
-		ip, err := netip.ParseAddr(ipStr)
-		if err != nil {
-			return Addr{}, fmt.Errorf("maddr: %q: %w", s, err)
-		}
-		if proto == "ip4" && !ip.Is4() {
-			return Addr{}, fmt.Errorf("maddr: %q: /ip4 with non-IPv4 address", s)
-		}
-		if proto == "ip6" && ip.Is4() {
-			return Addr{}, fmt.Errorf("maddr: %q: /ip6 with IPv4 address", s)
-		}
-		a.IP = ip
-	default:
-		return Addr{}, fmt.Errorf("maddr: %q: unsupported protocol /%s", s, proto)
-	}
-
-	tr, ok := next()
-	if !ok {
-		return Addr{}, fmt.Errorf("maddr: %q missing transport", s)
-	}
-	switch tr {
-	case "tcp", "udp":
-		portStr, ok := next()
-		if !ok {
-			return Addr{}, fmt.Errorf("maddr: %q missing port", s)
-		}
-		port, err := strconv.ParseUint(portStr, 10, 16)
-		if err != nil {
-			return Addr{}, fmt.Errorf("maddr: %q: bad port %q", s, portStr)
-		}
-		a.Port = uint16(port)
-		a.Transport = Transport(tr)
-		// Optional quic-v1 on top of udp.
-		if tr == "udp" && i < len(parts) && parts[i] == "quic-v1" {
-			i++
-			a.Transport = QUIC
-		}
-	default:
-		return Addr{}, fmt.Errorf("maddr: %q: unsupported transport /%s", s, tr)
-	}
-
-	for i < len(parts) {
-		comp, _ := next()
-		switch comp {
-		case "p2p", "ipfs": // /ipfs/<id> is the legacy spelling of /p2p/<id>
-			id, ok := next()
-			if !ok || id == "" {
-				return Addr{}, fmt.Errorf("maddr: %q: /p2p without peer ID", s)
-			}
-			a.PeerID = id
-		case "p2p-circuit":
-			a.Circuit = true
-		default:
-			return Addr{}, fmt.Errorf("maddr: %q: unexpected component %q", s, comp)
-		}
-	}
-	return a, nil
-}
-
-// MustParse is Parse for tests and static tables; it panics on error.
-func MustParse(s string) Addr {
-	a, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }

@@ -54,9 +54,6 @@ func (m *Monitor) Log() *trace.Log { return m.pipe.Log() }
 // Stats returns the streaming Bitswap statistics.
 func (m *Monitor) Stats() *trace.Accum { return m.pipe.Stats() }
 
-// Pipeline returns the monitor's observation pipeline.
-func (m *Monitor) Pipeline() *trace.Pipeline { return m.pipe }
-
 // Tap attaches a sink that sees every subsequent broadcast (serial mode
 // only) and returns its detach function — how the gateway prober watches
 // for the WANT of its planted content without the monitor retaining raw
@@ -66,18 +63,6 @@ func (m *Monitor) Tap(s trace.Sink) (remove func()) { return m.pipe.Tap(s) }
 // AddBlock plants content on the monitor (used by the gateway probe: we
 // are then "reasonably certain to be the only provider").
 func (m *Monitor) AddBlock(c ids.CID) { m.blocks[c] = true }
-
-// HasBlock reports whether the monitor stores c.
-func (m *Monitor) HasBlock(c ids.CID) bool { return m.blocks[c] }
-
-// Requesters returns the number of distinct peers that have sent us
-// Bitswap traffic (zero for a discarding pipeline).
-func (m *Monitor) Requesters() int {
-	if st := m.pipe.Stats(); st != nil {
-		return st.DistinctPeers()
-	}
-	return 0
-}
 
 // HandleBitswapWant logs the broadcast and answers from the blockstore.
 // The observation goes through the caller's lane sink, so broadcasts

@@ -253,15 +253,6 @@ func formatLinkMS(us int64) string {
 	return strconv.FormatFloat(float64(us)/1000, 'f', -1, 64)
 }
 
-// MustParseLinkProfile is ParseLinkProfile for known-good literals.
-func MustParseLinkProfile(spec string) LinkProfile {
-	p, err := ParseLinkProfile(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // LinkPreset is a named link profile surfaced through -net-profile and
 // the net.* interventions.
 type LinkPreset struct {

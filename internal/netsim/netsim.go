@@ -58,14 +58,6 @@ func (c *Clock) Advance(d Time) {
 	c.now += d
 }
 
-// Set jumps the clock to an absolute time >= the current time.
-func (c *Clock) Set(t Time) {
-	if t < c.now {
-		panic("netsim: clock cannot rewind")
-	}
-	c.now = t
-}
-
 // PeerInfo is the wire representation of a peer: its ID and advertised
 // addresses. It is what FindNode responses and provider records carry.
 type PeerInfo struct {
@@ -303,13 +295,6 @@ func (n *Network) internAddrs(addrs []maddr.Addr) {
 	}
 }
 
-// SetRelay updates a NAT-ed peer's circuit relay.
-func (n *Network) SetRelay(id ids.PeerID, relay ids.PeerID) {
-	if h, ok := n.hosts[id]; ok {
-		h.relay = relay
-	}
-}
-
 // Online reports whether the peer exists and is online.
 func (n *Network) Online(id ids.PeerID) bool {
 	h, ok := n.hosts[id]
@@ -389,18 +374,6 @@ func (n *Network) ObservedAddr(id ids.PeerID) (ip netip.Addr, viaRelay bool) {
 	}
 	return netip.Addr{}, false
 }
-
-// Peers returns all registered peer IDs in unspecified order.
-func (n *Network) Peers() []ids.PeerID {
-	out := make([]ids.PeerID, 0, len(n.hosts))
-	for id := range n.hosts {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Len returns the number of registered peers.
-func (n *Network) Len() int { return len(n.hosts) }
 
 // dial resolves the target handler, enforcing the reachability rules:
 //   - the target must exist and be online;
@@ -486,15 +459,6 @@ func (n *Network) BitswapWant(env *Effects, from, to ids.PeerID, c ids.CID) (boo
 	}
 	n.count(env, MsgBitswapWant)
 	return h.handler.HandleBitswapWant(env, from, c), nil
-}
-
-// MessageCount returns the number of RPCs of the given type delivered so
-// far.
-func (n *Network) MessageCount(t MsgType) int64 {
-	if t < 0 || t >= msgTypeCount {
-		return 0
-	}
-	return n.msgCount[t]
 }
 
 // TotalMessages returns the total RPCs delivered across all types.

@@ -55,7 +55,7 @@ type Node struct {
 	blocks    map[ids.CID]bool
 
 	// bitswapSorted is the Bitswap neighbour set, key-sorted on
-	// connect/disconnect; membership is a binary search.
+	// connect; membership is a binary search.
 	bitswapSorted []ids.PeerID
 
 	// served counts Bitswap blocks this node sent to others.
@@ -89,9 +89,6 @@ func (n *Node) ID() ids.PeerID { return n.id }
 // never touches this directly — it enumerates via FindNode like the real
 // tool — but scenario setup and tests do).
 func (n *Node) RoutingTable() *kademlia.Table { return n.rt }
-
-// Served returns how many Bitswap blocks the node has sent.
-func (n *Node) Served() int64 { return n.served }
 
 // --- netsim.Handler ---
 
@@ -180,54 +177,8 @@ func (n *Node) seedInfos(target ids.Key) []netsim.PeerInfo {
 	return out
 }
 
-// Bootstrap joins the DHT: starting from the given bootstrap peers, the
-// node walks toward its own ID and stores every peer the walk returns.
-// Real nodes follow with periodic bucket refreshes; RefreshBuckets does.
-func (n *Node) Bootstrap(bootstrap []netsim.PeerInfo) dht.WalkStats {
-	closest, stats := n.walker.GetClosestPeers(nil, bootstrap, n.id.Key())
-	now := n.net.Clock.Now()
-	for _, pi := range bootstrap {
-		n.learnInfo(pi, now)
-	}
-	for _, pi := range closest {
-		n.learnInfo(pi, now)
-	}
-	return stats
-}
-
-// RefreshBuckets performs one walk per bucket index in [0, maxCPL),
-// targeting a key with exactly that common prefix length relative to the
-// node, and learns every returned peer. This is how real nodes keep far
-// buckets full.
-func (n *Node) RefreshBuckets(maxCPL int) dht.WalkStats {
-	var total dht.WalkStats
-	for cpl := 0; cpl < maxCPL; cpl++ {
-		// Flip bit `cpl` of our own key: the canonical refresh target
-		// with that exact CPL.
-		target := n.id.Key().FlipBit(cpl)
-		closest, stats := n.walker.GetClosestPeers(nil, n.seedInfos(target), target)
-		now := n.net.Clock.Now()
-		for _, pi := range closest {
-			n.learnInfo(pi, now)
-		}
-		total.Queried += stats.Queried
-		total.Failed += stats.Failed
-	}
-	return total
-}
-
-func (n *Node) learnInfo(pi netsim.PeerInfo, now netsim.Time) {
-	if pi.ID.IsZero() || pi.ID == n.id {
-		return
-	}
-	if !n.net.Reachable(pi.ID) {
-		return
-	}
-	n.rt.Add(kademlia.Contact{Peer: pi.ID, LastSeen: now})
-}
-
-// LearnPeer force-adds a peer to the routing table (oracle topology fill
-// used by large scenarios; see scenario.OracleFill).
+// LearnPeer force-adds a peer to the routing table: the oracle topology
+// fill that stands in for join walks (scenario worlds, simtest.OracleFill).
 func (n *Node) LearnPeer(p ids.PeerID, lastSeen netsim.Time) bool {
 	return n.rt.Add(kademlia.Contact{Peer: p, LastSeen: lastSeen})
 }
@@ -265,9 +216,6 @@ func (n *Node) FindProviders(env *netsim.Effects, c ids.CID, opts dht.FindProvid
 // AddBlock stores content locally.
 func (n *Node) AddBlock(c ids.CID) { n.blocks[c] = true }
 
-// HasBlock reports whether the node stores c.
-func (n *Node) HasBlock(c ids.CID) bool { return n.blocks[c] }
-
 // RemoveBlock drops content (garbage collection).
 func (n *Node) RemoveBlock(c ids.CID) { delete(n.blocks, c) }
 
@@ -277,10 +225,9 @@ func (n *Node) RemoveBlock(c ids.CID) { delete(n.blocks, c) }
 // Scenario code calls it on both ends for a bidirectional link. It
 // returns false when the connection manager is at capacity.
 //
-// The neighbour set is kept sorted eagerly on (single-threaded)
-// connect/disconnect rather than sorted lazily on read: BitswapPeers is
-// called from concurrent retrieval lanes, which must see a stable,
-// read-only slice.
+// The neighbour set is kept sorted eagerly on (single-threaded) connect
+// rather than sorted lazily on read: BitswapPeers is called from
+// concurrent retrieval lanes, which must see a stable, read-only slice.
 func (n *Node) ConnectBitswap(p ids.PeerID) bool {
 	if p == n.id || p.IsZero() {
 		return false
@@ -294,13 +241,6 @@ func (n *Node) ConnectBitswap(p ids.PeerID) bool {
 	}
 	n.bitswapSorted = slices.Insert(n.bitswapSorted, i, p)
 	return true
-}
-
-// DisconnectBitswap removes a Bitswap connection.
-func (n *Node) DisconnectBitswap(p ids.PeerID) {
-	if i, ok := n.bitswapIndex(p); ok {
-		n.bitswapSorted = slices.Delete(n.bitswapSorted, i, i+1)
-	}
 }
 
 // bitswapIndex returns where p sits, or would be inserted, in the
@@ -395,11 +335,6 @@ func (n *Node) Retrieve(env *netsim.Effects, c ids.CID, reprovide bool) Retrieve
 // ExpireProviders drops expired provider records; scenarios call it
 // periodically (the store also filters on read).
 func (n *Node) ExpireProviders() { n.providers.Expire(n.net.Clock.Now()) }
-
-// ProviderRecordCount returns the number of live provider records held.
-func (n *Node) ProviderRecordCount() int {
-	return n.providers.Len(n.net.Clock.Now())
-}
 
 // ProviderStats returns the provider store's conservation ledger (the
 // invariant suite checks Stored == Created − Pruned on every node).

@@ -282,42 +282,32 @@ func TestDHTClientDoesNotServe(t *testing.T) {
 		t.Error("DHT client answered GetProviders")
 	}
 	client.HandleAddProvider(nil, nodes[0].ID(), ids.CIDFromSeed(1), netsim.ProviderRecord{})
-	if client.ProviderRecordCount() != 0 {
+	if len(client.ProvidersOf(ids.CIDFromSeed(1))) != 0 {
 		t.Error("DHT client stored a provider record")
 	}
 }
 
 func TestServerLearnsCallers(t *testing.T) {
-	_, nodes := buildNet(t, 5)
-	a, b := nodes[0], nodes[1]
-	a.RoutingTable().Remove(b.ID())
-	if a.RoutingTable().Contains(b.ID()) {
-		t.Fatal("setup: remove failed")
+	net, nodes := buildNet(t, 5)
+	a := nodes[0]
+	// A server that joined after the oracle fill: a does not know it.
+	newID := ids.PeerIDFromSeed(12345)
+	b := New(newID, net, Config{DHTServer: true})
+	net.Attach(newID, b, netsim.HostConfig{Reachable: true})
+	if inTable(a, newID) {
+		t.Fatal("setup: a already knows the new server")
 	}
-	a.HandleFindNode(nil, b.ID(), ids.KeyFromUint64(0), nil)
-	if !a.RoutingTable().Contains(b.ID()) {
+	a.HandleFindNode(nil, newID, ids.KeyFromUint64(0), nil)
+	if !inTable(a, newID) {
 		t.Error("server did not learn reachable caller")
 	}
 }
 
-func TestBootstrapAndRefresh(t *testing.T) {
-	net, nodes := buildNet(t, 300)
-	newID := ids.PeerIDFromSeed(12345)
-	nd := New(newID, net, Config{DHTServer: true})
-	net.Attach(newID, nd, netsim.HostConfig{Reachable: true})
-
-	stats := nd.Bootstrap([]netsim.PeerInfo{net.Info(nodes[0].ID())})
-	if stats.Queried == 0 {
-		t.Fatal("bootstrap made no queries")
-	}
-	afterJoin := nd.RoutingTable().Len()
-	if afterJoin == 0 {
-		t.Fatal("bootstrap learned no peers")
-	}
-	nd.RefreshBuckets(8)
-	if nd.RoutingTable().Len() <= afterJoin {
-		t.Errorf("refresh did not grow the table (%d -> %d)", afterJoin, nd.RoutingTable().Len())
-	}
+// inTable reports whether p is in nd's routing table: a stored peer is
+// the nearest contact to its own key.
+func inTable(nd *Node, p ids.PeerID) bool {
+	nearest := nd.RoutingTable().AppendNearest(nil, p.Key(), 1)
+	return len(nearest) == 1 && nearest[0] == p
 }
 
 func TestBitswapConnectionManager(t *testing.T) {
@@ -340,10 +330,6 @@ func TestBitswapConnectionManager(t *testing.T) {
 	}
 	if nd.ConnectBitswap(id) {
 		t.Fatal("self-connection accepted")
-	}
-	nd.DisconnectBitswap(ids.PeerIDFromSeed(1))
-	if !nd.ConnectBitswap(ids.PeerIDFromSeed(99)) {
-		t.Fatal("connection rejected after freeing capacity")
 	}
 	peers := nd.BitswapPeers()
 	if len(peers) != 3 {

@@ -234,22 +234,6 @@ func (s *ProviderStore) remove(sl int32, r *provRec) {
 	s.free = append(s.free, sl)
 }
 
-// Len returns the number of live records at time now.
-func (s *ProviderStore) Len(now netsim.Time) int {
-	total := 0
-	for i := range s.arena {
-		r := &s.arena[i]
-		if r.alive && now-r.received < s.ttl {
-			total++
-		}
-	}
-	return total
-}
-
-// CIDs returns the number of distinct CIDs with at least one stored
-// (possibly expired) record.
-func (s *ProviderStore) CIDs() int { return len(s.byCID) }
-
 // CountFrom counts the unexpired records at time now whose provider is
 // p. Pure read; the attack invariants use it to census spam records.
 func (s *ProviderStore) CountFrom(p ids.PeerID, now netsim.Time) int {
@@ -272,8 +256,3 @@ func (s *ProviderStore) CountFrom(p ids.PeerID, now netsim.Time) int {
 func (s *ProviderStore) Stats() ProviderStats {
 	return ProviderStats{Created: s.created, Pruned: s.pruned, Stored: s.created - s.pruned}
 }
-
-// ExpireTouched returns how many bucket entries Expire has visited over
-// the store's lifetime — the cost metric the O(expired) regression test
-// pins (wall time would be flaky; visited records are exact).
-func (s *ProviderStore) ExpireTouched() int64 { return s.touched }

@@ -1,12 +1,11 @@
 // Package report renders experiment results as aligned text tables and
-// CSV — the output format of cmd/tcsb-experiments and the source of the
-// numbers recorded in EXPERIMENTS.md.
+// JSON lines — the output formats of cmd/tcsb-experiments and the source
+// of the numbers recorded in EXPERIMENTS.md.
 package report
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tcsb/internal/stats"
@@ -79,28 +78,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// CSV renders the table as comma-separated values (no escaping beyond
-// replacing embedded commas; cell content here is controlled).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	clean := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = clean(c)
-	}
-	sb.WriteString(strings.Join(cols, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = clean(c)
-		}
-		sb.WriteString(strings.Join(cells, ","))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // JSON renders the table as a single-line JSON object — the unit of the
 // JSONL stream emitted by `tcsb-experiments -json` and consumed when
 // regenerating EXPERIMENTS.md. Field order is fixed by the struct, so
@@ -136,43 +113,11 @@ func SharesTable(title, labelCol string, shares map[string]float64) *Table {
 	return t
 }
 
-// CountsTable renders a label→count map sorted by descending count, with
-// a share column.
-func CountsTable(title, labelCol string, counts map[string]float64) *Table {
-	t := &Table{Title: title, Columns: []string{labelCol, "count", "share"}}
-	var total float64
-	for _, v := range counts {
-		total += v
-	}
-	for _, it := range stats.MapToItems(counts) {
-		share := 0.0
-		if total > 0 {
-			share = it.Count / total
-		}
-		t.AddRow(it.Label, fmt.Sprintf("%.1f", it.Count), Pct(share))
-	}
-	return t
-}
-
 // CurveTable samples a Pareto curve at round top-fractions.
 func CurveTable(title string, curve []stats.ParetoPoint, fractions []float64) *Table {
 	t := &Table{Title: title, Columns: []string{"top % of entities", "% of weight"}}
 	for _, f := range fractions {
 		t.AddRow(Pct(f), Pct(stats.ParetoShareAt(curve, f)))
-	}
-	return t
-}
-
-// HistTable renders an int-keyed histogram in key order.
-func HistTable(title, keyCol string, hist map[int]int) *Table {
-	t := &Table{Title: title, Columns: []string{keyCol, "count"}}
-	keys := make([]int, 0, len(hist))
-	for k := range hist {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		t.AddRow(fmt.Sprintf("%d", k), fmt.Sprintf("%d", hist[k]))
 	}
 	return t
 }

@@ -39,16 +39,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tbl := &Table{Columns: []string{"a", "b"}}
-	tbl.AddRow("x,y", "z")
-	csv := tbl.CSV()
-	want := "a,b\nx;y,z\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
-	}
-}
-
 func TestJSON(t *testing.T) {
 	tbl := &Table{Title: "J", Columns: []string{"a", "b"}}
 	tbl.AddRow("x", 1)
@@ -82,13 +72,6 @@ func TestSharesTableSorted(t *testing.T) {
 	}
 }
 
-func TestCountsTable(t *testing.T) {
-	tbl := CountsTable("C", "k", map[string]float64{"a": 30, "b": 70})
-	if tbl.Rows[0][0] != "b" || tbl.Rows[0][2] != "70.0%" {
-		t.Fatalf("counts table wrong: %v", tbl.Rows)
-	}
-}
-
 func TestCurveTable(t *testing.T) {
 	curve := stats.Pareto([]float64{3, 1})
 	tbl := CurveTable("P", curve, []float64{0.5, 1.0})
@@ -97,12 +80,5 @@ func TestCurveTable(t *testing.T) {
 	}
 	if tbl.Rows[0][1] != "75.0%" {
 		t.Fatalf("share at 50%% = %q", tbl.Rows[0][1])
-	}
-}
-
-func TestHistTableOrdered(t *testing.T) {
-	tbl := HistTable("H", "days", map[int]int{3: 1, 1: 5, 2: 2})
-	if tbl.Rows[0][0] != "1" || tbl.Rows[2][0] != "3" {
-		t.Fatalf("hist not key-ordered: %v", tbl.Rows)
 	}
 }

@@ -27,9 +27,6 @@ func (w *World) ServerIDs() []ids.PeerID { return append([]ids.PeerID(nil), w.se
 // ClientIDs returns the current NAT-ed client identities.
 func (w *World) ClientIDs() []ids.PeerID { return append([]ids.PeerID(nil), w.clients...) }
 
-// CatalogSize returns the number of CIDs ever published.
-func (w *World) CatalogSize() int { return len(w.catalog) }
-
 // LiveCIDs returns the currently provided CIDs.
 func (w *World) LiveCIDs() []ids.CID {
 	out := make([]ids.CID, 0, len(w.live))

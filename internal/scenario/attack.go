@@ -273,13 +273,6 @@ func (w *World) SpammerID() ids.PeerID {
 	return ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48 + 0x5eaa)
 }
 
-// spammerAddrs is the address the spam records carry (a fixed TEST-NET
-// address: no allocator draw, so the spam stream perturbs no other
-// randomness).
-func spammerAddrs() []netsim.PeerInfo {
-	return []netsim.PeerInfo{{}}
-}
-
 // stepAttackTraffic is the per-tick adversarial phase: provider-record
 // spam and the gateway stampede. It runs serially after the hydra
 // drains (phase 5) and consumes no randomness — every draw is tick

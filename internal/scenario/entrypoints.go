@@ -82,18 +82,6 @@ func (w *World) PlatformOfIP(ip netip.Addr) string {
 	return PlatformLabelOther
 }
 
-// GatewayOverlayGroundTruth returns the true overlay IDs of all gateways
-// (what the probe should discover).
-func (w *World) GatewayOverlayGroundTruth() map[ids.PeerID]bool {
-	out := make(map[ids.PeerID]bool)
-	for _, gw := range w.Gateways {
-		for _, id := range gw.OverlayIDs() {
-			out[id] = true
-		}
-	}
-	return out
-}
-
 // PublicGateways returns the gateways on the public gateway-checker list
 // (the paper's [40]). The ipfs-bank-style platform serves HTTP but is not
 // listed there; the paper identifies it via rDNS instead.

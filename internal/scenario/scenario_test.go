@@ -171,7 +171,7 @@ func TestCrawlOnWorld(t *testing.T) {
 	}
 	// NAT clients must not appear in a DHT crawl.
 	for _, id := range w.clients {
-		if snap.Get(id) != nil {
+		if snap.Peers[id] != nil {
 			t.Fatalf("NAT client %s in crawl", id.Short())
 		}
 	}

@@ -62,6 +62,52 @@ func TestConfigCloneCompleteness(t *testing.T) {
 	}
 }
 
+// worldSnapshotFields lists every World field the Snapshot digest
+// captures (directly or through a canonical summary), keyed by field
+// name with a note on how. TestWorldSnapshotCompleteness asserts
+// this map and worldSnapshotExcluded partition the World struct exactly.
+var worldSnapshotFields = map[string]string{
+	"Cfg":           "hashed canonically (timeline rewrites mutate it mid-run)",
+	"Net":           "per-actor liveness/addresses via the registry walk + total RPC counter",
+	"Actors":        "walked in creation order: identity, role, liveness, IP, provider ledger",
+	"order":         "walk order + length",
+	"servers":       "role list contents",
+	"clients":       "role list contents",
+	"Monitor":       "streaming accumulator event/class counters",
+	"Hydra":         "streaming accumulator counters + cache size + pending lookups",
+	"PLHydras":      "deployment count + per-deployment cache size and pending lookups",
+	"Gateways":      "count, domains and served totals",
+	"IPFSBank":      "covered by the Gateways walk (it is a member)",
+	"bankIdx":       "hashed directly",
+	"catalog":       "every entry: cid, owner, born/die ticks, persistence",
+	"live":          "live index list",
+	"tick":          "hashed directly",
+	"peerSeq":       "hashed directly",
+	"cidSeq":        "hashed directly",
+	"attackTargets": "targeted CID list (set once per attack launch)",
+	"attackers":     "minted sybil identities in creation order",
+	"Timing":        "per-phase sketch count/sum/min/max + network link counters",
+	"Intern":        "handle-table digest (contents in insertion order)",
+}
+
+// worldSnapshotExcluded lists every World field the digest deliberately
+// skips, with the reason the skip is sound. A field belongs here only
+// if its state is scratch, execution-only, immutable, or fully derived
+// from digested state by the deterministic replay that Restore performs.
+var worldSnapshotExcluded = map[string]string{
+	"Rng":           "opaque math/rand state; restore is replay-based, which reconstructs it",
+	"Workers":       "execution knob; the evolution is byte-identical for every value",
+	"DB":            "immutable address-plan database",
+	"Alloc":         "allocation cursors + RNG; observable effect (actor IPs) is digested",
+	"DNS":           "append-only registration log, a pure function of the digested construction + arrival history",
+	"platformNodes": "construction-time cluster wiring, immutable after build",
+	"ring":          "derived from servers + hydra heads via rebuildRing",
+	"zipf":          "derived from catalogue size and the replayed RNG stream",
+	"zipfTail":      "derived from catalogue size and the replayed RNG stream",
+	"viewsBuf":      "per-tick scratch, semantically empty between ticks",
+	"attackerSet":   "membership index derived from attackers",
+}
+
 func TestWorldSnapshotCompleteness(t *testing.T) {
 	typ := reflect.TypeOf(World{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -20,9 +20,6 @@ const TicksPerDay = 24
 // Tick returns the current tick index.
 func (w *World) Tick() int { return w.tick }
 
-// Day returns the current virtual day index.
-func (w *World) Day() int { return w.tick / TicksPerDay }
-
 // StepTick advances the world by one hour: churn, content lifecycle,
 // request traffic, platform advertisement, and Hydra cache filling.
 //

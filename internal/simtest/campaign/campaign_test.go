@@ -33,8 +33,8 @@ func TestObservatoryFixtureWorkerIndependence(t *testing.T) {
 		t.Fatal("distinct worker counts must build distinct fixtures")
 	}
 	hydra, hydraP := serial.World.Hydra.Log(), pooled.World.Hydra.Log()
-	if hydra.Len() != hydraP.Len() {
-		t.Fatalf("hydra logs differ: %d vs %d", hydra.Len(), hydraP.Len())
+	if len(hydra.Events()) != len(hydraP.Events()) {
+		t.Fatalf("hydra logs differ: %d vs %d", len(hydra.Events()), len(hydraP.Events()))
 	}
 	for i, e := range hydra.Events() {
 		if e != hydraP.Events()[i] {
@@ -51,8 +51,8 @@ func TestObservatoryFixtureWorkerIndependence(t *testing.T) {
 		t.Fatalf("traffic differs: %d vs %d RPCs", a, b)
 	}
 	mon, monP := serial.World.Monitor.Log(), pooled.World.Monitor.Log()
-	if mon.Len() != monP.Len() {
-		t.Fatalf("monitor logs differ: %d vs %d", mon.Len(), monP.Len())
+	if len(mon.Events()) != len(monP.Events()) {
+		t.Fatalf("monitor logs differ: %d vs %d", len(mon.Events()), len(monP.Events()))
 	}
 	for i, e := range mon.Events() {
 		if e != monP.Events()[i] {

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"tcsb/internal/attack"
+	_ "tcsb/internal/attack" // registers the attack.* interventions
 	"tcsb/internal/core"
 	"tcsb/internal/counterfactual"
 	"tcsb/internal/scenario"
@@ -206,7 +206,7 @@ func TestExpectedBreakMustBreakOnWorld(t *testing.T) {
 }
 
 // TestContractVocabulary pins the contract/invariant wiring: the
-// contracts match attack.Names() one to one, in order, every contract
+// contracts match the attack.* registrations one to one, in order, every contract
 // names a registered intervention, references only known attack-surface
 // invariants, never lists an invariant on both sides, and every attack
 // has at least one expected breakage.
@@ -222,7 +222,12 @@ func TestContractVocabulary(t *testing.T) {
 	if len(contracts) != 4 {
 		t.Fatalf("want 4 attack contracts, got %d", len(contracts))
 	}
-	names := attack.Names()
+	var names []string
+	for _, name := range counterfactual.Names() {
+		if strings.HasPrefix(name, "attack.") {
+			names = append(names, name)
+		}
+	}
 	if len(names) != len(contracts) {
 		t.Fatalf("%d contracts for %d attacks %v", len(contracts), len(names), names)
 	}

@@ -1,7 +1,10 @@
 package simtest
 
 import (
+	"slices"
 	"testing"
+
+	"tcsb/internal/ids"
 )
 
 func TestBuildServersDeterministic(t *testing.T) {
@@ -14,11 +17,14 @@ func TestBuildServersDeterministic(t *testing.T) {
 		if a.Nodes[i].ID() != b.Nodes[i].ID() {
 			t.Fatalf("node %d IDs differ across identical builds", i)
 		}
-		if a.Nodes[i].RoutingTable().Len() != b.Nodes[i].RoutingTable().Len() {
-			t.Fatalf("node %d table sizes differ", i)
+		// Every contact, nearest to the zero key first.
+		ta := a.Nodes[i].RoutingTable().AppendNearest(nil, ids.Key{}, len(a.Nodes))
+		tb := b.Nodes[i].RoutingTable().AppendNearest(nil, ids.Key{}, len(b.Nodes))
+		if !slices.Equal(ta, tb) {
+			t.Fatalf("node %d tables differ", i)
 		}
 	}
-	if a.Nodes[0].RoutingTable().Len() == 0 {
+	if len(a.Nodes[0].RoutingTable().AppendNearest(nil, ids.Key{}, 1)) == 0 {
 		t.Fatal("oracle fill left empty tables")
 	}
 }

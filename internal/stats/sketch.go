@@ -6,9 +6,9 @@ import (
 )
 
 // Sketch is a bounded-memory quantile summary for the latency pipeline:
-// phase timings stream in per lane, fold together in fixed lane order,
-// and experiments read p50/p90/p95/p99 and jitter at the end — without
-// ever materializing the raw timing trace.
+// phase timings stream in, in fixed lane order, and experiments read
+// p50/p90/p95/p99 and jitter at the end — without ever materializing the
+// raw timing trace.
 //
 // The structure is a hybrid: up to sketchExactCap samples are kept
 // verbatim (quantiles on small inputs are exact, matching Percentile
@@ -16,11 +16,8 @@ import (
 // log-linear buckets (subBuckets per power of two), where quantiles
 // carry a bounded relative error of at most 1/subBuckets per lookup.
 //
-// Bucketization is a pure function of the sample value, so bucket
-// counts are additive: Merge(a, b) holds exactly the union's buckets
-// regardless of split or order. That makes merging *exactly*
-// associative — the property the worker-determinism suite pins — not
-// just approximately so.
+// Bucketization is a pure function of the sample value, so a spilled
+// sketch's buckets do not depend on the order its samples arrived in.
 //
 // The zero Sketch is ready to use. Sketch is not safe for concurrent
 // writers; the effect-lane protocol guarantees single-writer access.
@@ -127,44 +124,6 @@ func (s *Sketch) bucketize(v float64) {
 		return
 	}
 	s.buckets[bucketOf(v)]++
-}
-
-// Merge folds other into s. Two exact-regime sketches whose union fits
-// the exact cap stay exact; otherwise both sides bucketize, and because
-// bucket placement depends only on sample values the result equals the
-// sketch of the concatenated stream.
-func (s *Sketch) Merge(other *Sketch) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		s.min, s.max = other.min, other.max
-	} else {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	s.count += other.count
-	s.sum += other.sum
-	if s.buckets == nil && other.buckets == nil && len(s.exact)+len(other.exact) <= sketchExactCap {
-		s.exact = append(s.exact, other.exact...)
-		s.exactDirty = true
-		return
-	}
-	s.spill()
-	if other.buckets == nil {
-		for _, v := range other.exact {
-			s.bucketize(v)
-		}
-		return
-	}
-	for i, c := range other.buckets {
-		s.buckets[i] += c
-	}
-	s.underflow += other.underflow
 }
 
 // Count returns the number of samples observed.

@@ -100,61 +100,6 @@ func TestSketchBoundedErrorLargeStream(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAssociativity pins the headline merge property:
-// sketch(A)+sketch(B) reports the same quantiles as sketch(A∪B) —
-// exactly, not within tolerance, because bucketization depends only on
-// sample values. Covered in both regimes and at the regime boundary.
-func TestSketchMergeAssociativity(t *testing.T) {
-	cases := []struct {
-		name   string
-		n      int
-		splits []int
-	}{
-		{"exact-regime", 40, []int{13}},
-		{"boundary", 80, []int{64}},
-		{"spilled", 5000, []int{1700, 3400}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			samples := sketchStream(uint64(tc.n), tc.n, 1000)
-			var whole Sketch
-			for _, v := range samples {
-				whole.Observe(v)
-			}
-			// Build per-segment sketches and fold them left to right.
-			var merged Sketch
-			prev := 0
-			for _, cut := range append(tc.splits, tc.n) {
-				var part Sketch
-				for _, v := range samples[prev:cut] {
-					part.Observe(v)
-				}
-				merged.Merge(&part)
-				prev = cut
-			}
-			if merged.Count() != whole.Count() {
-				t.Fatalf("merged count %d != whole count %d", merged.Count(), whole.Count())
-			}
-			for _, p := range []float64{0, 10, 50, 90, 95, 99, 100} {
-				if got, want := merged.Quantile(p), whole.Quantile(p); got != want {
-					t.Errorf("Quantile(%v): merged %v != whole %v", p, got, want)
-				}
-			}
-			if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-				t.Error("merged min/max differ from the whole stream's")
-			}
-		})
-	}
-	// Merging an empty or nil sketch is the identity.
-	var s, empty Sketch
-	s.Observe(7)
-	s.Merge(&empty)
-	s.Merge(nil)
-	if s.Count() != 1 || s.Quantile(50) != 7 {
-		t.Error("merging empty/nil sketches must be the identity")
-	}
-}
-
 // TestSketchNonPositiveSamples pins the underflow path: zero-valued
 // durations (the net.ideal identity profile) never corrupt quantiles.
 func TestSketchNonPositiveSamples(t *testing.T) {

@@ -161,55 +161,10 @@ func ParetoShareAt(points []ParetoPoint, topFraction float64) float64 {
 	return a.WeightFraction + frac*(b.WeightFraction-a.WeightFraction)
 }
 
-// GiniFromPareto computes the Gini coefficient of the weight distribution
-// underlying a Pareto curve — a single-number centralization summary
-// (0 = perfectly equal, →1 = one entity holds everything).
-func GiniFromPareto(points []ParetoPoint) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	// The Pareto curve is the "reversed" Lorenz curve; integrate it via the
-	// trapezoid rule and convert. Area under Lorenz curve B relates to the
-	// area under the descending-cumulative curve A by A + B' symmetry:
-	// Gini = 2*A - 1 where A is the area under the descending curve.
-	var area float64
-	prev := ParetoPoint{0, 0}
-	for _, p := range points {
-		area += (p.TopFraction - prev.TopFraction) * (p.WeightFraction + prev.WeightFraction) / 2
-		prev = p
-	}
-	g := 2*area - 1
-	if g < 0 {
-		g = 0
-	}
-	if g > 1 {
-		g = 1
-	}
-	return g
-}
-
 // CountItem is one bar of a categorical histogram.
 type CountItem struct {
 	Label string
 	Count float64
-}
-
-// Shares converts raw counts into fractional shares of the total, keeping
-// the original order. An all-zero input returns zero shares.
-func Shares(items []CountItem) []CountItem {
-	var total float64
-	for _, it := range items {
-		total += it.Count
-	}
-	out := make([]CountItem, len(items))
-	for i, it := range items {
-		share := 0.0
-		if total > 0 {
-			share = it.Count / total
-		}
-		out[i] = CountItem{Label: it.Label, Count: share}
-	}
-	return out
 }
 
 // SortedByCount returns the items sorted by descending count, breaking
@@ -222,22 +177,6 @@ func SortedByCount(items []CountItem) []CountItem {
 		}
 		return out[i].Label < out[j].Label
 	})
-	return out
-}
-
-// TopNWithOther keeps the n largest items (by count) and folds the rest
-// into an "other" bucket, mirroring how the paper's bar charts are drawn.
-func TopNWithOther(items []CountItem, n int, otherLabel string) []CountItem {
-	sorted := SortedByCount(items)
-	if len(sorted) <= n {
-		return sorted
-	}
-	out := append([]CountItem(nil), sorted[:n]...)
-	var rest float64
-	for _, it := range sorted[n:] {
-		rest += it.Count
-	}
-	out = append(out, CountItem{Label: otherLabel, Count: rest})
 	return out
 }
 

@@ -144,33 +144,6 @@ func TestParetoMonotone(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if g := GiniFromPareto(Pareto([]float64{1, 1, 1, 1})); g > 0.2 {
-		t.Errorf("uniform Gini = %v, want near 0", g)
-	}
-	gExtreme := GiniFromPareto(Pareto(append([]float64{1000}, make([]float64, 999)...)))
-	if gExtreme < 0.9 {
-		t.Errorf("extreme Gini = %v, want near 1", gExtreme)
-	}
-}
-
-func TestSharesAndTopN(t *testing.T) {
-	items := []CountItem{{"a", 30}, {"b", 50}, {"c", 20}}
-	sh := Shares(items)
-	if !almostEq(sh[1].Count, 0.5, 1e-12) {
-		t.Errorf("share of b = %v, want 0.5", sh[1].Count)
-	}
-	top := TopNWithOther(items, 2, "other")
-	if len(top) != 3 || top[0].Label != "b" || top[2].Label != "other" || top[2].Count != 20 {
-		t.Errorf("TopNWithOther = %+v", top)
-	}
-	// n >= len: no other bucket.
-	top2 := TopNWithOther(items, 5, "other")
-	if len(top2) != 3 {
-		t.Errorf("TopNWithOther with large n = %+v", top2)
-	}
-}
-
 func TestMapToItemsDeterministic(t *testing.T) {
 	m := map[string]float64{"x": 1, "y": 1, "z": 2}
 	a := MapToItems(m)

@@ -7,15 +7,12 @@ package timeline
 type Preset struct {
 	// Name is the CLI key, e.g. "timeline.dissolution".
 	Name string
-	// Spec is the schedule in grammar form (always MustParse-clean).
+	// Spec is the schedule in grammar form (vetted by tests: it always
+	// parses, and is canonical).
 	Spec string
 	// Description is the one-line summary shown by -list.
 	Description string
 }
-
-// Schedule parses the preset's spec (presets are vetted by tests, so
-// this never fails at runtime).
-func (p Preset) Schedule() Schedule { return MustParse(p.Spec) }
 
 // presetFamily is the registered timeline.* family.
 var presetFamily = []Preset{

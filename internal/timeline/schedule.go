@@ -217,16 +217,6 @@ func Parse(spec string) (Schedule, error) {
 	return s, nil
 }
 
-// MustParse is Parse for trusted specs (presets, tests); it panics on
-// error.
-func MustParse(spec string) Schedule {
-	s, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // parseEvent parses one "@E:action" clause.
 func parseEvent(clause string) (Event, error) {
 	body := clause[1:]
@@ -318,9 +308,6 @@ func (s Schedule) Validate() error {
 	}
 	return nil
 }
-
-// Days returns the schedule's total simulated days.
-func (s Schedule) Days() int { return s.Epochs * s.DaysPerEpoch }
 
 // --- Compilation ---
 

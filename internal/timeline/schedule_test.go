@@ -210,9 +210,6 @@ func TestPresetsAreValid(t *testing.T) {
 		if s.String() != p.Spec {
 			t.Errorf("preset %q spec %q is not canonical (want %q)", p.Name, p.Spec, s.String())
 		}
-		if got := p.Schedule(); !reflect.DeepEqual(got, s) {
-			t.Errorf("preset %q Schedule() mismatch", p.Name)
-		}
 		if _, ok := LookupPreset(p.Name); !ok {
 			t.Errorf("LookupPreset(%q) failed", p.Name)
 		}

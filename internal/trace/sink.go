@@ -220,9 +220,9 @@ func (d *daySet) has(day int64) bool {
 // per-IP activity, days-seen frequency, unique-IP and traffic shares per
 // class, identity-tagged platform shares, daily CID sets) folds into
 // this bounded state, event by event. For any event sequence, every
-// Accum-derived result equals the corresponding Log-derived batch result
-// — the sink-vs-log equivalence property pinned by
-// internal/simtest/invariants.
+// Accum-derived result equals the batch result of scanning the raw
+// events — the sink-vs-log equivalence property that
+// internal/simtest/invariants pins against its batch reference model.
 //
 // Memory is bounded by the number of distinct identifiers (peers, IPs,
 // CIDs, days), not by traffic volume — the refactoring that makes
@@ -269,10 +269,6 @@ func newAccum(tagPeer func(ids.PeerID) bool, tab *intern.Tables) *Accum {
 		days:    make(map[int64]struct{}),
 	}
 }
-
-// NewAccum creates a standalone accumulator (no tagged senders, private
-// handle tables). Most callers obtain one through a Pipeline instead.
-func NewAccum() *Accum { return newAccum(nil, nil) }
 
 // grown returns s extended (zero-filled) to make handle h addressable.
 func grown[T any, H ~uint32](s []T, h H) []T {
@@ -355,8 +351,8 @@ func (a *Accum) SeenPeer(p ids.PeerID) bool {
 // DistinctPeers returns the number of distinct senders observed.
 func (a *Accum) DistinctPeers() int { return a.distinctPeers }
 
-// Mix returns the per-class traffic shares, exactly as Log.Mix would
-// over the same events: only classes that occurred appear as keys.
+// Mix returns the per-class traffic shares: only classes that occurred
+// appear as keys.
 func (a *Accum) Mix() map[Class]float64 {
 	out := make(map[Class]float64, classCount)
 	if a.n == 0 {
@@ -371,8 +367,7 @@ func (a *Accum) Mix() map[Class]float64 {
 }
 
 // EachPeerActivity streams the per-peer message counts without
-// materializing a map — the render-path accessor (the map-returning
-// ActivityByPeer copies the whole ledger per call).
+// materializing a map.
 func (a *Accum) EachPeerActivity(yield func(ids.PeerID, int64)) {
 	for h, n := range a.byPeer {
 		if n > 0 {
@@ -403,28 +398,9 @@ func (a *Accum) EachIPActivity(yield func(netip.Addr, int64)) {
 	}
 }
 
-// ActivityByPeer returns a copy of the per-peer message counts.
-// Prefer EachPeerActivity on render paths — this materializes the
-// whole ledger per call.
-func (a *Accum) ActivityByPeer() map[ids.PeerID]int64 {
-	out := make(map[ids.PeerID]int64, a.distinctPeers)
-	a.EachPeerActivity(func(p ids.PeerID, n int64) { out[p] = n })
-	return out
-}
-
-// ActivityByIP returns per-IP message counts over all classes
-// (valid-IP events only, like Log.ActivityByIP). Prefer EachIPActivity
-// on render paths.
-func (a *Accum) ActivityByIP() map[netip.Addr]int64 {
-	out := make(map[netip.Addr]int64)
-	a.EachIPActivity(func(ip netip.Addr, n int64) { out[ip] = n })
-	return out
-}
-
 // GroupShareByIP computes each group's share of total traffic where the
-// group of an event is attr(e.IP) — the Accum equivalent of
-// Log.GroupShare with an IP-only grouping (invalid-IP events group under
-// attr of the zero Addr, exactly as the batch path does).
+// group of an event is attr(e.IP) (invalid-IP events group under attr of
+// the zero Addr).
 func (a *Accum) GroupShareByIP(attr func(netip.Addr) string) map[string]float64 {
 	counts := make(map[string]float64)
 	for c := 0; c < int(classCount); c++ {
@@ -435,7 +411,7 @@ func (a *Accum) GroupShareByIP(attr func(netip.Addr) string) map[string]float64 
 
 // ClassGroupShareByIP is GroupShareByIP restricted to one traffic class
 // (the Fig. 12 per-class traffic shares), with the class total as the
-// denominator — equivalent to Filter(class).GroupShare(attr ∘ IP).
+// denominator.
 func (a *Accum) ClassGroupShareByIP(cl Class, attr func(netip.Addr) string) map[string]float64 {
 	counts := make(map[string]float64)
 	a.accumulateClassShare(cl, attr, counts)
@@ -454,7 +430,7 @@ func (a *Accum) accumulateClassShare(cl Class, attr func(netip.Addr) string, cou
 }
 
 // UniqueIPShare computes each group's share of distinct IPs over all
-// classes, equivalent to Log.UniqueIPShare.
+// classes.
 func (a *Accum) UniqueIPShare(attr func(netip.Addr) string) map[string]float64 {
 	counts := make(map[string]float64)
 	total := 0.0
@@ -468,7 +444,7 @@ func (a *Accum) UniqueIPShare(attr func(netip.Addr) string) map[string]float64 {
 }
 
 // ClassUniqueIPShare computes each group's share of the distinct IPs
-// seen in one traffic class — Filter(class).UniqueIPShare(attr).
+// seen in one traffic class.
 func (a *Accum) ClassUniqueIPShare(cl Class, attr func(netip.Addr) string) map[string]float64 {
 	counts := make(map[string]float64)
 	total := 0.0
@@ -483,9 +459,8 @@ func (a *Accum) ClassUniqueIPShare(cl Class, attr func(netip.Addr) string) map[s
 
 // TaggedGroupShareByIP computes traffic shares with tagged senders
 // pooled under tagLabel and everything else grouped by attr(IP) — the
-// Fig. 13 platform attribution (tagLabel = "hydra"), equivalent to
-// Log.GroupShare(PlatformOf) when PlatformOf returns tagLabel exactly
-// for tagged senders and attr(e.IP) otherwise.
+// Fig. 13 platform attribution (tagLabel = "hydra"): a sender's group is
+// tagLabel when it is tagged and attr(e.IP) otherwise.
 func (a *Accum) TaggedGroupShareByIP(tagLabel string, attr func(netip.Addr) string) map[string]float64 {
 	counts := make(map[string]float64)
 	for c := 0; c < int(classCount); c++ {

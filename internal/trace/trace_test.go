@@ -11,6 +11,15 @@ import (
 
 func ip(s string) netip.Addr { return netip.MustParseAddr(s) }
 
+// accumOf folds events into a standalone accumulator.
+func accumOf(events []Event) *Accum {
+	a := newAccum(nil, nil)
+	for _, e := range events {
+		a.Observe(e)
+	}
+	return a
+}
+
 func TestClassify(t *testing.T) {
 	cases := map[netsim.MsgType]Class{
 		netsim.MsgGetProviders: Download,
@@ -29,67 +38,71 @@ func TestClassify(t *testing.T) {
 }
 
 func TestMix(t *testing.T) {
-	var l Log
+	var events []Event
 	for i := 0; i < 57; i++ {
-		l.Append(Event{Type: netsim.MsgGetProviders})
+		events = append(events, Event{Type: netsim.MsgGetProviders})
 	}
 	for i := 0; i < 40; i++ {
-		l.Append(Event{Type: netsim.MsgAddProvider})
+		events = append(events, Event{Type: netsim.MsgAddProvider})
 	}
 	for i := 0; i < 3; i++ {
-		l.Append(Event{Type: netsim.MsgFindNode})
+		events = append(events, Event{Type: netsim.MsgFindNode})
 	}
-	mix := l.Mix()
+	mix := accumOf(events).Mix()
 	if math.Abs(mix[Download]-0.57) > 1e-12 || math.Abs(mix[Advertise]-0.40) > 1e-12 || math.Abs(mix[Other]-0.03) > 1e-12 {
 		t.Fatalf("mix = %v", mix)
 	}
 }
 
 func TestDaysSeenHistogram(t *testing.T) {
-	var l Log
 	c1 := ids.CIDFromSeed(1) // seen on days 0 and 1
 	c2 := ids.CIDFromSeed(2) // seen only on day 0, twice
-	l.Append(Event{Time: 0, CID: c1, Type: netsim.MsgGetProviders})
-	l.Append(Event{Time: SecondsPerDay + 5, CID: c1, Type: netsim.MsgGetProviders})
-	l.Append(Event{Time: 10, CID: c2, Type: netsim.MsgGetProviders})
-	l.Append(Event{Time: 20, CID: c2, Type: netsim.MsgGetProviders})
-	// An event with no CID must be skipped.
-	l.Append(Event{Time: 30, Type: netsim.MsgFindNode})
-
-	hist := DaysSeenHistogram(&l, CIDKey)
+	hist := accumOf([]Event{
+		{Time: 0, CID: c1, Type: netsim.MsgGetProviders},
+		{Time: SecondsPerDay + 5, CID: c1, Type: netsim.MsgGetProviders},
+		{Time: 10, CID: c2, Type: netsim.MsgGetProviders},
+		{Time: 20, CID: c2, Type: netsim.MsgGetProviders},
+		// An event with no CID must be skipped.
+		{Time: 30, Type: netsim.MsgFindNode},
+	}).DaysSeenByCID()
 	if hist[1] != 1 || hist[2] != 1 {
 		t.Fatalf("hist = %v, want {1:1, 2:1}", hist)
 	}
 }
 
 func TestDaysSeenByIPAndPeer(t *testing.T) {
-	var l Log
 	p := ids.PeerIDFromSeed(1)
-	l.Append(Event{Time: 0, Peer: p, IP: ip("52.0.0.1")})
-	l.Append(Event{Time: 3 * SecondsPerDay, Peer: p, IP: ip("52.0.0.2")})
-	ipHist := DaysSeenHistogram(&l, IPKey)
+	st := accumOf([]Event{
+		{Time: 0, Peer: p, IP: ip("52.0.0.1")},
+		{Time: 3 * SecondsPerDay, Peer: p, IP: ip("52.0.0.2")},
+	})
+	ipHist := st.DaysSeenByIP()
 	if ipHist[1] != 2 {
 		t.Fatalf("ip hist = %v, want two 1-day IPs", ipHist)
 	}
-	peerHist := DaysSeenHistogram(&l, PeerKey)
+	peerHist := st.DaysSeenByPeer()
 	if peerHist[2] != 1 {
 		t.Fatalf("peer hist = %v, want one 2-day peer", peerHist)
 	}
 }
 
 func TestActivityMaps(t *testing.T) {
-	var l Log
+	var events []Event
 	p1, p2 := ids.PeerIDFromSeed(1), ids.PeerIDFromSeed(2)
 	for i := 0; i < 9; i++ {
-		l.Append(Event{Peer: p1, IP: ip("52.0.0.1")})
+		events = append(events, Event{Peer: p1, IP: ip("52.0.0.1")})
 	}
-	l.Append(Event{Peer: p2, IP: ip("91.0.0.1")})
-	byPeer := l.ActivityByPeer()
-	if byPeer[p1] != 9 || byPeer[p2] != 1 {
+	events = append(events, Event{Peer: p2, IP: ip("91.0.0.1")}, Event{Peer: p2})
+	st := accumOf(events)
+	byPeer := map[ids.PeerID]int64{}
+	st.EachPeerActivity(func(p ids.PeerID, n int64) { byPeer[p] = n })
+	if len(byPeer) != 2 || byPeer[p1] != 9 || byPeer[p2] != 2 {
 		t.Fatalf("byPeer = %v", byPeer)
 	}
-	byIP := l.ActivityByIP()
-	if byIP[ip("52.0.0.1")] != 9 {
+	// Events without an IP count for their peer, but not per IP.
+	byIP := map[netip.Addr]int64{}
+	st.EachIPActivity(func(a netip.Addr, n int64) { byIP[a] = n })
+	if len(byIP) != 2 || byIP[ip("52.0.0.1")] != 9 || byIP[ip("91.0.0.1")] != 1 {
 		t.Fatalf("byIP = %v", byIP)
 	}
 }
@@ -117,6 +130,9 @@ func TestTopShare(t *testing.T) {
 	if got := TopShare(seqOf(activity), 1.0); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("TopShare(100%%) = %v", got)
 	}
+	if got := TopShare(seqOf(map[string]int64{}), 0.05); got != 0 {
+		t.Errorf("TopShare over empty activity = %v, want 0", got)
+	}
 }
 
 func TestGroupShares(t *testing.T) {
@@ -140,12 +156,13 @@ func TestGroupShares(t *testing.T) {
 }
 
 func TestGroupShareAndUniqueIPShare(t *testing.T) {
-	var l Log
+	var events []Event
 	cloudIP, homeIP := ip("52.0.0.1"), ip("91.0.0.1")
 	for i := 0; i < 9; i++ {
-		l.Append(Event{IP: cloudIP, Type: netsim.MsgGetProviders})
+		events = append(events, Event{IP: cloudIP, Type: netsim.MsgGetProviders})
 	}
-	l.Append(Event{IP: homeIP, Type: netsim.MsgGetProviders})
+	events = append(events, Event{IP: homeIP, Type: netsim.MsgGetProviders})
+	st := accumOf(events)
 
 	attr := func(a netip.Addr) string {
 		if a == cloudIP {
@@ -153,47 +170,20 @@ func TestGroupShareAndUniqueIPShare(t *testing.T) {
 		}
 		return "non-cloud"
 	}
-	traffic := l.GroupShare(func(e Event) string { return attr(e.IP) })
+	traffic := st.GroupShareByIP(attr)
 	if math.Abs(traffic["cloud"]-0.9) > 1e-12 {
 		t.Errorf("traffic share = %v", traffic)
 	}
-	unique := l.UniqueIPShare(attr)
+	unique := st.UniqueIPShare(attr)
 	if unique["cloud"] != 0.5 || unique["non-cloud"] != 0.5 {
 		t.Errorf("unique IP share = %v", unique)
 	}
 }
 
-func TestFilterAndMerge(t *testing.T) {
-	var a, b Log
-	a.Append(Event{Type: netsim.MsgGetProviders})
-	b.Append(Event{Type: netsim.MsgAddProvider})
-	a.Merge(&b)
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d", a.Len())
-	}
-	dl := a.Filter(func(e Event) bool { return e.Class() == Download })
-	if dl.Len() != 1 {
-		t.Fatalf("filtered len = %d", dl.Len())
-	}
-}
-
-func TestEmptyLogSafety(t *testing.T) {
-	var l Log
-	if len(l.Mix()) != 0 {
-		t.Error("empty mix should have no entries")
-	}
-	if got := l.GroupShare(func(Event) string { return "x" }); len(got) != 0 {
-		t.Error("empty group share should have no entries")
-	}
-	if TopShare(seqOf(map[string]int64{}), 0.5) != 0 {
-		t.Error("TopShare over empty activity should be 0")
-	}
-}
-
 func BenchmarkDaysSeen(b *testing.B) {
-	var l Log
+	st := newAccum(nil, nil)
 	for i := 0; i < 100000; i++ {
-		l.Append(Event{
+		st.Observe(Event{
 			Time: int64(i%14) * SecondsPerDay,
 			CID:  ids.CIDFromSeed(uint64(i % 5000)),
 			Type: netsim.MsgGetProviders,
@@ -202,6 +192,6 @@ func BenchmarkDaysSeen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = DaysSeenHistogram(&l, CIDKey)
+		_ = st.DaysSeenByCID()
 	}
 }

@@ -1,0 +1,387 @@
+package tcsb_test
+
+// The production-reach gate: every package-level func, method, var and
+// type declared in a production package under internal/ must be
+// referenced from a file that is not a _test.go file. Code that only
+// tests call measures nothing, yet it must be read, tested and carried
+// through every refactor; it belongs in the test files that use it.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllowlist holds identifiers the gate would flag but that stay in
+// production code, keyed as the gate prints them ("pkg.Name" or
+// "pkg.Type.Method"), each with the reason it stays.
+var reachAllowlist = map[string]string{}
+
+func TestProductionReach(t *testing.T) {
+	findings, err := unreached(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[string]bool{}
+	for _, f := range findings {
+		flagged[f.name] = true
+		if _, ok := reachAllowlist[f.name]; !ok {
+			t.Errorf("%s:%d: %s has no reference outside _test.go files", f.file, f.line, f.name)
+		}
+	}
+	for name := range reachAllowlist {
+		if !flagged[name] {
+			t.Errorf("allowlist entry %s is reached or gone; delete the entry", name)
+		}
+	}
+}
+
+// TestProductionReachFixture runs the gate over testdata/reach, a module
+// with one declaration per case, and expects exactly the flagged ones.
+func TestProductionReachFixture(t *testing.T) {
+	findings, err := unreached(filepath.Join("testdata", "reach"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, f := range findings {
+		got[f.name] = fmt.Sprintf("%s:%d", f.file, f.line)
+	}
+	cases := []struct {
+		name    string
+		flagged string // file:line of the finding; "" when not flagged
+	}{
+		{"lib.TestOnly", "internal/lib/lib.go:8"},  // exported; only lib_test.go calls it
+		{"lib.dead", "internal/lib/lib.go:11"},     // unexported, never called
+		{"lib.deadVar", "internal/lib/lib.go:14"},  // unexported var, never used
+		{"lib.selfOnly", "internal/lib/lib.go:17"}, // only called from its own body
+		{"lib.once", ""},          // called once, from lib.Total
+		{"lib.Square.Area", ""},   // implements lib.Shape
+		{"lib.Square.String", ""}, // implements fmt.Stringer
+		{"lib.Box.Get", ""},       // called on a Box[int]
+		{"lib.BenchOnly", ""},     // called from the nested bench module
+	}
+	flagged := 0
+	for _, c := range cases {
+		if got[c.name] != c.flagged {
+			t.Errorf("%s: finding at %q, want %q", c.name, got[c.name], c.flagged)
+		}
+		if c.flagged != "" {
+			flagged++
+		}
+	}
+	if len(findings) != flagged {
+		t.Errorf("%d findings, want %d: %v", len(findings), flagged, got)
+	}
+}
+
+// reachFinding is one production identifier no non-test file uses.
+type reachFinding struct {
+	file string // relative to the scanned root
+	line int
+	name string // pkg.Name or pkg.Type.Method
+}
+
+// reachPkg is one directory's non-test Go files.
+type reachPkg struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// unreached type-checks the non-test files of every package under root,
+// including nested modules such as bench/, and returns the package-level
+// funcs, methods, vars and types of the packages under internal/ (but
+// not internal/simtest/...) that no non-test file references. Constants
+// are exempt, as are methods that implement fmt.Stringer, error or an
+// interface declared under root. A use inside the object's own
+// declaration, or in the receiver of a method on a type, does not count.
+func unreached(root string) ([]reachFinding, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parseTree(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	imp := &treeImporter{fset: fset, pkgs: pkgs, std: importer.Default()}
+	var paths []string
+	for p := range pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			return nil, err
+		}
+	}
+
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	isTarget := func(path string) bool {
+		return strings.HasPrefix(path, mod+"/internal/") && path != mod+"/internal/simtest" &&
+			!strings.HasPrefix(path, mod+"/internal/simtest/")
+	}
+
+	// Declarations of the checked objects, whose uses do not count for
+	// them, and the identifiers in method receivers, which are part of
+	// their type's declaration.
+	own := map[types.Object]reachSpan{}
+	inReceiver := map[*ast.Ident]bool{}
+	var ifaces []*types.Interface
+	for _, p := range paths {
+		pkg := pkgs[p]
+		for _, name := range pkg.types.Scope().Names() {
+			if tn, ok := pkg.types.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		if !isTarget(p) {
+			continue
+		}
+		for _, f := range pkg.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						continue
+					}
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								inReceiver[id] = true
+							}
+							return true
+						})
+					}
+					own[pkg.info.Defs[d.Name]] = reachSpan{d.Pos(), d.End()}
+				case *ast.GenDecl:
+					if d.Tok == token.CONST || d.Tok == token.IMPORT {
+						continue
+					}
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							own[pkg.info.Defs[s.Name]] = reachSpan{s.Pos(), s.End()}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.Name != "_" {
+									own[pkg.info.Defs[n]] = reachSpan{s.Pos(), s.End()}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	fmtPkg, err := imp.Import("fmt")
+	if err != nil {
+		return nil, err
+	}
+	ifaces = append(ifaces,
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface),
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+
+	reached := map[types.Object]bool{}
+	for _, p := range paths {
+		for id, obj := range pkgs[p].info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			s, ok := own[obj]
+			if !ok || inReceiver[id] || (s.from <= id.Pos() && id.Pos() < s.to) {
+				continue
+			}
+			reached[obj] = true
+		}
+	}
+
+	var out []reachFinding
+	for obj := range own {
+		if reached[obj] || implementsMethod(obj, ifaces) {
+			continue
+		}
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				name = obj.Pkg().Name() + "." + recvName(recv.Type()) + "." + obj.Name()
+			}
+		}
+		pos := fset.Position(obj.Pos())
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, reachFinding{file: filepath.ToSlash(rel), line: pos.Line, name: name})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].file != out[j].file {
+			return out[i].file < out[j].file
+		}
+		return out[i].line < out[j].line
+	})
+	return out, nil
+}
+
+// reachSpan is the source range of a declaration.
+type reachSpan struct{ from, to token.Pos }
+
+// implementsMethod reports whether obj is a method through which its
+// receiver type satisfies one of ifaces.
+func implementsMethod(obj types.Object, ifaces []*types.Interface) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := recvNamed(recv.Type())
+	if named == nil || named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() != fn.Name() {
+				continue
+			}
+			if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func recvNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+func recvName(t types.Type) string {
+	if n := recvNamed(t); n != nil {
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
+// parseTree parses the non-test Go files of every package directory
+// under root, keyed by import path. Directories named testdata or
+// starting with "." or "_" are skipped, as the go tool skips them; a
+// nested go.mod starts a new module path.
+func parseTree(fset *token.FileSet, root string) (map[string]*reachPkg, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	bases := map[string]string{root: mod} // module root dir -> module path
+	pkgs := map[string]*reachPkg{}
+	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if dir != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		path := ""
+		if m, err := modulePath(dir); err == nil {
+			bases[dir] = m
+			path = m
+		} else {
+			parent := filepath.Dir(dir)
+			for ; bases[parent] == ""; parent = filepath.Dir(parent) {
+			}
+			rel, err := filepath.Rel(parent, dir)
+			if err != nil {
+				return err
+			}
+			path = bases[parent] + "/" + filepath.ToSlash(rel)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		var files []*ast.File
+		for _, e := range entries {
+			n := e.Name()
+			if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+				continue
+			}
+			if ok, err := build.Default.MatchFile(dir, n); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		if len(files) > 0 {
+			pkgs[path] = &reachPkg{files: files}
+		}
+		return nil
+	})
+	return pkgs, err
+}
+
+// modulePath reads the module line of dir/go.mod.
+func modulePath(dir string) (string, error) {
+	b, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
+	}
+	return "", fmt.Errorf("%s/go.mod has no module line", dir)
+}
+
+// treeImporter type-checks the parsed packages on first import and
+// hands standard-library imports to the compiler's export data.
+type treeImporter struct {
+	fset *token.FileSet
+	pkgs map[string]*reachPkg
+	std  types.Importer
+}
+
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	p, ok := im.pkgs[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	if p.types != nil {
+		return p.types, nil
+	}
+	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: im}
+	tp, err := conf.Check(path, im.fset, p.files, p.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	p.types = tp
+	return tp, nil
+}
