@@ -306,35 +306,6 @@ func BenchmarkAblationCounting(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCrawlTimeout contrasts crawl cost under short vs long
-// connection timeouts in a churned network: long timeouts (the paper's 3
-// minutes) buy completeness at the price of the modeled wait the paper
-// describes ("the latter half is typically spent waiting").
-func BenchmarkAblationCrawlTimeout(b *testing.B) {
-	net := simtest.BuildServers(600)
-	for i := 0; i < 200; i++ {
-		net.Network.SetOnline(net.Nodes[i*3].ID(), false)
-	}
-	seeds := []netsim.PeerInfo{net.Network.Info(net.Nodes[1].ID()), net.Network.Info(net.Nodes[4].ID())}
-	for _, tc := range []struct {
-		name    string
-		timeout float64
-	}{{"timeout3s", 3}, {"timeout180s", 180}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var wait float64
-			for i := 0; i < b.N; i++ {
-				snap := crawler.Crawl(net.Network, crawler.Config{
-					ID: i, CrawlerID: ids.PeerIDFromSeed(1 << 59),
-					ConnTimeoutSec: tc.timeout,
-				}, seeds)
-				wait += snap.ModeledWaitSec
-			}
-			b.ReportMetric(wait/float64(b.N), "modeled-wait-s")
-		})
-	}
-}
-
 // BenchmarkAblationFindProviders compares the standard (stop at 20) and
 // exhaustive (query all resolvers) FindProviders for a popular CID — the
 // overhead the paper's ethics appendix quantifies.
@@ -394,7 +365,7 @@ func BenchmarkAblationHydraCache(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bogus := ids.CIDFromSeed(uint64(1<<40 + i))
 				_, _, _ = net.Network.GetProviders(nil, nil, nil, caller, head, bogus)
-				h.ProcessPending(nil, 0)
+				h.ProcessPending(nil)
 			}
 			amplification := float64(net.Network.TotalMessages()-before) / float64(b.N)
 			b.ReportMetric(amplification, "rpcs-per-request")
@@ -417,7 +388,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			requester.RemoveBlock(c)
-			res := requester.Retrieve(nil, c, false)
+			res := requester.Retrieve(nil, c)
 			if !res.Found {
 				b.Fatal("retrieval failed")
 			}

@@ -11,6 +11,9 @@ import (
 	"tcsb/internal/dnslink"
 	"tcsb/internal/ens"
 	"tcsb/internal/gwprobe"
+	"tcsb/internal/ids"
+	"tcsb/internal/netsim"
+	"tcsb/internal/provrecords"
 	"tcsb/internal/report"
 	"tcsb/internal/scenario"
 )
@@ -51,11 +54,13 @@ func main() {
 	// --- ENS (Fig. 20) ---
 	records := ens.Extract(resolvers)
 	fmt.Printf("ENS extraction: %d ipfs-ns records\n", len(records))
+	collector := provrecords.NewCollector(w.Net, w.CollectorID(),
+		func(t ids.Key) []netsim.PeerInfo { return w.SeedsNear(t, 8) })
 	cloud, totalIPs := 0, 0
 	providerDist := map[string]float64{}
 	seen := map[string]bool{}
 	for _, r := range records {
-		for _, rec := range w.FindProvidersExhaustive(r.CID) {
+		for _, rec := range collector.CollectOne(nil, r.CID, 0).Records {
 			for _, a := range rec.Provider.Addrs {
 				if !a.IP.IsValid() || seen[a.IP.String()] {
 					continue

@@ -31,19 +31,6 @@ import (
 	"tcsb/internal/scenario"
 )
 
-// Params is the attack parameter set behind the shared grammar: every
-// attack.* intervention reads the same six knobs from Config.Attack,
-// and the CLI's -attack-params flag sets them globally. The zero value
-// is not meaningful — construct via Defaults or Parse.
-type Params struct {
-	Band     int // min common-prefix bits shared by sybil keys and their target
-	Sybils   int // sybil identities minted per target CID
-	Targets  int // targeted CIDs (head of the persistent catalogue)
-	Spam     int // distinct spam CIDs advertised per tick
-	Stampede int // gateway requests for target CIDs per tick
-	Poison   int // target CIDs with poisoned gateway cache entries
-}
-
 // Parameter bounds enforced by Validate. Band is capped at 64 because
 // the sybil key mix occupies the low word; the cap keeps every minted
 // key unique per (seed, target, index).
@@ -56,44 +43,35 @@ const (
 	MinPoison, MaxPoison     = 0, 64
 )
 
-// Defaults returns the family defaults (the values a zero
-// scenario.AttackConfig resolves to).
-func Defaults() Params {
-	return Params{
-		Band:     scenario.DefaultAttackBand,
-		Sybils:   scenario.DefaultSybilsPerTarget,
-		Targets:  scenario.DefaultAttackTargets,
-		Spam:     scenario.DefaultSpamPerTick,
-		Stampede: scenario.DefaultStampedePerTick,
-		Poison:   scenario.DefaultPoisonCIDs,
-	}
-}
-
 // paramKeys is the grammar vocabulary in canonical render order, each
-// bound to its Params field.
+// key bound to the scenario.AttackConfig parameter it sets. Every
+// attack.* intervention reads the same six parameters from
+// Config.Attack, and the CLI's -attack-params flag sets them globally.
 var paramKeys = []struct {
 	key      string
 	min, max int
-	field    func(*Params) *int
+	field    func(*scenario.AttackConfig) *int
 }{
-	{"band", MinBand, MaxBand, func(p *Params) *int { return &p.Band }},
-	{"sybils", MinSybils, MaxSybils, func(p *Params) *int { return &p.Sybils }},
-	{"targets", MinTargets, MaxTargets, func(p *Params) *int { return &p.Targets }},
-	{"spam", MinSpam, MaxSpam, func(p *Params) *int { return &p.Spam }},
-	{"stampede", MinStampede, MaxStampede, func(p *Params) *int { return &p.Stampede }},
-	{"poison", MinPoison, MaxPoison, func(p *Params) *int { return &p.Poison }},
+	{"band", MinBand, MaxBand, func(a *scenario.AttackConfig) *int { return &a.Band }},
+	{"sybils", MinSybils, MaxSybils, func(a *scenario.AttackConfig) *int { return &a.SybilsPerTarget }},
+	{"targets", MinTargets, MaxTargets, func(a *scenario.AttackConfig) *int { return &a.Targets }},
+	{"spam", MinSpam, MaxSpam, func(a *scenario.AttackConfig) *int { return &a.SpamPerTick }},
+	{"stampede", MinStampede, MaxStampede, func(a *scenario.AttackConfig) *int { return &a.StampedePerTick }},
+	{"poison", MinPoison, MaxPoison, func(a *scenario.AttackConfig) *int { return &a.PoisonCIDs }},
 }
 
 // Parse reads an attack parameter spec: semicolon-separated key=value
 // clauses over the keys band, sybils, targets, spam, stampede, poison.
 // Whitespace around clauses, keys and values is ignored; empty clauses
-// are skipped; omitted keys take their defaults; duplicate and unknown
-// keys are errors. The empty spec is valid and means all-defaults. An
-// accepted spec always satisfies Validate, and String renders a
-// canonical form that re-parses to a deeply equal Params — the same
+// are skipped; omitted keys take the defaults of
+// scenario.AttackConfig.WithDefaults; duplicate and unknown keys are
+// errors. The empty spec is valid and means all-defaults. The result
+// carries the six parameters only, every attack switched off. An
+// accepted spec always satisfies Validate, and Spec renders a
+// canonical form that re-parses to an equal AttackConfig — the same
 // fixed-point property FuzzParseSchedule pins for timeline specs.
-func Parse(spec string) (Params, error) {
-	p := Defaults()
+func Parse(spec string) (scenario.AttackConfig, error) {
+	a := scenario.AttackConfig{}.WithDefaults()
 	seen := make(map[string]bool)
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
@@ -102,29 +80,29 @@ func Parse(spec string) (Params, error) {
 		}
 		key, val, found := strings.Cut(clause, "=")
 		if !found {
-			return Params{}, fmt.Errorf("attack params: clause %q is not key=value", clause)
+			return scenario.AttackConfig{}, fmt.Errorf("attack params: clause %q is not key=value", clause)
 		}
 		key = strings.ToLower(strings.TrimSpace(key))
 		val = strings.TrimSpace(val)
 		ent := lookupKey(key)
 		if ent < 0 {
-			return Params{}, fmt.Errorf("attack params: unknown key %q (known: %s)",
+			return scenario.AttackConfig{}, fmt.Errorf("attack params: unknown key %q (known: %s)",
 				key, strings.Join(keyNames(), ", "))
 		}
 		if seen[key] {
-			return Params{}, fmt.Errorf("attack params: duplicate key %q", key)
+			return scenario.AttackConfig{}, fmt.Errorf("attack params: duplicate key %q", key)
 		}
 		seen[key] = true
 		n, err := strconv.Atoi(val)
 		if err != nil {
-			return Params{}, fmt.Errorf("attack params: %s=%q is not an integer", key, val)
+			return scenario.AttackConfig{}, fmt.Errorf("attack params: %s=%q is not an integer", key, val)
 		}
-		*paramKeys[ent].field(&p) = n
+		*paramKeys[ent].field(&a) = n
 	}
-	if err := p.Validate(); err != nil {
-		return Params{}, err
+	if err := Validate(a); err != nil {
+		return scenario.AttackConfig{}, err
 	}
-	return p, nil
+	return a, nil
 }
 
 func lookupKey(key string) int {
@@ -144,11 +122,12 @@ func keyNames() []string {
 	return out
 }
 
-// Validate checks every parameter against its bounds.
-func (p Params) Validate() error {
+// Validate checks every parameter of a against its bounds; the attack
+// switches are not checked.
+func Validate(a scenario.AttackConfig) error {
 	for i := range paramKeys {
 		ent := &paramKeys[i]
-		v := *ent.field(&p)
+		v := *ent.field(&a)
 		if v < ent.min || v > ent.max {
 			return fmt.Errorf("attack params: %s=%d outside [%d, %d]", ent.key, v, ent.min, ent.max)
 		}
@@ -156,25 +135,15 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// String renders the canonical spec: every key, fixed order, no spaces.
-// Parse(p.String()) == p for any valid p.
-func (p Params) String() string {
+// Spec renders the canonical spec of a's parameters: every key, fixed
+// order, no spaces. Parse(Spec(a)) returns a's parameters for any a
+// that satisfies Validate.
+func Spec(a scenario.AttackConfig) string {
 	parts := make([]string, len(paramKeys))
 	for i := range paramKeys {
-		parts[i] = paramKeys[i].key + "=" + strconv.Itoa(*paramKeys[i].field(&p))
+		parts[i] = paramKeys[i].key + "=" + strconv.Itoa(*paramKeys[i].field(&a))
 	}
 	return strings.Join(parts, ";")
-}
-
-// Apply writes the parameters into a scenario config's attack block
-// (switches untouched — the interventions flip those).
-func (p Params) Apply(c *scenario.Config) {
-	c.Attack.Band = p.Band
-	c.Attack.SybilsPerTarget = p.Sybils
-	c.Attack.Targets = p.Targets
-	c.Attack.SpamPerTick = p.Spam
-	c.Attack.StampedePerTick = p.Stampede
-	c.Attack.PoisonCIDs = p.Poison
 }
 
 // The four attacks, in registration order.

@@ -28,13 +28,13 @@ func TestParseParamsRegressionTable(t *testing.T) {
 		{"spam=-0", "band=16;sybils=24;targets=3;spam=0;stampede=30;poison=2"},
 	}
 	for _, row := range accepted {
-		p, err := Parse(row.spec)
+		a, err := Parse(row.spec)
 		if err != nil {
 			t.Errorf("Parse(%q): unexpected error %v", row.spec, err)
 			continue
 		}
-		if got := p.String(); got != row.canon {
-			t.Errorf("Parse(%q).String() = %q, want %q", row.spec, got, row.canon)
+		if got := Spec(a); got != row.canon {
+			t.Errorf("Spec(Parse(%q)) = %q, want %q", row.spec, got, row.canon)
 		}
 	}
 
@@ -66,28 +66,26 @@ func TestParseParamsRegressionTable(t *testing.T) {
 	}
 }
 
-func TestParamsApply(t *testing.T) {
-	cfg := scenario.DefaultConfig()
-	MustParse("band=20;sybils=48;targets=5;spam=7;stampede=11;poison=4").Apply(&cfg)
+// TestParseSetsParamsOnly pins that Parse binds each key to its
+// AttackConfig field, fills omitted keys from WithDefaults, and never
+// switches an attack on (interventions flip the switches).
+func TestParseSetsParamsOnly(t *testing.T) {
+	got, err := Parse("band=20;sybils=48;targets=5;spam=7;stampede=11;poison=4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := scenario.AttackConfig{
 		Band: 20, SybilsPerTarget: 48, Targets: 5,
 		SpamPerTick: 7, StampedePerTick: 11, PoisonCIDs: 4,
 	}
-	if cfg.Attack != want {
-		t.Fatalf("Apply wrote %+v, want %+v", cfg.Attack, want)
+	if got != want {
+		t.Fatalf("Parse = %+v, want %+v", got, want)
 	}
-	if cfg.Attack.Any() {
-		t.Fatal("Apply must not flip attack switches")
+	if got.Any() {
+		t.Fatal("Parse must not flip attack switches")
 	}
-	// Defaults round-trip through the scenario's own zero-resolution.
-	if got := (scenario.AttackConfig{}).WithDefaults(); got != (scenario.AttackConfig{
-		Band: 16, SybilsPerTarget: 24, Targets: 3,
-		SpamPerTick: 12, StampedePerTick: 30, PoisonCIDs: 2,
-	}) {
-		t.Fatalf("scenario defaults drifted from the grammar's: %+v", got)
-	}
-	if Defaults() != MustParse("") {
-		t.Fatal("empty spec must mean all-defaults")
+	if got, err := Parse("spam=5"); err != nil || got != (scenario.AttackConfig{SpamPerTick: 5}.WithDefaults()) {
+		t.Fatalf("Parse(spam=5) = %+v, %v; want the other keys from WithDefaults", got, err)
 	}
 }
 

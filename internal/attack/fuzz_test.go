@@ -9,9 +9,9 @@ import (
 // arbitrary specs, mirroring FuzzParseSchedule's invariants:
 //
 //   - Parse never panics (params arrive from the CLI);
-//   - an accepted Params satisfies every bound Validate enforces;
-//   - the canonical form is a fixed point: String() re-parses to an
-//     identical Params whose String() is identical — canonical specs
+//   - an accepted AttackConfig satisfies every bound Validate enforces;
+//   - the canonical form is a fixed point: Spec re-parses to an
+//     identical AttackConfig whose Spec is identical — canonical specs
 //     are stable forever.
 //
 // The seed corpus under testdata/fuzz/FuzzParseAttackParams covers
@@ -51,23 +51,23 @@ func FuzzParseAttackParams(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := Parse(spec)
+		a, err := Parse(spec)
 		if err != nil {
 			return
 		}
-		if verr := p.Validate(); verr != nil {
+		if verr := Validate(a); verr != nil {
 			t.Fatalf("Parse(%q) accepted params Validate rejects: %v", spec, verr)
 		}
-		canon := p.String()
+		canon := Spec(a)
 		back, err := Parse(canon)
 		if err != nil {
 			t.Fatalf("canonical re-parse of %q (from %q) failed: %v", canon, spec, err)
 		}
-		if back != p {
-			t.Fatalf("canonical round-trip mismatch: %q -> %+v -> %q -> %+v", spec, p, canon, back)
+		if back != a {
+			t.Fatalf("canonical round-trip mismatch: %q -> %+v -> %q -> %+v", spec, a, canon, back)
 		}
-		if back.String() != canon {
-			t.Fatalf("canonical form is not a fixed point: %q -> %q", canon, back.String())
+		if Spec(back) != canon {
+			t.Fatalf("canonical form is not a fixed point: %q -> %q", canon, Spec(back))
 		}
 	})
 }

@@ -23,54 +23,37 @@ import (
 	"tcsb/internal/netsim"
 )
 
+// The crawl's fixed settings: the sweep's stop rule, and the dial pool
+// and timeouts of the duration model.
+const (
+	// emptySweeps consecutive empty bucket sweeps end the per-peer
+	// enumeration.
+	emptySweeps = 3
+	// maxCPL bounds the bucket sweep depth: beyond ~log2(n) buckets are
+	// empty anyway, and the stop rule usually fires much earlier.
+	maxCPL = 64
+	// dialWorkers is the modelled dial concurrency of the duration
+	// estimate, roughly the real tool's.
+	dialWorkers = 1000
+	// connTimeoutSec is the dial timeout every unresponsive peer costs
+	// in the duration model: the paper's 3-minute timeout.
+	connTimeoutSec = 180
+	// rpcTimeSec is the modelled cost of one successful RPC.
+	rpcTimeSec = 0.05
+)
+
 // Config controls one crawl.
 type Config struct {
 	// ID tags the snapshot (crawl sequence number).
 	ID int
 	// CrawlerID is the overlay identity the crawler dials with.
 	CrawlerID ids.PeerID
-	// EmptySweeps is how many consecutive empty bucket sweeps end the
-	// per-peer enumeration (default 3).
-	EmptySweeps int
-	// MaxCPL bounds the bucket sweep depth (default 64: beyond ~log2(n)
-	// buckets are empty anyway; the stop rule usually fires much earlier).
-	MaxCPL int
-	// Workers models the crawler's dial concurrency for the duration
-	// estimate (default 1000, roughly the real tool's).
-	Workers int
-	// ConnTimeoutSec is the dial timeout applied to unresponsive peers in
-	// the duration model (default 180, the paper's 3-minute timeout).
-	ConnTimeoutSec float64
-	// RPCTimeSec is the modelled cost of one successful RPC (default 0.05).
-	RPCTimeSec float64
 	// Parallel is the number of OS-level worker goroutines actually used
-	// to sweep peers (default 1). Unlike Workers — a parameter of the
-	// modelled duration estimate — Parallel changes only wall-clock: the
-	// crawl proceeds in waves whose results merge in discovery order, so
-	// the snapshot is byte-identical for every Parallel value.
+	// to sweep peers (values below 2 sweep on the calling goroutine).
+	// It changes only wall-clock: the crawl proceeds in waves whose
+	// results merge in discovery order, so the snapshot is
+	// byte-identical for every Parallel value.
 	Parallel int
-}
-
-func (c Config) withDefaults() Config {
-	if c.EmptySweeps <= 0 {
-		c.EmptySweeps = 3
-	}
-	if c.MaxCPL <= 0 {
-		c.MaxCPL = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1000
-	}
-	if c.ConnTimeoutSec <= 0 {
-		c.ConnTimeoutSec = 180
-	}
-	if c.RPCTimeSec <= 0 {
-		c.RPCTimeSec = 0.05
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = 1
-	}
-	return c
 }
 
 // Observation is what one crawl learned about one peer.
@@ -123,8 +106,8 @@ type Snapshot struct {
 	// RPCs is the total FindNode count spent.
 	RPCs int
 	// ModeledDurationSec estimates the wall-clock duration of this crawl
-	// under the configured worker pool and timeouts (the paper: ~5
-	// minutes, the latter half spent waiting on unresponsive peers).
+	// under the modelled dial pool and timeouts (the paper: ~5 minutes,
+	// the latter half spent waiting on unresponsive peers).
 	ModeledDurationSec float64
 	// ModeledWaitSec is the part of the duration spent on dial timeouts.
 	ModeledWaitSec float64
@@ -170,7 +153,6 @@ type sweepResult struct {
 // frontier order. Discovery order — and with it the entire snapshot —
 // is therefore a function of the graph alone, not of worker scheduling.
 func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
-	cfg = cfg.withDefaults()
 	snap := &Snapshot{
 		ID:     cfg.ID,
 		Start:  net.Clock.Now(),
@@ -205,7 +187,7 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 		queue = nil
 		results := make([]sweepResult, len(frontier))
 		net.Fanout(cfg.Parallel, len(frontier), func(i int, env *netsim.Effects) {
-			results[i] = sweep(net, env, cfg, frontier[i])
+			results[i] = sweep(net, env, cfg.CrawlerID, frontier[i])
 		})
 
 		for i, p := range frontier {
@@ -238,30 +220,29 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 
 	// Duration model: successful RPCs stream through the worker pool;
 	// every unresponsive peer pins a worker for the full dial timeout.
-	w := float64(cfg.Workers)
-	snap.ModeledWaitSec = float64(unresponsive) * cfg.ConnTimeoutSec / w
-	snap.ModeledDurationSec = float64(snap.RPCs)*cfg.RPCTimeSec/w + snap.ModeledWaitSec
+	snap.ModeledWaitSec = float64(unresponsive) * connTimeoutSec / dialWorkers
+	snap.ModeledDurationSec = float64(snap.RPCs)*rpcTimeSec/dialWorkers + snap.ModeledWaitSec
 	return snap
 }
 
 // sweep enumerates one peer's buckets via FindNode messages crafted to
-// target every common-prefix length, stopping after cfg.EmptySweeps
+// target every common-prefix length, stopping after emptySweeps
 // consecutive sweeps that reveal nothing new. It only reads shared state
 // (plus lane-deferred handler effects), collecting learned PeerInfos for
 // the caller to merge.
-func sweep(net *netsim.Network, env *netsim.Effects, cfg Config, p ids.PeerID) sweepResult {
+func sweep(net *netsim.Network, env *netsim.Effects, crawlerID, p ids.PeerID) sweepResult {
 	sc := sweepScratchPool.Get().(*sweepScratch)
 	defer sweepScratchPool.Put(sc)
 	clear(sc.seen)
 	var res sweepResult
 	mark := net.LatencyMark(env)
 	emptyRun := 0
-	for cpl := 0; cpl < cfg.MaxCPL && emptyRun < cfg.EmptySweeps; cpl++ {
+	for cpl := 0; cpl < maxCPL && emptyRun < emptySweeps; cpl++ {
 		// A target differing from p's key in exactly bit `cpl` lands in
 		// bucket cpl of p's table.
 		target := p.Key().FlipBit(cpl)
 		res.rpcs++
-		peers, err := net.FindNode(env, sc.closer[:0], cfg.CrawlerID, p, target)
+		peers, err := net.FindNode(env, sc.closer[:0], crawlerID, p, target)
 		sc.closer = peers[:0]
 		if err != nil {
 			return sweepResult{rpcs: res.rpcs, elapsedUS: net.LatencyMark(env) - mark,

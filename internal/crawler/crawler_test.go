@@ -84,22 +84,30 @@ func TestCrawlWithChurn(t *testing.T) {
 	}
 }
 
+// TestCrawlDurationModel pins the duration model's formula: every
+// unresponsive peer pins one of 1000 dial workers for the paper's 180 s
+// timeout, and every RPC costs 0.05 s on the same pool.
 func TestCrawlDurationModel(t *testing.T) {
 	net := simtest.BuildServers(100)
-	fast := Crawl(net.Network, Config{ID: 1, CrawlerID: crawlerID(), ConnTimeoutSec: 1}, net.Seeds(1))
-	if fast.ModeledWaitSec != 0 {
-		t.Errorf("fully online crawl has wait %v", fast.ModeledWaitSec)
+	online := Crawl(net.Network, Config{ID: 1, CrawlerID: crawlerID()}, net.Seeds(1))
+	if online.ModeledWaitSec != 0 {
+		t.Errorf("fully online crawl has wait %v", online.ModeledWaitSec)
 	}
-	// Offline half the network: longer timeout means longer crawl.
+	// Offline half the network; the crawl discovers them as ghosts.
 	for i := 0; i < 50; i++ {
 		net.Network.SetOnline(net.Nodes[i].ID(), false)
 	}
-	seeds := net.Seeds(60)[50:]
-	short := Crawl(net.Network, Config{ID: 2, CrawlerID: crawlerID(), ConnTimeoutSec: 10}, seeds)
-	long := Crawl(net.Network, Config{ID: 3, CrawlerID: crawlerID(), ConnTimeoutSec: 180}, seeds)
-	if long.ModeledWaitSec <= short.ModeledWaitSec {
-		t.Errorf("timeout 180 wait (%v) should exceed timeout 10 wait (%v)",
-			long.ModeledWaitSec, short.ModeledWaitSec)
+	snap := Crawl(net.Network, Config{ID: 2, CrawlerID: crawlerID()}, net.Seeds(60)[50:])
+	unresponsive := snap.Discovered() - snap.Crawlable()
+	if unresponsive == 0 {
+		t.Fatal("the crawl met no unresponsive peer")
+	}
+	wait := float64(unresponsive) * 180 / 1000
+	if snap.ModeledWaitSec != wait {
+		t.Errorf("ModeledWaitSec = %v, want %d × 180 s / 1000 = %v", snap.ModeledWaitSec, unresponsive, wait)
+	}
+	if want := float64(snap.RPCs)*0.05/1000 + wait; snap.ModeledDurationSec != want {
+		t.Errorf("ModeledDurationSec = %v, want %d × 0.05 s / 1000 + wait = %v", snap.ModeledDurationSec, snap.RPCs, want)
 	}
 }
 

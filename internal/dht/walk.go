@@ -271,11 +271,9 @@ func (w *Walker) Provide(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID
 	return accepted, stats
 }
 
-// FindProvidersOpts controls FindProviders termination.
+// FindProvidersOpts controls FindProviders termination. The standard
+// walk stops once it holds K providers (20 in IPFS).
 type FindProvidersOpts struct {
-	// Max is the provider count at which the standard walk stops
-	// (20 in IPFS). Ignored when Exhaustive.
-	Max int
 	// Exhaustive queries every resolver regardless of how many providers
 	// have been found — the paper's modified implementation (§3, Appendix
 	// A) used to collect complete provider sets.
@@ -288,9 +286,6 @@ type FindProvidersOpts struct {
 // order, in a freshly allocated slice (callers retain it); all
 // intermediate walk state comes from the pooled scratch.
 func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
-	if opts.Max <= 0 {
-		opts.Max = K
-	}
 	sc := getScratch()
 	defer sc.release()
 	sc.reset(c.Key())
@@ -299,7 +294,7 @@ func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c i
 	}
 	var stats WalkStats
 	done := func() bool {
-		return !opts.Exhaustive && len(sc.provs) >= opts.Max
+		return !opts.Exhaustive && len(sc.provs) >= K
 	}
 	for !done() {
 		batch := sc.nextBatch(Alpha, K)

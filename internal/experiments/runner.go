@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"tcsb/internal/core"
 	"tcsb/internal/netsim"
@@ -24,10 +23,6 @@ type Result struct {
 	// carries an explicit epoch column) so streams from different
 	// schedules stay distinguishable.
 	Timeline string
-	// Elapsed is wall-clock execution time. It is reported on stderr by
-	// the CLI but never rendered into stdout, which must stay
-	// byte-identical across -parallel settings.
-	Elapsed time.Duration
 }
 
 // runPool executes one derivation per experiment on at most parallel
@@ -36,12 +31,7 @@ type Result struct {
 func runPool(exps []Experiment, parallel int, derive func(Experiment) []*report.Table) []Result {
 	results := make([]Result, len(exps))
 	netsim.ParallelFor(parallel, len(exps), func(i int) {
-		start := time.Now()
-		results[i] = Result{
-			Experiment: exps[i],
-			Tables:     derive(exps[i]),
-			Elapsed:    time.Since(start),
-		}
+		results[i] = Result{Experiment: exps[i], Tables: derive(exps[i])}
 	})
 	return results
 }

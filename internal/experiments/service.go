@@ -145,12 +145,13 @@ func Resolve(req core.RunRequest) (*Resolved, error) {
 		cfg = p.Apply(cfg)
 	}
 	if req.AttackParams != "" {
-		p, err := attack.Parse(req.AttackParams)
+		// Switches stay off: interventions flip them on a clone.
+		a, err := attack.Parse(req.AttackParams)
 		if err != nil {
 			return nil, err
 		}
-		p.Apply(&cfg)
-		req.AttackParams = p.String()
+		cfg.Attack = a
+		req.AttackParams = attack.Spec(a)
 	}
 	if req.NetProfile != "" {
 		p, err := netsim.ResolveLinkProfile(req.NetProfile)

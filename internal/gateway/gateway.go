@@ -110,7 +110,7 @@ func (g *Gateway) FetchHTTP(env *netsim.Effects, c ids.CID, online func(ids.Peer
 		return true, nil
 	}
 	nd := g.nextOnline(online)
-	res := nd.Retrieve(env, c, false)
+	res := nd.Retrieve(env, c)
 	if res.Found {
 		g.cache[c] |= flagCached
 	}

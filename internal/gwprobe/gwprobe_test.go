@@ -23,7 +23,7 @@ func fixture(t *testing.T, gwNodes int) (*simtest.Net, *monitor.Monitor, *gatewa
 
 	monID := ids.PeerIDFromSeed(1 << 61)
 	mon := monitor.New(monID, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
-	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
+	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true})
 
 	var backing []*node.Node
 	for i := 0; i < gwNodes; i++ {
@@ -177,7 +177,7 @@ func TestProbeFailsWithoutBitswapPath(t *testing.T) {
 	net := simtest.BuildServers(50)
 	monID := ids.PeerIDFromSeed(1 << 61)
 	mon := monitor.New(monID, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
-	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
+	net.Network.Attach(monID, mon, netsim.HostConfig{Reachable: true})
 	// Gateway node NOT connected to the monitor and content not in DHT:
 	// the unique content is unreachable, probe must fail gracefully.
 	gw := gateway.New("dark-gw.io", nil, []*node.Node{net.Nodes[5]})

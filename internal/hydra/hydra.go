@@ -27,24 +27,30 @@ import (
 // used.
 const DefaultHeads = 20
 
+// The booster's fixed cache policy.
+const (
+	// maxPendingLookups bounds the proactive-lookup queue.
+	maxPendingLookups = 4096
+	// drainPerCall is how many queued lookups one ProcessPending call
+	// performs.
+	drainPerCall = 128
+	// cacheTTL is how long proactive-lookup results (including negative
+	// ones) stay fresh before a new miss re-triggers a lookup. The
+	// expiry is what keeps production Hydras re-amplifying popular
+	// misses: the paper's DoS observation.
+	cacheTTL netsim.Time = 3600
+)
+
 // Config controls the Hydra booster.
 type Config struct {
 	// Heads is the number of virtual peer IDs (default 20).
 	Heads int
 	// ProactiveLookups enables the cache-filling FindProviders walks.
 	ProactiveLookups bool
-	// MaxPendingLookups bounds the proactive-lookup queue (default 4096).
-	MaxPendingLookups int
-	// CacheTTL is how long proactive-lookup results (including negative
-	// ones) stay fresh before a new miss re-triggers a lookup (default
-	// 3600s). The expiry is what keeps production Hydras re-amplifying
-	// popular misses — the paper's DoS observation.
-	CacheTTL netsim.Time
 	// Pipe is the observation pipeline incoming requests are logged to.
-	// nil installs a raw-event-retaining pipeline (the standalone /
-	// test-facing default); campaign worlds pass a streaming pipeline
-	// (vantage Hydra) or a discarding one (the Protocol Labs production
-	// boosters, whose logs nothing reads).
+	// A nil pipeline records nothing: the Protocol Labs production
+	// boosters have one, because nothing reads their logs. The vantage
+	// Hydra streams into its pipeline's Accum.
 	Pipe *trace.Pipeline
 }
 
@@ -71,9 +77,6 @@ type Hydra struct {
 
 	pending   []ids.CID
 	pendingIn map[ids.CID]bool
-	// LookupRPCs counts RPCs generated by proactive lookups (the
-	// amplification the paper quantifies).
-	LookupRPCs int
 }
 
 // New creates a Hydra whose heads are derived deterministically from
@@ -81,15 +84,6 @@ type Hydra struct {
 func New(net *netsim.Network, seed uint64, cfg Config) *Hydra {
 	if cfg.Heads <= 0 {
 		cfg.Heads = DefaultHeads
-	}
-	if cfg.MaxPendingLookups <= 0 {
-		cfg.MaxPendingLookups = 4096
-	}
-	if cfg.CacheTTL <= 0 {
-		cfg.CacheTTL = 3600
-	}
-	if cfg.Pipe == nil {
-		cfg.Pipe = trace.NewPipeline(trace.Options{Retain: true})
 	}
 	h := &Hydra{
 		cfg:       cfg,
@@ -120,10 +114,11 @@ func (h *Hydra) Heads() []ids.PeerID { return append([]ids.PeerID(nil), h.heads.
 func (h *Hydra) IsHead(p ids.PeerID) bool { return h.headSet[p] }
 
 // Log returns the retained raw request log, or nil when the pipeline
-// does not retain events (campaign worlds stream into Stats instead).
+// does not retain events (campaign worlds stream into Stats instead) or
+// is nil.
 func (h *Hydra) Log() *trace.Log { return h.pipe.Log() }
 
-// Stats returns the streaming request statistics (nil for a discarding
+// Stats returns the streaming request statistics (nil for a nil
 // pipeline).
 func (h *Hydra) Stats() *trace.Accum { return h.pipe.Stats() }
 
@@ -157,20 +152,18 @@ func (h *Hydra) learn(p ids.PeerID, now netsim.Time) {
 
 // record builds the log event immediately (addresses are phase-stable)
 // and writes it to the pipeline's lane sink, which the phase merge
-// replays in deterministic lane order. A discarding pipeline (the
-// Protocol Labs production boosters) skips even the address lookup.
+// replays in deterministic lane order. A nil pipeline (the Protocol
+// Labs production boosters) skips even the address lookup.
 func (h *Hydra) record(env *netsim.Effects, from ids.PeerID, t netsim.MsgType, c ids.CID) {
 	if !h.pipe.Active() {
 		return
 	}
-	ip, viaRelay := h.net.ObservedAddr(from)
 	h.pipe.Via(env).Observe(trace.Event{
-		Time:     h.net.Clock.Now(),
-		Peer:     from,
-		IP:       ip,
-		Type:     t,
-		CID:      c,
-		ViaRelay: viaRelay,
+		Time: h.net.Clock.Now(),
+		Peer: from,
+		IP:   h.net.ObservedAddr(from),
+		Type: t,
+		CID:  c,
 	})
 }
 
@@ -198,7 +191,7 @@ func (h *Hydra) HandleGetProviders(env *netsim.Effects, from ids.PeerID, c ids.C
 	start := len(recs)
 	now := h.net.Clock.Now()
 	recs = h.store.AppendGet(recs, c, now)
-	if ce, ok := h.cache[c]; ok && now-ce.at < h.cfg.CacheTTL {
+	if ce, ok := h.cache[c]; ok && now-ce.at < cacheTTL {
 		recs = append(recs, ce.recs...)
 	}
 	if len(recs) == start && h.cfg.ProactiveLookups && !fromSelf {
@@ -232,7 +225,7 @@ func (h *Hydra) ExpireProviders() {
 	now := h.net.Clock.Now()
 	h.store.Expire(now)
 	for c, ce := range h.cache {
-		if ce.recs != nil && now-ce.at >= h.cfg.CacheTTL {
+		if ce.recs != nil && now-ce.at >= cacheTTL {
 			h.cache[c] = cacheEntry{at: ce.at}
 		}
 	}
@@ -261,10 +254,10 @@ func (h *Hydra) HandleBitswapWant(env *netsim.Effects, from ids.PeerID, c ids.CI
 }
 
 func (h *Hydra) enqueueLookup(c ids.CID) {
-	if h.pendingIn[c] || len(h.pending) >= h.cfg.MaxPendingLookups {
+	if h.pendingIn[c] || len(h.pending) >= maxPendingLookups {
 		return
 	}
-	if ce, ok := h.cache[c]; ok && h.net.Clock.Now()-ce.at < h.cfg.CacheTTL {
+	if ce, ok := h.cache[c]; ok && h.net.Clock.Now()-ce.at < cacheTTL {
 		return
 	}
 	h.pendingIn[c] = true
@@ -274,25 +267,23 @@ func (h *Hydra) enqueueLookup(c ids.CID) {
 // PendingLookups returns the queued proactive-lookup count.
 func (h *Hydra) PendingLookups() int { return len(h.pending) }
 
-// ProcessPending drains up to max queued proactive lookups (all if max
-// <= 0), performing real FindProviders walks on the network. Returns the
+// ProcessPending drains up to drainPerCall queued proactive lookups,
+// performing real FindProviders walks on the network. Returns the
 // number of lookups performed. Drivers call this between request batches.
 //
-// All self-mutations (cache fills, queue pop, RPC accounting) are
-// deferred through the env lane. Several Hydra deployments can
-// therefore drain their queues concurrently: each walks a stable
-// snapshot of the network (including the other Hydras' handler state)
-// and the merged outcome is independent of scheduling. Lookups enqueued
-// by other lanes during the phase are appended at merge time and drain
-// on the next call, exactly like requests that arrive while a real
-// booster is busy.
-func (h *Hydra) ProcessPending(env *netsim.Effects, max int) int {
+// All self-mutations (cache fills, queue pop) are deferred through the
+// env lane. Several Hydra deployments can therefore drain their queues
+// concurrently: each walks a stable snapshot of the network (including
+// the other Hydras' handler state) and the merged outcome is independent
+// of scheduling. Lookups enqueued by other lanes during the phase are
+// appended at merge time and drain on the next call, exactly like
+// requests that arrive while a real booster is busy.
+func (h *Hydra) ProcessPending(env *netsim.Effects) int {
 	n := 0
-	for ; n < len(h.pending) && (max <= 0 || n < max); n++ {
+	for ; n < len(h.pending) && n < drainPerCall; n++ {
 		c := h.pending[n]
 		seeds := h.seedInfos(c.Key())
-		recs, stats := h.walker.FindProviders(env, seeds, c, dht.FindProvidersOpts{})
-		queried := stats.Queried
+		recs, _ := h.walker.FindProviders(env, seeds, c, dht.FindProvidersOpts{})
 		// Negative results are cached as an empty (non-nil) entry so the
 		// same missing CID does not re-trigger lookups — asking a Hydra
 		// for non-existing content still generated the traffic once,
@@ -305,7 +296,6 @@ func (h *Hydra) ProcessPending(env *netsim.Effects, max int) int {
 		env.Defer(func() {
 			delete(h.pendingIn, cid)
 			h.cache[cid] = entry
-			h.LookupRPCs += queried
 		})
 	}
 	drained := n

@@ -8,7 +8,12 @@ import (
 	"tcsb/internal/netsim"
 	"tcsb/internal/node"
 	"tcsb/internal/simtest"
+	"tcsb/internal/trace"
 )
+
+// retaining returns a pipeline that keeps every raw event, for the tests
+// that read a Hydra's log.
+func retaining() *trace.Pipeline { return trace.NewPipeline(trace.Options{Retain: true}) }
 
 // attach registers all hydra heads on the fixture network and bootstraps
 // the shared table from every server.
@@ -54,7 +59,7 @@ func TestHydraHeadsDistinct(t *testing.T) {
 
 func TestHydraLogsRequests(t *testing.T) {
 	net := simtest.BuildServers(100)
-	h := attach(net, Config{Heads: 5})
+	h := attach(net, Config{Heads: 5, Pipe: retaining()})
 
 	head := h.Heads()[0]
 	caller := net.Nodes[3]
@@ -110,6 +115,52 @@ func TestHydraServesDHT(t *testing.T) {
 	}
 }
 
+// TestNilPipelineRecordsNothing pins the mode of the Protocol Labs
+// boosters: a Hydra without a pipeline still serves AddProvider and
+// GetProviders, serially and on Fanout lanes, and exposes no log and no
+// statistics.
+func TestNilPipelineRecordsNothing(t *testing.T) {
+	net := simtest.BuildServers(100)
+	h := attach(net, Config{Heads: 5})
+	head := h.Heads()[0]
+	put := func(env *netsim.Effects, provider *node.Node, c ids.CID) {
+		rec := netsim.ProviderRecord{Provider: net.Network.Info(provider.ID())}
+		if err := net.Network.AddProvider(env, provider.ID(), head, c, rec); err != nil {
+			t.Error(err)
+		}
+	}
+	get := func(env *netsim.Effects, c ids.CID) int {
+		recs, _, err := net.Network.GetProviders(env, nil, nil, net.Nodes[2].ID(), head, c)
+		if err != nil {
+			t.Error(err)
+		}
+		return len(recs)
+	}
+
+	serial, laned := ids.CIDFromSeed(2), ids.CIDFromSeed(3)
+	put(nil, net.Nodes[1], serial)
+	if n := get(nil, serial); n != 1 {
+		t.Fatalf("serial GetProviders served %d records, want 1", n)
+	}
+	var servedOnLane int
+	net.Network.Fanout(2, 2, func(i int, env *netsim.Effects) {
+		if i == 0 {
+			put(env, net.Nodes[4], laned)
+			return
+		}
+		servedOnLane = get(env, serial)
+	})
+	if servedOnLane != 1 {
+		t.Fatalf("GetProviders on a lane served %d records, want 1", servedOnLane)
+	}
+	if n := get(nil, laned); n != 1 {
+		t.Fatalf("a lane's AddProvider left %d records after the merge, want 1", n)
+	}
+	if h.Stats() != nil || h.Log() != nil {
+		t.Fatalf("nil pipeline: Stats() = %v, Log() = %v; want both nil", h.Stats(), h.Log())
+	}
+}
+
 func TestProactiveLookupAmplification(t *testing.T) {
 	net := simtest.BuildServers(150)
 	h := attach(net, Config{Heads: 5, ProactiveLookups: true})
@@ -132,11 +183,10 @@ func TestProactiveLookupAmplification(t *testing.T) {
 	}
 
 	before := net.Network.TotalMessages()
-	if n := h.ProcessPending(nil, 0); n != 1 {
+	if n := h.ProcessPending(nil); n != 1 {
 		t.Fatalf("processed %d lookups", n)
 	}
-	amplified := net.Network.TotalMessages() - before
-	if amplified == 0 || h.LookupRPCs == 0 {
+	if net.Network.TotalMessages() == before {
 		t.Fatal("proactive lookup generated no traffic")
 	}
 
@@ -198,7 +248,7 @@ func TestHydraStoreBounded(t *testing.T) {
 		fill := func(c ids.CID, provider *node.Node) int {
 			provider.AddBlock(c)
 			provider.Provide(nil, c)
-			if served(net, h, c) != 0 || h.ProcessPending(nil, 0) != 1 {
+			if served(net, h, c) != 0 || h.ProcessPending(nil) != 1 {
 				t.Fatalf("CID %s did not miss the cache", c.Short())
 			}
 			n := served(net, h, c)
@@ -209,7 +259,7 @@ func TestHydraStoreBounded(t *testing.T) {
 		}
 		stale, fresh := ids.CIDFromSeed(3), ids.CIDFromSeed(5)
 		fill(stale, net.Nodes[10])
-		net.Network.Clock.Advance(h.cfg.CacheTTL)
+		net.Network.Clock.Advance(cacheTTL)
 		want := fill(fresh, net.Nodes[11])
 
 		h.ExpireProviders()
@@ -235,7 +285,7 @@ func TestProactiveLookupDoSVector(t *testing.T) {
 
 	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), head, bogus)
 	before := net.Network.TotalMessages()
-	h.ProcessPending(nil, 0)
+	h.ProcessPending(nil)
 	if net.Network.TotalMessages() == before {
 		t.Fatal("lookup for bogus CID generated no traffic")
 	}
@@ -257,12 +307,12 @@ func TestProactiveDisabled(t *testing.T) {
 
 func TestOwnHeadsNotLogged(t *testing.T) {
 	net := simtest.BuildServers(100)
-	h := attach(net, Config{Heads: 5, ProactiveLookups: true})
+	h := attach(net, Config{Heads: 5, ProactiveLookups: true, Pipe: retaining()})
 	// Trigger proactive lookup; hydra's own walk may hit its other heads,
 	// which must not pollute the log.
 	_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[5].ID(), h.Heads()[0], ids.CIDFromSeed(12))
 	logBefore := len(h.Log().Events())
-	h.ProcessPending(nil, 0)
+	h.ProcessPending(nil)
 	for _, e := range h.Log().Events()[logBefore:] {
 		if h.IsHead(e.Peer) {
 			t.Fatal("hydra logged its own head's traffic")
@@ -270,15 +320,24 @@ func TestOwnHeadsNotLogged(t *testing.T) {
 	}
 }
 
+// TestPendingQueueBounded floods the proactive-lookup queue past its
+// bound of 4096 distinct misses, then checks that one drain performs
+// 128 lookups.
 func TestPendingQueueBounded(t *testing.T) {
 	net := simtest.BuildServers(50)
-	h := attach(net, Config{Heads: 2, ProactiveLookups: true, MaxPendingLookups: 5})
+	h := attach(net, Config{Heads: 2, ProactiveLookups: true})
 	head := h.Heads()[0]
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 4096+100; i++ {
 		_, _, _ = net.Network.GetProviders(nil, nil, nil, net.Nodes[1].ID(), head, ids.CIDFromSeed(uint64(100+i)))
 	}
-	if h.PendingLookups() > 5 {
-		t.Fatalf("pending = %d exceeds bound", h.PendingLookups())
+	if got := h.PendingLookups(); got != 4096 {
+		t.Fatalf("pending = %d after the flood, want the bound 4096", got)
+	}
+	if n := h.ProcessPending(nil); n != 128 {
+		t.Fatalf("one drain performed %d lookups, want 128", n)
+	}
+	if got := h.PendingLookups(); got != 4096-128 {
+		t.Fatalf("pending = %d after one drain, want %d", got, 4096-128)
 	}
 }
 

@@ -33,8 +33,8 @@ type Monitor struct {
 }
 
 // New creates a monitor with the given overlay identity, observing into
-// the given pipeline. The caller attaches it to the network (reachable,
-// unlimited inbound).
+// the given pipeline. The caller attaches it to the network as a
+// reachable host.
 func New(id ids.PeerID, net *netsim.Network, pipe *trace.Pipeline) *Monitor {
 	return &Monitor{
 		id:     id,
@@ -70,14 +70,12 @@ func (m *Monitor) AddBlock(c ids.CID) { m.blocks[c] = true }
 // lane-merge order.
 func (m *Monitor) HandleBitswapWant(env *netsim.Effects, from ids.PeerID, c ids.CID) bool {
 	if m.pipe.Active() {
-		ip, viaRelay := m.net.ObservedAddr(from)
 		m.pipe.Via(env).Observe(trace.Event{
-			Time:     m.net.Clock.Now(),
-			Peer:     from,
-			IP:       ip,
-			Type:     netsim.MsgBitswapWant,
-			CID:      c,
-			ViaRelay: viaRelay,
+			Time: m.net.Clock.Now(),
+			Peer: from,
+			IP:   m.net.ObservedAddr(from),
+			Type: netsim.MsgBitswapWant,
+			CID:  c,
 		})
 	}
 	return m.blocks[c]

@@ -13,7 +13,7 @@ import (
 func attachMonitor(net *simtest.Net) *Monitor {
 	id := ids.PeerIDFromSeed(1 << 61)
 	m := New(id, net.Network, trace.NewPipeline(trace.Options{Retain: true}))
-	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
+	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true})
 	return m
 }
 
@@ -26,7 +26,7 @@ func TestMonitorLogsBroadcasts(t *testing.T) {
 	}
 	c := ids.CIDFromSeed(1)
 	for i := 0; i < 3; i++ {
-		net.Nodes[i].Retrieve(nil, c, false)
+		net.Nodes[i].Retrieve(nil, c)
 	}
 	if len(m.Log().Events()) != 3 {
 		t.Fatalf("monitor logged %d events, want 3", len(m.Log().Events()))
@@ -40,9 +40,6 @@ func TestMonitorLogsBroadcasts(t *testing.T) {
 		}
 		if !e.IP.IsValid() {
 			t.Error("event missing source IP")
-		}
-		if e.ViaRelay {
-			t.Error("public sender marked as via-relay")
 		}
 	}
 	if got := m.Stats().DistinctPeers(); got != 3 {
@@ -59,14 +56,11 @@ func TestMonitorObservesRelayIPForNATedSenders(t *testing.T) {
 	natNode := newClientNode(net, natID, relay.ID())
 	natNode.ConnectBitswap(m.ID())
 
-	natNode.Retrieve(nil, ids.CIDFromSeed(5), false)
+	natNode.Retrieve(nil, ids.CIDFromSeed(5))
 	if len(m.Log().Events()) == 0 {
 		t.Fatal("no events logged")
 	}
 	e := m.Log().Events()[0]
-	if !e.ViaRelay {
-		t.Error("NAT-ed sender not marked via-relay")
-	}
 	if e.IP != net.Network.PrimaryIP(relay.ID()) {
 		t.Errorf("observed IP %v, want relay IP %v", e.IP, net.Network.PrimaryIP(relay.ID()))
 	}
@@ -78,7 +72,7 @@ func TestMonitorServesPlantedContent(t *testing.T) {
 	c := ids.CIDFromSeed(9)
 	m.AddBlock(c)
 	net.Nodes[1].ConnectBitswap(m.ID())
-	res := net.Nodes[1].Retrieve(nil, c, false)
+	res := net.Nodes[1].Retrieve(nil, c)
 	if !res.Found || !res.ViaBitswap || res.Provider != m.ID() {
 		t.Fatalf("Retrieve = %+v, want found via monitor", res)
 	}
@@ -103,10 +97,10 @@ func TestMonitorStreamingStats(t *testing.T) {
 	net := simtest.BuildServers(20)
 	id := ids.PeerIDFromSeed(1 << 60)
 	m := New(id, net.Network, trace.NewPipeline(trace.Options{}))
-	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true, UnlimitedInbound: true})
+	net.Network.Attach(id, m, netsim.HostConfig{Reachable: true})
 	for i := 0; i < 3; i++ {
 		net.Nodes[i].ConnectBitswap(m.ID())
-		net.Nodes[i].Retrieve(nil, ids.CIDFromSeed(uint64(i)), false)
+		net.Nodes[i].Retrieve(nil, ids.CIDFromSeed(uint64(i)))
 	}
 	if m.Log() != nil {
 		t.Fatal("streaming monitor retained a raw log")
@@ -129,12 +123,12 @@ func TestMonitorTapSeesEvents(t *testing.T) {
 	net.Nodes[0].ConnectBitswap(m.ID())
 	var tapped []trace.Event
 	remove := m.Tap(trace.SinkFunc(func(e trace.Event) { tapped = append(tapped, e) }))
-	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(3), false)
+	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(3))
 	if len(tapped) != 1 || tapped[0].CID != ids.CIDFromSeed(3) {
 		t.Fatalf("tap saw %v", tapped)
 	}
 	remove()
-	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(4), false)
+	net.Nodes[0].Retrieve(nil, ids.CIDFromSeed(4))
 	if len(tapped) != 1 {
 		t.Fatal("detached tap still observing")
 	}

@@ -155,8 +155,6 @@ type hostRecord struct {
 	relay ids.PeerID
 	// sourceIP is the outbound source address for NAT-ed hosts.
 	sourceIP netip.Addr
-	// unlimitedInbound marks monitoring nodes that accept any connection.
-	unlimitedInbound bool
 	// linkClass is the peer's rate class for the link impairment model.
 	linkClass LinkClass
 }
@@ -220,9 +218,6 @@ type HostConfig struct {
 	// direct requests; the relay's address appears only for relayed
 	// inbound traffic.
 	SourceIP netip.Addr
-	// UnlimitedInbound marks monitor-style hosts with unbounded
-	// connection capacity.
-	UnlimitedInbound bool
 	// LinkClass is the peer's rate class for the link impairment model
 	// (zero value: LinkCloud).
 	LinkClass LinkClass
@@ -238,14 +233,13 @@ func (n *Network) Attach(id ids.PeerID, h Handler, cfg HostConfig) {
 		n.Intern.Addr(cfg.SourceIP)
 	}
 	n.hosts[id] = &hostRecord{
-		handler:          h,
-		addrs:            exactCopy(cfg.Addrs),
-		online:           true,
-		reachable:        cfg.Reachable,
-		relay:            cfg.Relay,
-		sourceIP:         cfg.SourceIP,
-		unlimitedInbound: cfg.UnlimitedInbound,
-		linkClass:        cfg.LinkClass,
+		handler:   h,
+		addrs:     exactCopy(cfg.Addrs),
+		online:    true,
+		reachable: cfg.Reachable,
+		relay:     cfg.Relay,
+		sourceIP:  cfg.SourceIP,
+		linkClass: cfg.LinkClass,
 	}
 }
 
@@ -346,33 +340,33 @@ func (n *Network) PrimaryIP(id ids.PeerID) netip.Addr {
 
 // ObservedAddr returns the source IP a remote monitor would see for
 // traffic from this peer: its own primary IP when publicly reachable, or
-// the relay's primary IP (viaRelay=true) when the peer is NAT-ed and
-// proxied. This mirrors the paper's note that Hydra logs record the proxy
-// DHT server for NAT-traversing senders.
-func (n *Network) ObservedAddr(id ids.PeerID) (ip netip.Addr, viaRelay bool) {
+// the relay's primary IP when the peer is NAT-ed, proxied and has no
+// known source address. This mirrors the paper's note that Hydra logs
+// record the proxy DHT server for NAT-traversing senders.
+func (n *Network) ObservedAddr(id ids.PeerID) netip.Addr {
 	h, ok := n.hosts[id]
 	if !ok {
-		return netip.Addr{}, false
+		return netip.Addr{}
 	}
 	if h.reachable {
-		return n.PrimaryIP(id), false
+		return n.PrimaryIP(id)
 	}
 	// NAT-ed host making an outbound connection: the monitor sees its
 	// NAT's public address when known.
 	if h.sourceIP.IsValid() {
-		return h.sourceIP, false
+		return h.sourceIP
 	}
 	if !h.relay.IsZero() {
-		return n.PrimaryIP(h.relay), true
+		return n.PrimaryIP(h.relay)
 	}
 	// NAT-ed without a relay: outbound connections still expose the
 	// peer's own address if a direct one is advertised.
 	for _, a := range h.addrs {
 		if !a.Circuit && a.IP.IsValid() {
-			return a.IP, false
+			return a.IP
 		}
 	}
-	return netip.Addr{}, false
+	return netip.Addr{}
 }
 
 // dial resolves the target handler, enforcing the reachability rules:

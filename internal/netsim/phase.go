@@ -6,21 +6,21 @@ import (
 	"tcsb/internal/ids"
 )
 
-// Lane is per-lane state owned by a shared root object (e.g. a trace
+// Lane is a shared root object with per-lane buffers (e.g. a trace
 // pipeline): during a concurrent phase each worker writes to its own
-// lane instance, and when the phase ends the root merges the lanes in
-// fixed task order. NewLane creates an empty lane instance; MergeLane
-// folds one into the root and resets it for reuse. Merges run on the
-// driver goroutine, lane by lane, so implementations need no locking.
+// plain buffer, and when the phase ends the root merges the buffers in
+// fixed task order. NewLane creates an empty buffer; MergeLane folds
+// one into the root and resets it for reuse. Merges run on the driver
+// goroutine, lane by lane, so implementations need no locking.
 type Lane interface {
-	NewLane() Lane
-	MergeLane(Lane)
+	NewLane() any
+	MergeLane(any)
 }
 
-// laneSlot pairs a root with its lane-local instance on one Effects.
+// laneSlot pairs a root with its lane-local buffer on one Effects.
 type laneSlot struct {
 	root  Lane
-	local Lane
+	local any
 }
 
 // Effects is the per-lane buffer that makes concurrent phases
@@ -160,9 +160,9 @@ func (e *Effects) DeferLookup(q LookupEnqueuer, c ids.CID) {
 	e.lookups = append(e.lookups, lookupOp{q, c})
 }
 
-// Lane returns this lane's instance of the given root, creating it on
+// Lane returns this lane's buffer for the given root, creating it on
 // first use. Callers must not hold the result across phases.
-func (e *Effects) Lane(root Lane) Lane {
+func (e *Effects) Lane(root Lane) any {
 	for i := range e.lanes {
 		if e.lanes[i].root == root {
 			return e.lanes[i].local

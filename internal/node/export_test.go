@@ -7,9 +7,6 @@ import (
 
 // Observers the tests read a node and its provider store through.
 
-// Served returns how many Bitswap blocks the node has sent.
-func (n *Node) Served() int64 { return n.served }
-
 // HasBlock reports whether the node stores c.
 func (n *Node) HasBlock(c ids.CID) bool { return n.blocks[c] }
 

@@ -1,9 +1,8 @@
 // Package node models an IPFS node as the paper describes it (Section 2):
 // a peer that participates in the Kademlia DHT as a server or client,
 // stores and serves provider records for CIDs it is a resolver for,
-// exchanges blocks via Bitswap with a bounded set of connected neighbours,
-// advertises the content it holds (and re-provides content it downloads),
-// and — when NAT-ed — publishes circuit-relay addresses so that a
+// exchanges blocks via Bitswap with its connected neighbours, advertises
+// the content it holds, and — when NAT-ed — publishes circuit-relay addresses so that a
 // cloud-or-otherwise relay can reverse-proxy inbound connections.
 package node
 
@@ -29,19 +28,14 @@ type Config struct {
 	DHTServer bool
 	// ProviderTTL overrides DefaultProviderTTL when positive.
 	ProviderTTL netsim.Time
-	// MaxBitswapPeers caps the Bitswap neighbour set (the connection
-	// manager keeps 600–900 connections on real nodes; scenarios scale
-	// this down with network size). Zero means unlimited — used by
-	// monitor-style nodes.
-	MaxBitswapPeers int
 }
 
 // Node is a simulated IPFS node. It implements netsim.Handler.
 //
 // Concurrency: within a netsim.Fanout phase, handler methods are pure
 // reads over pre-phase state — every mutation (routing-table learns,
-// provider puts, block additions, served counter) is deferred through
-// the caller's Effects lane and replayed at the deterministic merge.
+// provider puts, block additions) is deferred through the caller's
+// Effects lane and replayed at the deterministic merge.
 // Direct mutators (AddBlock, ConnectBitswap, LearnPeer, …) remain
 // single-threaded driver calls between phases.
 type Node struct {
@@ -57,9 +51,6 @@ type Node struct {
 	// bitswapSorted is the Bitswap neighbour set, key-sorted on
 	// connect; membership is a binary search.
 	bitswapSorted []ids.PeerID
-
-	// served counts Bitswap blocks this node sent to others.
-	served int64
 }
 
 // New creates a node and registers nothing: the caller attaches it to the
@@ -132,14 +123,9 @@ func (n *Node) HandleAddProvider(env *netsim.Effects, from ids.PeerID, c ids.CID
 func (n *Node) PutProvider(c ids.CID, rec netsim.ProviderRecord) { n.providers.Put(c, rec) }
 
 // HandleBitswapWant answers a Bitswap WANT: whether this node has the
-// block. A positive answer counts as serving the block (the requester
-// will pull it over the same connection).
+// block (the requester then pulls it over the same connection).
 func (n *Node) HandleBitswapWant(env *netsim.Effects, from ids.PeerID, c ids.CID) bool {
-	if n.blocks[c] {
-		env.Defer(func() { n.served++ })
-		return true
-	}
-	return false
+	return n.blocks[c]
 }
 
 // maybeLearn adds the caller to the routing table when it is a reachable
@@ -221,26 +207,21 @@ func (n *Node) RemoveBlock(c ids.CID) { delete(n.blocks, c) }
 
 // --- Bitswap neighbours ---
 
-// ConnectBitswap records a (one-directional) Bitswap connection to p.
-// Scenario code calls it on both ends for a bidirectional link. It
-// returns false when the connection manager is at capacity.
+// ConnectBitswap records a (one-directional) Bitswap connection to p;
+// connecting to self, to the zero peer or to a neighbour already held
+// is a no-op. Scenario code calls it on both ends for a bidirectional
+// link.
 //
 // The neighbour set is kept sorted eagerly on (single-threaded) connect
 // rather than sorted lazily on read: BitswapPeers is called from
 // concurrent retrieval lanes, which must see a stable, read-only slice.
-func (n *Node) ConnectBitswap(p ids.PeerID) bool {
+func (n *Node) ConnectBitswap(p ids.PeerID) {
 	if p == n.id || p.IsZero() {
-		return false
+		return
 	}
-	i, ok := n.bitswapIndex(p)
-	if ok {
-		return true
+	if i, ok := n.bitswapIndex(p); !ok {
+		n.bitswapSorted = slices.Insert(n.bitswapSorted, i, p)
 	}
-	if n.cfg.MaxBitswapPeers > 0 && len(n.bitswapSorted) >= n.cfg.MaxBitswapPeers {
-		return false
-	}
-	n.bitswapSorted = slices.Insert(n.bitswapSorted, i, p)
-	return true
 }
 
 // bitswapIndex returns where p sits, or would be inserted, in the
@@ -280,12 +261,12 @@ type RetrieveResult struct {
 // Retrieve downloads c: first a 1-hop Bitswap broadcast to all connected
 // neighbours, then — if that fails — a DHT FindProviders walk followed by
 // direct Bitswap requests to discovered providers. On success the node
-// stores the block and (matching IPFS defaults) becomes a provider,
-// advertising itself when reprovide is true. All RPCs count against the
-// env lane and the block store/reprovide writes are deferred to the
+// stores the block; it does not advertise it (scenarios reprovide
+// downloads on their own schedule, through ProvideDirect). All RPCs
+// count against the env lane and the block store is deferred to the
 // merge, so concurrent retrievals across shards stay race-free and
 // deterministic.
-func (n *Node) Retrieve(env *netsim.Effects, c ids.CID, reprovide bool) RetrieveResult {
+func (n *Node) Retrieve(env *netsim.Effects, c ids.CID) RetrieveResult {
 	var res RetrieveResult
 	if n.blocks[c] {
 		res.Found = true
@@ -325,9 +306,6 @@ func (n *Node) Retrieve(env *netsim.Effects, c ids.CID, reprovide bool) Retrieve
 
 	if res.Found {
 		env.Defer(func() { n.blocks[c] = true })
-		if reprovide {
-			n.Provide(env, c)
-		}
 	}
 	return res
 }

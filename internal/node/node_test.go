@@ -123,7 +123,10 @@ func TestProvideAndFindProviders(t *testing.T) {
 	}
 }
 
-func TestFindProvidersStopsAtMax(t *testing.T) {
+// TestFindProvidersStopsAtK: with more than K providers, the standard
+// walk stops querying once it holds K of them, while the exhaustive walk
+// queries on and collects everyone.
+func TestFindProvidersStopsAtK(t *testing.T) {
 	_, nodes := buildNet(t, 200)
 	c := ids.CIDFromSeed(77)
 	// 30 providers advertise.
@@ -131,14 +134,17 @@ func TestFindProvidersStopsAtMax(t *testing.T) {
 		nodes[i].AddBlock(c)
 		nodes[i].Provide(nil, c)
 	}
-	recs, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Max: 5})
-	if len(recs) < 5 {
-		t.Fatalf("standard walk found %d providers, want >= 5", len(recs))
+	recs, std := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
+	if len(recs) < dht.K {
+		t.Fatalf("standard walk found %d providers, want >= K = %d", len(recs), dht.K)
 	}
-	// Exhaustive collects everyone.
-	all, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
+	all, exh := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 	if len(all) != 30 {
 		t.Fatalf("exhaustive walk found %d providers, want 30", len(all))
+	}
+	if std.Queried >= exh.Queried {
+		t.Fatalf("standard walk queried %d peers, exhaustive %d: the standard walk did not stop at K",
+			std.Queried, exh.Queried)
 	}
 }
 
@@ -165,7 +171,7 @@ func TestRetrieveViaBitswapNeighbour(t *testing.T) {
 	holder.AddBlock(c)
 	downloader.ConnectBitswap(holder.ID())
 
-	res := downloader.Retrieve(nil, c, false)
+	res := downloader.Retrieve(nil, c)
 	if !res.Found || !res.ViaBitswap {
 		t.Fatalf("Retrieve = %+v, want found via bitswap", res)
 	}
@@ -174,9 +180,6 @@ func TestRetrieveViaBitswapNeighbour(t *testing.T) {
 	}
 	if !downloader.HasBlock(c) {
 		t.Error("downloader did not store the block")
-	}
-	if holder.Served() != 1 {
-		t.Errorf("holder served %d blocks, want 1", holder.Served())
 	}
 }
 
@@ -187,30 +190,24 @@ func TestRetrieveViaDHT(t *testing.T) {
 	provider.AddBlock(c)
 	provider.Provide(nil, c)
 
-	res := downloader.Retrieve(nil, c, true)
+	res := downloader.Retrieve(nil, c)
 	if !res.Found || res.ViaBitswap {
 		t.Fatalf("Retrieve = %+v, want found via DHT", res)
+	}
+	if res.Provider != provider.ID() {
+		t.Errorf("provider = %s", res.Provider.Short())
 	}
 	if res.Walk.Queried == 0 {
 		t.Error("no DHT queries recorded")
 	}
-
-	// reprovide=true: the downloader is now itself discoverable.
-	recs, _ := nodes[60].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
-	found := false
-	for _, r := range recs {
-		if r.Provider.ID == downloader.ID() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("downloader did not re-provide after retrieval (auto-scaling property)")
+	if !downloader.HasBlock(c) {
+		t.Error("downloader did not store the block")
 	}
 }
 
 func TestRetrieveMissingContent(t *testing.T) {
 	_, nodes := buildNet(t, 100)
-	res := nodes[5].Retrieve(nil, ids.CIDFromSeed(12345), false)
+	res := nodes[5].Retrieve(nil, ids.CIDFromSeed(12345))
 	if res.Found {
 		t.Fatal("retrieved content nobody provides")
 	}
@@ -254,14 +251,14 @@ func TestNATProviderViaRelay(t *testing.T) {
 	}
 
 	// Retrieval succeeds through the relay.
-	res := nodes[150].Retrieve(nil, c, false)
+	res := nodes[150].Retrieve(nil, c)
 	if !res.Found || res.Provider != natID {
 		t.Fatalf("Retrieve via relay = %+v", res)
 	}
 
 	// Relay offline: the NAT-ed provider becomes unreachable.
 	net.SetOnline(relay.ID(), false)
-	res2 := nodes[160].Retrieve(nil, c, false)
+	res2 := nodes[160].Retrieve(nil, c)
 	if res2.Found && res2.Provider == natID {
 		t.Fatal("retrieved from NAT-ed provider while its relay was offline")
 	}
@@ -313,24 +310,16 @@ func inTable(nd *Node, p ids.PeerID) bool {
 func TestBitswapConnectionManager(t *testing.T) {
 	net := netsim.New()
 	id := ids.PeerIDFromSeed(0)
-	nd := New(id, net, Config{DHTServer: true, MaxBitswapPeers: 3})
+	nd := New(id, net, Config{DHTServer: true})
 	net.Attach(id, nd, netsim.HostConfig{Reachable: true})
 
 	for i := 1; i <= 3; i++ {
-		if !nd.ConnectBitswap(ids.PeerIDFromSeed(uint64(i))) {
-			t.Fatalf("connection %d rejected below cap", i)
-		}
+		nd.ConnectBitswap(ids.PeerIDFromSeed(uint64(i)))
 	}
-	if nd.ConnectBitswap(ids.PeerIDFromSeed(99)) {
-		t.Fatal("connection accepted beyond cap")
-	}
-	// Existing connection is idempotent even at cap.
-	if !nd.ConnectBitswap(ids.PeerIDFromSeed(1)) {
-		t.Fatal("existing connection rejected")
-	}
-	if nd.ConnectBitswap(id) {
-		t.Fatal("self-connection accepted")
-	}
+	// Reconnecting, self-connection and the zero peer are no-ops.
+	nd.ConnectBitswap(ids.PeerIDFromSeed(1))
+	nd.ConnectBitswap(id)
+	nd.ConnectBitswap(ids.PeerID{})
 	peers := nd.BitswapPeers()
 	if len(peers) != 3 {
 		t.Fatalf("neighbour count = %d, want 3", len(peers))
@@ -453,6 +442,6 @@ func BenchmarkRetrieveDHT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dl := nodes[1+i%400]
 		dl.RemoveBlock(c)
-		_ = dl.Retrieve(nil, c, false)
+		_ = dl.Retrieve(nil, c)
 	}
 }

@@ -27,7 +27,7 @@ import (
 
 // Attack parameter defaults, applied by AttackConfig.WithDefaults when
 // the corresponding field is zero. internal/attack's parameter grammar
-// canonicalizes against the same values.
+// takes omitted keys from WithDefaults.
 const (
 	// DefaultAttackBand is the minimum common-prefix length (bits)
 	// between a sybil's key and its target CID's key. With it well above

@@ -149,7 +149,8 @@ type AttackConfig struct {
 	// target CID.
 	Censor bool
 
-	// Parameters. Zero selects the per-attack default (attack.Defaults).
+	// Parameters. Zero selects the default (WithDefaults). The attack
+	// package's Parse and Spec are the -attack-params grammar over them.
 	Band            int // min common-prefix bits shared by sybil keys and their target
 	SybilsPerTarget int // sybil identities minted per target CID
 	Targets         int // number of targeted CIDs (head of the persistent catalogue)

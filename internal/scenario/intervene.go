@@ -45,12 +45,8 @@ func (w *World) ProviderOutage(provider string) int {
 		if a == nil || a.Provider != provider {
 			continue
 		}
-		a.PinnedOffline = true
+		w.pinActorOffline(a)
 		pinned++
-		if a.Online {
-			a.Online = false
-			w.Net.SetOnline(a.ID, false)
-		}
 	}
 	return pinned
 }

@@ -6,6 +6,8 @@ import (
 	"tcsb/internal/dht"
 	"tcsb/internal/ids"
 	"tcsb/internal/ipdb"
+	"tcsb/internal/netsim"
+	"tcsb/internal/provrecords"
 )
 
 // testConfig is a small, fast world for unit tests.
@@ -99,12 +101,13 @@ func TestNATClientsRelayThroughMostlyCloud(t *testing.T) {
 
 func TestContentResolvable(t *testing.T) {
 	w := NewWorld(testConfig())
-	// Platform content must be resolvable through the DHT from anywhere.
+	// Platform content must be resolvable through the DHT from anywhere,
+	// by the exhaustive collector the observatory runs.
+	collector := provrecords.NewCollector(w.Net, w.CollectorID(),
+		func(t ids.Key) []netsim.PeerInfo { return w.SeedsNear(t, 8) })
 	found := 0
 	for i := 0; i < 10; i++ {
-		c := w.catalog[i].cid
-		recs := w.FindProvidersExhaustive(c)
-		if len(recs) > 0 {
+		if len(collector.CollectOne(nil, w.catalog[i].cid, 0).Records) > 0 {
 			found++
 		}
 	}
@@ -126,6 +129,16 @@ func TestTrafficGeneratesLogs(t *testing.T) {
 	mix := w.Hydra.Stats().Mix()
 	if mix[0]+mix[1]+mix[2] == 0 {
 		t.Error("hydra mix empty")
+	}
+	// The Protocol Labs boosters have nil pipelines: they serve the DHT
+	// but record nothing.
+	if len(w.PLHydras) == 0 {
+		t.Fatal("world has no Protocol Labs boosters")
+	}
+	for i, h := range w.PLHydras {
+		if h.Stats() != nil || h.Log() != nil {
+			t.Errorf("Protocol Labs booster %d records its traffic", i)
+		}
 	}
 }
 

@@ -381,8 +381,8 @@ func (w *World) planRequester(rng *rand.Rand, view *shardView) *Actor {
 // the target gateway (gateway index mod Shards), so each Gateway's HTTP
 // cache and round-robin cursor are touched by exactly one lane. All
 // cross-node effects of the retrievals — provider puts, monitor/Hydra
-// log appends, served counters, block stores — are deferred through the
-// lanes and merged in shard order by Fanout.
+// log appends, block stores — are deferred through the lanes and merged
+// in shard order by Fanout.
 func (w *World) runRequests(plans [][]requestPlan) {
 	exec := make([][]requestPlan, Shards)
 	for s := range plans {
@@ -426,7 +426,7 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 		return
 	}
 	mark := w.Net.LatencyMark(env)
-	res := a.Node.Retrieve(env, p.cid, false)
+	res := a.Node.Retrieve(env, p.cid)
 	w.Timing.Record(env, trace.PhaseLookup, w.Net.LatencyMark(env)-mark)
 	// IPFS clients become providers for what they download; the
 	// reprovider runs in batches (every 12-22h), modelled as a throttled
@@ -451,6 +451,6 @@ func (w *World) drainHydras() {
 	hydras = append(hydras, w.Hydra)
 	hydras = append(hydras, w.PLHydras...)
 	w.Net.Fanout(w.Workers, len(hydras), func(i int, env *netsim.Effects) {
-		hydras[i].ProcessPending(env, 128)
+		hydras[i].ProcessPending(env)
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"tcsb/internal/dht"
 	"tcsb/internal/ids"
 	"tcsb/internal/netsim"
-	"tcsb/internal/stats"
 	"tcsb/internal/trace"
 )
 
@@ -66,12 +65,7 @@ func (w *World) StepTick() {
 
 	if w.tick%TicksPerDay == TicksPerDay-1 {
 		w.refreshTopology()
-		// The catalogue grew; rebuild the popularity samplers over it so
-		// newly published content becomes requestable (rank order keeps
-		// platform content at the head). Shard planners draw from these
-		// shared immutable tables with their own RNGs.
-		w.zipf = stats.NewZipfApprox(w.Cfg.ZipfExponent, len(w.catalog))
-		w.zipfTail = stats.NewZipfApprox(0.35, len(w.catalog))
+		w.rebuildSamplers()
 	}
 	w.tick++
 	w.Net.Clock.Advance(TickSeconds)
@@ -280,18 +274,4 @@ func (w *World) Crawl(id int) *crawler.Snapshot {
 	}, seeds)
 	w.Timing.Record(nil, trace.PhaseCrawl, snap.LinkLatencyUS)
 	return snap
-}
-
-// FindProvidersExhaustive resolves all provider records for a CID using
-// the paper's modified FindProviders, from a neutral collector identity.
-func (w *World) FindProvidersExhaustive(c ids.CID) []netsim.ProviderRecord {
-	walker := dht.NewWalker(w.Net, w.CollectorID())
-	var seeds []netsim.PeerInfo
-	for _, p := range w.nearestServers(c.Key(), 8) {
-		if w.Net.Online(p) {
-			seeds = append(seeds, w.Net.Info(p))
-		}
-	}
-	recs, _ := walker.FindProviders(nil, seeds, c, dht.FindProvidersOpts{Exhaustive: true})
-	return recs
 }

@@ -384,10 +384,9 @@ func (w *World) buildMonitor() {
 	}))
 	ip := w.Alloc.ResidentialIP("DE") // the paper's vantage point: Germany
 	w.Net.Attach(id, w.Monitor, netsim.HostConfig{
-		Reachable:        true,
-		UnlimitedInbound: true,
-		Addrs:            []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)},
-		LinkClass:        netsim.LinkResi,
+		Reachable: true,
+		Addrs:     []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)},
+		LinkClass: netsim.LinkResi,
 	})
 }
 
@@ -406,8 +405,8 @@ const PlatformHydra = "hydra-booster.io"
 // identities (the authors exclude their tools from the logs) and tags
 // Hydra-head senders for the Fig. 13 identity attribution; raw events
 // are retained only under Cfg.RetainTrace. The production boosters get
-// discarding pipelines — nothing ever reads their logs, and a
-// default-scale campaign would otherwise retain gigabytes of them.
+// nil pipelines, which record nothing: nothing ever reads their logs,
+// and a default-scale campaign would otherwise retain gigabytes of them.
 func (w *World) buildHydra() {
 	attach := func(h *hydra.Hydra) {
 		for _, head := range h.Heads() {
@@ -438,7 +437,6 @@ func (w *World) buildHydra() {
 		h := hydra.New(w.Net, uint64(w.Cfg.Seed)<<40+0x77e0+uint64(i)*0x1000, hydra.Config{
 			Heads:            w.Cfg.HydraHeads,
 			ProactiveLookups: true,
-			Pipe:             trace.NewPipeline(trace.Options{Discard: true}),
 		})
 		attach(h)
 		w.PLHydras = append(w.PLHydras, h)
@@ -670,8 +668,21 @@ func (w *World) seedContent() {
 	for i := 0; i < w.Cfg.UserCIDs; i++ {
 		w.publishUserContentAged(-w.Rng.Intn(48))
 	}
+	w.rebuildSamplers()
+}
+
+// gatewayZipfExponent shapes gateway request popularity, much flatter
+// than the direct users' Cfg.ZipfExponent.
+const gatewayZipfExponent = 0.35
+
+// rebuildSamplers builds the popularity samplers over the current
+// catalogue, so newly published content becomes requestable (rank order
+// keeps platform content at the head). The world builds them at
+// construction and rebuilds them daily as the catalogue grows; shard
+// planners draw from these shared immutable tables with their own RNGs.
+func (w *World) rebuildSamplers() {
 	w.zipf = stats.NewZipfApprox(w.Cfg.ZipfExponent, len(w.catalog))
-	w.zipfTail = stats.NewZipfApprox(0.35, len(w.catalog))
+	w.zipfTail = stats.NewZipfApprox(gatewayZipfExponent, len(w.catalog))
 }
 
 // publishUserContentAged publishes a user CID as if it were created

@@ -49,10 +49,6 @@ type Options struct {
 	// shares can be reconstructed without the raw events. nil tags
 	// nothing.
 	TagPeer func(ids.PeerID) bool
-	// Discard drops everything: no log, no statistics. Used for vantage
-	// points nothing ever reads (the Protocol Labs production Hydras'
-	// logs), where even bounded accumulation is waste.
-	Discard bool
 	// Intern supplies the world's shared handle tables for the Accum's
 	// dense columnar storage. nil gives the accumulator private tables
 	// (standalone/test pipelines); worlds pass netsim.Network.Intern so
@@ -63,7 +59,9 @@ type Options struct {
 // Pipeline is the observation endpoint a monitoring vantage point
 // (Bitswap monitor, Hydra logger) writes its events to. It fans each
 // event into the streaming Accum, the optionally retained raw Log, and
-// any attached taps.
+// any attached taps. A nil *Pipeline records nothing: vantage points
+// nothing ever reads (the Protocol Labs production Hydras) have one,
+// and Active, Log and Stats are safe to call on it.
 //
 // Determinism: in serial mode handlers call Observe directly. During a
 // concurrent netsim Fanout phase, handlers write to a per-lane buffer
@@ -84,23 +82,18 @@ type tapEntry struct{ s Sink }
 
 // NewPipeline creates a pipeline with the given options.
 func NewPipeline(opts Options) *Pipeline {
-	p := &Pipeline{opts: opts}
-	if opts.Discard {
-		return p
-	}
+	p := &Pipeline{opts: opts, acc: newAccum(opts.TagPeer, opts.Intern)}
 	if opts.Retain {
 		p.log = &Log{}
 	}
-	p.acc = newAccum(opts.TagPeer, opts.Intern)
 	return p
 }
 
-// Active reports whether observing an event has any effect. Vantage
-// points check it before building an event at all (address resolution
-// for a discarded event would be pure waste).
-func (p *Pipeline) Active() bool {
-	return p != nil && (p.acc != nil || p.log != nil || len(p.taps) > 0)
-}
+// Active reports whether observing an event has any effect, that is
+// whether the pipeline is non-nil. Vantage points check it before
+// building an event at all (address resolution for an event nothing
+// records would be pure waste).
+func (p *Pipeline) Active() bool { return p != nil }
 
 // Observe feeds one event through the pipeline (serial mode).
 func (p *Pipeline) Observe(e Event) {
@@ -110,9 +103,7 @@ func (p *Pipeline) Observe(e Event) {
 	if p.opts.Keep != nil && !p.opts.Keep(e) {
 		return
 	}
-	if p.acc != nil {
-		p.acc.Observe(e)
-	}
+	p.acc.Observe(e)
 	for _, t := range p.taps {
 		t.s.Observe(e)
 	}
@@ -129,13 +120,24 @@ func (p *Pipeline) Via(env *netsim.Effects) Sink {
 	return env.Lane(p).(*pipeLane)
 }
 
-// Log returns the retained raw event log, or nil when retention is off.
-func (p *Pipeline) Log() *Log { return p.log }
+// Log returns the retained raw event log, or nil when retention is off
+// or the pipeline is nil.
+func (p *Pipeline) Log() *Log {
+	if p == nil {
+		return nil
+	}
+	return p.log
+}
 
-// Stats returns the streaming accumulator (nil for a discarding
-// pipeline). The accumulator reflects every event observed so far that
-// passed the Keep filter.
-func (p *Pipeline) Stats() *Accum { return p.acc }
+// Stats returns the streaming accumulator (nil for a nil pipeline). The
+// accumulator reflects every event observed so far that passed the Keep
+// filter.
+func (p *Pipeline) Stats() *Accum {
+	if p == nil {
+		return nil
+	}
+	return p.acc
+}
 
 // Tap attaches an additional sink and returns its detach function.
 // Taps see events that pass the Keep filter, in observation order. They
@@ -156,9 +158,8 @@ func (p *Pipeline) Tap(s Sink) (remove func()) {
 
 // pipeLane is the lane-local buffer of a pipeline during a concurrent
 // phase: handlers append events race-free, and the netsim merge replays
-// them into the root pipeline in lane order.
+// them into the pipeline in lane order.
 type pipeLane struct {
-	root   *Pipeline
 	events []Event
 }
 
@@ -166,24 +167,17 @@ type pipeLane struct {
 func (l *pipeLane) Observe(e Event) { l.events = append(l.events, e) }
 
 // NewLane creates an empty lane buffer (netsim.Lane).
-func (p *Pipeline) NewLane() netsim.Lane { return &pipeLane{root: p} }
+func (p *Pipeline) NewLane() any { return &pipeLane{} }
 
 // MergeLane replays a lane buffer into the pipeline and resets it for
 // reuse (netsim.Lane).
-func (p *Pipeline) MergeLane(lane netsim.Lane) {
+func (p *Pipeline) MergeLane(lane any) {
 	l := lane.(*pipeLane)
 	for _, e := range l.events {
 		p.Observe(e)
 	}
 	l.events = l.events[:0]
 }
-
-// NewLane on a lane buffer is never used (lanes are one level deep);
-// it exists to satisfy netsim.Lane.
-func (l *pipeLane) NewLane() netsim.Lane { return &pipeLane{root: l.root} }
-
-// MergeLane on a lane buffer is never used; see NewLane.
-func (l *pipeLane) MergeLane(lane netsim.Lane) { l.root.MergeLane(lane) }
 
 // --- Streaming accumulator ---
 

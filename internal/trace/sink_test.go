@@ -123,10 +123,10 @@ func TestEventsAliasing(t *testing.T) {
 }
 
 func TestPipelineModes(t *testing.T) {
-	// Discard: inactive, no stats, no log.
-	d := NewPipeline(Options{Discard: true})
+	// nil: inactive, no stats, no log.
+	var d *Pipeline
 	if d.Active() || d.Stats() != nil || d.Log() != nil {
-		t.Error("discard pipeline is not inert")
+		t.Error("nil pipeline is not inert")
 	}
 	// Streaming (default): stats, no log.
 	s := NewPipeline(Options{})

@@ -72,23 +72,17 @@ type timingSample struct {
 }
 
 // timingLane is the lane-local buffer of a TimingSink during a
-// concurrent phase (netsim.Lane).
+// concurrent phase.
 type timingLane struct {
-	root    *TimingSink
 	samples []timingSample
 }
 
-// NewLane and MergeLane satisfy netsim.Lane on the lane value itself
-// (the interface is symmetric); they delegate to the root.
-func (l *timingLane) NewLane() netsim.Lane       { return &timingLane{root: l.root} }
-func (l *timingLane) MergeLane(lane netsim.Lane) { l.root.MergeLane(lane) }
-
 // NewLane creates an empty lane buffer (netsim.Lane).
-func (s *TimingSink) NewLane() netsim.Lane { return &timingLane{root: s} }
+func (s *TimingSink) NewLane() any { return &timingLane{} }
 
-// MergeLane replays a lane buffer into the root sketches in emission
+// MergeLane replays a lane buffer into the sink's sketches in emission
 // order and resets it for reuse (netsim.Lane).
-func (s *TimingSink) MergeLane(lane netsim.Lane) {
+func (s *TimingSink) MergeLane(lane any) {
 	l := lane.(*timingLane)
 	for _, smp := range l.samples {
 		s.observe(smp.phase, smp.us)

@@ -60,16 +60,14 @@ type Event struct {
 	Time netsim.Time
 	// Peer is the sender's overlay identity.
 	Peer ids.PeerID
-	// IP is the sender's source address (the relay's address when the
-	// sender is NAT-ed and proxied — which is exactly what a real
-	// monitor would see; ViaRelay marks this case).
+	// IP is the sender's source address as netsim.ObservedAddr reports
+	// it: for a NAT-ed sender, the public side of its NAT, or its
+	// relay's address when no source address is known.
 	IP netip.Addr
 	// Type is the RPC type.
 	Type netsim.MsgType
 	// CID is the content the message concerns (zero for FindNode).
 	CID ids.CID
-	// ViaRelay marks messages that arrived through a circuit relay.
-	ViaRelay bool
 }
 
 // Class returns the traffic class of the event.
