@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"tcsb/internal/core"
-	"tcsb/internal/counterfactual"
 	"tcsb/internal/counting"
 	"tcsb/internal/crawler"
 	"tcsb/internal/dht"
@@ -102,7 +101,7 @@ var benchTimelineOnce struct {
 func benchTimelineResult(b *testing.B) *core.TimelineResult {
 	b.Helper()
 	benchTimelineOnce.Do(func() {
-		sch, err := counterfactual.CompileSchedule("epochs=2;@1:churn:2")
+		sch, err := campaign.CompileSchedule("epochs=2;@1:churn:2")
 		if err != nil {
 			panic(err)
 		}
@@ -128,7 +127,7 @@ func BenchmarkTimeline(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full longitudinal campaign benchmark")
 	}
-	sch, err := counterfactual.CompileSchedule("epochs=14;days=1;@5:hydra-dissolution")
+	sch, err := campaign.CompileSchedule("epochs=14;days=1;@5:hydra-dissolution")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -436,7 +436,10 @@ type sweepSpec struct {
 
 // expand builds the grid in deterministic order:
 // seeds × scales × presets × netProfiles × (whatIf ∪ timelines).
-func (sp sweepSpec) expand() []core.RunRequest {
+// Axis values may repeat, so a small body can describe more cells than
+// any host can hold: the grid is counted from its axis lengths first,
+// and one past maxSweepRuns is refused before a cell is built.
+func (sp sweepSpec) expand() ([]core.RunRequest, error) {
 	one := func(vs []string) []string {
 		if len(vs) == 0 {
 			return []string{""}
@@ -477,11 +480,20 @@ func (sp sweepSpec) expand() []core.RunRequest {
 		modes = []modeCell{{}}
 	}
 
-	var out []core.RunRequest
+	presets, nps := one(sp.Presets), one(sp.NetProfiles)
+	n := 1
+	for _, axis := range []int{len(seeds), len(scales), len(presets), len(nps), len(modes)} {
+		// n <= maxSweepRuns before each product, so it cannot overflow.
+		if n *= axis; n > maxSweepRuns {
+			return nil, fmt.Errorf("sweep grid seeds×scales×presets×netProfiles×modes = %d×%d×%d×%d×%d is above the %d-run cap; split it",
+				len(seeds), len(scales), len(presets), len(nps), len(modes), maxSweepRuns)
+		}
+	}
+	out := make([]core.RunRequest, 0, n)
 	for _, seed := range seeds {
 		for _, scale := range scales {
-			for _, preset := range one(sp.Presets) {
-				for _, np := range one(sp.NetProfiles) {
+			for _, preset := range presets {
+				for _, np := range nps {
 					for _, m := range modes {
 						req := core.RunRequest{
 							Seed:         seed,
@@ -504,7 +516,7 @@ func (sp sweepSpec) expand() []core.RunRequest {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // sweepResult is one grid cell's NDJSON line.
@@ -530,10 +542,9 @@ func (s *server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	reqs := spec.expand()
-	if len(reqs) > maxSweepRuns {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep expands to %d runs, above the %d-run cap; split it", len(reqs), maxSweepRuns))
+	reqs, err := spec.expand()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Validate the whole grid first: a bad cell fails the sweep before

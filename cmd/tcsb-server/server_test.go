@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -309,6 +310,36 @@ func TestSweepValidation(t *testing.T) {
 	w = postJSON(t, h, "/v1/sweeps", map[string]any{"seeds": seeds, "days": 1})
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "cap") {
 		t.Fatalf("oversized sweep: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestOversizeSweepRefusedBeforeExpansion pins what the grid cap costs:
+// 2,000 seeds × 2,000 scales is a 19 KB body describing four million
+// cells, and it is refused from its axis lengths without building any
+// of them.
+func TestOversizeSweepRefusedBeforeExpansion(t *testing.T) {
+	h := testServer().handler()
+	seeds := make([]int64, 2000)
+	scales := make([]float64, 2000)
+	for i := range seeds {
+		seeds[i] = int64(i)
+		scales[i] = 0.05
+	}
+	body, err := json.Marshal(map[string]any{"seeds": seeds, "scales": scales, "days": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "cap") {
+		t.Fatalf("oversized sweep: %d %s", w.Code, w.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("refusing a %d-byte sweep allocated %.1f MB", len(body), float64(alloc)/(1<<20))
 	}
 }
 
@@ -653,7 +684,10 @@ func TestSweepExpandDedupesBaseline(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.spec.expand()
+			got, err := tc.spec.expand()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(got) != tc.want {
 				t.Fatalf("%d cells, want %d: %+v", len(got), tc.want, got)
 			}
@@ -664,8 +698,11 @@ func TestSweepExpandDedupesBaseline(t *testing.T) {
 			}
 		})
 	}
-	one := sweepSpec{Seeds: []int64{1}, WhatIf: []string{""}, Timelines: []string{""}}.expand()[0]
-	if one.WhatIf != "" || one.Timeline != "" {
+	cells, err := sweepSpec{Seeds: []int64{1}, WhatIf: []string{""}, Timelines: []string{""}}.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := cells[0]; one.WhatIf != "" || one.Timeline != "" {
 		t.Fatalf("merged baseline cell is not plain: %+v", one)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"tcsb/internal/counterfactual"
 	"tcsb/internal/scenario"
+	"tcsb/internal/simtest/campaign"
 	"tcsb/internal/timeline"
 )
 
@@ -162,7 +163,7 @@ func TestAttackRegistrations(t *testing.T) {
 func TestPresetsCompile(t *testing.T) {
 	siege := false
 	for _, p := range timeline.Presets() {
-		if _, err := counterfactual.CompileSchedule(p.Spec); err != nil {
+		if _, err := campaign.CompileSchedule(p.Spec); err != nil {
 			t.Errorf("preset %q does not compile: %v", p.Name, err)
 		}
 		if p.Name == "timeline.siege" {

@@ -12,7 +12,6 @@ import (
 	"tcsb/internal/ids"
 	"tcsb/internal/ipdb"
 	"tcsb/internal/provrecords"
-	"tcsb/internal/report"
 	"tcsb/internal/scenario"
 	"tcsb/internal/stats"
 	"tcsb/internal/trace"
@@ -597,16 +596,6 @@ func (o *Observatory) Fig20ENS() Fig20Result {
 // Section5Mix returns the DHT traffic class mix at the Hydra vantage.
 func (o *Observatory) Section5Mix() map[trace.Class]float64 {
 	return o.HydraStats().Mix()
-}
-
-// --- rendering helpers used by cmd/tcsb-experiments ---
-
-// RenderDist renders a DistResult as two tables.
-func RenderDist(title string, d DistResult) []*report.Table {
-	return []*report.Table{
-		report.SharesTable(title+" — A-N (avg over crawls, unique nodes)", "label", d.AN),
-		report.SharesTable(title+" — G-IP (global unique IPs)", "label", d.GIP),
-	}
 }
 
 // --- Section 4 churn evidence ---

@@ -61,10 +61,3 @@ func (o *Observatory) ProviderProfiles() []provrecords.ProviderProfile {
 	})
 	return o.memo.profiles
 }
-
-// The per-peer/per-IP activity memos are gone: experiments consume the
-// accumulators' EachPeerActivity/EachIPActivity iterators directly (see
-// peerPareto in experiments.go), so no experiment materializes a full
-// identifier-keyed activity map anymore. Accum reads are safe from the
-// parallel experiment runner — the campaign has finished observing by
-// the time experiments run, and pure reads never intern.

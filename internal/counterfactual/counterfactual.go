@@ -140,9 +140,7 @@ func Parse(spec string) ([]Intervention, error) {
 }
 
 // NamesOf returns the names of a composed intervention list, in
-// application order — the label set RunPaired tags results with. Both
-// the CLI and examples derive labels here, so one intervention stream
-// always carries one tag shape.
+// application order — the label set RunPaired tags results with.
 func NamesOf(ivs []Intervention) []string {
 	names := make([]string, len(ivs))
 	for i, iv := range ivs {
@@ -242,16 +240,6 @@ func ScheduleResolver() timeline.Resolver {
 		}
 		return timeline.Mutator{Rewrite: iv.Rewrite, Mutate: iv.Mutate}, nil
 	}
-}
-
-// CompileSchedule parses and compiles a timeline spec against this
-// registry — the one-call path the CLI, examples and tests use.
-func CompileSchedule(spec string) (*timeline.Compiled, error) {
-	s, err := timeline.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Compile(ScheduleResolver())
 }
 
 // The named interventions. Each targets one of the paper's reliance

@@ -6,6 +6,7 @@ import (
 
 	"tcsb/internal/ipdb"
 	"tcsb/internal/scenario"
+	"tcsb/internal/timeline"
 )
 
 func smallConfig(seed int64) scenario.Config {
@@ -35,11 +36,18 @@ func TestScheduleResolver(t *testing.T) {
 	if _, err := res("nope"); err == nil || !strings.Contains(err.Error(), "hydra-dissolution") {
 		t.Errorf("unknown name should list the catalog, got %v", err)
 	}
-	if _, err := CompileSchedule("epochs=3;@1:no-cloud-providers"); err == nil {
-		t.Error("CompileSchedule accepted a construction-only intervention")
+	compile := func(spec string) (*timeline.Compiled, error) {
+		s, err := timeline.Parse(spec)
+		if err != nil {
+			return nil, err
+		}
+		return s.Compile(ScheduleResolver())
 	}
-	if c, err := CompileSchedule("epochs=3;@1:hydra-dissolution"); err != nil || c.Spec() != "epochs=3;days=1;@1:hydra-dissolution" {
-		t.Errorf("CompileSchedule(valid) = %v, %v", c, err)
+	if _, err := compile("epochs=3;@1:no-cloud-providers"); err == nil {
+		t.Error("Compile accepted a construction-only intervention")
+	}
+	if c, err := compile("epochs=3;@1:hydra-dissolution"); err != nil || c.Spec() != "epochs=3;days=1;@1:hydra-dissolution" {
+		t.Errorf("Compile(valid) = %v, %v", c, err)
 	}
 }
 
@@ -157,7 +165,9 @@ func TestAWSOutageWorld(t *testing.T) {
 	}
 	// The outage must stick through simulated time: churn cannot revive
 	// pinned actors.
-	w.RunDays(1)
+	for tick := 0; tick < scenario.TicksPerDay; tick++ {
+		w.StepTick()
+	}
 	for _, a := range w.Actors {
 		if a.PinnedOffline && a.Online {
 			t.Fatalf("pinned actor %s came back through churn", a.ID.Short())

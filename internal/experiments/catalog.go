@@ -464,13 +464,13 @@ func runFig20(o *core.Observatory) []*report.Table {
 	}
 }
 
-// renderDistTopN renders a DistResult as two truncated share tables.
+// renderDistTopN renders a DistResult as two truncated share tables,
+// A-N first.
 func renderDistTopN(title string, d core.DistResult, n int) []*report.Table {
-	out := make([]*report.Table, 0, 2)
-	for _, tbl := range core.RenderDist(title, d) {
-		out = append(out, topN(tbl, n))
+	return []*report.Table{
+		topN(report.SharesTable(title+" — A-N (avg over crawls, unique nodes)", "label", d.AN), n),
+		topN(report.SharesTable(title+" — G-IP (global unique IPs)", "label", d.GIP), n),
 	}
-	return out
 }
 
 // topN truncates a shares table (already sorted descending by

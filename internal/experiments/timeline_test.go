@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tcsb/internal/core"
-	"tcsb/internal/counterfactual"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest/campaign"
 	"tcsb/internal/timeline"
@@ -57,7 +56,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 		t.Skip("builds several 14-epoch campaigns")
 	}
 	const spec = "epochs=14;days=1;@5:hydra-dissolution"
-	sch, err := counterfactual.CompileSchedule(spec)
+	sch, err := campaign.CompileSchedule(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	if _, err := core.RunTimeline(cfg, rcWith(1), sch, core.TimelineOptions{Resume: &wrongSeed}); err == nil {
 		t.Error("checkpoint with a foreign seed not refused")
 	}
-	other, err := counterfactual.CompileSchedule("epochs=14;days=1;@6:hydra-dissolution")
+	other, err := campaign.CompileSchedule("epochs=14;days=1;@6:hydra-dissolution")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	// — sybil minting, allocator draws, table flooding and all — and the
 	// spliced run must still render byte-identically.
 	attackSpec := "epochs=6;days=1;@2:attack.sybil-eclipse;@4:attack.provider-spam"
-	attackSch, err := counterfactual.CompileSchedule(attackSpec)
+	attackSch, err := campaign.CompileSchedule(attackSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestTimelineWorkerDeterminism(t *testing.T) {
 	// byte-identically. The final snapshot digests the link counters and
 	// sketches, so any divergence in the latency layer is caught here.
 	netSpec := "epochs=6;days=1;@2:net.degraded;@4:net.measured"
-	netSch, err := counterfactual.CompileSchedule(netSpec)
+	netSch, err := campaign.CompileSchedule(netSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestRunTimelineSelection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a small timeline campaign")
 	}
-	sch, err := counterfactual.CompileSchedule("epochs=2;@1:churn:2")
+	sch, err := campaign.CompileSchedule("epochs=2;@1:churn:2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,16 +69,6 @@ func (g *Gateway) FrontendIPs() []netip.Addr {
 	return append([]netip.Addr(nil), g.frontendIPs...)
 }
 
-// OverlayIDs returns the overlay identities of the backing nodes (ground
-// truth the probe tries to discover).
-func (g *Gateway) OverlayIDs() []ids.PeerID {
-	out := make([]ids.PeerID, len(g.nodes))
-	for i, n := range g.nodes {
-		out[i] = n.ID()
-	}
-	return out
-}
-
 // Nodes returns the backing overlay nodes.
 func (g *Gateway) Nodes() []*node.Node { return g.nodes }
 

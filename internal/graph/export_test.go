@@ -12,3 +12,14 @@ func (g *Graph) Index(p ids.PeerID) int {
 	}
 	return -1
 }
+
+// NumCrawlable returns the number of peers whose buckets were enumerated.
+func (g *Graph) NumCrawlable() int {
+	n := 0
+	for _, c := range g.crawlable {
+		if c {
+			n++
+		}
+	}
+	return n
+}

@@ -70,17 +70,6 @@ func FromSnapshot(s *crawler.Snapshot) *Graph {
 // N returns the node count (crawlable and uncrawlable).
 func (g *Graph) N() int { return len(g.peers) }
 
-// NumCrawlable returns the number of peers whose buckets were enumerated.
-func (g *Graph) NumCrawlable() int {
-	n := 0
-	for _, c := range g.crawlable {
-		if c {
-			n++
-		}
-	}
-	return n
-}
-
 // Edges returns the total number of directed edges.
 func (g *Graph) Edges() int {
 	total := 0

@@ -37,27 +37,27 @@ func fixture(t *testing.T, gwNodes int) (*simtest.Net, *monitor.Monitor, *gatewa
 }
 
 func TestProbeOnceDiscoversOverlayID(t *testing.T) {
-	_, mon, gw := fixture(t, 1)
+	net, mon, gw := fixture(t, 1)
 	p := New(mon, 42, nil)
 	id, ok := p.ProbeOnce(gw)
 	if !ok {
 		t.Fatal("probe failed")
 	}
-	if id != gw.OverlayIDs()[0] {
-		t.Fatalf("discovered %s, want %s", id.Short(), gw.OverlayIDs()[0].Short())
+	if want := net.Nodes[10].ID(); id != want {
+		t.Fatalf("discovered %s, want %s", id.Short(), want.Short())
 	}
 }
 
 func TestIdentifyEnumeratesAllNodes(t *testing.T) {
-	_, mon, gw := fixture(t, 3)
+	net, mon, gw := fixture(t, 3)
 	p := New(mon, 42, nil)
 	found := p.Identify(gw, 12) // round-robin: 12 probes cover 3 nodes
 	if len(found) != 3 {
 		t.Fatalf("identified %d overlay IDs, want 3", len(found))
 	}
 	want := map[ids.PeerID]bool{}
-	for _, id := range gw.OverlayIDs() {
-		want[id] = true
+	for _, nd := range net.Nodes[10:13] { // the fixture's backing nodes
+		want[nd.ID()] = true
 	}
 	for _, id := range found {
 		if !want[id] {

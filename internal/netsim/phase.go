@@ -37,8 +37,7 @@ type laneSlot struct {
 // A nil *Effects means immediate mode: Defer applies the closure on the
 // spot, counters go straight to the Network, and Lane-aware roots are
 // written directly. Serial code paths (world construction,
-// single-threaded drivers, tests) use nil and behave exactly as the
-// pre-concurrency simulator did.
+// single-threaded drivers, tests) use nil.
 type Effects struct {
 	// ops lists the deferred side effects in emission order, one kind
 	// per op; the payload of the n-th op of a kind is the n-th entry of

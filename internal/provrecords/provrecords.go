@@ -94,27 +94,3 @@ func (c *Collector) CollectDayParallel(col *Collection, cids []ids.CID, day int6
 	})
 	col.PerCID = append(col.PerCID, out...)
 }
-
-// CIDs returns the number of (CID, day) collections gathered.
-func (col *Collection) CIDs() int { return len(col.PerCID) }
-
-// UniqueProviders returns the distinct provider peer IDs across the
-// collection.
-func (col *Collection) UniqueProviders() int {
-	set := make(map[ids.PeerID]bool)
-	for _, cr := range col.PerCID {
-		for _, r := range cr.Records {
-			set[r.Provider.ID] = true
-		}
-	}
-	return len(set)
-}
-
-// TotalRecords returns the number of verified records collected.
-func (col *Collection) TotalRecords() int {
-	total := 0
-	for _, cr := range col.PerCID {
-		total += len(cr.Records)
-	}
-	return total
-}

@@ -71,13 +71,6 @@ func (w *World) StepTick() {
 	w.Net.Clock.Advance(TickSeconds)
 }
 
-// RunDays advances the world by d full days.
-func (w *World) RunDays(d int) {
-	for t := 0; t < d*TicksPerDay; t++ {
-		w.StepTick()
-	}
-}
-
 // rotateIP gives a residential actor a fresh address (DHCP re-lease).
 func (w *World) rotateIP(a *Actor) {
 	a.IP = w.Alloc.ResidentialIP(a.Country)

@@ -9,13 +9,14 @@ import (
 	"sync"
 
 	"tcsb/internal/core"
+	"tcsb/internal/counterfactual"
 	"tcsb/internal/scenario"
+	"tcsb/internal/timeline"
 )
 
 // Shared observation-campaign fixtures. Building a world and observing
 // it for several virtual days is by far the most expensive setup step a
-// test can take; packages used to rebuild their own copies per test
-// file. These helpers centralize the two standard shapes — a small
+// test can take. These helpers hold the two standard shapes — a small
 // 1-day campaign for engine/determinism tests and a medium 4-day
 // campaign for dataset-shape tests — and cache built observatories per
 // (size, seed, workers) for the lifetime of the test process.
@@ -94,4 +95,14 @@ func SmallRetainedObservatory(seed int64, workers int) *core.Observatory {
 // MediumObservatory returns the process-cached medium campaign.
 func MediumObservatory(seed int64, workers int) *core.Observatory {
 	return cachedObservatory("medium", seed, workers, MediumConfig(seed), MediumRunConfig())
+}
+
+// CompileSchedule parses a timeline spec and compiles it against the
+// intervention registry, as experiments.Resolve does for -timeline.
+func CompileSchedule(spec string) (*timeline.Compiled, error) {
+	s, err := timeline.Parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Compile(counterfactual.ScheduleResolver())
 }

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"testing"
+
+	"tcsb/internal/core"
 )
 
 func TestObservatoryFixtureCachesPerKey(t *testing.T) {
@@ -44,7 +46,14 @@ func TestObservatoryFixtureWorkerIndependence(t *testing.T) {
 	if a, b := serial.Crawls.UniquePeers(), pooled.Crawls.UniquePeers(); a != b {
 		t.Fatalf("crawl series differ: %d vs %d unique peers", a, b)
 	}
-	if a, b := serial.Records.TotalRecords(), pooled.Records.TotalRecords(); a != b {
+	records := func(o *core.Observatory) int {
+		n := 0
+		for _, cr := range o.Records.PerCID {
+			n += len(cr.Records)
+		}
+		return n
+	}
+	if a, b := records(serial), records(pooled); a != b {
 		t.Fatalf("record collections differ: %d vs %d", a, b)
 	}
 	if a, b := serial.World.Net.TotalMessages(), pooled.World.Net.TotalMessages(); a != b {

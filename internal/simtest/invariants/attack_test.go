@@ -32,7 +32,9 @@ func buildAttackWorld(t *testing.T, seed int64, spec string) *scenario.World {
 	}
 	w := counterfactual.BuildWorld(campaign.SmallConfig(seed), ivs)
 	w.Workers = 2
-	w.RunDays(1)
+	for tick := 0; tick < scenario.TicksPerDay; tick++ {
+		w.StepTick()
+	}
 	return w
 }
 
@@ -57,7 +59,9 @@ func TestAttackSurfaceBaseline(t *testing.T) {
 			t.Parallel()
 			w := scenario.NewWorld(campaign.SmallConfig(seed))
 			w.Workers = 2
-			w.RunDays(1)
+			for tick := 0; tick < scenario.TicksPerDay; tick++ {
+				w.StepTick()
+			}
 			for _, v := range invariants.CheckAttackSurface(w) {
 				t.Errorf("baseline: %s", v)
 			}
@@ -127,7 +131,7 @@ func TestAttackContractsTimeline(t *testing.T) {
 		c := c
 		t.Run(c.Attack, func(t *testing.T) {
 			t.Parallel()
-			sch, err := counterfactual.CompileSchedule("epochs=4;days=1;@2:" + c.Attack)
+			sch, err := campaign.CompileSchedule("epochs=4;days=1;@2:" + c.Attack)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func timelineRunConfig() core.RunConfig {
 
 func checkEpochBoundaries(t *testing.T, label, spec string, seed int64) {
 	t.Helper()
-	sch, err := counterfactual.CompileSchedule(spec)
+	sch, err := campaign.CompileSchedule(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -63,7 +63,7 @@ func TestInvariantsEpochBoundaries(t *testing.T) {
 		if iv.ConstructionOnly {
 			// Construction-only rewrites cannot fire mid-run; the
 			// resolver must refuse them rather than no-op silently.
-			if _, err := counterfactual.CompileSchedule(fmt.Sprintf("epochs=3;@1:%s", iv.Name)); err == nil {
+			if _, err := campaign.CompileSchedule(fmt.Sprintf("epochs=3;@1:%s", iv.Name)); err == nil {
 				t.Errorf("construction-only intervention %q compiled into a schedule", iv.Name)
 			}
 			continue

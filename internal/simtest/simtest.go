@@ -1,4 +1,4 @@
-// Package simtest provides shared fixtures for tests and examples: quick
+// Package simtest provides shared fixtures for tests: quick
 // construction of small simulated IPFS networks with oracle-filled
 // routing tables, without pulling in the full scenario generator.
 package simtest

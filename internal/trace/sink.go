@@ -228,6 +228,8 @@ func (d *daySet) has(day int64) bool {
 // Observe is always serial (direct call or lane-merge replay), so lazy
 // interning of identifiers first seen at a vantage point — gateway
 // probe CIDs, attack sybils — is within the tables' write contract.
+// Reads never intern, so once a campaign has finished observing, the
+// parallel experiment runner may read its Accums from many goroutines.
 type Accum struct {
 	tagPeer func(ids.PeerID) bool
 	tab     *intern.Tables
