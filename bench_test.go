@@ -107,11 +107,7 @@ func benchTimelineResult(b *testing.B) *core.TimelineResult {
 		}
 		rc := campaign.SmallRunConfig()
 		rc.Workers = 2
-		tr, err := core.RunTimeline(campaign.SmallConfig(21), rc, sch, core.TimelineOptions{})
-		if err != nil {
-			panic(err)
-		}
-		benchTimelineOnce.tr = tr
+		benchTimelineOnce.tr = core.RunTimeline(campaign.SmallConfig(21), rc, sch, core.TimelineOptions{})
 	})
 	return benchTimelineOnce.tr
 }
@@ -137,10 +133,7 @@ func BenchmarkTimeline(b *testing.B) {
 		cfg.Seed = 1
 		rc := core.DefaultRunConfig()
 		rc.Workers = 1
-		tr, err := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		tr := core.RunTimeline(cfg, rc, sch, core.TimelineOptions{})
 		if len(tr.Epochs) != 14 {
 			b.Fatal("short timeline")
 		}

@@ -26,7 +26,7 @@
 // bounded by distinct identifiers rather than traffic volume. On top of
 // that, identifiers themselves are interned into dense uint32 handles
 // (internal/intern: PeerH/CIDH/AddrH, deterministic append-only tables
-// whose digest is pinned across worker counts and checkpoint/resume),
+// whose digest is pinned across worker counts),
 // and the hot stores are columnar — flat handle-indexed ledgers with
 // day-bucketed expiry instead of identifier-keyed maps — which makes
 // the scale.* scenario family (-preset scale.2x/4x/10x/25x,
@@ -77,11 +77,10 @@
 // events — provider arrivals and departures, churn drift, any
 // registered intervention — fire at epoch boundaries. core.RunTimeline
 // reuses the sharded worker pool and streaming sinks per epoch and the
-// timeline.* experiments render epoch-tagged rows; warm-start
-// checkpoints (scenario.World.Snapshot state digests, replay-verified
-// by core.RunTimeline's Resume option) make a resumed run
-// byte-identical to a straight-through one, and the invariant suite
-// holds at every epoch boundary.
+// timeline.* experiments render epoch-tagged rows, among them each
+// boundary's scenario.World.Snapshot state digest; an epoch's crawls
+// and records are dropped at its end, and the invariant suite holds at
+// every epoch boundary.
 //
 // A campaign service (cmd/tcsb-server) puts the engine behind a
 // long-running HTTP/JSON API: the experiments registry and preset

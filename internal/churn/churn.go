@@ -95,25 +95,6 @@ func Analyze(s *crawler.Series) []PeerStats {
 	return out
 }
 
-// AnalyzeWindow computes per-peer statistics over the half-open crawl
-// window [lo, hi) of a series, as if the window were a standalone
-// series (Crawls, FirstSeen and LastSeen are window-relative). The
-// timeline engine uses it to derive per-epoch liveness — churn and
-// uptime within one epoch's crawls — without materializing sub-series.
-func AnalyzeWindow(s *crawler.Series, lo, hi int) []PeerStats {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.Snapshots) {
-		hi = len(s.Snapshots)
-	}
-	if lo >= hi {
-		return nil
-	}
-	sub := crawler.Series{Snapshots: s.Snapshots[lo:hi]}
-	return Analyze(&sub)
-}
-
 // GroupSummary aggregates liveness per attribute group.
 type GroupSummary struct {
 	Group string

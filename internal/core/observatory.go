@@ -138,13 +138,11 @@ func Observe(w *scenario.World, rc RunConfig) *Observatory {
 // day's ticks with the DHT crawls spread across them, then that day's
 // sampled Bitswap CIDs collected into provider records, the same day,
 // as in the paper. The crawl and day counters carry across run calls,
-// so a timeline's epochs continue one series.
+// so a timeline's epochs continue one crawl and day numbering.
 type dayLoop struct {
 	w  *scenario.World
 	rc RunConfig
-	// rng draws the daily CID samples, once per day in day order, so a
-	// replayed timeline prefix consumes exactly the draws the original
-	// run did.
+	// rng draws the daily CID samples, once per day in day order.
 	rng       *rand.Rand
 	collector *provrecords.Collector
 	crawls    *crawler.Series

@@ -1,9 +1,9 @@
 package experiments_test
 
 // Cross-commit output pins. Every other determinism test compares two
-// runs of one build (workers 1 vs 8, resume vs straight-through, a cache
-// hit vs a fresh run), so a change that moves the output the same way on
-// both sides passes them all. These tests pin the sha256 of the rendered
+// runs of one build (workers 1 vs 8, a cache hit vs a fresh run), so a
+// change that moves the output the same way on both sides passes them
+// all. These tests pin the sha256 of the rendered
 // bytes of one small request per execution mode instead: a refactor that
 // claims "same bytes" is checked against the bytes the previous commit
 // printed.
@@ -92,36 +92,6 @@ func TestOutputPinned(t *testing.T) {
 				"55afe1a9ed1fcfaf7fa29105ba3a76c6561b8d39d0704b11bb7f778930f9c60e")
 		})
 	}
-}
-
-// TestResumePinned splices a checkpoint taken at epoch 2 with its
-// resumed remainder; the splice must render the straight-through run's
-// pinned bytes.
-func TestResumePinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a small timeline campaign")
-	}
-	res := resolve(t, core.RunRequest{Seed: 1, Scale: 0.1, Timeline: "epochs=4;days=1;@2:hydra-dissolution"})
-	prefix, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{Until: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{Resume: &prefix.Final})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spliced := &core.TimelineResult{
-		Spec:     rest.Spec,
-		Schedule: rest.Schedule,
-		Epochs:   append(append([]core.EpochStats(nil), prefix.Epochs...), rest.Epochs...),
-		Final:    rest.Final,
-	}
-	results, err := experiments.RunTimeline(spliced, res.Req.Only, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPin(t, "spliced jsonl", jsonl(t, results),
-		"c792c47a59960a13f378074fef9848e6bc0fc1355d0b1817c1248458f716045f")
 }
 
 // TestAnalyzeReportPinned archives two seeds of one request shape and

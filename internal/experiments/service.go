@@ -208,10 +208,7 @@ func (res *Resolved) Execute(progress Progress) ([]Result, error) {
 		s := res.Schedule.Schedule()
 		progress.printf("building world (%d servers, %d NAT clients) and running %d epochs × %d days, schedule %s (workers=%d)",
 			res.Cfg.Servers, res.Cfg.NATClients, s.Epochs, s.DaysPerEpoch, res.Schedule.Spec(), res.RC.Workers)
-		tr, err := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{})
-		if err != nil {
-			return nil, err
-		}
+		tr := core.RunTimeline(res.Cfg, res.RC, res.Schedule, core.TimelineOptions{})
 		progress.printf("timeline complete (%d total RPCs)", tr.World.Net.TotalMessages())
 		return RunTimeline(tr, res.Req.Only, parallel)
 	case ModeDelta:

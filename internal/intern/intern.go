@@ -16,10 +16,8 @@
 // sharded campaign executes in a fixed order that does not depend on
 // the -workers value. Parallel phases only read (Lookup/Value), which
 // is safe against a quiescent table. The result is that handle tables
-// are byte-identical across worker counts and across checkpoint/resume
-// (resume replays the schedule, rebuilding the tables through the same
-// serial construction order; Tables.Digest folds into scenario
-// World.Snapshot so the replay is verified).
+// are byte-identical across worker counts (Tables.Digest folds into
+// scenario World.Snapshot, so the worker-determinism tests check it).
 //
 // Handles are derived state: they never appear in config digests,
 // stdout, or any rendered output — only the canonical identifiers they
@@ -117,7 +115,7 @@ func (t *Tables) Addr(a netip.Addr) AddrH { return t.Addrs.Intern(a) }
 // identifier in insertion order — into one FNV-1a hash. Two worlds
 // whose construction histories interned the same identifiers in the
 // same order digest equal; the scenario snapshot folds this in so the
-// determinism and resume suites verify handle assignment for free.
+// worker-determinism tests verify handle assignment for free.
 func (t *Tables) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [4]byte

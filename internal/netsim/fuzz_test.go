@@ -9,7 +9,7 @@ import (
 // specs, mirroring FuzzParseAttackParams' invariants:
 //
 //   - ParseLinkProfile never panics (specs arrive from the CLI and from
-//     config fields in checkpoints);
+//     server request bodies);
 //   - an accepted profile satisfies every bound Validate enforces;
 //   - the canonical form is a fixed point: String() re-parses to an
 //     identical profile whose String() is identical — canonical specs

@@ -231,7 +231,7 @@ func (p LinkProfile) Validate() error {
 // String renders the canonical form: every pair in fixed order, delays
 // in milliseconds, loss only when non-zero. The canonical form is a
 // fixed point of Parse (pinned by FuzzParseLinkProfile), so specs in
-// configs, JSONL rows and checkpoints are stable forever.
+// configs and JSONL rows are stable forever.
 func (p LinkProfile) String() string {
 	var b strings.Builder
 	for i, s := range p.Pairs {
@@ -307,7 +307,7 @@ func ResolveLinkProfile(nameOrSpec string) (LinkProfile, error) {
 // streams; drivers derive it from the scenario seed so rebuilt worlds
 // replay identical draws. Installing a profile mid-run (a timeline
 // epoch flipping to net.degraded) keeps the draw-sequence counters, so
-// a resumed replay stays aligned with the straight-through run.
+// the draws after the swap continue the streams before it.
 func (n *Network) SetLinkModel(p LinkProfile, seed uint64) {
 	n.link = p
 	n.linkZero = p.IsZero()

@@ -9,8 +9,8 @@ import (
 // (a new Config field silently skipped by a deep copy) bit once
 // already; these tests make the failure structural — adding a field to
 // Config or World without deciding its Clone/Snapshot treatment fails
-// here with instructions, before any aliasing or checkpoint drift can
-// happen at runtime.
+// here with instructions, before any aliasing or unfingerprinted
+// state can happen at runtime.
 
 // configDeepFields names the Config fields Clone must deep-copy (maps,
 // slices, pointers). Everything else must be a plain value kind, which
@@ -93,9 +93,9 @@ var worldSnapshotFields = map[string]string{
 // worldSnapshotExcluded lists every World field the digest deliberately
 // skips, with the reason the skip is sound. A field belongs here only
 // if its state is scratch, execution-only, immutable, or fully derived
-// from digested state by the deterministic replay that Restore performs.
+// from digested state and the deterministic construction.
 var worldSnapshotExcluded = map[string]string{
-	"Rng":           "opaque math/rand state; restore is replay-based, which reconstructs it",
+	"Rng":           "opaque math/rand state; a pure function of the seed and the digested tick history",
 	"Workers":       "execution knob; the evolution is byte-identical for every value",
 	"DB":            "immutable address-plan database",
 	"Alloc":         "allocation cursors + RNG; observable effect (actor IPs) is digested",
@@ -118,7 +118,7 @@ func TestWorldSnapshotCompleteness(t *testing.T) {
 		case digested && excluded:
 			t.Errorf("World field %q is listed both digested and excluded (excluded as: %s)", name, why)
 		case !digested && !excluded:
-			t.Errorf("new World field %q has no checkpoint treatment: walk it in World.Snapshot "+
+			t.Errorf("new World field %q has no snapshot treatment: walk it in World.Snapshot "+
 				"and add it to worldSnapshotFields, or justify skipping it in worldSnapshotExcluded", name)
 		}
 	}
@@ -148,17 +148,17 @@ func TestSnapshotDetectsEvolution(t *testing.T) {
 	w := NewWorld(cfg)
 
 	s0 := w.Snapshot()
-	if diff := s0.Diff(w.Snapshot()); diff != "" {
-		t.Fatalf("snapshot of an untouched world is unstable: %s", diff)
+	if s := w.Snapshot(); s != s0 {
+		t.Fatalf("snapshot of an untouched world is unstable:\n%+v\n%+v", s0, s)
 	}
 
 	w.StepTick()
 	s1 := w.Snapshot()
-	if s1.Diff(s0) == "" {
+	if s1 == s0 {
 		t.Fatal("a tick left the snapshot unchanged")
 	}
-	if s1.Tick != 1 {
-		t.Fatalf("tick = %d, want 1", s1.Tick)
+	if w.Tick() != 1 {
+		t.Fatalf("tick = %d, want 1", w.Tick())
 	}
 
 	w.ProviderArrival("choopa", 3)
@@ -177,26 +177,11 @@ func TestSnapshotDetectsEvolution(t *testing.T) {
 		t.Fatal("config rewrite left the digest unchanged")
 	}
 
-	// Identical construction yields identical snapshots (the replay
-	// property the timeline resume verification rests on).
+	// Identical construction yields identical snapshots (the property
+	// the timeline.digest rows rest on).
 	w2 := NewWorld(cfg)
 	w2.StepTick()
-	if diff := w2.Snapshot().Diff(s1); diff != "" {
-		t.Fatalf("replayed world diverges: %s", diff)
-	}
-}
-
-// TestSnapshotDiffNamesField pins that Diff reports the first diverging
-// counter by name rather than an opaque digest mismatch.
-func TestSnapshotDiffNamesField(t *testing.T) {
-	a := Snapshot{Tick: 3}
-	b := Snapshot{Tick: 4}
-	if diff := a.Diff(b); diff == "" || diff[:4] != "tick" {
-		t.Fatalf("Diff = %q, want a tick mismatch", diff)
-	}
-	c := Snapshot{Digest: 1}
-	d := Snapshot{Digest: 2}
-	if diff := c.Diff(d); diff == "" {
-		t.Fatal("digest-only divergence not reported")
+	if s := w2.Snapshot(); s != s1 {
+		t.Fatalf("rebuilt world diverges:\n%+v\n%+v", s, s1)
 	}
 }

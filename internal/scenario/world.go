@@ -83,8 +83,8 @@ type World struct {
 	// Intern aliases Net.Intern: the world's dense identifier handle
 	// tables (see package intern). Handles are derived state — excluded
 	// from Config.Digest and never rendered — but the tables' canonical
-	// contents fold into Snapshot so worker-determinism and resume
-	// verification cover handle assignment.
+	// contents fold into Snapshot so the worker-determinism tests cover
+	// handle assignment.
 	Intern *intern.Tables
 	DB     *ipdb.DB
 	Alloc  *ipdb.Allocator

@@ -114,7 +114,7 @@ const attackProbeCrawlID = 1 << 20
 // and crawl checks run live probes (an unattached walker identity and a
 // fresh crawl), so this must be called from the serial path, like
 // Snapshot — and unlike CheckWorld it advances RPC counters, so callers
-// interleaving it with checkpoint verification must account for that.
+// comparing snapshots across runs must account for that.
 func CheckAttackSurface(w *scenario.World) []Violation {
 	var vs violations
 	targets := w.AttackTargets()

@@ -35,16 +35,13 @@ func checkEpochBoundaries(t *testing.T, label, spec string, seed int64) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	boundaries := 0
-	_, err = core.RunTimeline(campaign.SmallConfig(seed), timelineRunConfig(), sch,
+	core.RunTimeline(campaign.SmallConfig(seed), timelineRunConfig(), sch,
 		core.TimelineOptions{OnEpoch: func(epoch int, w *scenario.World) {
 			boundaries++
 			for _, v := range CheckWorld(w) {
 				t.Errorf("%s: epoch %d boundary: %s", label, epoch, v)
 			}
 		}})
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
 	if boundaries != sch.Schedule().Epochs {
 		t.Errorf("%s: hook fired at %d boundaries, want %d", label, boundaries, sch.Schedule().Epochs)
 	}

@@ -14,7 +14,8 @@ import (
 //     enforces (so Parse can never smuggle an invalid schedule past it);
 //   - the canonical form is a fixed point: String() re-parses to a
 //     deeply equal Schedule whose String() is identical — stored specs
-//     (checkpoints tag runs by canonical spec) are stable forever.
+//     (JSONL rows and archives tag runs by canonical spec) are stable
+//     forever.
 //
 // The seed corpus under testdata/fuzz/FuzzParseSchedule covers every
 // clause and action shape plus classic malformed inputs; `go test`

@@ -13,10 +13,8 @@
 // and compilation into per-epoch world actions. Intervention names are
 // resolved through an injected Resolver so the package depends only on
 // scenario: internal/counterfactual provides the production resolver
-// (ScheduleResolver), internal/core runs compiled schedules
-// (RunTimeline), and warm-start checkpoints (Checkpoint) pin a
-// scenario.Snapshot so a resumed run verifiably matches a
-// straight-through one.
+// (ScheduleResolver), and internal/core runs compiled schedules
+// (RunTimeline).
 //
 // Grammar — ';'-separated clauses:
 //
@@ -431,21 +429,4 @@ func (c *Compiled) LabelsAt(epoch int) []string {
 		out[i] = a.Label
 	}
 	return out
-}
-
-// --- Checkpoints ---
-
-// Checkpoint is a warm-start handle at an epoch boundary: the canonical
-// schedule, the seed, how many epochs have completed, and the world's
-// state fingerprint at that boundary. Restore is replay-based (the
-// world's RNG state is opaque): core.RunTimeline with a Resume option
-// rebuilds the world, replays epochs [0, EpochsDone) and verifies the
-// replayed Snapshot against State before continuing — so a resumed run
-// either matches the straight-through run byte for byte or fails
-// loudly.
-type Checkpoint struct {
-	Spec       string
-	Seed       int64
-	EpochsDone int
-	State      scenario.Snapshot
 }

@@ -2,9 +2,11 @@ package tcsb_test
 
 // The production-reach gate: every package-level func, method, var and
 // type declared in a production package under internal/ must be
-// referenced from a file that is not a _test.go file. Code that only
-// tests call measures nothing, yet it must be read, tested and carried
-// through every refactor; it belongs in the test files that use it.
+// referenced from a file that is not a _test.go file, and every field of
+// a struct type declared there must be written by one. Code that only
+// tests call measures nothing, and a field only tests set is a mode no
+// binary reaches; yet both must be read, tested and carried through
+// every refactor. They belong in the test files that use them.
 
 import (
 	"fmt"
@@ -16,15 +18,20 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // reachAllowlist holds identifiers the gate would flag but that stay in
-// production code, keyed as the gate prints them ("pkg.Name" or
-// "pkg.Type.Method"), each with the reason it stays.
-var reachAllowlist = map[string]string{}
+// production code, keyed as the gate prints them ("pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field"), each with the reason it stays.
+var reachAllowlist = map[string]string{
+	"core.TimelineOptions.OnEpoch": "the epoch-boundary invariant suites' hook into RunTimeline; " +
+		"engine progress reporting through the same struct would make it a production write",
+}
 
 func TestProductionReach(t *testing.T) {
 	findings, err := unreached(".")
@@ -35,7 +42,7 @@ func TestProductionReach(t *testing.T) {
 	for _, f := range findings {
 		flagged[f.name] = true
 		if _, ok := reachAllowlist[f.name]; !ok {
-			t.Errorf("%s:%d: %s has no reference outside _test.go files", f.file, f.line, f.name)
+			t.Errorf("%s:%d: %s is %s by no file outside _test.go files", f.file, f.line, f.name, f.verb)
 		}
 	}
 	for name := range reachAllowlist {
@@ -64,11 +71,22 @@ func TestProductionReachFixture(t *testing.T) {
 		{"lib.dead", "internal/lib/lib.go:11"},     // unexported, never called
 		{"lib.deadVar", "internal/lib/lib.go:14"},  // unexported var, never used
 		{"lib.selfOnly", "internal/lib/lib.go:17"}, // only called from its own body
-		{"lib.once", ""},          // called once, from lib.Total
-		{"lib.Square.Area", ""},   // implements lib.Shape
-		{"lib.Square.String", ""}, // implements fmt.Stringer
-		{"lib.Box.Get", ""},       // called on a Box[int]
-		{"lib.BenchOnly", ""},     // called from the nested bench module
+		{"lib.once", ""},                                     // called once, from lib.Total
+		{"lib.Square.Area", ""},                              // implements lib.Shape
+		{"lib.Square.String", ""},                            // implements fmt.Stringer
+		{"lib.Box.Get", ""},                                  // called on a Box[int]
+		{"lib.BenchOnly", ""},                                // called from the nested bench module
+		{"lib.Box.V", ""},                                    // set by key on a Box[int]
+		{"lib.Fields.Keyed", ""},                             // set by key in cmd/app
+		{"lib.Fields.Assigned", ""},                          // assigned in Bump
+		{"lib.Fields.Counted", ""},                           // incremented in Bump
+		{"lib.Fields.Addressed", ""},                         // its address taken in Bump
+		{"lib.Fields.Mu", ""},                                // locked through a pointer-receiver method
+		{"lib.Fields.Tagged", ""},                            // JSON-tagged
+		{"lib.Fields.TestSet", "internal/lib/fields.go:14"},  // only lib_test.go sets it
+		{"lib.Fields.ReadOnly", "internal/lib/fields.go:15"}, // read in Bump, never written
+		{"lib.Pair.A", ""},                                   // set by position in Bump
+		{"lib.Pair.B", ""},                                   // set by position in Bump
 	}
 	flagged := 0
 	for _, c := range cases {
@@ -84,11 +102,13 @@ func TestProductionReachFixture(t *testing.T) {
 	}
 }
 
-// reachFinding is one production identifier no non-test file uses.
+// reachFinding is one production identifier no non-test file uses, or
+// one struct field no non-test file writes.
 type reachFinding struct {
 	file string // relative to the scanned root
 	line int
-	name string // pkg.Name or pkg.Type.Method
+	name string // pkg.Name, pkg.Type.Method or pkg.Type.Field
+	verb string // "referenced" or "written"
 }
 
 // reachPkg is one directory's non-test Go files.
@@ -105,6 +125,10 @@ type reachPkg struct {
 // are exempt, as are methods that implement fmt.Stringer, error or an
 // interface declared under root. A use inside the object's own
 // declaration, or in the receiver of a method on a type, does not count.
+// It also returns the named fields of the struct types declared in those
+// packages that no non-test file writes (see writtenFields); fields with
+// a json tag are exempt, since encoding/json writes them by reflection,
+// and embedded fields are not checked.
 func unreached(root string) ([]reachFinding, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parseTree(fset, root)
@@ -212,6 +236,15 @@ func unreached(root string) ([]reachFinding, error) {
 	}
 
 	var out []reachFinding
+	add := func(obj types.Object, name, verb string) error {
+		pos := fset.Position(obj.Pos())
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			return err
+		}
+		out = append(out, reachFinding{file: filepath.ToSlash(rel), line: pos.Line, name: name, verb: verb})
+		return nil
+	}
 	for obj := range own {
 		if reached[obj] || implementsMethod(obj, ifaces) {
 			continue
@@ -222,12 +255,54 @@ func unreached(root string) ([]reachFinding, error) {
 				name = obj.Pkg().Name() + "." + recvName(recv.Type()) + "." + obj.Name()
 			}
 		}
-		pos := fset.Position(obj.Pos())
-		rel, err := filepath.Rel(root, pos.Filename)
-		if err != nil {
+		if err := add(obj, name, "referenced"); err != nil {
 			return nil, err
 		}
-		out = append(out, reachFinding{file: filepath.ToSlash(rel), line: pos.Line, name: name})
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range paths {
+		writtenFields(pkgs[p].files, pkgs[p].info, written)
+	}
+	type field struct {
+		v    *types.Var
+		name string
+	}
+	var unwritten []field
+	for _, p := range paths {
+		if !isTarget(p) {
+			continue
+		}
+		for _, f := range pkgs[p].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil {
+						if tag, _ := strconv.Unquote(fld.Tag.Value); reflect.StructTag(tag).Get("json") != "" {
+							continue
+						}
+					}
+					for _, id := range fld.Names {
+						if v, ok := pkgs[p].info.Defs[id].(*types.Var); ok && id.Name != "_" && !written[v] {
+							unwritten = append(unwritten, field{v, v.Pkg().Name() + "." + ts.Name.Name + "." + v.Name()})
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, f := range unwritten {
+		if err := add(f.v, f.name, "written"); err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].file != out[j].file {
@@ -236,6 +311,93 @@ func unreached(root string) ([]reachFinding, error) {
 		return out[i].line < out[j].line
 	})
 	return out, nil
+}
+
+// writtenFields adds to written every struct field the files write: by
+// key or position in a composite literal, as the operand of an
+// assignment, ++ or --, by taking its address, or by calling a
+// pointer-receiver method on it. Writing a field of a struct-valued
+// field, or an element of an array-valued one, writes that field too.
+// Fields of generic types are recorded as their origin's fields.
+func writtenFields(files []*ast.File, info *types.Info, written map[*types.Var]bool) {
+	mark := func(v *types.Var) { written[v.Origin()] = true }
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		for p, ok := e.(*ast.ParenExpr); ok; p, ok = e.(*ast.ParenExpr) {
+			e = p.X
+		}
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			sel := info.Selections[e]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			mark(sel.Obj().(*types.Var))
+			if !sel.Indirect() {
+				write(e.X)
+			}
+		case *ast.IndexExpr:
+			if _, ok := info.TypeOf(e.X).Underlying().(*types.Array); ok {
+				write(e.X)
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range []ast.Expr{n.Key, n.Value} {
+						if lhs != nil {
+							write(lhs)
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					break
+				}
+				recv := sel.Obj().Type().(*types.Signature).Recv()
+				_, ptrRecv := recv.Type().(*types.Pointer)
+				_, ptrOperand := info.TypeOf(n.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrOperand && !sel.Indirect() {
+					write(n.X)
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n)
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(v)
+						}
+					} else {
+						mark(st.Field(i))
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // reachSpan is the source range of a declaration.
@@ -376,7 +538,12 @@ func (im *treeImporter) Import(path string) (*types.Package, error) {
 	if p.types != nil {
 		return p.types, nil
 	}
-	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	p.info = &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: im}
 	tp, err := conf.Check(path, im.fset, p.files, p.info)
 	if err != nil {

@@ -7,5 +7,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Total(lib.Square{Side: 2}), lib.Box[int]{V: 1}.Get())
+	fmt.Println(lib.Total(lib.Square{Side: 2}), lib.Box[int]{V: 1}.Get(), lib.Bump(&lib.Fields{Keyed: 1}))
 }

@@ -2,4 +2,7 @@ package lib
 
 import "testing"
 
-func TestLib(t *testing.T) { TestOnly() }
+func TestLib(t *testing.T) {
+	TestOnly()
+	Bump(&Fields{TestSet: 1})
+}
