@@ -422,8 +422,8 @@ type Fig13Result struct {
 
 // Fig13Platforms attributes traffic to platforms: Hydra-head senders by
 // overlay identity (the pipelines' tagged traffic), everything else by
-// rDNS over the source IP — the streaming equivalent of
-// GroupShare(PlatformOf) over the raw logs.
+// rDNS over the source IP. The invariant suite holds each share equal to
+// a per-event attribution over the retained raw logs.
 func (o *Observatory) Fig13Platforms() Fig13Result {
 	attr := o.World.PlatformOfIP
 	hydraTag := scenario.PlatformLabelHydra

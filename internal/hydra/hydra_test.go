@@ -249,11 +249,11 @@ func TestHydraStoreBounded(t *testing.T) {
 			provider.AddBlock(c)
 			provider.Provide(nil, c)
 			if served(net, h, c) != 0 || h.ProcessPending(nil) != 1 {
-				t.Fatalf("CID %s did not miss the cache", c.Short())
+				t.Fatalf("CID %s did not miss the cache", c.String())
 			}
 			n := served(net, h, c)
 			if n == 0 {
-				t.Fatalf("proactive lookup did not fill the cache for %s", c.Short())
+				t.Fatalf("proactive lookup did not fill the cache for %s", c.String())
 			}
 			return n
 		}

@@ -89,11 +89,6 @@ func (c CID) String() string {
 	return "bafy" + base32lower(c.k[:16])
 }
 
-// Short returns an abbreviated form for logs.
-func (c CID) Short() string {
-	return "bafy" + base32lower(c.k[:4])
-}
-
 const b36alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
 const b32alphabet = "abcdefghijklmnopqrstuvwxyz234567"
 

@@ -108,7 +108,4 @@ func TestIdentifierStringPins(t *testing.T) {
 	if len(p0.Short()) >= len(p0.String()) {
 		t.Error("PeerID Short() is not shorter than String()")
 	}
-	if len(c0.Short()) >= len(c0.String()) {
-		t.Error("CID Short() is not shorter than String()")
-	}
 }

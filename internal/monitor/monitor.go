@@ -95,68 +95,24 @@ func (m *Monitor) HandleGetProviders(env *netsim.Effects, from ids.PeerID, c ids
 func (m *Monitor) HandleAddProvider(env *netsim.Effects, from ids.PeerID, c ids.CID, rec netsim.ProviderRecord) {
 }
 
-// SampleDay draws the day's Bitswap CID sample from the streaming
-// statistics: the distinct CIDs requested on the given virtual day,
-// deduplicated and sampled uniformly down to sampleSize — identical to
-// DailySample over the raw log of the same traffic.
+// SampleDay implements the paper's daily sampled Bitswap CIDs dataset
+// from the streaming statistics: the distinct CIDs requested on the
+// given virtual day are sampled uniformly down to sampleSize and
+// returned key-sorted; if fewer were seen, all are returned. The day's
+// CIDs come key-sorted before the shuffle, so the sample is
+// deterministic for a given rng. The invariant suite holds it equal to
+// an independent batch sample over the retained raw log.
 func (m *Monitor) SampleDay(day int64, sampleSize int, rng *rand.Rand) []ids.CID {
 	st := m.pipe.Stats()
 	if st == nil {
 		return nil
 	}
-	return sampleCIDs(st.CIDsOnDay(day), sampleSize, rng)
-}
-
-// DailySample implements the paper's daily sampled Bitswap CIDs dataset
-// over a raw log: all CIDs requested on the given day (virtual day
-// index) are extracted, deduplicated, and sampled uniformly down to
-// sampleSize. If fewer distinct CIDs were seen, all are returned. The
-// result is deterministic for a given rng and sorted input (CIDs are
-// sorted before sampling).
-func DailySample(log *trace.Log, day int64, sampleSize int, rng *rand.Rand) []ids.CID {
-	seen := make(map[ids.CID]bool)
-	for _, e := range log.Events() {
-		if e.CID.IsZero() {
-			continue
-		}
-		if e.Time/trace.SecondsPerDay != day {
-			continue
-		}
-		seen[e.CID] = true
-	}
-	all := make([]ids.CID, 0, len(seen))
-	for c := range seen {
-		all = append(all, c)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key().Cmp(all[j].Key()) < 0 })
-	return sampleCIDs(all, sampleSize, rng)
-}
-
-// sampleCIDs uniformly samples sampleSize CIDs from the key-sorted
-// input, returning the sample key-sorted (the shared tail of the batch
-// and streaming sampling paths — byte-identical results by
-// construction).
-func sampleCIDs(all []ids.CID, sampleSize int, rng *rand.Rand) []ids.CID {
+	all := st.CIDsOnDay(day)
 	if len(all) <= sampleSize {
 		return all
 	}
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	out := all[:sampleSize]
 	sort.Slice(out, func(i, j int) bool { return out[i].Key().Cmp(out[j].Key()) < 0 })
-	return out
-}
-
-// Days returns the distinct virtual day indices present in a log,
-// ascending.
-func Days(log *trace.Log) []int64 {
-	seen := make(map[int64]bool)
-	for _, e := range log.Events() {
-		seen[e.Time/trace.SecondsPerDay] = true
-	}
-	out := make([]int64, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

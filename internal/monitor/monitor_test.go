@@ -134,12 +134,22 @@ func TestMonitorTapSeesEvents(t *testing.T) {
 	}
 }
 
+// streamingMonitor returns a monitor whose streaming pipeline has
+// folded in events, as HandleBitswapWant would have.
+func streamingMonitor(events []trace.Event) *Monitor {
+	pipe := trace.NewPipeline(trace.Options{})
+	for _, e := range events {
+		pipe.Observe(e)
+	}
+	return New(ids.PeerIDFromSeed(1<<61), nil, pipe)
+}
+
 func TestDailySample(t *testing.T) {
-	var log trace.Log
+	var events []trace.Event
 	// Day 0: 100 distinct CIDs, each requested 3 times. Day 1: 10 CIDs.
 	for rep := 0; rep < 3; rep++ {
 		for i := 0; i < 100; i++ {
-			log.Append(trace.Event{
+			events = append(events, trace.Event{
 				Time: int64(rep * 100),
 				CID:  ids.CIDFromSeed(uint64(i)),
 				Type: netsim.MsgBitswapWant,
@@ -147,15 +157,16 @@ func TestDailySample(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		log.Append(trace.Event{
+		events = append(events, trace.Event{
 			Time: trace.SecondsPerDay + int64(i),
 			CID:  ids.CIDFromSeed(uint64(1000 + i)),
 			Type: netsim.MsgBitswapWant,
 		})
 	}
+	m := streamingMonitor(events)
 
 	rng := rand.New(rand.NewSource(1))
-	day0 := DailySample(&log, 0, 30, rng)
+	day0 := m.SampleDay(0, 30, rng)
 	if len(day0) != 30 {
 		t.Fatalf("sampled %d CIDs, want 30", len(day0))
 	}
@@ -168,34 +179,27 @@ func TestDailySample(t *testing.T) {
 		seen[c] = true
 	}
 	// Fewer CIDs than sample size: all returned.
-	day1 := DailySample(&log, 1, 30, rng)
+	day1 := m.SampleDay(1, 30, rng)
 	if len(day1) != 10 {
 		t.Fatalf("day 1 sample = %d, want all 10", len(day1))
 	}
 }
 
 func TestDailySampleDeterministic(t *testing.T) {
-	var log trace.Log
+	var events []trace.Event
 	for i := 0; i < 50; i++ {
-		log.Append(trace.Event{Time: 5, CID: ids.CIDFromSeed(uint64(i))})
+		events = append(events, trace.Event{Time: 5, CID: ids.CIDFromSeed(uint64(i))})
 	}
-	a := DailySample(&log, 0, 10, rand.New(rand.NewSource(42)))
-	b := DailySample(&log, 0, 10, rand.New(rand.NewSource(42)))
+	m := streamingMonitor(events)
+	a := m.SampleDay(0, 10, rand.New(rand.NewSource(42)))
+	b := m.SampleDay(0, 10, rand.New(rand.NewSource(42)))
+	if len(a) != 10 || len(b) != 10 {
+		t.Fatalf("sampled %d and %d CIDs, want 10", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("sample not deterministic for equal seeds")
 		}
-	}
-}
-
-func TestDays(t *testing.T) {
-	var log trace.Log
-	log.Append(trace.Event{Time: 0})
-	log.Append(trace.Event{Time: 2*trace.SecondsPerDay + 7})
-	log.Append(trace.Event{Time: 10})
-	days := Days(&log)
-	if len(days) != 2 || days[0] != 0 || days[1] != 2 {
-		t.Fatalf("Days = %v", days)
 	}
 }
 

@@ -21,11 +21,11 @@ func (r recorder) LearnContact(from ids.PeerID) {
 }
 
 func (r recorder) PutProvider(c ids.CID, rec ProviderRecord) {
-	*r.log = append(*r.log, r.name+" put "+c.Short()+" "+rec.Provider.ID.Short())
+	*r.log = append(*r.log, r.name+" put "+c.String()+" "+rec.Provider.ID.Short())
 }
 
 func (r recorder) EnqueueLookup(c ids.CID) {
-	*r.log = append(*r.log, r.name+" lookup "+c.Short())
+	*r.log = append(*r.log, r.name+" lookup "+c.String())
 }
 
 // emitMixed issues lane i's interleaving of closures and typed ops into

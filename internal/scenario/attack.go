@@ -377,22 +377,6 @@ func (w *World) PoisonedServedTotal() int64 {
 	return total
 }
 
-// LookupClosest runs a neutral GetClosestPeers probe toward target from
-// honest ring seeds and returns the K-closest horizon the walk
-// converged on — the view an ordinary client resolving the key would
-// act on. The probe identity is never attached, so nothing learns it;
-// the walk's only side effect is the RPC counters. Serial path only.
-func (w *World) LookupClosest(target ids.Key) []ids.PeerID {
-	probe := ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48 + 0xa11ce)
-	walker := dht.NewWalker(w.Net, probe)
-	infos, _ := walker.GetClosestPeers(nil, w.SeedsNear(target, 8), target)
-	out := make([]ids.PeerID, len(infos))
-	for i, pi := range infos {
-		out[i] = pi.ID
-	}
-	return out
-}
-
 // SybilResolverEntries counts attacker identities among the K-nearest
 // table entries of the target's resolver neighbourhood — the pure-read
 // eclipse depth the experiment rows report (probe walks stay on the

@@ -119,7 +119,10 @@ type Config struct {
 	// The field stays in Config although no run request can set it: its
 	// line is hashed by Digest, and the %+v rendering of the config is
 	// hashed into every snapshot digest, so removing it would move every
-	// run key and every timeline.digest row.
+	// run key and every timeline.digest row. Only tests set it, so the
+	// production-reach gate allowlists it together with its four raw-trace
+	// readers: Hydra.Log, Monitor.Log, TimingSink.Raw and Log.Events. All
+	// five leave together.
 	RetainTrace bool
 
 	// Attack configures the adversarial attack.* scenario family

@@ -10,7 +10,6 @@ import (
 	"tcsb/internal/gateway"
 	"tcsb/internal/ids"
 	"tcsb/internal/ipdb"
-	"tcsb/internal/trace"
 )
 
 // ProviderAttr returns the counting attribute function "cloud provider of
@@ -50,26 +49,17 @@ const PlatformLabelUnknownAWS = "amazon_aws (unknown)"
 // PlatformLabelOther is Fig. 13's residual bucket.
 const PlatformLabelOther = "other"
 
-// PlatformOf attributes a traffic event the way Fig. 13 does: Hydra peer
-// IDs are identified directly (the paper obtained the Protocol Labs head
-// set), everything else via reverse DNS on the source IP, with
-// unattributable AWS traffic in its own bucket.
-func (w *World) PlatformOf(e trace.Event) string {
-	if w.IsHydraHead(e.Peer) {
-		return PlatformLabelHydra
-	}
-	return w.PlatformOfIP(e.IP)
-}
-
 // PlatformLabelHydra is the Fig. 13 bucket for Hydra-head senders,
 // attributed by overlay identity (the TagPeer predicate of the vantage
 // pipelines) rather than by IP.
 const PlatformLabelHydra = "hydra"
 
 // PlatformOfIP is the IP half of the Fig. 13 attribution: reverse DNS
-// first, then the unattributable-AWS bucket, then "other". Streaming
-// analyses apply it to the untagged traffic of a trace.Accum, with
-// tagged (Hydra-head) traffic pooled under PlatformLabelHydra.
+// first, then the unattributable-AWS bucket, then "other". Hydra-head
+// senders are identified by peer ID instead (the paper obtained the
+// Protocol Labs head set): streaming analyses apply PlatformOfIP to the
+// untagged traffic of a trace.Accum, with tagged (Hydra-head) traffic
+// pooled under PlatformLabelHydra.
 func (w *World) PlatformOfIP(ip netip.Addr) string {
 	if host := w.DNS.RDNS(ip); host != "" {
 		if p := dnssim.PlatformFromHostname(host); p != "" {

@@ -40,16 +40,16 @@ func SmallRunConfig() core.RunConfig {
 	}
 }
 
-// MediumConfig is the dataset-shape scenario (scale 0.25) shared by the
+// mediumConfig is the dataset-shape scenario (scale 0.25) shared by the
 // core figure tests and the benchmark fixture.
-func MediumConfig(seed int64) scenario.Config {
+func mediumConfig(seed int64) scenario.Config {
 	cfg := scenario.DefaultConfig().Scaled(0.25)
 	cfg.Seed = seed
 	return cfg
 }
 
-// MediumRunConfig is the 4-day campaign matching MediumConfig.
-func MediumRunConfig() core.RunConfig {
+// mediumRunConfig is the 4-day campaign matching mediumConfig.
+func mediumRunConfig() core.RunConfig {
 	return core.RunConfig{
 		Days: 4, CrawlsPerDay: 2, DailyCIDSample: 150,
 		GatewayProbeRounds: 12, DNSLinkDomains: 250, ENSNames: 200,
@@ -74,27 +74,12 @@ func cachedObservatory(kind string, seed int64, workers int, cfg scenario.Config
 	return o
 }
 
-// SmallObservatory returns the process-cached small campaign for the
+// MediumObservatory returns the process-cached medium campaign for the
 // seed, built once with the given worker-pool size. Results are
 // identical for every workers value; tests pass > 1 to exercise the
 // concurrent engine (notably under -race).
-func SmallObservatory(seed int64, workers int) *core.Observatory {
-	return cachedObservatory("small", seed, workers, SmallConfig(seed), SmallRunConfig())
-}
-
-// SmallRetainedObservatory is SmallObservatory with
-// scenario.Config.RetainTrace on: the raw vantage logs exist alongside
-// the streaming statistics, which is what event-level determinism tests
-// and the sink-vs-log equivalence suite need.
-func SmallRetainedObservatory(seed int64, workers int) *core.Observatory {
-	cfg := SmallConfig(seed)
-	cfg.RetainTrace = true
-	return cachedObservatory("small-retained", seed, workers, cfg, SmallRunConfig())
-}
-
-// MediumObservatory returns the process-cached medium campaign.
 func MediumObservatory(seed int64, workers int) *core.Observatory {
-	return cachedObservatory("medium", seed, workers, MediumConfig(seed), MediumRunConfig())
+	return cachedObservatory("medium", seed, workers, mediumConfig(seed), mediumRunConfig())
 }
 
 // CompileSchedule parses a timeline spec and compiles it against the

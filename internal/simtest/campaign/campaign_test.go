@@ -6,15 +6,30 @@ import (
 	"tcsb/internal/core"
 )
 
+// smallObservatory returns the process-cached small campaign for the
+// seed, built once with the given worker-pool size.
+func smallObservatory(seed int64, workers int) *core.Observatory {
+	return cachedObservatory("small", seed, workers, SmallConfig(seed), SmallRunConfig())
+}
+
+// smallRetainedObservatory is smallObservatory with
+// scenario.Config.RetainTrace on: the raw vantage logs exist alongside
+// the streaming statistics, which event-by-event comparisons need.
+func smallRetainedObservatory(seed int64, workers int) *core.Observatory {
+	cfg := SmallConfig(seed)
+	cfg.RetainTrace = true
+	return cachedObservatory("small-retained", seed, workers, cfg, SmallRunConfig())
+}
+
 func TestObservatoryFixtureCachesPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds observation campaigns")
 	}
-	a := SmallObservatory(3, 1)
-	if b := SmallObservatory(3, 1); b != a {
+	a := smallObservatory(3, 1)
+	if b := smallObservatory(3, 1); b != a {
 		t.Error("same key rebuilt the fixture")
 	}
-	if c := SmallObservatory(4, 1); c == a {
+	if c := smallObservatory(4, 1); c == a {
 		t.Error("different seed returned the cached fixture")
 	}
 }
@@ -29,8 +44,8 @@ func TestObservatoryFixtureWorkerIndependence(t *testing.T) {
 	}
 	// Retained fixtures: the event-by-event comparison below needs the
 	// raw logs, which streaming campaigns deliberately do not keep.
-	serial := SmallRetainedObservatory(3, 1)
-	pooled := SmallRetainedObservatory(3, 4)
+	serial := smallRetainedObservatory(3, 1)
+	pooled := smallRetainedObservatory(3, 4)
 	if serial == pooled {
 		t.Fatal("distinct worker counts must build distinct fixtures")
 	}

@@ -8,11 +8,14 @@ package invariants
 // and EvaluateContract turns "expected to break" into an assertion —
 // a breakage that fails to appear is a failure (the attack no-op'd),
 // not a pass. The contracts live here, not in internal/attack, so no
-// production package imports the invariant suite.
+// production package imports the invariant suite. attack_test.go, an
+// external test package, drives them.
 
 import (
 	"sort"
 
+	"tcsb/internal/dht"
+	"tcsb/internal/ids"
 	"tcsb/internal/scenario"
 )
 
@@ -122,10 +125,10 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 
 	// resolver-horizon-purity: walk toward each target from honest seeds.
 	for _, c := range targets {
-		for _, p := range w.LookupClosest(c.Key()) {
+		for _, p := range lookupClosest(w, c.Key()) {
 			if w.IsAttacker(p) {
 				vs.addf(InvResolverHorizon, "target %s: attacker %s in the lookup horizon",
-					c.Short(), p.Short())
+					c, p.Short())
 				break
 			}
 		}
@@ -159,16 +162,31 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 	for _, c := range targets {
 		owner, _, _, ok := w.ContentInfo(c)
 		if !ok {
-			vs.addf(InvTargetLiveness, "target %s is not in the catalogue", c.Short())
+			vs.addf(InvTargetLiveness, "target %s is not in the catalogue", c)
 			continue
 		}
 		if !w.PublisherBacks(c, owner) {
-			vs.addf(InvTargetLiveness, "target %s: no online publisher-cluster record remains",
-				c.Short())
+			vs.addf(InvTargetLiveness, "target %s: no online publisher-cluster record remains", c)
 		}
 	}
 
 	return vs
+}
+
+// lookupClosest runs a neutral GetClosestPeers probe toward target from
+// honest ring seeds and returns the K-closest horizon the walk
+// converged on — the view an ordinary client resolving the key would
+// act on. The probe identity is never attached, so nothing learns it;
+// the walk's only side effect is the RPC counters. Serial path only.
+func lookupClosest(w *scenario.World, target ids.Key) []ids.PeerID {
+	probe := ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48 + 0xa11ce)
+	walker := dht.NewWalker(w.Net, probe)
+	infos, _ := walker.GetClosestPeers(nil, w.SeedsNear(target, 8), target)
+	out := make([]ids.PeerID, len(infos))
+	for i, pi := range infos {
+		out[i] = pi.ID
+	}
+	return out
 }
 
 // EvaluateContract checks a violation set against an attack's contract:

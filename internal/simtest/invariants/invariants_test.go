@@ -1,14 +1,180 @@
+// Package invariants is the property-test suite for world and dataset
+// conservation laws: facts that must hold for every seed, every worker
+// count, and — critically — every counterfactual intervention. The
+// checks encode what cannot change when an intervention rewrites a
+// world: traffic shares still partition the log, provider-record
+// ledgers still balance, crawls still discover at least what they can
+// crawl, and the network's liveness view still agrees with the
+// scenario's.
+//
+// The package is test files only, so no binary can link it. Its suites
+// run every registered intervention's world through the same checks as
+// the baseline, over several seeds, so a new intervention gets coverage
+// without new test code.
 package invariants
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tcsb/internal/core"
 	"tcsb/internal/counterfactual"
+	"tcsb/internal/ids"
+	"tcsb/internal/node"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest/campaign"
+	"tcsb/internal/trace"
 )
+
+// Violation is one broken invariant with enough detail to debug it.
+type Violation struct {
+	// Invariant names the conservation law, e.g. "traffic-mix-partition".
+	Invariant string
+	// Detail says where and by how much it broke.
+	Detail string
+}
+
+func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
+
+// violations collects breakages with printf-style details.
+type violations []Violation
+
+func (vs *violations) addf(invariant, format string, args ...any) {
+	*vs = append(*vs, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
+}
+
+// CheckWorld verifies the world-state conservation laws on a built (and
+// possibly evolved, possibly intervention-rewritten) world.
+func CheckWorld(w *scenario.World) []Violation {
+	var vs violations
+
+	// liveness-agreement: the scenario's view of who is online and the
+	// network's must coincide — churn and interventions mutate both.
+	for id, a := range w.Actors {
+		if a.Online != w.Net.Online(id) {
+			vs.addf("liveness-agreement", "actor %s: scenario online=%v, network online=%v",
+				id.Short(), a.Online, w.Net.Online(id))
+		}
+		if a.PinnedOffline && a.Online {
+			vs.addf("pinned-stays-down", "actor %s is pinned offline but online", id.Short())
+		}
+		if !a.IP.IsValid() {
+			vs.addf("actor-has-ip", "actor %s has no IP", id.Short())
+		}
+	}
+
+	// role-partition: every actor is exactly one of server or NAT client.
+	servers, clients := w.ServerIDs(), w.ClientIDs()
+	if got, want := len(servers)+len(clients), len(w.Actors); got != want {
+		vs.addf("role-partition", "%d servers + %d clients != %d actors",
+			len(servers), len(clients), want)
+	}
+	for _, id := range servers {
+		if w.Actors[id] == nil {
+			vs.addf("role-partition", "server %s not in the actor table", id.Short())
+		}
+	}
+	for _, id := range clients {
+		if a := w.Actors[id]; a == nil || !a.NAT {
+			vs.addf("role-partition", "client %s missing or not NAT-ed", id.Short())
+		}
+	}
+
+	// provider-record-conservation: on every node and every Hydra
+	// deployment, the stored record population equals records created
+	// minus records expired.
+	conserved := func(label string, st node.ProviderStats) {
+		if st.Stored != st.Created-st.Pruned {
+			vs.addf("provider-record-conservation", "%s: stored %d != created %d - pruned %d",
+				label, st.Stored, st.Created, st.Pruned)
+		}
+	}
+	for id, a := range w.Actors {
+		conserved("node "+id.Short(), a.Node.ProviderStats())
+	}
+	conserved("vantage hydra", w.Hydra.ProviderStats())
+	for i, h := range w.PLHydras {
+		conserved(fmt.Sprintf("PL hydra %d", i), h.ProviderStats())
+	}
+
+	// live-catalog-containment: every live CID is a catalogued, currently
+	// provided entry.
+	for _, c := range w.LiveCIDs() {
+		if _, _, live, ok := w.ContentInfo(c); !ok || !live {
+			vs.addf("live-catalog-containment", "live CID %s: catalogued=%v live=%v",
+				c, ok, live)
+		}
+	}
+
+	return vs
+}
+
+// CheckObservatory verifies the dataset conservation laws on a finished
+// observation campaign (and, via CheckWorld, the world it observed).
+func CheckObservatory(o *core.Observatory) []Violation {
+	vs := violations(CheckWorld(o.World))
+
+	// traffic-mix-partition: the class shares of a non-empty stream sum
+	// to 1 and each lies in [0, 1] — the categories partition the
+	// traffic. Checked on the streaming statistics, which exist in both
+	// retained and streaming-only campaigns.
+	checkMix := func(label string, st *trace.Accum) {
+		if st == nil || st.Len() == 0 {
+			return
+		}
+		mix := st.Mix()
+		sum := 0.0
+		for cl, share := range mix {
+			sum += share
+			if share < 0 || share > 1 {
+				vs.addf("traffic-mix-partition", "%s: class %s share %v outside [0,1]",
+					label, cl, share)
+			}
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			vs.addf("traffic-mix-partition", "%s: shares sum to %v, want 1", label, sum)
+		}
+	}
+	checkMix("hydra vantage stats", o.HydraStats())
+	checkMix("bitswap monitor stats", o.MonitorStats())
+
+	// crawl-containment: a crawl can never crawl more peers than it
+	// discovered, and every crawlable peer answered from >= 1 address.
+	for _, snap := range o.Crawls.Snapshots {
+		if snap.Crawlable() > snap.Discovered() {
+			vs.addf("crawl-containment", "crawl %d: crawlable %d > discovered %d",
+				snap.ID, snap.Crawlable(), snap.Discovered())
+		}
+		for p, obs := range snap.Peers {
+			if obs.Peer != p {
+				vs.addf("crawl-containment", "crawl %d: observation keyed %s holds %s",
+					snap.ID, p.Short(), obs.Peer.Short())
+			}
+			// per-peer-ips: a peer that answered the sweep was dialled,
+			// so it must resolve to at least one IP. (Uncrawlable bucket
+			// ghosts may legitimately have none.)
+			if obs.Crawlable && len(obs.IPs()) < 1 {
+				vs.addf("per-peer-ips", "crawl %d: crawlable peer %s has no IPs",
+					snap.ID, p.Short())
+			}
+		}
+	}
+
+	// vantage-purity: the analysis view must exclude the observatory's
+	// own measurement identities, as the authors exclude their tools.
+	if st := o.HydraStats(); st != nil {
+		own := map[ids.PeerID]string{o.World.CrawlerID(): "crawler", o.World.CollectorID(): "collector"}
+		st.EachPeerActivity(func(p ids.PeerID, _ int64) {
+			if label, ok := own[p]; ok {
+				vs.addf("vantage-purity", "hydra analysis stats contain %s traffic from %s",
+					label, p.Short())
+			}
+		})
+	}
+
+	return vs
+}
 
 // The property suite: every invariant, over seeds 1-5, on the baseline
 // world AND on every registered intervention world. Campaigns are the

@@ -2,11 +2,100 @@ package invariants
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"tcsb/internal/core"
 	"tcsb/internal/scenario"
 	"tcsb/internal/simtest/campaign"
+	"tcsb/internal/stats"
+	"tcsb/internal/trace"
 )
+
+// CheckLatency verifies the network-realism conservation laws on an
+// observed campaign:
+//
+//   - loss-conservation: every RPC the link model saw was either
+//     dropped or delivered — issued == dropped + delivered;
+//   - latency-accrual: counters and accrued virtual time never go
+//     negative, and the identity profile accrues nothing at all;
+//   - timing-containment: the per-phase sinks can only account for
+//     virtual time the network actually charged;
+//   - sketch-exact-equivalence (retained campaigns only): each phase's
+//     bounded sketch agrees with the exact percentiles of the retained
+//     raw samples — exactly below the sketch's spill threshold; above
+//     it, within one order statistic plus the sketch's published
+//     relative error bound.
+func CheckLatency(o *core.Observatory) []Violation {
+	var vs violations
+	w := o.World
+
+	issued, dropped, delivered := w.Net.LinkStats()
+	if issued != dropped+delivered {
+		vs.addf("loss-conservation", "issued %d != dropped %d + delivered %d",
+			issued, dropped, delivered)
+	}
+	elapsed := w.Net.LinkElapsedUS()
+	if issued < 0 || dropped < 0 || delivered < 0 || elapsed < 0 {
+		vs.addf("latency-accrual", "negative link counter: %d/%d/%d elapsed=%d",
+			issued, dropped, delivered, elapsed)
+	}
+	if w.Net.LinkModel().IsZero() && (issued != 0 || elapsed != 0) {
+		vs.addf("latency-accrual", "identity profile accrued %d RPCs / %dµs",
+			issued, elapsed)
+	}
+
+	var phaseSum float64
+	for _, p := range trace.Phases() {
+		sk := w.Timing.Sketch(p)
+		phaseSum += sk.Sum()
+		if sk.Min() < 0 {
+			vs.addf("latency-accrual", "phase %s recorded a negative duration %v", p, sk.Min())
+		}
+	}
+	// Phases bracket disjoint operations (requests, crawls, probes), and
+	// some link time (topology maintenance, Hydra drains) is deliberately
+	// unbracketed — so the sinks can at most account for the total.
+	if phaseSum > float64(elapsed)+0.5 {
+		vs.addf("timing-containment", "phase sums %vµs exceed network total %dµs",
+			phaseSum, elapsed)
+	}
+
+	if w.Cfg.RetainTrace {
+		for _, p := range trace.Phases() {
+			sk := w.Timing.Sketch(p)
+			raw := w.Timing.Raw(p)
+			if uint64(len(raw)) != sk.Count() {
+				vs.addf("sketch-exact-equivalence", "phase %s: %d raw samples vs sketch count %d",
+					p, len(raw), sk.Count())
+				continue
+			}
+			if len(raw) == 0 {
+				continue
+			}
+			// The sketch's rank is within one order statistic of the
+			// interpolated exact rank, and its bucket midpoint is within
+			// the published relative bound of that sample — so the value
+			// must land in the one-rank neighbourhood of the exact
+			// quantile, widened by the bucket error. In the exact regime
+			// (no spill) the bound is 0 and the neighbourhood collapses
+			// to equality for integral ranks.
+			bound := sk.RelativeErrorBound()
+			step := 100.0 / float64(max(len(raw)-1, 1)) // one rank, in percentile points
+			for _, q := range []float64{10, 50, 90, 95, 99} {
+				lo := stats.Percentile(raw, math.Max(0, q-step))
+				hi := stats.Percentile(raw, math.Min(100, q+step))
+				got := sk.Quantile(q)
+				if got < lo-bound*math.Abs(lo)-1e-9 || got > hi+bound*math.Abs(hi)+1e-9 {
+					vs.addf("sketch-exact-equivalence",
+						"phase %s p%v: sketch %v outside exact neighbourhood [%v, %v] (bound %v, %d samples)",
+						p, q, got, lo, hi, bound, len(raw))
+				}
+			}
+		}
+	}
+	return vs
+}
 
 // The network-realism leg of the property suite. The generic
 // TestInvariantsInterventions already drives the net.* interventions

@@ -252,18 +252,13 @@ type Accum struct {
 	cidDays  []daySet // by CIDH, non-zero CIDs only
 	ipDays   []daySet // by AddrH, valid IPs only
 	peerDays []daySet // by PeerH, non-zero peers only
-	days     map[int64]struct{}
 }
 
 func newAccum(tagPeer func(ids.PeerID) bool, tab *intern.Tables) *Accum {
 	if tab == nil {
 		tab = intern.NewTables()
 	}
-	return &Accum{
-		tagPeer: tagPeer,
-		tab:     tab,
-		days:    make(map[int64]struct{}),
-	}
+	return &Accum{tagPeer: tagPeer, tab: tab}
 }
 
 // grown returns s extended (zero-filled) to make handle h addressable.
@@ -309,7 +304,6 @@ func (a *Accum) Observe(e Event) {
 	a.byPeer[ph]++
 
 	day := e.Time / SecondsPerDay
-	a.days[day] = struct{}{}
 	if !e.CID.IsZero() {
 		ch := a.tab.CID(e.CID)
 		a.cidDays = grown(a.cidDays, ch)
@@ -336,12 +330,6 @@ func (a *Accum) ClassCount(cl Class) int64 {
 		return 0
 	}
 	return a.class[cl]
-}
-
-// SeenPeer reports whether any folded event came from p.
-func (a *Accum) SeenPeer(p ids.PeerID) bool {
-	h, ok := a.tab.Peers.Lookup(p)
-	return ok && int(h) < len(a.byPeer) && a.byPeer[h] > 0
 }
 
 // DistinctPeers returns the number of distinct senders observed.
@@ -516,16 +504,6 @@ func daysHist(sets []daySet) map[int]int {
 		}
 	}
 	return hist
-}
-
-// Days returns the distinct virtual day indices observed, ascending.
-func (a *Accum) Days() []int64 {
-	out := make([]int64, 0, len(a.days))
-	for d := range a.days {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // CIDsOnDay returns the distinct non-zero CIDs observed on the given

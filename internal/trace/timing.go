@@ -129,6 +129,3 @@ func (s *TimingSink) Raw(p Phase) []float64 {
 	}
 	return s.raw[p]
 }
-
-// Retaining reports whether raw samples are kept.
-func (s *TimingSink) Retaining() bool { return s != nil && s.retain }

@@ -90,19 +90,5 @@ func (l *Log) Append(e Event) { l.events = append(l.events, e) }
 // TestEventsAliasing).
 func (l *Log) Events() []Event { return l.events }
 
-// Filter returns a new log containing only events accepted by keep. The
-// result is built on fresh backing storage — it never aliases the
-// source log, so the two evolve independently afterwards (pinned by
-// TestFilterAliasing).
-func (l *Log) Filter(keep func(Event) bool) *Log {
-	out := &Log{}
-	for _, e := range l.events {
-		if keep(e) {
-			out.events = append(out.events, e)
-		}
-	}
-	return out
-}
-
 // SecondsPerDay converts virtual time to "days" for frequency analyses.
 const SecondsPerDay = 24 * 3600

@@ -56,3 +56,7 @@ func (b Box[T]) Get() T { return b.V }
 
 // BenchOnly is not flagged: the nested bench module calls it.
 func BenchOnly() int { return 1 }
+
+// HarnessOnly is flagged: only internal/simtest/harness, a test fixture
+// no binary imports, calls it.
+func HarnessOnly() {}
