@@ -24,6 +24,7 @@ import (
 	"tcsb/internal/analyze"
 	"tcsb/internal/core"
 	"tcsb/internal/experiments"
+	"tcsb/internal/scenario"
 )
 
 // checkPin fails the test when the sha256 of got differs from want.
@@ -125,4 +126,23 @@ func TestAnalyzeReportPinned(t *testing.T) {
 	}
 	checkPin(t, "analyze report", buf.Bytes(),
 		"30483d9a88aa5ec33c8aeb8ac8808de0c787497ab0ac03ac04c23763baf6bd83")
+}
+
+// TestInternDigestPinned pins the handle tables of one small campaign
+// at two worker counts. Handles never reach the output, so the byte
+// pins above cannot see a change in what gets interned or in what
+// order; routing-table adds intern the contacts they store, and this
+// holds them to interning nothing the world had not interned already.
+func TestInternDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one small campaign at two worker counts")
+	}
+	const want = uint64(0x12f60dacb4109ba3)
+	for _, workers := range []int{1, 2} {
+		res := resolve(t, core.RunRequest{Seed: 1, Scale: 0.05, Days: 1, Workers: workers})
+		o := core.Observe(scenario.NewWorld(res.Cfg), res.RC)
+		if got := o.World.Snapshot().InternDigest; got != want {
+			t.Errorf("workers=%d: InternDigest %#x, pinned %#x", workers, got, want)
+		}
+	}
 }

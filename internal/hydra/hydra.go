@@ -102,7 +102,7 @@ func New(net *netsim.Network, seed uint64, cfg Config) *Hydra {
 	// One shared routing table across heads, organized around the first
 	// head's key; lookups and FindNode answers use XOR distance to the
 	// *requested* target, so the organising key only affects retention.
-	h.table = kademlia.New(h.heads[0].Key(), 8*kademlia.K)
+	h.table = kademlia.New(h.heads[0].Key(), 8*kademlia.K, net.Intern.Peers)
 	h.walker = dht.NewWalker(net, h.heads[0])
 	return h
 }

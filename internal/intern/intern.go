@@ -12,11 +12,13 @@
 // the Nth distinct identifier interned receives handle N, forever. All
 // writes (Intern calls) happen at driver-serial points of the engine —
 // world construction, ID mints, netsim.Network.Attach/SetAddrs, effect
-// lane merges, crawl wave merges, trace.Accum.Observe — which the
+// lane merges, crawl wave merges, trace.Accum.Observe, routing-table
+// adds (kademlia's Add and AddReplacingStale, replayed at lane merges
+// or called while building and refreshing the topology) — which the
 // sharded campaign executes in a fixed order that does not depend on
-// the -workers value. Parallel phases only read (Lookup/Value), which
-// is safe against a quiescent table. The result is that handle tables
-// are byte-identical across worker counts (Tables.Digest folds into
+// the -workers value. Parallel phases only read (Lookup/Value/Values),
+// which is safe against a quiescent table. The result is that handle
+// tables are byte-identical across worker counts (Tables.Digest folds into
 // scenario World.Snapshot, so the worker-determinism tests check it).
 //
 // Handles are derived state: they never appear in config digests,
@@ -44,7 +46,7 @@ type AddrH uint32
 
 // Table is an append-only bijection between identifiers of type K and
 // dense handles of type H. The zero value of K is pre-interned as
-// handle 0. Intern is serial-only; Lookup/Value/Len are safe for
+// handle 0. Intern is serial-only; Lookup/Value/Values are safe for
 // concurrent readers while no Intern call is in flight (the engine's
 // parallel phases never intern).
 type Table[K comparable, H ~uint32] struct {
@@ -82,6 +84,11 @@ func (t *Table[K, H]) Lookup(k K) (H, bool) {
 
 // Value returns the identifier behind a handle. Read-only.
 func (t *Table[K, H]) Value(h H) K { return t.rev[h] }
+
+// Values returns the identifier column, indexed by handle. It is a
+// read-only view, valid until the next Intern call: hot loops that
+// resolve many handles read it once instead of calling Value each time.
+func (t *Table[K, H]) Values() []K { return t.rev }
 
 // Tables bundles the three handle tables of one world. One bundle is
 // owned by the world's netsim.Network and shared by every component of

@@ -15,13 +15,15 @@ import (
 	"slices"
 
 	"tcsb/internal/ids"
+	"tcsb/internal/intern"
 )
 
 // K is the bucket capacity used by IPFS (and the fan-out of lookups:
 // GetClosestPeers returns the K closest peers).
 const K = 20
 
-// Contact is a routing-table entry: a peer and the moment it was last seen.
+// Contact is a routing-table entry as callers hand it in: a peer and the
+// moment it was last seen.
 type Contact struct {
 	Peer ids.PeerID
 	// LastSeen is a virtual-clock timestamp maintained by the caller;
@@ -29,27 +31,58 @@ type Contact struct {
 	LastSeen int64
 }
 
+// entry is a stored contact: the peer's handle in the world's identifier
+// table and its LastSeen, 16 bytes where a Contact is 40. Keys are read
+// from the identifier column, which every table of the world shares.
+type entry struct {
+	h intern.PeerH
+	// pos is the contact's rank in its bucket's insertion order; a
+	// contact that evicts another takes over its rank. Split buckets
+	// store their contacts grouped by sub-band, so eviction reads the
+	// order from here. It fills what would otherwise be padding.
+	pos      uint32
+	lastSeen int64
+}
+
 // Table is a Kademlia routing table for the node that owns `self`.
 // It is not safe for concurrent use; the simulator serializes access.
 type Table struct {
-	self ids.Key
-	k    int
+	self  ids.Key
+	k     int
+	peers *intern.Table[ids.PeerID, intern.PeerH]
+	// s is the sub-band width: the largest value with k>>s >= K. A
+	// bucket of a table with s > 0 (the Hydra's 8·K) is split into 2^s
+	// sub-bands of distance to any target (see eachSubBand); node
+	// tables have s = 0.
+	s uint
 	// buckets is indexed by common prefix length and ends at the deepest
 	// non-empty bucket: Add grows it. Random keys leave every bucket past
 	// cpl ≈ log2(network size) empty, so this saves ~6 KB of empty
 	// headers per table over all KeyBits+1 buckets, and FindNode answers
 	// never walk them.
-	buckets [][]Contact
-	size    int
+	buckets [][]entry
+	// ends[b<<s+p] is the end of sub-band p in split bucket b, whose
+	// contacts are stored grouped by sub-band; it has room for every
+	// bucket that can be split. Nil when s = 0.
+	ends []int32
+	size int
 }
 
 // New creates a table for the given local key with bucket capacity k
-// (K for a standard node).
-func New(self ids.Key, k int) *Table {
+// (K for a standard node) whose contacts are handles into peers, the
+// world's identifier table.
+func New(self ids.Key, k int, peers *intern.Table[ids.PeerID, intern.PeerH]) *Table {
 	if k <= 0 {
 		panic("kademlia: bucket capacity must be positive")
 	}
-	return &Table{self: self, k: k}
+	t := &Table{self: self, k: k, peers: peers}
+	for k>>(t.s+1) >= K {
+		t.s++
+	}
+	if t.s > 0 {
+		t.ends = make([]int32, (64-t.s)<<t.s)
+	}
+	return t
 }
 
 // BucketIndex returns the bucket a peer with key `other` belongs to.
@@ -58,24 +91,21 @@ func (t *Table) BucketIndex(other ids.Key) int {
 }
 
 // bucket returns bucket idx, which is empty past the deepest stored one.
-func (t *Table) bucket(idx int) []Contact {
+func (t *Table) bucket(idx int) []entry {
 	if idx < len(t.buckets) {
 		return t.buckets[idx]
 	}
 	return nil
 }
 
-// indexOf returns the position of p in bucket b, or -1. Comparing the
-// 64-bit key prefix first settles almost every mismatch without the
-// 32-byte comparison.
-func indexOf(b []Contact, p *ids.PeerID) int {
-	pp := p.Prefix64()
-	for i := range b {
-		if b[i].Peer.Prefix64() == pp && b[i].Peer == *p {
-			return i
-		}
-	}
-	return -1
+// split reports whether bucket b is stored as 2^s sub-bands: s > 0 and
+// the sub-band bits b+1…b+s lie within the leading 64 key bits.
+func (t *Table) split(b int) bool { return t.s > 0 && b+1+int(t.s) <= 64 }
+
+// subBand returns the sub-band of split bucket b that holds keys whose
+// leading 64 bits are kp: the number their bits b+1…b+s spell.
+func (t *Table) subBand(b int, kp uint64) int {
+	return int(kp>>(63-uint(b)-t.s)) & (1<<t.s - 1)
 }
 
 // Add inserts or refreshes a contact. It returns true if the peer is in
@@ -94,47 +124,92 @@ func (t *Table) AddReplacingStale(c Contact, staleBefore int64) bool {
 	return t.addReplace(c, staleBefore)
 }
 
+// addReplace interns the peer, so it runs only at the engine's serial
+// points (lane-merge replays, world build, topology refresh), like every
+// other interning write.
 func (t *Table) addReplace(c Contact, staleBefore int64) bool {
-	if c.Peer.Key() == t.self {
+	key := c.Peer.Key()
+	if key == t.self {
 		return false // never store self
 	}
-	idx := t.BucketIndex(c.Peer.Key())
+	h := t.peers.Intern(c.Peer)
+	idx := t.BucketIndex(key)
 	b := t.bucket(idx)
-	if i := indexOf(b, &c.Peer); i >= 0 {
-		if c.LastSeen > b[i].LastSeen {
-			b[i].LastSeen = c.LastSeen
+	for i := range b {
+		if b[i].h == h {
+			b[i].lastSeen = max(b[i].lastSeen, c.LastSeen)
+			return true
 		}
-		return true
 	}
 	if len(b) < t.k {
-		if idx >= len(t.buckets) {
-			t.buckets = append(t.buckets, make([][]Contact, idx+1-len(t.buckets))...)
-		}
-		if len(b) == cap(b) {
-			// Double toward k, never past it: append's growth would leave
-			// a full K-bucket with capacity 32 and a Hydra-sized one with
-			// 272.
-			grown := make([]Contact, len(b), min(max(2*len(b), 1), t.k))
-			copy(grown, b)
-			b = grown
-		}
-		t.buckets[idx] = append(b, c)
+		t.insert(idx, entry{h, uint32(len(b)), c.LastSeen}, key.Prefix64())
 		t.size++
 		return true
 	}
 	if staleBefore > 0 {
+		// The first contact in insertion order with the oldest LastSeen.
 		oldest := 0
 		for i := 1; i < len(b); i++ {
-			if b[i].LastSeen < b[oldest].LastSeen {
+			if b[i].lastSeen < b[oldest].lastSeen || b[i].lastSeen == b[oldest].lastSeen && b[i].pos < b[oldest].pos {
 				oldest = i
 			}
 		}
-		if b[oldest].LastSeen < staleBefore {
-			b[oldest] = c
+		if b[oldest].lastSeen < staleBefore {
+			e := entry{h, b[oldest].pos, c.LastSeen}
+			if t.split(idx) {
+				t.remove(idx, oldest)
+				t.insert(idx, e, key.Prefix64())
+			} else {
+				b[oldest] = e
+			}
 			return true
 		}
 	}
 	return false
+}
+
+// insert stores e, whose key's leading 64 bits are kp, in bucket idx: at
+// the end of its sub-band in a split bucket, at the end of the bucket
+// otherwise.
+func (t *Table) insert(idx int, e entry, kp uint64) {
+	if idx >= len(t.buckets) {
+		t.buckets = append(t.buckets, make([][]entry, idx+1-len(t.buckets))...)
+	}
+	b := t.buckets[idx]
+	if len(b) == cap(b) {
+		// Double toward k, never past it: append's growth would leave
+		// a full K-bucket with capacity 32 and a Hydra-sized one with
+		// 272.
+		grown := make([]entry, len(b), min(max(2*len(b), 1), t.k))
+		copy(grown, b)
+		b = grown
+	}
+	b = b[:len(b)+1]
+	at := len(b) - 1
+	if t.split(idx) {
+		p, end := t.subBand(idx, kp), t.ends[idx<<t.s:][:1<<t.s]
+		at = int(end[p])
+		copy(b[at+1:], b[at:])
+		for q := p; q < len(end); q++ {
+			end[q]++
+		}
+	}
+	b[at] = e
+	t.buckets[idx] = b
+}
+
+// remove deletes contact i of split bucket idx, keeping the others in
+// their sub-bands.
+func (t *Table) remove(idx, i int) {
+	b := t.buckets[idx]
+	copy(b[i:], b[i+1:])
+	t.buckets[idx] = b[:len(b)-1]
+	end := t.ends[idx<<t.s:][:1<<t.s]
+	for q := range end {
+		if int(end[q]) > i {
+			end[q]--
+		}
+	}
 }
 
 // AppendNearest appends up to n peers from the table closest to target
@@ -144,27 +219,54 @@ func (t *Table) addReplace(c Contact, staleBefore int64) bool {
 // with the K closest contacts from its own buckets.
 //
 // Answering FindNode is the simulator's hottest operation (every walk
-// step, crawl sweep and Hydra lookup lands here). The buckets cover
-// disjoint intervals of XOR distance to the target and eachBand visits
-// them closest first, so the answer is assembled bucket by bucket in a
-// stack-resident window (see take) until one fills it. The result is
-// exact and identical to sorting the whole table.
+// step, crawl sweep and Hydra lookup lands here). The sub-bands cover
+// disjoint intervals of XOR distance to the target and eachSubBand
+// visits them closest first, so the answer is assembled sub-band by
+// sub-band in a stack-resident window (see take) until one fills it. The
+// result is exact and identical to sorting the whole table.
 func (t *Table) AppendNearest(dst []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || t.size == 0 {
 		return dst
 	}
-	if n > t.size {
-		n = t.size
-	}
 	var buf [selectorInline]slot
-	h, filled := window(&buf, n), 0
-	tp := target.Prefix64()
-	x := t.self.Xor(target)
-	t.eachBand(&x, func(b int) bool {
-		filled = take(h, filled, t.buckets[b], tp, &target)
+	s := selector{peers: t.peers.Values(), target: target, tp: target.Prefix64()}
+	h, filled := window(&buf, min(n, t.size)), 0
+	t.eachSubBand(&target, func(c []entry) bool {
+		filled = s.take(h, filled, c)
 		return filled < len(h)
 	})
-	return appendPeers(dst, h)
+	return s.appendPeers(dst, h)
+}
+
+// eachSubBand calls visit with the contacts of every non-empty sub-band,
+// closest distance band to target first, until visit returns false.
+// Buckets come in eachBand's order, and a bucket that is not split is
+// one sub-band. Sub-band p of split bucket b holds the contacts whose
+// key bits b+1…b+s read p. Their distances to target share bits 0…b,
+// and their bits b+1…b+s read p XOR tb, where tb is target's bits
+// b+1…b+s; so the sub-bands p = q XOR tb for q = 0, 1, … come closest
+// first.
+func (t *Table) eachSubBand(target *ids.Key, visit func(c []entry) bool) {
+	x := t.self.Xor(*target)
+	tp := target.Prefix64()
+	t.eachBand(&x, func(b int) bool {
+		c := t.buckets[b]
+		if !t.split(b) {
+			return len(c) == 0 || visit(c)
+		}
+		tb, end := t.subBand(b, tp), t.ends[b<<t.s:][:1<<t.s]
+		for q := range end {
+			p := q ^ tb
+			lo := int32(0)
+			if p > 0 {
+				lo = end[p-1]
+			}
+			if lo < end[p] && !visit(c[lo:end[p]]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // eachBand calls visit with the index of every stored bucket, closest
@@ -207,19 +309,34 @@ func bitSet(k *ids.Key, b int) bool { return k[b>>3]&(0x80>>(b&7)) != 0 }
 const selectorInline = 64
 
 // slot is one window entry: the leading 64 bits of the candidate's XOR
-// distance to the target, and the candidate itself. The prefix decides
-// almost every comparison; less falls back to the full keys on a tie.
+// distance to the target, and the candidate's index into the selector's
+// peers. It holds no pointer, so filling and sifting the window pays no
+// GC write barrier. The prefix decides almost every comparison; less
+// falls back to the full keys on a tie.
 type slot struct {
 	d uint64
-	p *ids.PeerID
+	i uint32
 }
 
-// less orders slots by XOR distance to target, exactly.
-func less(a, b slot, target *ids.Key) bool {
+// selector is one nearest-peer selection: peers is the column window
+// slots index into (a world's identifier column for a table, the
+// candidate slice for AppendSelectNearest), and tp is target's leading
+// 64 bits.
+type selector struct {
+	peers  []ids.PeerID
+	target ids.Key
+	tp     uint64
+}
+
+// slot makes the window entry for candidate i.
+func (s *selector) slot(i uint32) slot { return slot{s.peers[i].Prefix64() ^ s.tp, i} }
+
+// less orders slots by XOR distance to the target, exactly.
+func (s *selector) less(a, b slot) bool {
 	if a.d != b.d {
 		return a.d < b.d
 	}
-	return closerOnTie(a.p, b.p, target)
+	return s.closerOnTie(a.i, b.i)
 }
 
 // closerOnTie compares two candidates whose distances share the leading
@@ -227,8 +344,8 @@ func less(a, b slot, target *ids.Key) bool {
 // to keep less inlinable.
 //
 //go:noinline
-func closerOnTie(a, b *ids.PeerID, target *ids.Key) bool {
-	return ids.Closer(a.Key(), b.Key(), *target)
+func (s *selector) closerOnTie(a, b uint32) bool {
+	return ids.Closer(s.peers[a].Key(), s.peers[b].Key(), s.target)
 }
 
 // window slices a selection window of n slots out of the caller's
@@ -240,68 +357,68 @@ func window(buf *[selectorInline]slot, n int) []slot {
 	return buf[:n]
 }
 
-// take adds bucket b to window h, whose first filled slots hold closer
-// candidates in order, and returns the new fill. A bucket that fits is
-// insertion-sorted behind them. A bucket that overflows fills the rest
-// of h by bounded heap selection over that bucket alone: insertion pays
-// a shift per closer slot for every contact, which loses to the heap's
-// one compare per rejection when a Hydra-sized bucket of 8·K contacts
-// overflows a K-slot window.
-func take(h []slot, filled int, b []Contact, tp uint64, target *ids.Key) int {
+// take adds the contacts c, all farther than the first filled slots of
+// window h, which hold closer candidates in order, and returns the new
+// fill. Contacts that fit are insertion-sorted behind them. Contacts that
+// overflow fill the rest of h by bounded heap selection over c alone:
+// insertion pays a shift per closer slot for every contact, which loses
+// to the heap's one compare per rejection when many more contacts than
+// free slots are offered.
+func (s *selector) take(h []slot, filled int, c []entry) int {
 	rest := h[filled:]
-	if len(b) > len(rest) {
+	if len(c) > len(rest) {
 		for i := range rest {
-			rest[i] = slot{b[i].Peer.Prefix64() ^ tp, &b[i].Peer}
+			rest[i] = s.slot(uint32(c[i].h))
 		}
-		heapify(rest, target)
-		for i := len(rest); i < len(b); i++ {
-			offer(rest, b[i].Peer.Prefix64()^tp, &b[i].Peer, target)
+		s.heapify(rest)
+		for _, e := range c[len(rest):] {
+			s.offer(rest, s.slot(uint32(e.h)))
 		}
-		heapSort(rest, target)
+		s.heapSort(rest)
 		return len(h)
 	}
-	for i := range b {
-		c := slot{b[i].Peer.Prefix64() ^ tp, &b[i].Peer}
+	for i := range c {
+		x := s.slot(uint32(c[i].h))
 		j := filled + i
-		for ; j > filled && less(c, h[j-1], target); j-- {
+		for ; j > filled && s.less(x, h[j-1]); j-- {
 			h[j] = h[j-1]
 		}
-		h[j] = c
+		h[j] = x
 	}
-	return filled + len(b)
+	return filled + len(c)
 }
 
 // appendPeers appends the peers of window h onto dst.
-func appendPeers(dst []ids.PeerID, h []slot) []ids.PeerID {
+func (s *selector) appendPeers(dst []ids.PeerID, h []slot) []ids.PeerID {
 	dst = slices.Grow(dst, len(h))
-	for _, c := range h {
-		dst = append(dst, *c.p)
+	for _, x := range h {
+		dst = append(dst, s.peers[x.i])
 	}
 	return dst
 }
 
-// offer considers candidate p, whose distance prefix is d, for the
-// max-heap h of the closest candidates so far. It inlines into the scan
-// loops, so the common case, a candidate farther than the root on the
-// prefix alone, costs one XOR and one compare.
-func offer(h []slot, d uint64, p *ids.PeerID, target *ids.Key) {
-	if d <= h[0].d {
-		replaceRoot(h, slot{d, p}, target)
+// offer considers candidate x for the max-heap h of the closest
+// candidates so far. It inlines into the scan loops, so the common
+// case, a candidate farther than the root on the prefix alone, costs
+// one compare.
+func (s *selector) offer(h []slot, x slot) {
+	if x.d <= h[0].d {
+		s.replaceRoot(h, x)
 	}
 }
 
-// replaceRoot puts c in place of the root of max-heap h if c is closer.
-func replaceRoot(h []slot, c slot, target *ids.Key) {
-	if less(c, h[0], target) {
-		h[0] = c
-		siftDown(h, 0, target)
+// replaceRoot puts x in place of the root of max-heap h if x is closer.
+func (s *selector) replaceRoot(h []slot, x slot) {
+	if s.less(x, h[0]) {
+		h[0] = x
+		s.siftDown(h, 0)
 	}
 }
 
 // heapify arranges h into a max-heap under less.
-func heapify(h []slot, target *ids.Key) {
+func (s *selector) heapify(h []slot) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, target)
+		s.siftDown(h, i)
 	}
 }
 
@@ -311,13 +428,13 @@ func heapify(h []slot, target *ids.Key) {
 // children, one compare per level, and the displaced last leaf, which
 // is usually small, climbs back up only a level or two. That is about
 // half the compares of a plain sift-down.
-func heapSort(h []slot, target *ids.Key) {
+func (s *selector) heapSort(h []slot) {
 	for end := len(h) - 1; end > 0; end-- {
 		x := h[end]
 		h[end] = h[0]
 		i := 0
 		for c := 1; c < end; c = 2*i + 1 {
-			if c+1 < end && less(h[c], h[c+1], target) {
+			if c+1 < end && s.less(h[c], h[c+1]) {
 				c++
 			}
 			h[i] = h[c]
@@ -325,7 +442,7 @@ func heapSort(h []slot, target *ids.Key) {
 		}
 		for i > 0 {
 			p := (i - 1) / 2
-			if !less(h[p], x, target) {
+			if !s.less(h[p], x) {
 				break
 			}
 			h[i] = h[p]
@@ -336,17 +453,17 @@ func heapSort(h []slot, target *ids.Key) {
 }
 
 // siftDown restores the max-heap property below node i.
-func siftDown(h []slot, i int, target *ids.Key) {
+func (s *selector) siftDown(h []slot, i int) {
 	x := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if c+1 < len(h) && less(h[c], h[c+1], target) {
+		if c+1 < len(h) && s.less(h[c], h[c+1]) {
 			c++
 		}
-		if !less(x, h[c], target) {
+		if !s.less(x, h[c]) {
 			break
 		}
 		h[i] = h[c]
@@ -360,25 +477,22 @@ func siftDown(h []slot, i int, target *ids.Key) {
 // selection AppendNearest uses (append-style; scratch-free for
 // n <= selectorInline). It is the allocation-light replacement for
 // sort-the-whole-slice call sites (topology oracles, resolver sets),
-// and the overflowing-bucket case of take with the whole slice as the
-// bucket.
+// and the overflowing case of take with the whole slice as the
+// contacts.
 func AppendSelectNearest(dst []ids.PeerID, peers []ids.PeerID, target ids.Key, n int) []ids.PeerID {
 	if n <= 0 || len(peers) == 0 {
 		return dst
 	}
-	if n > len(peers) {
-		n = len(peers)
-	}
 	var buf [selectorInline]slot
-	h := window(&buf, n)
-	tp := target.Prefix64()
+	s := selector{peers: peers, target: target, tp: target.Prefix64()}
+	h := window(&buf, min(n, len(peers)))
 	for i := range h {
-		h[i] = slot{peers[i].Prefix64() ^ tp, &peers[i]}
+		h[i] = s.slot(uint32(i))
 	}
-	heapify(h, &target)
+	s.heapify(h)
 	for i := len(h); i < len(peers); i++ {
-		offer(h, peers[i].Prefix64()^tp, &peers[i], &target)
+		s.offer(h, s.slot(uint32(i)))
 	}
-	heapSort(h, &target)
-	return appendPeers(dst, h)
+	s.heapSort(h)
+	return s.appendPeers(dst, h)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAddAndContains(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0), K)
+	tab := New(ids.KeyFromUint64(0), K, newPeers())
 	p := ids.PeerIDFromSeed(1)
 	if !tab.Add(Contact{Peer: p, LastSeen: 1}) {
 		t.Fatal("Add failed on empty table")
@@ -25,14 +25,14 @@ func TestAddAndContains(t *testing.T) {
 
 func TestAddSelfRejected(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self, K)
+	tab := New(self, K, newPeers())
 	if tab.Add(Contact{Peer: ids.PeerIDFromKey(self)}) {
 		t.Fatal("table stored its own key")
 	}
 }
 
 func TestAddIdempotentRefreshesLastSeen(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0), K)
+	tab := New(ids.KeyFromUint64(0), K, newPeers())
 	p := ids.PeerIDFromSeed(1)
 	tab.Add(Contact{Peer: p, LastSeen: 1})
 	tab.Add(Contact{Peer: p, LastSeen: 5})
@@ -56,7 +56,7 @@ func TestAddIdempotentRefreshesLastSeen(t *testing.T) {
 func TestBucketCapacity(t *testing.T) {
 	self := ids.KeyFromUint64(0)
 	for _, k := range []int{3, K, 8 * K} {
-		tab := New(self, k)
+		tab := New(self, k, newPeers())
 		added := 0
 		for s := uint64(0); added <= k && s < 100000; s++ {
 			p := ids.PeerIDFromSeed(s)
@@ -80,7 +80,7 @@ func TestBucketCapacity(t *testing.T) {
 
 func TestAddReplacingStale(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self, 2)
+	tab := New(self, 2, newPeers())
 	var inBucket []ids.PeerID
 	for s := uint64(0); len(inBucket) < 3; s++ {
 		p := ids.PeerIDFromSeed(s)
@@ -114,7 +114,7 @@ func TestAddReplacingStale(t *testing.T) {
 
 func TestNearestPeersOrdering(t *testing.T) {
 	self := ids.KeyFromUint64(0)
-	tab := New(self, K)
+	tab := New(self, K, newPeers())
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
@@ -146,7 +146,7 @@ func TestNearestPeersOrdering(t *testing.T) {
 }
 
 func TestNearestPeersEdgeCases(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0), K)
+	tab := New(ids.KeyFromUint64(0), K, newPeers())
 	if got := tab.AppendNearest(nil, ids.KeyFromUint64(1), 5); len(got) != 0 {
 		t.Fatalf("empty table returned %d peers", len(got))
 	}
@@ -164,7 +164,7 @@ func TestBucketShape(t *testing.T) {
 	// capacity while deep buckets stay sparse: the structural property
 	// both Kademlia and the paper's crawler rely on.
 	self := ids.KeyFromUint64(0)
-	tab := New(self, K)
+	tab := New(self, K, newPeers())
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20000; i++ {
 		tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
@@ -187,7 +187,7 @@ func TestBucketShape(t *testing.T) {
 }
 
 func TestAllPeersCount(t *testing.T) {
-	tab := New(ids.KeyFromUint64(0), K)
+	tab := New(ids.KeyFromUint64(0), K, newPeers())
 	rng := rand.New(rand.NewSource(3))
 	want := 0
 	for i := 0; i < 1000; i++ {
@@ -242,17 +242,27 @@ func TestSortByDistanceProperty(t *testing.T) {
 	}
 }
 
+// TestSubBandWidth pins s, derived from the capacity alone: the largest
+// value with k>>s >= K, and 0 when k < K.
+func TestSubBandWidth(t *testing.T) {
+	for k, want := range map[int]uint{3: 0, K: 0, 2*K - 1: 0, 2 * K: 1, 8 * K: 3, 16*K - 1: 3} {
+		if got := New(ids.KeyFromUint64(0), k, newPeers()).s; got != want {
+			t.Errorf("k=%d: s = %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("New(0) did not panic")
 		}
 	}()
-	New(ids.KeyFromUint64(0), 0)
+	New(ids.KeyFromUint64(0), 0, newPeers())
 }
 
 func BenchmarkAdd(b *testing.B) {
-	tab := New(ids.KeyFromUint64(0), K)
+	tab := New(ids.KeyFromUint64(0), K, newPeers())
 	rng := rand.New(rand.NewSource(1))
 	peers := make([]ids.PeerID, 4096)
 	for i := range peers {
@@ -272,7 +282,7 @@ func BenchmarkAdd(b *testing.B) {
 func BenchmarkNearestPeers(b *testing.B) {
 	for _, k := range []int{K, 8 * K} {
 		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
-			tab := New(ids.KeyFromUint64(0), k)
+			tab := New(ids.KeyFromUint64(0), k, newPeers())
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 5000; i++ {
 				tab.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
@@ -330,12 +340,58 @@ func checkNearest(t *testing.T, label string, got, all []ids.PeerID, target ids.
 	}
 }
 
-// checkTrimmed asserts the right-sized bucket invariant: the bucket
-// slice ends at the deepest non-empty bucket.
-func checkTrimmed(t *testing.T, label string, tb *Table) {
+// checkLayout asserts the storage invariants: the bucket slice ends at
+// the deepest non-empty bucket; Len is the bucket occupancy sum; every
+// contact sits in the bucket its common prefix length with self
+// dictates; a bucket's insertion ranks are 0…len-1; and a split
+// bucket's sub-band ends rise to its length, with every contact between
+// the ends of the sub-band its key bits b+1…b+s spell.
+func checkLayout(t *testing.T, label string, tb *Table) {
 	t.Helper()
 	if n := len(tb.buckets); n > 0 && len(tb.buckets[n-1]) == 0 {
 		t.Fatalf("%s: bucket slice of length %d ends in an empty bucket", label, n)
+	}
+	total := 0
+	for _, c := range tb.buckets {
+		total += len(c)
+	}
+	if total != tb.Len() {
+		t.Fatalf("%s: Len() = %d but buckets sum to %d", label, tb.Len(), total)
+	}
+	for b, c := range tb.buckets {
+		ranks := make([]bool, len(c))
+		for _, e := range c {
+			if int(e.pos) >= len(c) || ranks[e.pos] {
+				t.Fatalf("%s: bucket %d has rank %d twice or out of range", label, b, e.pos)
+			}
+			ranks[e.pos] = true
+			if cpl := ids.CommonPrefixLen(tb.self, tb.peers.Value(e.h).Key()); cpl != b {
+				t.Fatalf("%s: contact with cpl %d stored in bucket %d", label, cpl, b)
+			}
+		}
+		if !tb.split(b) {
+			continue
+		}
+		end := tb.ends[b<<tb.s:][:1<<tb.s]
+		lo := 0
+		for p := range end {
+			if int(end[p]) < lo {
+				t.Fatalf("%s: bucket %d sub-band %d ends at %d, before its start %d", label, b, p, end[p], lo)
+			}
+			for _, e := range c[lo:end[p]] {
+				key, got := tb.peers.Value(e.h).Key(), 0
+				for j := 1; j <= int(tb.s); j++ {
+					got = got<<1 | key.Bit(b+j)
+				}
+				if got != p {
+					t.Fatalf("%s: bucket %d stores a sub-band %d contact in sub-band %d", label, b, got, p)
+				}
+			}
+			lo = int(end[p])
+		}
+		if lo != len(c) {
+			t.Fatalf("%s: bucket %d sub-bands end at %d, bucket holds %d", label, b, lo, len(c))
+		}
 	}
 }
 
@@ -380,7 +436,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 			k = 8 * K
 		}
 		self := ids.KeyFromUint64(rng.Uint64())
-		tb := New(self, k)
+		tb := New(self, k, newPeers())
 		offered := 30 + rng.Intn(1500)
 		for i := 0; i < offered; i++ {
 			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64()), LastSeen: int64(i)})
@@ -397,7 +453,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 				tb.Add(Contact{Peer: p, LastSeen: int64(offered + i)})
 			}
 		}
-		checkTrimmed(t, "table", tb)
+		checkLayout(t, "table", tb)
 		all := tb.AllPeers()
 		if len(all) != tb.Len() {
 			t.Fatalf("trial %d: AllPeers = %d, Len = %d", trial, len(all), tb.Len())
@@ -424,12 +480,14 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestBucketBandOrder pins the visit order AppendNearest relies on:
-// eachBand visits every stored bucket exactly once, and every contact of
-// a bucket visited later is farther from the target than every contact
-// of a bucket visited earlier. Peers near self populate the deep
-// buckets; targets include random keys, keys sharing a long prefix with
-// self (high cplT), and self.
+// TestBucketBandOrder pins the visit order AppendNearest relies on, on
+// node-sized (k = K) and Hydra-sized (k = 8·K) tables: eachBand visits
+// every stored bucket exactly once, eachSubBand visits every contact
+// exactly once, and in both every contact of a group visited later is
+// farther from the target than every contact of a group visited
+// earlier. Peers near self populate the deep buckets; targets include
+// random keys, keys sharing a long prefix with self (high cplT), and
+// self.
 func TestBucketBandOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
@@ -438,7 +496,7 @@ func TestBucketBandOrder(t *testing.T) {
 		if trial%2 == 1 {
 			k = 8 * K
 		}
-		tb := New(self, k)
+		tb := New(self, k, newPeers())
 		for i := 0; i < 2000; i++ {
 			tb.Add(Contact{Peer: ids.PeerIDFromSeed(rng.Uint64())})
 		}
@@ -452,31 +510,61 @@ func TestBucketBandOrder(t *testing.T) {
 			self,
 		}
 		for ti, target := range targets {
+			label := fmt.Sprintf("trial %d k=%d target %d", trial, k, ti)
 			x := self.Xor(target)
 			visited := make([]bool, len(tb.buckets))
-			var farthest ids.Key // largest distance among the buckets visited so far
-			seen := false
+			var buckets [][]entry
 			tb.eachBand(&x, func(b int) bool {
 				if visited[b] {
-					t.Fatalf("trial %d target %d: bucket %d visited twice", trial, ti, b)
+					t.Fatalf("%s: bucket %d visited twice", label, b)
 				}
 				visited[b] = true
-				for _, c := range tb.buckets[b] {
-					if seen && c.Peer.Key().Xor(target).Cmp(farthest) <= 0 {
-						t.Fatalf("trial %d target %d: bucket %d holds a contact closer than one of an earlier bucket", trial, ti, b)
-					}
-				}
-				for _, c := range tb.buckets[b] {
-					if d := c.Peer.Key().Xor(target); !seen || d.Cmp(farthest) > 0 {
-						farthest, seen = d, true
-					}
-				}
+				buckets = append(buckets, tb.buckets[b])
 				return true
 			})
 			for b, ok := range visited {
 				if !ok {
-					t.Fatalf("trial %d target %d: bucket %d never visited", trial, ti, b)
+					t.Fatalf("%s: bucket %d never visited", label, b)
 				}
+			}
+			checkGroupOrder(t, label+" buckets", tb, buckets, target)
+
+			var bands [][]entry
+			tb.eachSubBand(&target, func(c []entry) bool {
+				bands = append(bands, c)
+				return true
+			})
+			checkGroupOrder(t, label+" sub-bands", tb, bands, target)
+			n := 0
+			for _, c := range bands {
+				n += len(c)
+			}
+			if n != tb.Len() {
+				t.Fatalf("%s: sub-bands hold %d contacts, table %d", label, n, tb.Len())
+			}
+			if k > K && len(bands) <= len(buckets) {
+				t.Fatalf("%s: %d sub-bands over %d buckets: no bucket was split", label, len(bands), len(buckets))
+			}
+		}
+	}
+}
+
+// checkGroupOrder asserts that groups of contacts, in visit order, lie
+// in increasing disjoint intervals of distance to target: every contact
+// of a later group is farther than every contact of an earlier one.
+func checkGroupOrder(t *testing.T, label string, tb *Table, groups [][]entry, target ids.Key) {
+	t.Helper()
+	var farthest ids.Key // largest distance among the groups visited so far
+	seen := false
+	for gi, g := range groups {
+		for _, e := range g {
+			if seen && tb.peers.Value(e.h).Key().Xor(target).Cmp(farthest) <= 0 {
+				t.Fatalf("%s: group %d holds a contact closer than one of an earlier group", label, gi)
+			}
+		}
+		for _, e := range g {
+			if d := tb.peers.Value(e.h).Key().Xor(target); !seen || d.Cmp(farthest) > 0 {
+				farthest, seen = d, true
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func New(id ids.PeerID, net *netsim.Network, cfg Config) *Node {
 	return &Node{
 		id:        id,
 		net:       net,
-		rt:        kademlia.New(id.Key(), kademlia.K),
+		rt:        kademlia.New(id.Key(), kademlia.K, net.Intern.Peers),
 		walker:    dht.NewWalker(net, id),
 		cfg:       cfg,
 		providers: NewProviderStore(ttl, net.Intern),

@@ -588,7 +588,7 @@ func (w *World) nearestServers(target ids.Key, n int) []ids.PeerID {
 	// Window of 8n around the insertion point covers the true n nearest
 	// under XOR with overwhelming probability for random keys; for exact
 	// behaviour at small scale select over everything when the ring is
-	// small. Selection (kademlia.SelectNearest) replaces the former
+	// small. Selection (kademlia.AppendSelectNearest) replaces the former
 	// window sort: same result, no O(w log w) comparator churn.
 	if len(w.ring) <= 8*n {
 		return kademlia.AppendSelectNearest(nil, w.ring, target, n)
