@@ -26,11 +26,10 @@
 // bounded by distinct identifiers rather than traffic volume. On top of
 // that, identifiers themselves are interned into dense uint32 handles
 // (internal/intern: PeerH/CIDH/AddrH, deterministic append-only tables
-// whose digest is pinned across worker counts),
-// and the hot stores are columnar — flat handle-indexed ledgers with
-// day-bucketed expiry instead of identifier-keyed maps — which makes
-// the scale.* scenario family (-preset scale.2x/4x/10x/25x,
-// Config.Scaled cloning hooks) routine under bounded RSS. Raw event
+// whose digest is pinned across worker counts), and the hot stores are
+// keyed by those handles instead of by identifiers — which makes the
+// scale.* scenario family (-preset scale.2x/4x/10x/25x, Config.Scaled
+// cloning hooks) routine under bounded RSS. Raw event
 // logs are kept only in worlds built with scenario.Config.RetainTrace,
 // a test switch; streaming and batch results are pinned equal by the
 // sink-vs-log equivalence property in internal/simtest/invariants.

@@ -59,7 +59,9 @@ func Analyze(s *crawler.Series) []PeerStats {
 	accs := make(map[ids.PeerID]*acc)
 	var order []ids.PeerID
 	for idx, snap := range s.Snapshots {
-		for _, p := range snap.Order {
+		for i := range snap.Peers {
+			o := &snap.Peers[i]
+			p := o.Peer
 			a := accs[p]
 			if a == nil {
 				a = &acc{
@@ -81,7 +83,7 @@ func Analyze(s *crawler.Series) []PeerStats {
 				a.stats.LongestSession = a.run
 			}
 			a.lastIdx = idx
-			for _, ip := range snap.Peers[p].IPs() {
+			for _, ip := range o.IPs() {
 				a.ips[ip] = true
 			}
 		}

@@ -616,9 +616,10 @@ func (o *Observatory) SectionChurn() ChurnResult {
 	cloudOf := make(map[ids.PeerID]string)
 	cloudAttr := o.World.CloudAttr()
 	for _, snap := range o.Crawls.Snapshots {
-		for p, obs := range snap.Peers {
+		for i := range snap.Peers {
+			obs := &snap.Peers[i]
 			for _, ip := range obs.IPs() {
-				cloudOf[p] = cloudAttr(ip)
+				cloudOf[obs.Peer] = cloudAttr(ip)
 			}
 		}
 	}

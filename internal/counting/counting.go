@@ -69,10 +69,10 @@ func New(rows []Row) *Dataset {
 func FromSeries(s *crawler.Series) *Dataset {
 	var rows []Row
 	for _, snap := range s.Snapshots {
-		for _, p := range snap.Order {
-			o := snap.Peers[p]
+		for i := range snap.Peers {
+			o := &snap.Peers[i]
 			for _, ip := range o.IPs() {
-				rows = append(rows, Row{Crawl: snap.ID, Peer: p, IP: ip})
+				rows = append(rows, Row{Crawl: snap.ID, Peer: o.Peer, IP: ip})
 			}
 		}
 	}

@@ -67,9 +67,9 @@ type Observation struct {
 	DialError string
 	// Contacts is the peer's enumerated outgoing DHT connections (only
 	// for crawlable peers), as dense handles into the network's intern
-	// tables — Snapshot.Intern (or Snapshot.Contact) resolves them back
-	// to peer IDs. Retained crawl series dominate peak memory at scale,
-	// and a handle is 4 bytes where the ID was 32.
+	// tables — Snapshot.Intern resolves them back to peer IDs. Retained
+	// crawl series dominate peak memory at scale, and a handle is 4
+	// bytes where the ID was 32.
 	Contacts []intern.PeerH
 	// SweepRPCs counts FindNode RPCs spent on this peer.
 	SweepRPCs int
@@ -99,10 +99,9 @@ type Snapshot struct {
 	// resolves Observation.Contacts handles. Shared (read-only) with
 	// every other snapshot of the same world.
 	Intern *intern.Tables
-	// Peers maps every discovered peer to its observation.
-	Peers map[ids.PeerID]*Observation
-	// Order preserves discovery order for deterministic iteration.
-	Order []ids.PeerID
+	// Peers holds one observation per discovered peer, in discovery
+	// order.
+	Peers []Observation
 	// RPCs is the total FindNode count spent.
 	RPCs int
 	// ModeledDurationSec estimates the wall-clock duration of this crawl
@@ -124,8 +123,8 @@ func (s *Snapshot) Discovered() int { return len(s.Peers) }
 // Crawlable returns the number of peers that answered the sweep.
 func (s *Snapshot) Crawlable() int {
 	n := 0
-	for _, o := range s.Peers {
-		if o.Crawlable {
+	for i := range s.Peers {
+		if s.Peers[i].Crawlable {
 			n++
 		}
 	}
@@ -153,29 +152,30 @@ type sweepResult struct {
 // frontier order. Discovery order — and with it the entire snapshot —
 // is therefore a function of the graph alone, not of worker scheduling.
 func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
-	snap := &Snapshot{
-		ID:     cfg.ID,
-		Start:  net.Clock.Now(),
-		Intern: net.Intern,
-		Peers:  make(map[ids.PeerID]*Observation),
-	}
+	snap := &Snapshot{ID: cfg.ID, Start: net.Clock.Now(), Intern: net.Intern}
 
-	var queue []ids.PeerID
+	// index maps a discovered peer to its position in snap.Peers, and
+	// the queue holds positions. enqueue appends to snap.Peers, which
+	// may move the array: no *Observation is held across a call.
+	index := make(map[ids.PeerID]int32)
+	var queue []int32
 	enqueue := func(pi netsim.PeerInfo) {
 		if pi.ID.IsZero() || pi.ID == cfg.CrawlerID {
 			return
 		}
-		if o, ok := snap.Peers[pi.ID]; ok {
+		if i, ok := index[pi.ID]; ok {
 			// Merge newly learned addresses.
+			o := &snap.Peers[i]
 			o.Addrs = mergeAddrs(o.Addrs, pi.Addrs)
 			return
 		}
 		// The registry's address snapshots are immutable with exact
 		// capacity (see netsim.Addrs), so the observation aliases them
 		// instead of copying; mergeAddrs appends reallocate.
-		snap.Peers[pi.ID] = &Observation{Peer: pi.ID, Addrs: pi.Addrs}
-		snap.Order = append(snap.Order, pi.ID)
-		queue = append(queue, pi.ID)
+		i := int32(len(snap.Peers))
+		index[pi.ID] = i
+		snap.Peers = append(snap.Peers, Observation{Peer: pi.ID, Addrs: pi.Addrs})
+		queue = append(queue, i)
 	}
 	for _, s := range seeds {
 		enqueue(s)
@@ -187,12 +187,12 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 		queue = nil
 		results := make([]sweepResult, len(frontier))
 		net.Fanout(cfg.Parallel, len(frontier), func(i int, env *netsim.Effects) {
-			results[i] = sweep(net, env, cfg.CrawlerID, frontier[i])
+			results[i] = sweep(net, env, cfg.CrawlerID, snap.Peers[frontier[i]].Peer)
 		})
 
-		for i, p := range frontier {
+		for i, pos := range frontier {
 			r := results[i]
-			o := snap.Peers[p]
+			o := &snap.Peers[pos]
 			o.SweepRPCs = r.rpcs
 			snap.RPCs += r.rpcs
 			snap.LinkLatencyUS += r.elapsedUS
@@ -357,8 +357,8 @@ func (s *Series) MeanCrawlable() float64 {
 func (s *Series) UniquePeers() int {
 	set := make(map[ids.PeerID]bool)
 	for _, sn := range s.Snapshots {
-		for p := range sn.Peers {
-			set[p] = true
+		for i := range sn.Peers {
+			set[sn.Peers[i].Peer] = true
 		}
 	}
 	return len(set)
@@ -369,8 +369,8 @@ func (s *Series) UniquePeers() int {
 func (s *Series) UniqueIPs() int {
 	set := make(map[netip.Addr]bool)
 	for _, sn := range s.Snapshots {
-		for _, o := range sn.Peers {
-			for _, ip := range o.IPs() {
+		for i := range sn.Peers {
+			for _, ip := range sn.Peers[i].IPs() {
 				set[ip] = true
 			}
 		}
@@ -383,11 +383,12 @@ func (s *Series) UniqueIPs() int {
 func (s *Series) MeanIPsPerPeer() float64 {
 	perPeer := make(map[ids.PeerID]map[netip.Addr]bool)
 	for _, sn := range s.Snapshots {
-		for p, o := range sn.Peers {
-			m := perPeer[p]
+		for i := range sn.Peers {
+			o := &sn.Peers[i]
+			m := perPeer[o.Peer]
 			if m == nil {
 				m = make(map[netip.Addr]bool)
-				perPeer[p] = m
+				perPeer[o.Peer] = m
 			}
 			for _, ip := range o.IPs() {
 				m[ip] = true

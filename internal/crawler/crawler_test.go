@@ -9,6 +9,16 @@ import (
 
 func crawlerID() ids.PeerID { return ids.PeerIDFromSeed(1 << 60) }
 
+// observation returns the snapshot's observation of p, or nil.
+func observation(s *Snapshot, p ids.PeerID) *Observation {
+	for i := range s.Peers {
+		if s.Peers[i].Peer == p {
+			return &s.Peers[i]
+		}
+	}
+	return nil
+}
+
 func TestCrawlDiscoversWholeNetwork(t *testing.T) {
 	net := simtest.BuildServers(300)
 	snap := Crawl(net.Network, Config{ID: 1, CrawlerID: crawlerID()}, net.Seeds(2))
@@ -29,7 +39,7 @@ func TestCrawlEnumeratesFullBuckets(t *testing.T) {
 	// For every crawlable peer, the sweep must have enumerated its entire
 	// routing table: contacts == table contents.
 	for _, nd := range net.Nodes {
-		o := snap.Peers[nd.ID()]
+		o := observation(snap, nd.ID())
 		if o == nil || !o.Crawlable {
 			t.Fatalf("peer %s not crawled", nd.ID().Short())
 		}
@@ -64,7 +74,7 @@ func TestCrawlWithChurn(t *testing.T) {
 		t.Fatalf("crawlable %d, want 150", got)
 	}
 	for i := 0; i < 50; i++ {
-		o := snap.Peers[net.Nodes[i].ID()]
+		o := observation(snap, net.Nodes[i].ID())
 		if o == nil {
 			t.Fatalf("offline peer %d not discovered via buckets", i)
 		}
@@ -158,11 +168,11 @@ func TestCrawlDeterminism(t *testing.T) {
 		t.Fatalf("crawls differ: %d/%d peers, %d/%d RPCs",
 			a.Discovered(), b.Discovered(), a.RPCs, b.RPCs)
 	}
-	if len(a.Order) != len(b.Order) {
+	if len(a.Peers) != len(b.Peers) {
 		t.Fatal("discovery order length differs")
 	}
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] {
+	for i := range a.Peers {
+		if a.Peers[i].Peer != b.Peers[i].Peer {
 			t.Fatalf("discovery order differs at %d", i)
 		}
 	}

@@ -29,8 +29,8 @@ type ParsedRow struct {
 	Table      *report.Table
 }
 
-// jsonlLine mirrors the anonymous struct RenderJSONL marshals; keeping
-// the two in field-order lockstep is what makes the round trip exact.
+// jsonlLine is one line of the JSONL stream: RenderJSONL marshals it
+// and ParseJSONL decodes it, so the two cannot drift apart.
 type jsonlLine struct {
 	Experiment string   `json:"experiment"`
 	Section    string   `json:"section"`

@@ -61,6 +61,25 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRenderJSONLLine pins the bytes of one line: one table is one
+// single-line object with the table's fields in a fixed order, and an
+// empty table renders an empty rows array, not null.
+func TestRenderJSONLLine(t *testing.T) {
+	tbl := &report.Table{Title: "J", Columns: []string{"a", "b"}}
+	tbl.AddRow("x", 1)
+	empty := &report.Table{Title: "E", Columns: []string{"a"}}
+	var buf bytes.Buffer
+	err := RenderJSONL(&buf, []Result{{Experiment: Experiment{Name: "j", Section: "§1"}, Tables: []*report.Table{tbl, empty}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"experiment":"j","section":"§1","table":{"title":"J","columns":["a","b"],"rows":[["x","1"]]}}` + "\n" +
+		`{"experiment":"j","section":"§1","table":{"title":"E","columns":["a"],"rows":[]}}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("RenderJSONL =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestParseJSONLRejections pins the strict-decode surface: truncated
 // JSON, unknown fields and tag-less lines are errors naming the line.
 func TestParseJSONLRejections(t *testing.T) {

@@ -114,13 +114,13 @@ func RenderText(w io.Writer, results []Result) error {
 func RenderJSONL(w io.Writer, results []Result) error {
 	for _, r := range results {
 		for _, t := range r.Tables {
-			line, err := json.Marshal(struct {
-				Experiment string          `json:"experiment"`
-				Section    string          `json:"section"`
-				WhatIf     []string        `json:"whatif,omitempty"`
-				Timeline   string          `json:"timeline,omitempty"`
-				Table      json.RawMessage `json:"table"`
-			}{r.Experiment.Name, r.Experiment.Section, r.WhatIf, r.Timeline, json.RawMessage(t.JSON())})
+			l := jsonlLine{Experiment: r.Experiment.Name, Section: r.Experiment.Section,
+				WhatIf: r.WhatIf, Timeline: r.Timeline}
+			l.Table.Title, l.Table.Columns, l.Table.Rows = t.Title, t.Columns, t.Rows
+			if l.Table.Rows == nil {
+				l.Table.Rows = [][]string{} // an empty table renders "rows":[]
+			}
+			line, err := json.Marshal(l)
 			if err != nil {
 				return err
 			}

@@ -7,8 +7,10 @@ func (g *Graph) Peer(i int) ids.PeerID { return g.peers[i] }
 
 // Index returns the node index for a peer ID (-1 if absent).
 func (g *Graph) Index(p ids.PeerID) int {
-	if i, ok := g.index[p]; ok {
-		return i
+	for i, q := range g.peers {
+		if q == p {
+			return i
+		}
 	}
 	return -1
 }

@@ -18,11 +18,11 @@ import (
 	"tcsb/internal/intern"
 )
 
-// Graph is a DHT topology snapshot. Node indices are dense ints; the
-// peers slice maps them back to peer IDs.
+// Graph is a DHT topology snapshot. Node i is the snapshot's i-th
+// observation (discovery order); the peers slice maps indices back to
+// peer IDs.
 type Graph struct {
 	peers     []ids.PeerID
-	index     map[ids.PeerID]int
 	out       [][]int32
 	inDeg     []int
 	crawlable []bool
@@ -30,25 +30,25 @@ type Graph struct {
 
 // FromSnapshot builds the directed topology graph of one crawl.
 func FromSnapshot(s *crawler.Snapshot) *Graph {
-	g := &Graph{index: make(map[ids.PeerID]int, len(s.Peers))}
+	n := len(s.Peers)
+	g := &Graph{
+		peers:     make([]ids.PeerID, n),
+		out:       make([][]int32, n),
+		inDeg:     make([]int, n),
+		crawlable: make([]bool, n),
+	}
 	// Contacts are intern handles; hIndex maps them straight to node
 	// indices so edge resolution never touches the 32-byte IDs.
-	hIndex := make(map[intern.PeerH]int32, len(s.Peers))
-	for _, p := range s.Order {
-		i := len(g.peers)
-		g.index[p] = i
+	hIndex := make(map[intern.PeerH]int32, n)
+	for i := range s.Peers {
+		p := s.Peers[i].Peer
+		g.peers[i] = p
 		if h, ok := s.Intern.Peers.Lookup(p); ok {
 			hIndex[h] = int32(i)
 		}
-		g.peers = append(g.peers, p)
 	}
-	n := len(g.peers)
-	g.out = make([][]int32, n)
-	g.inDeg = make([]int, n)
-	g.crawlable = make([]bool, n)
-	for _, p := range s.Order {
-		o := s.Peers[p]
-		i := g.index[p]
+	for i := range s.Peers {
+		o := &s.Peers[i]
 		g.crawlable[i] = o.Crawlable
 		if !o.Crawlable {
 			continue

@@ -17,16 +17,17 @@ func (s *ProviderStore) CIDs() int { return len(s.byCID) }
 // Len returns the number of live records at time now.
 func (s *ProviderStore) Len(now netsim.Time) int {
 	total := 0
-	for i := range s.arena {
-		r := &s.arena[i]
-		if r.alive && now-r.received < s.ttl {
-			total++
+	for _, recs := range s.byCID {
+		for _, r := range recs {
+			if now-r.received < s.ttl {
+				total++
+			}
 		}
 	}
 	return total
 }
 
-// ExpireTouched returns how many bucket entries Expire has visited over
-// the store's lifetime — the cost metric the O(expired) regression test
+// ExpireTouched returns how many records Expire has visited over the
+// store's lifetime — the cost metric the sweep-cost regression test
 // pins (wall time would be flaky; visited records are exact).
 func (s *ProviderStore) ExpireTouched() int64 { return s.touched }

@@ -1,46 +1,35 @@
 package node
 
 import (
-	"sort"
-
 	"tcsb/internal/ids"
 	"tcsb/internal/intern"
 	"tcsb/internal/maddr"
 	"tcsb/internal/netsim"
 )
 
-// secondsPerDay buckets record expiry instants for incremental pruning.
-const secondsPerDay = 24 * 3600
-
 // ProviderStore holds provider records with TTL expiry, as every DHT
 // server does for the CIDs it is a resolver for. Records are keyed by
 // (CID, provider): a re-advertisement refreshes the existing record.
 //
-// Storage is columnar: records live in a flat arena keyed by dense
-// intern handles (4-byte CIDH/PeerH instead of 32-byte identifiers,
-// with a free list for reuse), per-CID slot lists replace the nested
-// map-of-maps, and expiry instants are bucketed by day so Expire visits
-// only the records whose expiry day has arrived — O(expired), not a
-// full-ledger sweep. Provider stores hold the second-largest retained
-// population at scale, so the per-record footprint matters.
+// Storage is one record list per CID, keyed by the CID's dense intern
+// handle; a record names its provider by a 4-byte PeerH instead of the
+// 32-byte identifier. Provider stores hold the second-largest retained
+// population at scale, so the per-record footprint matters. Expire
+// sweeps every record: the scenario sweeps once a day and the TTL is at
+// most 36 h, so a put is followed by at most three sweeps (two under
+// the 24 h Hydra TTL) before its record is refreshed or pruned, and the
+// sweeps cost a small multiple of the put volume, never population ×
+// days.
 //
 // Concurrency: Put and Expire are serial (driver or lane-merge calls;
-// Put may intern). Get/AppendGet/Len/CountFrom are pure reads — they
-// never intern and never mutate, so concurrent walk lanes can read
-// while the store is quiescent.
+// Put may intern). Get/AppendGet/CountFrom are pure reads — they never
+// intern and never mutate, so concurrent walk lanes can read while the
+// store is quiescent.
 type ProviderStore struct {
 	ttl netsim.Time
 	tab *intern.Tables
 
-	arena []provRec
-	free  []int32
-	// byCID holds the alive arena slots per CID handle.
-	byCID map[intern.CIDH][]int32
-	// buckets maps an expiry day to the slots whose records, unless
-	// refreshed since, expire on that day. Refreshes re-append under
-	// the new day and leave the old entry stale (detected by comparing
-	// the record's current expiry day at visit time).
-	buckets map[int32][]int32
+	byCID map[intern.CIDH][]provRec
 
 	// Conservation bookkeeping: created counts distinct (CID, provider)
 	// records ever stored (refreshes excluded), pruned counts records
@@ -48,19 +37,16 @@ type ProviderStore struct {
 	// — the invariant the property suite checks on every world.
 	created int64
 	pruned  int64
-	// touched counts bucket entries visited by Expire — the regression
-	// suite pins it to stay proportional to expiries+refreshes, never
-	// to the live population.
+	// touched counts records visited by Expire; the regression suite
+	// pins it to stay proportional to the put volume.
 	touched int64
 }
 
-// provRec is one columnar record: 4-byte handles for the identifiers,
-// plus the received time and the provider's advertised addresses (an
-// aliased immutable registry snapshot, per the netsim.Addrs contract).
+// provRec is one stored record: the provider's handle, the received
+// time and the provider's advertised addresses (an aliased immutable
+// registry snapshot, per the netsim.Addrs contract).
 type provRec struct {
-	cid      intern.CIDH
 	prov     intern.PeerH
-	alive    bool
 	received netsim.Time
 	addrs    []maddr.Addr
 }
@@ -84,49 +70,22 @@ func NewProviderStore(ttl netsim.Time, tab *intern.Tables) *ProviderStore {
 	if ttl <= 0 {
 		panic("node: provider TTL must be positive")
 	}
-	return &ProviderStore{
-		ttl:     ttl,
-		tab:     tab,
-		byCID:   make(map[intern.CIDH][]int32),
-		buckets: make(map[int32][]int32),
-	}
-}
-
-// expDay returns the day bucket the record's expiry instant falls in.
-func (s *ProviderStore) expDay(received netsim.Time) int32 {
-	return int32((received + s.ttl) / secondsPerDay)
+	return &ProviderStore{ttl: ttl, tab: tab, byCID: make(map[intern.CIDH][]provRec)}
 }
 
 // Put stores or refreshes a record. Serial-only (interns).
 func (s *ProviderStore) Put(c ids.CID, rec netsim.ProviderRecord) {
 	ch := s.tab.CID(c)
 	ph := s.tab.Peer(rec.Provider.ID)
-	slots := s.byCID[ch]
-	for _, sl := range slots {
-		r := &s.arena[sl]
-		if r.prov == ph {
-			// Refresh in place; the stale bucket entry is skipped at
-			// visit time because the expiry day moved.
-			r.received = rec.Received
-			r.addrs = rec.Provider.Addrs
-			d := s.expDay(rec.Received)
-			s.buckets[d] = append(s.buckets[d], sl)
+	recs := s.byCID[ch]
+	for i := range recs {
+		if recs[i].prov == ph {
+			recs[i].received = rec.Received
+			recs[i].addrs = rec.Provider.Addrs
 			return
 		}
 	}
-	nr := provRec{cid: ch, prov: ph, alive: true, received: rec.Received, addrs: rec.Provider.Addrs}
-	var sl int32
-	if n := len(s.free); n > 0 {
-		sl = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.arena[sl] = nr
-	} else {
-		sl = int32(len(s.arena))
-		s.arena = append(s.arena, nr)
-	}
-	s.byCID[ch] = append(slots, sl)
-	d := s.expDay(rec.Received)
-	s.buckets[d] = append(s.buckets[d], sl)
+	s.byCID[ch] = append(recs, provRec{prov: ph, received: rec.Received, addrs: rec.Provider.Addrs})
 	s.created++
 }
 
@@ -151,13 +110,10 @@ func (s *ProviderStore) AppendGet(dst []netsim.ProviderRecord, c ids.CID, now ne
 	if !ok {
 		return dst
 	}
-	slots := s.byCID[ch]
-	if len(slots) == 0 {
-		return dst
-	}
 	start := len(dst)
-	for _, sl := range slots {
-		r := &s.arena[sl]
+	recs := s.byCID[ch]
+	for i := range recs {
+		r := &recs[i]
 		if now-r.received >= s.ttl {
 			continue
 		}
@@ -176,62 +132,26 @@ func (s *ProviderStore) AppendGet(dst []netsim.ProviderRecord, c ids.CID, now ne
 	return dst
 }
 
-// Expire prunes every expired record by visiting only the day buckets
-// whose day has arrived: entries refreshed since insertion are detected
-// by their moved expiry day and skipped; same-day entries not yet past
-// their expiry instant are retained for a later call. Serial-only.
+// Expire prunes every expired record. Serial-only.
 func (s *ProviderStore) Expire(now netsim.Time) {
-	nowDay := int32(now / secondsPerDay)
-	var days []int32
-	for d := range s.buckets {
-		if d <= nowDay {
-			days = append(days, d)
-		}
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	for _, d := range days {
-		entries := s.buckets[d]
-		keep := entries[:0]
-		for _, sl := range entries {
-			s.touched++
-			r := &s.arena[sl]
-			if !r.alive || s.expDay(r.received) != d {
-				continue // freed or refreshed: a live entry exists elsewhere
-			}
-			if now-r.received >= s.ttl {
-				s.remove(sl, r)
-				s.pruned++
-			} else {
-				// Only reachable for d == nowDay: expiry later today.
-				keep = append(keep, sl)
+	for ch, recs := range s.byCID {
+		s.touched += int64(len(recs))
+		keep := recs[:0]
+		for _, r := range recs {
+			if now-r.received < s.ttl {
+				keep = append(keep, r)
 			}
 		}
-		if len(keep) == 0 {
-			delete(s.buckets, d)
-		} else {
-			s.buckets[d] = keep
+		s.pruned += int64(len(recs) - len(keep))
+		switch {
+		case len(keep) == 0:
+			delete(s.byCID, ch)
+		case len(keep) < len(recs):
+			// Zero the dropped tail so its address slices can be collected.
+			clear(recs[len(keep):])
+			s.byCID[ch] = keep
 		}
 	}
-}
-
-// remove frees an arena slot and unlinks it from its per-CID list.
-func (s *ProviderStore) remove(sl int32, r *provRec) {
-	r.alive = false
-	r.addrs = nil
-	slots := s.byCID[r.cid]
-	for i, v := range slots {
-		if v == sl {
-			slots[i] = slots[len(slots)-1]
-			slots = slots[:len(slots)-1]
-			break
-		}
-	}
-	if len(slots) == 0 {
-		delete(s.byCID, r.cid)
-	} else {
-		s.byCID[r.cid] = slots
-	}
-	s.free = append(s.free, sl)
 }
 
 // CountFrom counts the unexpired records at time now whose provider is
@@ -242,10 +162,11 @@ func (s *ProviderStore) CountFrom(p ids.PeerID, now netsim.Time) int {
 		return 0
 	}
 	total := 0
-	for i := range s.arena {
-		r := &s.arena[i]
-		if r.alive && r.prov == ph && now-r.received < s.ttl {
-			total++
+	for _, recs := range s.byCID {
+		for i := range recs {
+			if recs[i].prov == ph && now-recs[i].received < s.ttl {
+				total++
+			}
 		}
 	}
 	return total

@@ -1,10 +1,10 @@
-// Package report renders experiment results as aligned text tables and
-// JSON lines — the output formats of cmd/tcsb-experiments and the source
-// of the numbers recorded in EXPERIMENTS.md.
+// Package report holds experiment results as titled tables and renders
+// them as aligned text, the text output of cmd/tcsb-experiments
+// (experiments.RenderJSONL writes the same tables as JSON lines, the
+// source of the numbers recorded in EXPERIMENTS.md).
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -76,27 +76,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return sb.String()
-}
-
-// JSON renders the table as a single-line JSON object — the unit of the
-// JSONL stream emitted by `tcsb-experiments -json` and consumed when
-// regenerating EXPERIMENTS.md. Field order is fixed by the struct, so
-// equal tables render to byte-identical lines.
-func (t *Table) JSON() string {
-	obj := struct {
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}{Title: t.Title, Columns: t.Columns, Rows: t.Rows}
-	if obj.Rows == nil {
-		obj.Rows = [][]string{}
-	}
-	b, err := json.Marshal(obj)
-	if err != nil {
-		// Tables hold only strings; marshalling cannot fail.
-		panic(err)
-	}
-	return string(b)
 }
 
 // Pct formats a fraction as a percentage with one decimal.

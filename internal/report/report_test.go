@@ -39,23 +39,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestJSON(t *testing.T) {
-	tbl := &Table{Title: "J", Columns: []string{"a", "b"}}
-	tbl.AddRow("x", 1)
-	got := tbl.JSON()
-	want := `{"title":"J","columns":["a","b"],"rows":[["x","1"]]}`
-	if got != want {
-		t.Fatalf("JSON = %q, want %q", got, want)
-	}
-	if strings.Contains(got, "\n") {
-		t.Fatal("JSON must be a single line")
-	}
-	empty := &Table{Title: "E", Columns: []string{"a"}}
-	if !strings.Contains(empty.JSON(), `"rows":[]`) {
-		t.Fatalf("empty table JSON = %q, want empty rows array", empty.JSON())
-	}
-}
-
 func TestPct(t *testing.T) {
 	if Pct(0.5) != "50.0%" || Pct(0) != "0.0%" || Pct(1) != "100.0%" {
 		t.Fatal("Pct formatting wrong")

@@ -137,8 +137,8 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 	// crawl-identity-purity: fresh crawl, census the discovered set.
 	snap := w.Crawl(attackProbeCrawlID)
 	adversarial := 0
-	for p := range snap.Peers {
-		if w.IsAttacker(p) || p == spammer {
+	for _, o := range snap.Peers {
+		if w.IsAttacker(o.Peer) || o.Peer == spammer {
 			adversarial++
 		}
 	}

@@ -140,17 +140,22 @@ func CheckObservatory(o *core.Observatory) []Violation {
 	checkMix("bitswap monitor stats", o.MonitorStats())
 
 	// crawl-containment: a crawl can never crawl more peers than it
-	// discovered, and every crawlable peer answered from >= 1 address.
+	// discovered, no peer is observed twice in one crawl, and every
+	// crawlable peer answered from >= 1 address.
 	for _, snap := range o.Crawls.Snapshots {
 		if snap.Crawlable() > snap.Discovered() {
 			vs.addf("crawl-containment", "crawl %d: crawlable %d > discovered %d",
 				snap.ID, snap.Crawlable(), snap.Discovered())
 		}
-		for p, obs := range snap.Peers {
-			if obs.Peer != p {
-				vs.addf("crawl-containment", "crawl %d: observation keyed %s holds %s",
-					snap.ID, p.Short(), obs.Peer.Short())
+		seen := make(map[ids.PeerID]bool, len(snap.Peers))
+		for i := range snap.Peers {
+			obs := &snap.Peers[i]
+			p := obs.Peer
+			if seen[p] {
+				vs.addf("crawl-containment", "crawl %d: peer %s observed twice",
+					snap.ID, p.Short())
 			}
+			seen[p] = true
 			// per-peer-ips: a peer that answered the sweep was dialled,
 			// so it must resolve to at least one IP. (Uncrawlable bucket
 			// ghosts may legitimately have none.)
