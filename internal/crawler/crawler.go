@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"tcsb/internal/ids"
-	"tcsb/internal/intern"
 	"tcsb/internal/maddr"
 	"tcsb/internal/netsim"
 )
@@ -66,11 +65,11 @@ type Observation struct {
 	// DialError, when not crawlable, records why ("offline", …).
 	DialError string
 	// Contacts is the peer's enumerated outgoing DHT connections (only
-	// for crawlable peers), as dense handles into the network's intern
-	// tables — Snapshot.Intern resolves them back to peer IDs. Retained
-	// crawl series dominate peak memory at scale, and a handle is 4
-	// bytes where the ID was 32.
-	Contacts []intern.PeerH
+	// for crawlable peers), as positions in Snapshot.Peers: every contact
+	// is discovered, so Peers[c].Peer is its ID. Retained crawl series
+	// dominate peak memory at scale, and a position is 4 bytes where the
+	// ID was 32.
+	Contacts []int32
 	// SweepRPCs counts FindNode RPCs spent on this peer.
 	SweepRPCs int
 }
@@ -95,10 +94,6 @@ func (o *Observation) IPs() []netip.Addr {
 type Snapshot struct {
 	ID    int
 	Start netsim.Time
-	// Intern is the handle table bundle of the crawled network; it
-	// resolves Observation.Contacts handles. Shared (read-only) with
-	// every other snapshot of the same world.
-	Intern *intern.Tables
 	// Peers holds one observation per discovered peer, in discovery
 	// order.
 	Peers []Observation
@@ -152,22 +147,20 @@ type sweepResult struct {
 // frontier order. Discovery order — and with it the entire snapshot —
 // is therefore a function of the graph alone, not of worker scheduling.
 func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
-	snap := &Snapshot{ID: cfg.ID, Start: net.Clock.Now(), Intern: net.Intern}
+	snap := &Snapshot{ID: cfg.ID, Start: net.Clock.Now()}
 
 	// index maps a discovered peer to its position in snap.Peers, and
-	// the queue holds positions. enqueue appends to snap.Peers, which
-	// may move the array: no *Observation is held across a call.
+	// the queue holds positions. enqueue returns the peer's position; it
+	// appends to snap.Peers, which may move the array: no *Observation
+	// is held across a call.
 	index := make(map[ids.PeerID]int32)
 	var queue []int32
-	enqueue := func(pi netsim.PeerInfo) {
-		if pi.ID.IsZero() || pi.ID == cfg.CrawlerID {
-			return
-		}
+	enqueue := func(pi netsim.PeerInfo) int32 {
 		if i, ok := index[pi.ID]; ok {
 			// Merge newly learned addresses.
 			o := &snap.Peers[i]
 			o.Addrs = mergeAddrs(o.Addrs, pi.Addrs)
-			return
+			return i
 		}
 		// The registry's address snapshots are immutable with exact
 		// capacity (see netsim.Addrs), so the observation aliases them
@@ -176,9 +169,12 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 		index[pi.ID] = i
 		snap.Peers = append(snap.Peers, Observation{Peer: pi.ID, Addrs: pi.Addrs})
 		queue = append(queue, i)
+		return i
 	}
 	for _, s := range seeds {
-		enqueue(s)
+		if !s.ID.IsZero() && s.ID != cfg.CrawlerID {
+			enqueue(s)
+		}
 	}
 
 	unresponsive := 0
@@ -203,18 +199,11 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 				continue
 			}
 			o.Crawlable = true
-			// The wave merge runs on the driver goroutine, a serial
-			// point, so interning the enumerated contacts here is
-			// within the handle tables' write contract — and the
-			// contacts all came from routing tables of attached peers,
-			// so in practice they are already interned.
-			o.Contacts = make([]intern.PeerH, len(r.contacts))
+			contacts := make([]int32, len(r.contacts))
 			for j, id := range r.contacts {
-				o.Contacts[j] = net.Intern.Peer(id)
+				contacts[j] = enqueue(net.Info(id))
 			}
-			for _, id := range r.contacts {
-				enqueue(net.Info(id))
-			}
+			snap.Peers[pos].Contacts = contacts
 		}
 	}
 
@@ -250,7 +239,7 @@ func sweep(net *netsim.Network, env *netsim.Effects, crawlerID, p ids.PeerID) sw
 		}
 		newPeers := 0
 		for _, pi := range peers {
-			if pi == p || sc.seen[pi] {
+			if pi == p || pi == crawlerID || sc.seen[pi] {
 				continue
 			}
 			sc.seen[pi] = true

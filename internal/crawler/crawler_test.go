@@ -52,7 +52,7 @@ func TestCrawlEnumeratesFullBuckets(t *testing.T) {
 				nd.ID().Short(), len(o.Contacts), len(want))
 		}
 		for _, c := range o.Contacts {
-			if id := snap.Intern.Peers.Value(c); !want[id] {
+			if id := snap.Peers[c].Peer; !want[id] {
 				t.Fatalf("peer %s: contact %s not in table", nd.ID().Short(), id.Short())
 			}
 		}

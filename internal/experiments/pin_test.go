@@ -74,6 +74,8 @@ func TestOutputPinned(t *testing.T) {
 			"db1a7ddd183db740a78a2f858303656bf8df0d95fdbc6beb35eaeb6cf31dede6"},
 		{"timeline", core.RunRequest{Seed: 1, Scale: 0.1, Timeline: "epochs=4;days=1;@2:hydra-dissolution"},
 			"c792c47a59960a13f378074fef9848e6bc0fc1355d0b1817c1248458f716045f"},
+		{"drift", core.RunRequest{Seed: 1, Scale: 0.1, Timeline: "epochs=4;days=1;@1:arrive:choopa:40;@2:depart:hetzner_online;@3:churn:2"},
+			"0602deed456609820436cbaa2f9a6e11d92a6019dfbc971d4d2d5e1e7cb298e8"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 
 	"tcsb/internal/crawler"
 	"tcsb/internal/ids"
-	"tcsb/internal/intern"
 )
 
 // Graph is a DHT topology snapshot. Node i is the snapshot's i-th
@@ -37,32 +36,16 @@ func FromSnapshot(s *crawler.Snapshot) *Graph {
 		inDeg:     make([]int, n),
 		crawlable: make([]bool, n),
 	}
-	// Contacts are intern handles; hIndex maps them straight to node
-	// indices so edge resolution never touches the 32-byte IDs.
-	hIndex := make(map[intern.PeerH]int32, n)
-	for i := range s.Peers {
-		p := s.Peers[i].Peer
-		g.peers[i] = p
-		if h, ok := s.Intern.Peers.Lookup(p); ok {
-			hIndex[h] = int32(i)
-		}
-	}
+	// Contacts are snapshot positions, which are node indices, and
+	// never the peer itself: the out lists alias them (read-only).
 	for i := range s.Peers {
 		o := &s.Peers[i]
+		g.peers[i] = o.Peer
 		g.crawlable[i] = o.Crawlable
-		if !o.Crawlable {
-			continue
-		}
-		edges := make([]int32, 0, len(o.Contacts))
-		for _, c := range o.Contacts {
-			j, ok := hIndex[c]
-			if !ok || int(j) == i {
-				continue
-			}
-			edges = append(edges, j)
+		g.out[i] = o.Contacts
+		for _, j := range o.Contacts {
 			g.inDeg[j]++
 		}
-		g.out[i] = edges
 	}
 	return g
 }

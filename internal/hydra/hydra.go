@@ -39,6 +39,9 @@ const (
 	// expiry is what keeps production Hydras re-amplifying popular
 	// misses: the paper's DoS observation.
 	cacheTTL netsim.Time = 3600
+	// providerTTL is how long a regular provider record lives: kubo's
+	// historical 24h.
+	providerTTL netsim.Time = 24 * 3600
 )
 
 // Config controls the Hydra booster.
@@ -90,7 +93,7 @@ func New(net *netsim.Network, seed uint64, cfg Config) *Hydra {
 		net:       net,
 		pipe:      cfg.Pipe,
 		headSet:   make(map[ids.PeerID]bool),
-		store:     node.NewProviderStore(node.DefaultProviderTTL, net.Intern),
+		store:     node.NewProviderStore(providerTTL, net.Intern),
 		cache:     make(map[ids.CID]cacheEntry),
 		pendingIn: make(map[ids.CID]bool),
 	}

@@ -224,7 +224,7 @@ func TestHydraStoreBounded(t *testing.T) {
 		if got := h.ProviderStats(); got != live {
 			t.Fatalf("after the put: ledger %+v, want %+v", got, live)
 		}
-		net.Network.Clock.Advance(node.DefaultProviderTTL - 1)
+		net.Network.Clock.Advance(providerTTL - 1)
 		h.ExpireProviders()
 		if served(net, h, c) != 1 {
 			t.Fatal("record not served before its TTL")

@@ -12,9 +12,9 @@
 // the Nth distinct identifier interned receives handle N, forever. All
 // writes (Intern calls) happen at driver-serial points of the engine —
 // world construction, ID mints, netsim.Network.Attach/SetAddrs, effect
-// lane merges, crawl wave merges, trace.Accum.Observe, routing-table
-// adds (kademlia's Add and AddReplacingStale, replayed at lane merges
-// or called while building and refreshing the topology) — which the
+// lane merges, trace.Accum.Observe, routing-table adds (kademlia's Add
+// and AddReplacingStale, replayed at lane merges or called while
+// building and refreshing the topology) — which the
 // sharded campaign executes in a fixed order that does not depend on
 // the -workers value. Parallel phases only read (Lookup/Value/Values),
 // which is safe against a quiescent table. The result is that handle

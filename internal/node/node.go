@@ -16,9 +16,11 @@ import (
 	"tcsb/internal/netsim"
 )
 
-// DefaultProviderTTL is how long a node keeps a provider record before
-// treating it as expired (24h, matching kubo's historical default).
-const DefaultProviderTTL netsim.Time = 24 * 3600
+// ProviderTTL is how long a node keeps a provider record before
+// treating it as expired. Newer kubo releases extended the historical
+// 24h TTL; 36h also tolerates a missed daily reprovide by a churny
+// owner.
+const ProviderTTL netsim.Time = 36 * 3600
 
 // Config controls a node's behaviour.
 type Config struct {
@@ -26,8 +28,6 @@ type Config struct {
 	// records. Only publicly connectable nodes become servers (the
 	// software auto-detects this; the simulator's scenario sets it).
 	DHTServer bool
-	// ProviderTTL overrides DefaultProviderTTL when positive.
-	ProviderTTL netsim.Time
 }
 
 // Node is a simulated IPFS node. It implements netsim.Handler.
@@ -57,18 +57,13 @@ type Node struct {
 // network with the appropriate HostConfig (addresses, reachability,
 // relay).
 func New(id ids.PeerID, net *netsim.Network, cfg Config) *Node {
-	ttl := cfg.ProviderTTL
-	if ttl <= 0 {
-		ttl = DefaultProviderTTL
-	}
-	cfg.ProviderTTL = ttl
 	return &Node{
 		id:        id,
 		net:       net,
 		rt:        kademlia.New(id.Key(), kademlia.K, net.Intern.Peers),
 		walker:    dht.NewWalker(net, id),
 		cfg:       cfg,
-		providers: NewProviderStore(ttl, net.Intern),
+		providers: NewProviderStore(ProviderTTL, net.Intern),
 		blocks:    make(map[ids.CID]bool),
 	}
 }

@@ -160,13 +160,7 @@ func (w *World) PopulateENS(names int) []*ens.Resolver {
 		if owner == nil {
 			continue
 		}
-		c := w.nextCID()
-		owner.Node.AddBlock(c)
-		owner.Node.ProvideDirect(nil, c, w.resolversFor(c))
-		owner.Owned = append(owner.Owned, c)
-		w.catalog = append(w.catalog, catalogEntry{cid: c, owner: owner.ID, bornTick: w.tick, persistent: true})
-		w.live = append(w.live, len(w.catalog)-1)
-		pool = append(pool, c)
+		pool = append(pool, w.publish(owner, catalogEntry{bornTick: w.tick, persistent: true}, false))
 	}
 	for i := 0; i < names; i++ {
 		name := fmt.Sprintf("dapp%04d.eth", i)

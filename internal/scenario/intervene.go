@@ -75,16 +75,7 @@ func (w *World) ProviderArrival(provider string, n int) []ids.PeerID {
 	for _, id := range out {
 		a := w.Actors[id]
 		w.fillTableOf(a)
-		for j := 0; j < w.Cfg.BitswapDegree; j++ {
-			other := w.order[w.Rng.Intn(len(w.order))]
-			if other != id {
-				a.Node.ConnectBitswap(other)
-				w.Actors[other].Node.ConnectBitswap(id)
-			}
-		}
-		if w.Rng.Float64() < w.Cfg.MonitorCoverage {
-			a.Node.ConnectBitswap(w.Monitor.ID())
-		}
+		w.wireBitswapOf(a)
 	}
 	return out
 }

@@ -25,10 +25,12 @@ func (w *World) shardRNG(shard int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// shardView is one shard's slice of the population for a tick phase.
-// Membership is positional — actor i of w.order (and slot i of the
-// clients/servers role lists) belongs to shard i % Shards — which is
-// stable across churn because regeneration replaces identities in place.
+// shardView is one shard's slice of the population for a tick phase
+// (world construction draws its publishers from a view of the whole
+// population). Membership is positional — actor i of w.order (and slot
+// i of the clients/servers role lists) belongs to shard i % Shards —
+// which is stable across churn because regeneration replaces
+// identities in place.
 type shardView struct {
 	actors  []ids.PeerID
 	clients []ids.PeerID
@@ -209,10 +211,11 @@ func (w *World) planBirths(s int, rng *rand.Rand, view *shardView) []birthPlan {
 	return out
 }
 
-// planPublisher draws a content publisher from the shard's population:
+// planPublisher draws a content publisher from the view's population:
 // NAT clients, non-cloud servers and the general population in
 // paper-calibrated proportions (Fig. 14: NAT-ed 35.6%, cloud 45%,
-// non-cloud 18% of providers).
+// non-cloud 18% of providers). When 64 tries meet no online actor, it
+// falls back to 64 uniform draws over the view.
 func (w *World) planPublisher(rng *rand.Rand, view *shardView) *Actor {
 	if len(view.actors) == 0 {
 		return nil
@@ -244,28 +247,13 @@ func (w *World) planPublisher(rng *rand.Rand, view *shardView) *Actor {
 	return nil
 }
 
-// applyBirths publishes the planned content in shard order: catalogue
-// append, block storage and the advertisement walk or direct provide.
+// applyBirths publishes the planned content in shard order.
 func (w *World) applyBirths(plans [][]birthPlan) {
 	for s := range plans {
 		for _, b := range plans[s] {
-			a := w.Actors[b.owner]
-			if a == nil {
-				continue
+			if a := w.Actors[b.owner]; a != nil {
+				w.publish(a, catalogEntry{bornTick: w.tick, dieTick: w.tick + b.life}, b.walk)
 			}
-			c := w.nextCID()
-			born := w.tick
-			w.catalog = append(w.catalog, catalogEntry{
-				cid: c, owner: a.ID, bornTick: born, dieTick: born + b.life,
-			})
-			a.Node.AddBlock(c)
-			if b.walk {
-				a.Node.Provide(nil, c)
-			} else {
-				a.Node.ProvideDirect(nil, c, w.resolversFor(c))
-			}
-			a.Owned = append(a.Owned, c)
-			w.live = append(w.live, len(w.catalog)-1)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"slices"
 
 	"tcsb/internal/crawler"
 	"tcsb/internal/dht"
@@ -75,7 +76,7 @@ func (w *World) StepTick() {
 func (w *World) rotateIP(a *Actor) {
 	a.IP = w.Alloc.ResidentialIP(a.Country)
 	if a.NAT {
-		w.attachClient(a) // advertised circuit addr carries the relay's IP
+		w.attach(a)
 		return
 	}
 	w.Net.SetAddrs(a.ID, addrList(a.IP))
@@ -88,53 +89,39 @@ func (w *World) regenerateActor(old *Actor) {
 	w.Net.Detach(old.ID)
 	delete(w.Actors, old.ID)
 
-	id := w.nextPeerID()
+	// Regenerated actors are residential: churn regenerates no cloud actor.
 	a := &Actor{
-		ID: id, NAT: old.NAT, Cloud: false,
+		ID: w.nextPeerID(), NAT: old.NAT,
 		Provider: old.Provider, Country: old.Country,
 		Online: true, activity: old.activity,
 	}
 	a.IP = w.Alloc.ResidentialIP(a.Country)
-	a.Node = newNodeFor(w, a, old.NAT)
-	// Replace in the order and role slices, keeping positions stable for
-	// determinism (the position also fixes the actor's shard).
-	for i, x := range w.order {
-		if x == old.ID {
-			w.order[i] = id
-			break
-		}
-	}
-	if old.NAT {
+	if a.NAT {
 		a.Relay = w.randomServer()
-		w.attachClient(a)
-		for i, x := range w.clients {
-			if x == old.ID {
-				w.clients[i] = id
-				break
-			}
-		}
+	}
+	w.join(a)
+	replaceID(w.order, old.ID, a.ID)
+	if a.NAT {
+		replaceID(w.clients, old.ID, a.ID)
 	} else {
-		w.Net.Attach(id, a.Node, netsim.HostConfig{
-			Reachable: true,
-			Addrs:     addrList(a.IP),
-			LinkClass: netsim.LinkResi, // regenerated actors are residential
-		})
-		for i, x := range w.servers {
-			if x == old.ID {
-				w.servers[i] = id
-				break
-			}
-		}
+		replaceID(w.servers, old.ID, a.ID)
 		w.rebuildRing()
 	}
-	w.Actors[id] = a
 	w.fillTableOf(a)
 	a.Node.ConnectBitswap(w.Monitor.ID())
 	for j := 0; j < w.Cfg.BitswapDegree; j++ {
 		other := w.order[w.Rng.Intn(len(w.order))]
-		if other != id {
+		if other != a.ID {
 			a.Node.ConnectBitswap(other)
 		}
+	}
+}
+
+// replaceID puts id in old's place in s, keeping positions stable for
+// determinism (the position also fixes the actor's shard).
+func replaceID(s []ids.PeerID, old, id ids.PeerID) {
+	if i := slices.Index(s, old); i >= 0 {
+		s[i] = id
 	}
 }
 

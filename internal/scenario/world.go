@@ -51,7 +51,8 @@ type Actor struct {
 	activity float64
 }
 
-// catalogEntry tracks a published CID's lifecycle.
+// catalogEntry tracks a published CID's lifecycle; publish fills in the
+// CID and owner.
 type catalogEntry struct {
 	cid      ids.CID
 	owner    ids.PeerID
@@ -240,8 +241,6 @@ func (w *World) cloudCountryFor(provider string) string {
 
 // addServerActor creates a reachable DHT server actor.
 func (w *World) addServerActor(cloud bool, provider, country, platform string, activity float64) *Actor {
-	id := w.nextPeerID()
-	nd := node.New(id, w.Net, node.Config{DHTServer: true, ProviderTTL: providerTTL})
 	var ip netip.Addr
 	if cloud {
 		ip = w.Alloc.CloudIP(provider, country)
@@ -250,22 +249,41 @@ func (w *World) addServerActor(cloud bool, provider, country, platform string, a
 	}
 	info := w.DB.Lookup(ip)
 	a := &Actor{
-		Node: nd, ID: id, Cloud: cloud,
+		ID: w.nextPeerID(), Cloud: cloud,
 		Provider: info.Provider, Country: info.Country,
 		Platform: platform, IP: ip, Online: true, activity: activity,
 	}
-	w.Net.Attach(id, nd, netsim.HostConfig{
-		Reachable: true,
-		Addrs:     []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)},
-		LinkClass: linkClassOf(cloud),
-	})
+	w.join(a)
 	if platform != "" {
 		w.DNS.RegisterRDNS(ip, dnssim.FormatPTR(ip, platform))
 	}
-	w.Actors[id] = a
-	w.order = append(w.order, id)
-	w.servers = append(w.servers, id)
+	w.order = append(w.order, a.ID)
+	w.servers = append(w.servers, a.ID)
 	return a
+}
+
+// join builds a's node — a DHT server unless a is NAT-ed — attaches it
+// to the network and registers the actor.
+func (w *World) join(a *Actor) {
+	a.Node = node.New(a.ID, w.Net, node.Config{DHTServer: !a.NAT})
+	w.attach(a)
+	w.Actors[a.ID] = a
+}
+
+// attach registers a's node on the network: a server at its own
+// address, a NAT client behind the circuit address of its relay. A NAT
+// client's own IP is only the source of its outbound connections, which
+// SetAddrs cannot change, so rotateIP attaches such a client again.
+func (w *World) attach(a *Actor) {
+	cfg := netsim.HostConfig{Reachable: !a.NAT, LinkClass: linkClassOf(a.Cloud)}
+	if a.NAT {
+		cfg.Relay = a.Relay
+		cfg.SourceIP = a.IP
+		cfg.Addrs = []maddr.Addr{maddr.NewCircuit(w.Net.PrimaryIP(a.Relay), maddr.TCP, 4001, a.Relay.String())}
+	} else {
+		cfg.Addrs = addrList(a.IP)
+	}
+	w.Net.Attach(a.ID, a.Node, cfg)
 }
 
 func (w *World) buildServers() {
@@ -385,7 +403,7 @@ func (w *World) buildMonitor() {
 	ip := w.Alloc.ResidentialIP("DE") // the paper's vantage point: Germany
 	w.Net.Attach(id, w.Monitor, netsim.HostConfig{
 		Reachable: true,
-		Addrs:     []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)},
+		Addrs:     addrList(ip),
 		LinkClass: netsim.LinkResi,
 	})
 }
@@ -413,7 +431,7 @@ func (w *World) buildHydra() {
 			ip := w.Alloc.CloudIP(ipdb.AmazonAWS, "US")
 			w.Net.Attach(head, h, netsim.HostConfig{
 				Reachable: true,
-				Addrs:     []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)},
+				Addrs:     addrList(ip),
 				LinkClass: netsim.LinkCloud,
 			})
 			w.DNS.RegisterRDNS(ip, dnssim.FormatPTR(ip, PlatformHydra))
@@ -464,34 +482,17 @@ func (w *World) IsHydraHead(p ids.PeerID) bool {
 // bottom emerges rather than being hard-coded.
 func (w *World) buildClients() {
 	for i := 0; i < w.Cfg.NATClients; i++ {
-		id := w.nextPeerID()
-		nd := node.New(id, w.Net, node.Config{DHTServer: false, ProviderTTL: providerTTL})
 		country := w.pickWeighted(w.Cfg.ResidentialCountryWeights)
 		ip := w.Alloc.ResidentialIP(country)
-		relay := w.randomServer()
 		a := &Actor{
-			Node: nd, ID: id, NAT: true, Cloud: false,
+			ID: w.nextPeerID(), NAT: true,
 			Provider: ipdb.NonCloud, Country: country,
-			IP: ip, Relay: relay, Online: true, activity: 2.0,
+			IP: ip, Relay: w.randomServer(), Online: true, activity: 2.0,
 		}
-		w.attachClient(a)
-		w.Actors[id] = a
-		w.order = append(w.order, id)
-		w.clients = append(w.clients, id)
+		w.join(a)
+		w.order = append(w.order, a.ID)
+		w.clients = append(w.clients, a.ID)
 	}
-}
-
-// attachClient registers a NAT actor with its circuit address.
-func (w *World) attachClient(a *Actor) {
-	relayIP := w.Net.PrimaryIP(a.Relay)
-	circuit := maddr.NewCircuit(relayIP, maddr.TCP, 4001, a.Relay.String())
-	w.Net.Attach(a.ID, a.Node, netsim.HostConfig{
-		Reachable: false,
-		Relay:     a.Relay,
-		SourceIP:  a.IP, // outbound connections expose the NAT's public side
-		Addrs:     []maddr.Addr{circuit},
-		LinkClass: netsim.LinkResi,
-	})
 }
 
 // randomServer returns a uniformly random ordinary-or-platform server ID.
@@ -607,27 +608,30 @@ func (w *World) nearestServers(target ids.Key, n int) []ids.PeerID {
 	return kademlia.AppendSelectNearest(nil, w.ring[lo:hi], target, n)
 }
 
-// wireBitswap sets up Bitswap neighbourhoods: ordinary nodes get
-// BitswapDegree random neighbours; gateways and platforms connect widely;
-// MonitorCoverage of all actors connect to the monitor.
+// wireBitswap sets up every actor's Bitswap neighbourhood.
 func (w *World) wireBitswap() {
-	all := w.order
-	for _, id := range all {
-		a := w.Actors[id]
-		deg := w.Cfg.BitswapDegree
-		if a.Platform != "" {
-			deg *= 4
+	for _, id := range w.order {
+		w.wireBitswapOf(w.Actors[id])
+	}
+}
+
+// wireBitswapOf connects a to random actors, both ways: BitswapDegree of
+// them for ordinary nodes, four times as many for gateways and
+// platforms. MonitorCoverage of all actors also connect to the monitor.
+func (w *World) wireBitswapOf(a *Actor) {
+	deg := w.Cfg.BitswapDegree
+	if a.Platform != "" {
+		deg *= 4
+	}
+	for j := 0; j < deg; j++ {
+		other := w.order[w.Rng.Intn(len(w.order))]
+		if other != a.ID {
+			a.Node.ConnectBitswap(other)
+			w.Actors[other].Node.ConnectBitswap(a.ID)
 		}
-		for j := 0; j < deg; j++ {
-			other := all[w.Rng.Intn(len(all))]
-			if other != id {
-				a.Node.ConnectBitswap(other)
-				w.Actors[other].Node.ConnectBitswap(id)
-			}
-		}
-		if w.Rng.Float64() < w.Cfg.MonitorCoverage {
-			a.Node.ConnectBitswap(w.Monitor.ID())
-		}
+	}
+	if w.Rng.Float64() < w.Cfg.MonitorCoverage {
+		a.Node.ConnectBitswap(w.Monitor.ID())
 	}
 }
 
@@ -652,23 +656,55 @@ func (w *World) seedContent() {
 			n /= 2
 		}
 		for i := 0; i < n; i++ {
-			c := w.nextCID()
-			owner := owners[w.Rng.Intn(len(owners))]
-			owner.Node.AddBlock(c)
-			owner.Node.Provide(nil, c)
-			owner.Owned = append(owner.Owned, c)
-			w.catalog = append(w.catalog, catalogEntry{cid: c, owner: owner.ID, persistent: true})
-			w.live = append(w.live, len(w.catalog)-1)
+			w.publish(owners[w.Rng.Intn(len(owners))], catalogEntry{persistent: true}, true)
 		}
 	}
 	// Initial user content: published by random actors (servers and NAT
 	// clients alike), short-lived. Ages are staggered as if the content
 	// had been published over the preceding days, so expiries spread out
-	// instead of arriving in a burst.
+	// instead of arriving in a burst. The publisher draw runs over the
+	// whole population with the master stream.
+	everyone := &shardView{actors: w.order, clients: w.clients, servers: w.servers}
 	for i := 0; i < w.Cfg.UserCIDs; i++ {
-		w.publishUserContentAged(-w.Rng.Intn(48))
+		born := w.tick - w.Rng.Intn(48)
+		a := w.planPublisher(w.Rng, everyone)
+		if a == nil {
+			continue
+		}
+		// Lifetime 1–3 days, matching Fig. 9's short CID lifetimes.
+		die := born + 24 + w.Rng.Intn(48)
+		// Only content still alive draws a walk coin; drawing one for
+		// expired content would shift every later draw of the stream.
+		walk := die > w.tick && w.Rng.Float64() < 0.4
+		w.publish(a, catalogEntry{bornTick: born, dieTick: die}, walk)
 	}
 	w.rebuildSamplers()
+}
+
+// publish mints a CID owned by a and appends e, carrying it, to the
+// catalogue. Content that is persistent or still alive at the current
+// tick is stored and advertised: by the standard iterative walk, or
+// straight to its resolvers as the accelerated DHT client does.
+// Historical content that has already expired stays in the catalogue
+// (and keeps being requested) but is provided by no one.
+//
+// The mint interns the CID before the advertisement, whose handlers
+// intern too.
+func (w *World) publish(a *Actor, e catalogEntry, walk bool) ids.CID {
+	e.cid, e.owner = w.nextCID(), a.ID
+	w.catalog = append(w.catalog, e)
+	if !e.persistent && e.dieTick <= w.tick {
+		return e.cid
+	}
+	a.Node.AddBlock(e.cid)
+	if walk {
+		a.Node.Provide(nil, e.cid)
+	} else {
+		a.Node.ProvideDirect(nil, e.cid, w.resolversFor(e.cid))
+	}
+	a.Owned = append(a.Owned, e.cid)
+	w.live = append(w.live, len(w.catalog)-1)
+	return e.cid
 }
 
 // gatewayZipfExponent shapes gateway request popularity, much flatter
@@ -685,88 +721,7 @@ func (w *World) rebuildSamplers() {
 	w.zipfTail = stats.NewZipfApprox(gatewayZipfExponent, len(w.catalog))
 }
 
-// publishUserContentAged publishes a user CID as if it were created
-// ageOffset ticks from now (negative = in the past, for initial
-// staggering).
-func (w *World) publishUserContentAged(ageOffset int) {
-	a := w.pickPublisher()
-	if a == nil {
-		return
-	}
-	c := w.nextCID()
-	// Lifetime 1–3 days, matching Fig. 9's short CID lifetimes.
-	born := w.tick + ageOffset
-	life := 24 + w.Rng.Intn(48)
-	die := born + life
-	w.catalog = append(w.catalog, catalogEntry{
-		cid: c, owner: a.ID, bornTick: born, dieTick: die,
-	})
-	if die <= w.tick {
-		// Historical content that already expired: it remains in the
-		// catalogue (and keeps being requested) but is no longer
-		// provided by anyone.
-		return
-	}
-	a.Node.AddBlock(c)
-	// A growing share of nodes runs the accelerated DHT client; the rest
-	// publish with the standard iterative walk.
-	if w.Rng.Float64() < 0.4 {
-		a.Node.Provide(nil, c)
-	} else {
-		a.Node.ProvideDirect(nil, c, w.resolversFor(c))
-	}
-	a.Owned = append(a.Owned, c)
-	w.live = append(w.live, len(w.catalog)-1)
-}
-
 // addrList builds the advertised address list for a public node.
 func addrList(ip netip.Addr) []maddr.Addr {
 	return []maddr.Addr{maddr.New(ip, maddr.TCP, 4001)}
-}
-
-// providerTTL is the record expiry used by scenario nodes. Newer kubo
-// releases extended the 24h TTL; 36h also tolerates a missed daily
-// reprovide by a churny owner.
-const providerTTL = 36 * 3600
-
-// newNodeFor constructs the node.Node behind an actor.
-func newNodeFor(w *World, a *Actor, nat bool) *node.Node {
-	return node.New(a.ID, w.Net, node.Config{DHTServer: !nat, ProviderTTL: providerTTL})
-}
-
-// pickPublisher draws a content publisher: NAT clients, non-cloud
-// servers and the general population in paper-calibrated proportions
-// (Fig. 14: NAT-ed 35.6%, cloud 45%, non-cloud 18% of providers).
-func (w *World) pickPublisher() *Actor {
-	r := w.Rng.Float64()
-	for tries := 0; tries < 64; tries++ {
-		var id ids.PeerID
-		switch {
-		case r < 0.32 && len(w.clients) > 0:
-			id = w.clients[w.Rng.Intn(len(w.clients))]
-		case r < 0.58:
-			id = w.servers[w.Rng.Intn(len(w.servers))]
-			if a := w.Actors[id]; a == nil || a.Cloud {
-				continue
-			}
-		default:
-			id = w.order[w.Rng.Intn(len(w.order))]
-		}
-		if a := w.Actors[id]; a != nil && a.Online {
-			return a
-		}
-	}
-	return w.randomOnlineActor()
-}
-
-// randomOnlineActor picks a uniformly random online actor (nil if all
-// offline, which does not happen in practice).
-func (w *World) randomOnlineActor() *Actor {
-	for tries := 0; tries < 64; tries++ {
-		id := w.order[w.Rng.Intn(len(w.order))]
-		if a := w.Actors[id]; a.Online {
-			return a
-		}
-	}
-	return nil
 }
