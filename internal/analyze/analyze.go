@@ -243,7 +243,7 @@ func Analyze(runs []Run, exp Expectations) *Report {
 // a table participates from the next pair on.
 func deltas(a, b *Run) []Delta {
 	type tkey struct{ exp, title string }
-	prior := make(map[tkey]*experiments.ParsedRow, len(a.Rows))
+	prior := make(map[tkey]*experiments.Line, len(a.Rows))
 	for i := range a.Rows {
 		k := tkey{a.Rows[i].Experiment, a.Rows[i].Table.Title}
 		if _, dup := prior[k]; !dup {

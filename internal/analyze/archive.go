@@ -43,7 +43,7 @@ type Run struct {
 	Key     string
 	Request core.RunRequest
 	Raw     []byte
-	Rows    []experiments.ParsedRow
+	Rows    []experiments.Line
 }
 
 // manifest is the `<key>.json` sidecar written next to each archived

@@ -27,9 +27,6 @@ type PeerStats struct {
 	Appearances int
 	// Crawls is the series length.
 	Crawls int
-	// FirstSeen/LastSeen are crawl indices (0-based) of the first and
-	// last sighting.
-	FirstSeen, LastSeen int
 	// Sessions is the number of maximal runs of consecutive sightings.
 	Sessions int
 	// LongestSession is the longest run, in crawls.
@@ -65,7 +62,7 @@ func Analyze(s *crawler.Series) []PeerStats {
 			a := accs[p]
 			if a == nil {
 				a = &acc{
-					stats:   PeerStats{Peer: p, Crawls: n, FirstSeen: idx, LastSeen: idx},
+					stats:   PeerStats{Peer: p, Crawls: n},
 					lastIdx: -2,
 					ips:     make(map[netip.Addr]bool),
 				}
@@ -73,7 +70,6 @@ func Analyze(s *crawler.Series) []PeerStats {
 				order = append(order, p)
 			}
 			a.stats.Appearances++
-			a.stats.LastSeen = idx
 			if a.lastIdx != idx-1 {
 				a.stats.Sessions++
 				a.run = 0

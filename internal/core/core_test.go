@@ -38,6 +38,23 @@ func cloudShare(m map[string]float64) float64 {
 	return cloud / total
 }
 
+// TestNormalizeIsOrderFree calls normalize on one map 200 times and
+// requires bit-identical shares. Map iteration order is random and float
+// addition is not associative, so a total summed in iteration order can
+// differ in its last bit from call to call, and every share with it.
+func TestNormalizeIsOrderFree(t *testing.T) {
+	m := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}
+	want := core.Normalize(m)
+	for i := 1; i <= 200; i++ {
+		got := core.Normalize(m)
+		for k, v := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(v) {
+				t.Fatalf("call %d: share of %s = %v, want %v", i, k, got[k], v)
+			}
+		}
+	}
+}
+
 func TestTable1MatchesPaperExactly(t *testing.T) {
 	r := core.Table1()
 	if r.GIP["DE"] != 2 || r.GIP["US"] != 2 {
@@ -420,7 +437,7 @@ func TestGatewayCensusFindsRealNodes(t *testing.T) {
 	}
 	for id := range o.GatewaySet {
 		if !truth[id] {
-			t.Errorf("census discovered non-gateway peer %s", id.Short())
+			t.Errorf("census discovered non-gateway peer %s", id.String())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"net/netip"
+	"sort"
 
 	"tcsb/internal/churn"
 	"tcsb/internal/counting"
@@ -100,10 +101,11 @@ func (o *Observatory) Fig3CloudStatus() Fig3Result {
 	return Fig3Result{ANShares: normalize(an), GIPShares: normalize(gip)}
 }
 
+// normalize scales m's values to shares of their total.
 func normalize(m map[string]float64) map[string]float64 {
 	var total float64
-	for _, v := range m {
-		total += v
+	for _, k := range sortedKeys(m) {
+		total += m[k]
 	}
 	out := make(map[string]float64, len(m))
 	for k, v := range m {
@@ -140,9 +142,12 @@ func (o *Observatory) Fig4Cumulative() Fig4Result {
 	}
 }
 
+// cloudShare returns the share of m's total held by the cloud and
+// cloud+non-cloud labels.
 func cloudShare(m map[string]float64) float64 {
 	var cloud, total float64
-	for k, v := range m {
+	for _, k := range sortedKeys(m) {
+		v := m[k]
 		total += v
 		if k == "cloud" || k == counting.BothLabel {
 			cloud += v
@@ -152,6 +157,19 @@ func cloudShare(m map[string]float64) float64 {
 		return 0
 	}
 	return cloud / total
+}
+
+// sortedKeys returns m's keys in increasing order. Sums over a map run
+// in this order: map iteration order is random and float addition is not
+// associative, so a sum in iteration order can differ in its last bit
+// from run to run (A-N counts are averages over the crawls).
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // --- Fig. 5 / Fig. 6: providers and countries ---
@@ -345,15 +363,15 @@ func (o *Observatory) Fig10PeerPareto() (dht, bitswap ParetoResult) {
 		}
 		return "non-gateway"
 	}
-	return peerPareto(o.HydraStats().EachPeerActivity, group),
-		peerPareto(o.MonitorStats().EachPeerActivity, group)
+	return pareto(o.HydraStats().EachPeerActivity, group),
+		pareto(o.MonitorStats().EachPeerActivity, group)
 }
 
-// peerPareto consumes the accumulator's activity iterator directly: the
-// four analyses stream the columnar per-handle counters instead of each
-// experiment materializing (and the memo retaining) a 32-byte-keyed
-// copy of the full per-peer activity map.
-func peerPareto(act trace.Seq[ids.PeerID], group func(ids.PeerID) string) ParetoResult {
+// pareto consumes an accumulator's activity iterator (per peer or per
+// IP) directly: the four analyses stream the columnar per-handle
+// counters instead of each experiment materializing (and the memo
+// retaining) a copy of the full activity map.
+func pareto[K comparable](act trace.Seq[K], group func(K) string) ParetoResult {
 	return ParetoResult{
 		Top5Share:    trace.TopShare(act, 0.05),
 		GroupTraffic: trace.GroupTrafficShare(act, group),
@@ -365,15 +383,7 @@ func peerPareto(act trace.Seq[ids.PeerID], group func(ids.PeerID) string) Pareto
 // cloud/non-cloud split.
 func (o *Observatory) Fig11IPPareto() (dht, bitswap ParetoResult) {
 	cloudAttr := o.World.CloudAttr()
-	group := func(ip netip.Addr) string { return cloudAttr(ip) }
-	ipPareto := func(act trace.Seq[netip.Addr]) ParetoResult {
-		return ParetoResult{
-			Top5Share:    trace.TopShare(act, 0.05),
-			GroupTraffic: trace.GroupTrafficShare(act, group),
-			GroupMembers: trace.GroupMemberShare(act, group),
-		}
-	}
-	return ipPareto(o.HydraStats().EachIPActivity), ipPareto(o.MonitorStats().EachIPActivity)
+	return pareto(o.HydraStats().EachIPActivity, cloudAttr), pareto(o.MonitorStats().EachIPActivity, cloudAttr)
 }
 
 // --- Fig. 12: cloud per traffic type ---

@@ -29,7 +29,6 @@ import (
 // pinning the boundary.
 type EpochStats struct {
 	Epoch int
-	Days  int
 	// Fired lists the labels of schedule actions applied at this epoch's
 	// start, in application order (empty for quiet epochs).
 	Fired []string
@@ -105,7 +104,7 @@ func RunTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, opt 
 		if opt.OnEpoch != nil {
 			opt.OnEpoch(e, w)
 		}
-		tr.Epochs = append(tr.Epochs, buildEpochStats(e, s.DaysPerEpoch, fired, w, snap, prev, &crawls, collected))
+		tr.Epochs = append(tr.Epochs, buildEpochStats(e, fired, w, snap, prev, &crawls, collected))
 		prev = snap
 	}
 	return tr
@@ -115,12 +114,11 @@ func RunTimeline(cfg scenario.Config, rc RunConfig, sch *timeline.Compiled, opt 
 // fields are deltas of cumulative counters between the epoch's two
 // boundary snapshots (the construction-time snapshot for epoch 0);
 // crawl fields read the epoch's own series.
-func buildEpochStats(epoch, days int, fired []string, w *scenario.World,
+func buildEpochStats(epoch int, fired []string, w *scenario.World,
 	snap, prev scenario.Snapshot, series *crawler.Series, collected int) EpochStats {
 
 	es := EpochStats{
 		Epoch:          epoch,
-		Days:           days,
 		Fired:          fired,
 		Online:         snap.Online,
 		Servers:        snap.Servers,

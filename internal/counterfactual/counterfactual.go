@@ -285,15 +285,9 @@ func init() {
 		Description: "residential churn doubles: nodes go offline twice as often and " +
 			"rotate IPs and identities more aggressively on return",
 		Rewrite: func(c *scenario.Config) {
-			clamp := func(p float64) float64 {
-				if p > 1 {
-					return 1
-				}
-				return p
-			}
-			c.NonCloudOfflineProb = clamp(c.NonCloudOfflineProb * 2)
-			c.RotateIPProb = clamp(c.RotateIPProb * 1.3)
-			c.RegenerateIDProb = clamp(c.RegenerateIDProb * 2)
+			c.NonCloudOfflineProb = min(c.NonCloudOfflineProb*2, 1)
+			c.RotateIPProb = min(c.RotateIPProb*1.3, 1)
+			c.RegenerateIDProb = min(c.RegenerateIDProb*2, 1)
 		},
 	})
 	// Network-realism presets (netsim.LinkPresets). As interventions

@@ -157,7 +157,7 @@ func TestAWSOutageWorld(t *testing.T) {
 	for _, a := range w.Actors {
 		if a.Provider == ipdb.AmazonAWS && (a.Online || !a.PinnedOffline) {
 			t.Fatalf("AWS actor %s survived the outage (online=%v pinned=%v)",
-				a.ID.Short(), a.Online, a.PinnedOffline)
+				a.ID.String(), a.Online, a.PinnedOffline)
 		}
 	}
 	if len(w.PLHydras) != 0 {
@@ -170,7 +170,7 @@ func TestAWSOutageWorld(t *testing.T) {
 	}
 	for _, a := range w.Actors {
 		if a.PinnedOffline && a.Online {
-			t.Fatalf("pinned actor %s came back through churn", a.ID.Short())
+			t.Fatalf("pinned actor %s came back through churn", a.ID.String())
 		}
 	}
 }

@@ -13,7 +13,6 @@
 package crawler
 
 import (
-	"fmt"
 	"net/netip"
 	"sync"
 
@@ -62,16 +61,12 @@ type Observation struct {
 	Addrs []maddr.Addr
 	// Crawlable reports whether the peer answered the bucket sweep.
 	Crawlable bool
-	// DialError, when not crawlable, records why ("offline", …).
-	DialError string
 	// Contacts is the peer's enumerated outgoing DHT connections (only
 	// for crawlable peers), as positions in Snapshot.Peers: every contact
 	// is discovered, so Peers[c].Peer is its ID. Retained crawl series
 	// dominate peak memory at scale, and a position is 4 bytes where the
 	// ID was 32.
 	Contacts []int32
-	// SweepRPCs counts FindNode RPCs spent on this peer.
-	SweepRPCs int
 }
 
 // IPs returns the distinct non-local, non-circuit IPs the peer advertised.
@@ -92,8 +87,7 @@ func (o *Observation) IPs() []netip.Addr {
 
 // Snapshot is the result of one crawl: the DHT graph at a point in time.
 type Snapshot struct {
-	ID    int
-	Start netsim.Time
+	ID int
 	// Peers holds one observation per discovered peer, in discovery
 	// order.
 	Peers []Observation
@@ -131,12 +125,13 @@ func (s *Snapshot) Crawlable() int {
 // addresses through the registry (netsim.Info), whose snapshots are
 // stable for the duration of a crawl — identical to what the queried
 // peer would have answered, without materializing a PeerInfo per
-// response entry.
+// response entry. A failed sweep is one whose dial failed: the peer is
+// unresponsive.
 type sweepResult struct {
 	contacts  []ids.PeerID
 	rpcs      int
 	elapsedUS int64
-	err       error
+	failed    bool
 }
 
 // Crawl performs one full crawl of the network reachable from seeds.
@@ -147,7 +142,7 @@ type sweepResult struct {
 // frontier order. Discovery order — and with it the entire snapshot —
 // is therefore a function of the graph alone, not of worker scheduling.
 func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
-	snap := &Snapshot{ID: cfg.ID, Start: net.Clock.Now()}
+	snap := &Snapshot{ID: cfg.ID}
 
 	// index maps a discovered peer to its position in snap.Peers, and
 	// the queue holds positions. enqueue returns the peer's position; it
@@ -188,17 +183,13 @@ func Crawl(net *netsim.Network, cfg Config, seeds []netsim.PeerInfo) *Snapshot {
 
 		for i, pos := range frontier {
 			r := results[i]
-			o := &snap.Peers[pos]
-			o.SweepRPCs = r.rpcs
 			snap.RPCs += r.rpcs
 			snap.LinkLatencyUS += r.elapsedUS
-			if r.err != nil {
-				o.Crawlable = false
-				o.DialError = r.err.Error()
+			if r.failed {
 				unresponsive++
 				continue
 			}
-			o.Crawlable = true
+			snap.Peers[pos].Crawlable = true
 			contacts := make([]int32, len(r.contacts))
 			for j, id := range r.contacts {
 				contacts[j] = enqueue(net.Info(id))
@@ -234,8 +225,7 @@ func sweep(net *netsim.Network, env *netsim.Effects, crawlerID, p ids.PeerID) sw
 		peers, err := net.FindNode(env, sc.closer[:0], crawlerID, p, target)
 		sc.closer = peers[:0]
 		if err != nil {
-			return sweepResult{rpcs: res.rpcs, elapsedUS: net.LatencyMark(env) - mark,
-				err: fmt.Errorf("dial %s: %w", p.Short(), err)}
+			return sweepResult{rpcs: res.rpcs, elapsedUS: net.LatencyMark(env) - mark, failed: true}
 		}
 		newPeers := 0
 		for _, pi := range peers {

@@ -10,6 +10,10 @@
 // records; the standard variant terminates once K providers are known,
 // while the exhaustive variant (the paper's modified implementation used
 // to collect complete provider sets) always queries all resolvers.
+//
+// A walk returns only what it found. Its traffic is counted where every
+// RPC is, in netsim's per-type message counters through the caller's
+// Effects lane; a walk keeps no tally of its own.
 package dht
 
 import (
@@ -31,15 +35,6 @@ const K = kademlia.K
 // it still bounds how many peers are queried per round, which shapes the
 // query traffic the Hydra vantage point observes.
 const Alpha = 3
-
-// WalkStats summarises one walk for traffic accounting and the paper's
-// "an average DHT query contacts 50 different nodes" estimate.
-type WalkStats struct {
-	// Queried is the number of peers that were sent an RPC.
-	Queried int
-	// Failed is the number of dials that failed (offline/unreachable).
-	Failed int
-}
 
 // Walker performs DHT walks on behalf of one peer.
 type Walker struct {
@@ -209,25 +204,24 @@ func (sc *walkScratch) closest(n int) []int32 {
 // GetClosestPeers walks the DHT from the seed peers toward target and
 // returns the K closest reachable peers found, in increasing distance
 // order.
-func (w *Walker) GetClosestPeers(env *netsim.Effects, seeds []netsim.PeerInfo, target ids.Key) ([]netsim.PeerInfo, WalkStats) {
+func (w *Walker) GetClosestPeers(env *netsim.Effects, seeds []netsim.PeerInfo, target ids.Key) []netsim.PeerInfo {
 	sc := getScratch()
 	defer sc.release()
-	stats := w.walk(env, sc, seeds, target)
+	w.walk(env, sc, seeds, target)
 	out := make([]netsim.PeerInfo, 0, K)
 	for _, i := range sc.closest(K) {
 		out = append(out, w.net.Info(sc.peers[i]))
 	}
-	return out, stats
+	return out
 }
 
 // walk runs the iterative FindNode lookup toward target over the given
 // scratch, leaving the candidate set populated for the caller to read.
-func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerInfo, target ids.Key) WalkStats {
+func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerInfo, target ids.Key) {
 	sc.reset(target)
 	for _, s := range seeds {
 		sc.add(s.ID)
 	}
-	var stats WalkStats
 	for {
 		batch := sc.nextBatch(Alpha, K)
 		if len(batch) == 0 {
@@ -235,40 +229,30 @@ func (w *Walker) walk(env *netsim.Effects, sc *walkScratch, seeds []netsim.PeerI
 		}
 		for _, i := range batch {
 			sc.flags[i] |= flagQueried
-			stats.Queried++
 			closer, err := w.net.FindNode(env, sc.closer[:0], w.self, sc.peers[i], target)
 			sc.closer = closer[:0]
 			if err != nil {
 				sc.flags[i] |= flagFailed
-				stats.Failed++
 				continue
 			}
 			sc.addAnswer(closer, w.self)
 		}
 	}
-	return stats
 }
 
 // Provide advertises `self` (described by selfInfo, which may include
 // circuit addresses for NAT-ed providers) as a provider for c: it locates
-// the K closest peers to c's key and sends each a provider record. It
-// returns the resolvers that accepted the record.
-func (w *Walker) Provide(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) ([]ids.PeerID, WalkStats) {
+// the K closest peers to c's key and sends each a provider record.
+func (w *Walker) Provide(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, selfInfo netsim.PeerInfo) {
 	sc := getScratch()
 	defer sc.release()
-	stats := w.walk(env, sc, seeds, c.Key())
+	w.walk(env, sc, seeds, c.Key())
 	rec := netsim.ProviderRecord{Provider: selfInfo, Received: w.net.Clock.Now()}
-	var accepted []ids.PeerID
 	for _, i := range sc.closest(K) {
-		r := sc.peers[i]
-		if err := w.net.AddProvider(env, w.self, r, c, rec); err != nil {
-			stats.Failed++
-			continue
-		}
-		stats.Queried++
-		accepted = append(accepted, r)
+		// A resolver that cannot be reached misses the record; the others
+		// still get it.
+		_ = w.net.AddProvider(env, w.self, sc.peers[i], c, rec)
 	}
-	return accepted, stats
 }
 
 // FindProvidersOpts controls FindProviders termination. The standard
@@ -285,14 +269,13 @@ type FindProvidersOpts struct {
 // returns the first record seen from each provider, in provider-key
 // order, in a freshly allocated slice (callers retain it); all
 // intermediate walk state comes from the pooled scratch.
-func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) ([]netsim.ProviderRecord, WalkStats) {
+func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c ids.CID, opts FindProvidersOpts) []netsim.ProviderRecord {
 	sc := getScratch()
 	defer sc.release()
 	sc.reset(c.Key())
 	for _, s := range seeds {
 		sc.add(s.ID)
 	}
-	var stats WalkStats
 	done := func() bool {
 		return !opts.Exhaustive && len(sc.provs) >= K
 	}
@@ -306,12 +289,10 @@ func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c i
 				break
 			}
 			sc.flags[i] |= flagQueried
-			stats.Queried++
 			recs, closer, err := w.net.GetProviders(env, sc.recs[:0], sc.closer[:0], w.self, sc.peers[i], c)
 			sc.recs, sc.closer = recs[:0], closer[:0]
 			if err != nil {
 				sc.flags[i] |= flagFailed
-				stats.Failed++
 				continue
 			}
 			for _, r := range recs {
@@ -322,5 +303,5 @@ func (w *Walker) FindProviders(env *netsim.Effects, seeds []netsim.PeerInfo, c i
 	}
 	out := make([]netsim.ProviderRecord, len(sc.provs))
 	copy(out, sc.provs)
-	return out, stats
+	return out
 }

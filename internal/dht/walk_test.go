@@ -291,7 +291,7 @@ func TestProviderDedupKeepsFirst(t *testing.T) {
 	}
 	for i, r := range sc.provs {
 		if r.Received >= 100 {
-			t.Fatalf("provider %s kept its later record", r.Provider.ID.Short())
+			t.Fatalf("provider %s kept its later record", r.Provider.ID.String())
 		}
 		if i > 0 && sc.provs[i-1].Provider.ID.Key().Cmp(r.Provider.ID.Key()) >= 0 {
 			t.Fatalf("records out of provider-key order at %d", i)
@@ -329,9 +329,9 @@ func TestFindProvidersKeepsFirstRecord(t *testing.T) {
 	net.Attach(first.ID, recordServer{[]netsim.ProviderRecord{{Provider: p, Received: 5}}}, netsim.HostConfig{Reachable: true})
 	net.Attach(second.ID, recordServer{[]netsim.ProviderRecord{{Provider: q, Received: 9}, {Provider: p, Received: 9}}}, netsim.HostConfig{Reachable: true})
 	w := NewWalker(net, pi(1).ID)
-	recs, stats := w.FindProviders(nil, []netsim.PeerInfo{second, first}, c, FindProvidersOpts{Exhaustive: true})
-	if stats.Queried != 2 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want 2 queried / 0 failed", stats)
+	recs := w.FindProviders(nil, []netsim.PeerInfo{second, first}, c, FindProvidersOpts{Exhaustive: true})
+	if got := net.TotalMessages(); got != 2 {
+		t.Fatalf("%d RPCs delivered, want one to each resolver", got)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want one each for p and q", len(recs))
@@ -349,37 +349,49 @@ func TestFindProvidersKeepsFirstRecord(t *testing.T) {
 func TestFindProvidersOptsDefaults(t *testing.T) {
 	// Max <= 0 defaults to K; exercised through a degenerate walker with
 	// no network interaction (empty seeds).
-	w := NewWalker(netsim.New(), ids.PeerIDFromSeed(1))
-	recs, stats := w.FindProviders(nil, nil, ids.CIDFromSeed(1), FindProvidersOpts{})
-	if len(recs) != 0 || stats.Queried != 0 {
-		t.Fatalf("walk over empty seeds did something: %v %v", recs, stats)
+	net := netsim.New()
+	w := NewWalker(net, ids.PeerIDFromSeed(1))
+	recs := w.FindProviders(nil, nil, ids.CIDFromSeed(1), FindProvidersOpts{})
+	if len(recs) != 0 || net.TotalMessages() != 0 {
+		t.Fatalf("walk over empty seeds did something: %v, %d RPCs", recs, net.TotalMessages())
 	}
 }
 
-func TestWalkStatsFailureAccounting(t *testing.T) {
-	// A network with only unreachable seeds: every query fails, the walk
-	// terminates, failures are counted.
+func TestWalkWithFailedSeedsEndsEmpty(t *testing.T) {
+	// A network with only unreachable seeds: every query fails, and the
+	// walks terminate with nothing found and no RPC delivered.
 	net := netsim.New()
 	w := NewWalker(net, ids.PeerIDFromSeed(1))
 	seeds := []netsim.PeerInfo{pi(10), pi(11), pi(12)}
-	_, stats := w.GetClosestPeers(nil, seeds, ids.KeyFromUint64(5))
-	if stats.Queried != 3 || stats.Failed != 3 {
-		t.Fatalf("stats = %+v, want 3 queried / 3 failed", stats)
+	if got := w.GetClosestPeers(nil, seeds, ids.KeyFromUint64(5)); len(got) != 0 {
+		t.Fatalf("GetClosestPeers over failed seeds returned %d peers", len(got))
+	}
+	if got := w.FindProviders(nil, seeds, ids.CIDFromSeed(2), FindProvidersOpts{Exhaustive: true}); len(got) != 0 {
+		t.Fatalf("FindProviders over failed seeds returned %d records", len(got))
+	}
+	if n := net.TotalMessages(); n != 0 {
+		t.Fatalf("%d RPCs delivered to unreachable seeds", n)
 	}
 }
 
 func TestScratchReuseAcrossWalks(t *testing.T) {
 	// Serial-mode walks on one walker share its scratch; back-to-back
 	// walks must not leak candidate or provider state into each other.
+	// Both seeds answer, so a candidate leaked from the first walk would
+	// be queried by the second.
 	net := netsim.New()
+	for _, s := range []uint64{10, 11} {
+		net.Attach(pi(s).ID, recordServer{}, netsim.HostConfig{Reachable: true})
+	}
 	w := NewWalker(net, ids.PeerIDFromSeed(1))
-	_, _ = w.GetClosestPeers(nil, []netsim.PeerInfo{pi(10)}, ids.KeyFromUint64(5))
-	recs, stats := w.FindProviders(nil, []netsim.PeerInfo{pi(11)}, ids.CIDFromSeed(2), FindProvidersOpts{})
+	w.GetClosestPeers(nil, []netsim.PeerInfo{pi(10)}, ids.KeyFromUint64(5))
+	before := net.TotalMessages()
+	recs := w.FindProviders(nil, []netsim.PeerInfo{pi(11)}, ids.CIDFromSeed(2), FindProvidersOpts{})
 	if len(recs) != 0 {
 		t.Fatalf("provider records leaked across walks: %v", recs)
 	}
-	if stats.Queried != 1 {
-		t.Fatalf("second walk queried %d, want its own single seed", stats.Queried)
+	if got := net.TotalMessages() - before; got != 1 {
+		t.Fatalf("second walk sent %d RPCs, want one to its own single seed", got)
 	}
 }
 

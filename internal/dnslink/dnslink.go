@@ -9,51 +9,28 @@ package dnslink
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 
 	"tcsb/internal/dnssim"
 	"tcsb/internal/ids"
 )
 
-// Kind distinguishes the two DNSLink entry forms.
-type Kind int
-
-// DNSLink entry kinds.
-const (
-	IPFS Kind = iota // dnslink=/ipfs/<cid>
-	IPNS             // dnslink=/ipns/<peer key hash>
-)
-
-// Entry is a parsed, valid DNSLink TXT entry.
-type Entry struct {
-	Kind Kind
-	// Value is the CID string (IPFS) or key hash (IPNS).
-	Value string
-}
-
-// ParseTXT parses a TXT record value as a DNSLink entry. It returns
-// (entry, true) only for well-formed entries.
-func ParseTXT(txt string) (Entry, bool) {
+// ParseTXT reports whether a TXT record value is a well-formed DNSLink
+// entry: dnslink=/ipfs/<cid> or dnslink=/ipns/<peer key hash>.
+func ParseTXT(txt string) bool {
 	const prefix = "dnslink="
 	if !strings.HasPrefix(txt, prefix) {
-		return Entry{}, false
+		return false
 	}
 	path := txt[len(prefix):]
 	switch {
 	case strings.HasPrefix(path, "/ipfs/"):
-		v := path[len("/ipfs/"):]
-		if !validIdentifier(v) {
-			return Entry{}, false
-		}
-		return Entry{Kind: IPFS, Value: v}, true
+		return validIdentifier(path[len("/ipfs/"):])
 	case strings.HasPrefix(path, "/ipns/"):
-		v := path[len("/ipns/"):]
-		if !validIdentifier(v) {
-			return Entry{}, false
-		}
-		return Entry{Kind: IPNS, Value: v}, true
+		return validIdentifier(path[len("/ipns/"):])
 	}
-	return Entry{}, false
+	return false
 }
 
 func validIdentifier(s string) bool {
@@ -75,10 +52,8 @@ func FormatIPFS(c ids.CID) string { return "dnslink=/ipfs/" + c.String() }
 // FormatIPNS renders the TXT value publishing an IPNS key.
 func FormatIPNS(key string) string { return "dnslink=/ipns/" + key }
 
-// Result is one domain's scan outcome.
+// Result is one DNSLink domain's scan outcome.
 type Result struct {
-	Domain string
-	Entry  Entry
 	// IPs are the A-record addresses serving the domain (the gateway or
 	// proxy fronting the IPFS content).
 	IPs []netip.Addr
@@ -112,30 +87,16 @@ func NewScanner(u *dnssim.Universe, gatewayDomains []string) *Scanner {
 	return s
 }
 
-// ScanDomain checks one root domain for a valid DNSLink setup. The bool
-// result reports whether the domain uses DNSLink at all.
+// ScanDomain checks one root domain for a valid DNSLink setup: at least
+// one well-formed TXT value under _dnslink. The bool result reports
+// whether the domain uses DNSLink at all.
 func (s *Scanner) ScanDomain(domain string) (Result, bool) {
 	txts, rcode := s.u.QueryTXT("_dnslink." + domain)
-	if rcode != dnssim.NOERROR {
+	if rcode != dnssim.NOERROR || !slices.ContainsFunc(txts, ParseTXT) {
 		return Result{}, false
 	}
-	var entry Entry
-	found := false
-	for _, t := range txts {
-		if e, ok := ParseTXT(t); ok {
-			entry = e
-			found = true
-			break
-		}
-	}
-	if !found {
-		return Result{}, false
-	}
-	res := Result{Domain: domain, Entry: entry}
 	ips, _ := s.u.QueryA(domain)
-	res.IPs = ips
-	res.Gateway = s.attributeGateway(domain, ips)
-	return res, true
+	return Result{IPs: ips, Gateway: s.attributeGateway(domain, ips)}, true
 }
 
 // attributeGateway decides which public gateway serves the domain: first

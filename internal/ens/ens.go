@@ -126,7 +126,6 @@ func firstN(b []byte, n int) []byte {
 // Event is one setContenthash log entry as Etherscan would return it.
 type Event struct {
 	Block       uint64
-	Resolver    string // resolver contract address
 	Node        Namehash
 	Contenthash []byte
 	// Function is the selector name; the pipeline filters for
@@ -136,20 +135,18 @@ type Event struct {
 
 // Resolver is a simulated resolver contract accumulating an event log.
 type Resolver struct {
-	addr   string
 	events []Event
 	block  uint64
 }
 
-// NewResolver creates a resolver with a synthetic contract address.
-func NewResolver(addr string) *Resolver { return &Resolver{addr: addr} }
+// NewResolver creates a resolver contract with an empty log.
+func NewResolver() *Resolver { return &Resolver{} }
 
 // SetContenthash records a content-hash update for a name.
 func (r *Resolver) SetContenthash(name string, hash []byte) {
 	r.block++
 	r.events = append(r.events, Event{
 		Block:       r.block,
-		Resolver:    r.addr,
 		Node:        NamehashOf(name),
 		Contenthash: append([]byte(nil), hash...),
 		Function:    "setContenthash",
@@ -162,7 +159,6 @@ func (r *Resolver) SetAddr(name string, ethAddr string) {
 	r.block++
 	r.events = append(r.events, Event{
 		Block:    r.block,
-		Resolver: r.addr,
 		Node:     NamehashOf(name),
 		Function: "setAddr",
 	})
@@ -171,17 +167,17 @@ func (r *Resolver) SetAddr(name string, ethAddr string) {
 // Events returns the full event log (the Etherscan API traversal).
 func (r *Resolver) Events() []Event { return r.events }
 
-// Record is one extracted ipfs-ns mapping.
+// Record is one extracted ipfs-ns mapping: the CID a name points to and
+// the block of the update that set it.
 type Record struct {
-	Node     Namehash
-	CID      ids.CID
-	Resolver string
-	Block    uint64
+	CID   ids.CID
+	Block uint64
 }
 
 // Extract runs the paper's pipeline over a set of resolver contracts:
 // traverse all event logs, filter for setContenthash, decode, keep
-// ipfs_ns records, and keep only the latest update per name.
+// ipfs_ns records, and keep only the latest update per name. Records
+// follow the order in which their names first appear.
 func Extract(resolvers []*Resolver) []Record {
 	latest := make(map[Namehash]Record)
 	order := make([]Namehash, 0)
@@ -194,7 +190,7 @@ func Extract(resolvers []*Resolver) []Record {
 			if err != nil || proto != ProtoIPFS {
 				continue
 			}
-			rec := Record{Node: ev.Node, CID: cid, Resolver: ev.Resolver, Block: ev.Block}
+			rec := Record{CID: cid, Block: ev.Block}
 			prev, ok := latest[ev.Node]
 			if !ok {
 				order = append(order, ev.Node)

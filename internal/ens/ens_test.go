@@ -58,8 +58,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestExtractPipeline(t *testing.T) {
-	r1 := NewResolver("0xresolver1")
-	r2 := NewResolver("0xresolver2")
+	r1 := NewResolver()
+	r2 := NewResolver()
 
 	cidA1 := ids.CIDFromSeed(1)
 	cidA2 := ids.CIDFromSeed(2) // update of the same name
@@ -74,22 +74,15 @@ func TestExtractPipeline(t *testing.T) {
 	r2.SetContenthash("ipns.eth", EncodeContenthash(ProtoIPNS, ids.CIDFromSeed(5)))
 	r2.SetContenthash("junk.eth", []byte{0xde, 0xad})
 
+	// Records follow the names' first appearance: alpha.eth, beta.eth.
 	recs := Extract([]*Resolver{r1, r2})
 	if len(recs) != 2 {
 		t.Fatalf("extracted %d records, want 2 (ipfs-ns only, latest per name)", len(recs))
 	}
-	byNode := map[Namehash]Record{}
-	for _, r := range recs {
-		byNode[r.Node] = r
+	if recs[0].CID != cidA2 {
+		t.Errorf("alpha.eth CID = %v, want the later update", recs[0].CID)
 	}
-	alpha := byNode[NamehashOf("alpha.eth")]
-	if alpha.CID != cidA2 {
-		t.Errorf("alpha.eth CID = %v, want the later update", alpha.CID)
-	}
-	if alpha.Resolver != "0xresolver1" {
-		t.Errorf("alpha resolver = %q", alpha.Resolver)
-	}
-	if byNode[NamehashOf("beta.eth")].CID != cidB {
+	if recs[1].CID != cidB {
 		t.Error("beta.eth record wrong")
 	}
 }

@@ -6,7 +6,8 @@ package experiments
 // cache stores — and need the rows back as typed tables to compute
 // cross-run deltas. ParseJSONL is pinned round-trip-exact against
 // RenderJSONL: parse then re-render reproduces the input bytes, so an
-// archive can be re-ingested and re-emitted without drift.
+// archive can be re-ingested and re-emitted without drift. The two share
+// one line type, Line.
 
 import (
 	"bufio"
@@ -15,23 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"tcsb/internal/report"
 )
 
-// ParsedRow is one re-ingested JSONL line: a rendered table with the
-// experiment tags RenderJSONL wrote alongside it.
-type ParsedRow struct {
-	Experiment string
-	Section    string
-	WhatIf     []string
-	Timeline   string
-	Table      *report.Table
-}
-
-// jsonlLine is one line of the JSONL stream: RenderJSONL marshals it
-// and ParseJSONL decodes it, so the two cannot drift apart.
-type jsonlLine struct {
+// Line is one line of the JSONL stream: a rendered table with the
+// experiment tags beside it. RenderJSONL marshals it and ParseJSONL
+// decodes it, so the two cannot drift apart.
+type Line struct {
 	Experiment string   `json:"experiment"`
 	Section    string   `json:"section"`
 	WhatIf     []string `json:"whatif,omitempty"`
@@ -59,11 +49,11 @@ func DecodeStrict(data []byte, v any) error {
 	return nil
 }
 
-// ParseJSONL reads a RenderJSONL stream back into typed rows. Each line
+// ParseJSONL reads a RenderJSONL stream back into its lines. Each line
 // is decoded with DecodeStrict: an archive that does not parse was not
 // written by this engine's renderer and must not be silently analyzed.
-func ParseJSONL(r io.Reader) ([]ParsedRow, error) {
-	var out []ParsedRow
+func ParseJSONL(r io.Reader) ([]Line, error) {
+	var out []Line
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -73,24 +63,14 @@ func ParseJSONL(r io.Reader) ([]ParsedRow, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var l jsonlLine
+		var l Line
 		if err := DecodeStrict(raw, &l); err != nil {
 			return nil, fmt.Errorf("jsonl line %d: %w", lineNo, err)
 		}
 		if l.Experiment == "" || len(l.Table.Columns) == 0 {
 			return nil, fmt.Errorf("jsonl line %d: missing experiment name or table columns", lineNo)
 		}
-		out = append(out, ParsedRow{
-			Experiment: l.Experiment,
-			Section:    l.Section,
-			WhatIf:     l.WhatIf,
-			Timeline:   l.Timeline,
-			Table: &report.Table{
-				Title:   l.Table.Title,
-				Columns: l.Table.Columns,
-				Rows:    l.Table.Rows,
-			},
-		})
+		out = append(out, l)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("jsonl: %w", err)

@@ -116,7 +116,7 @@ func TestParseJSONLRejections(t *testing.T) {
 }
 
 // renderParsed renders re-ingested rows back into a JSONL stream.
-func renderParsed(t *testing.T, rows []ParsedRow) []byte {
+func renderParsed(t *testing.T, rows []Line) []byte {
 	t.Helper()
 	results := make([]Result, len(rows))
 	for i, r := range rows {
@@ -124,7 +124,7 @@ func renderParsed(t *testing.T, rows []ParsedRow) []byte {
 		// Result per row reproduces the original stream byte for byte.
 		results[i] = Result{
 			Experiment: Experiment{Name: r.Experiment, Section: r.Section},
-			Tables:     []*report.Table{r.Table},
+			Tables:     []*report.Table{{Title: r.Table.Title, Columns: r.Table.Columns, Rows: r.Table.Rows}},
 			WhatIf:     r.WhatIf,
 			Timeline:   r.Timeline,
 		}

@@ -114,7 +114,7 @@ func RenderText(w io.Writer, results []Result) error {
 func RenderJSONL(w io.Writer, results []Result) error {
 	for _, r := range results {
 		for _, t := range r.Tables {
-			l := jsonlLine{Experiment: r.Experiment.Name, Section: r.Experiment.Section,
+			l := Line{Experiment: r.Experiment.Name, Section: r.Experiment.Section,
 				WhatIf: r.WhatIf, Timeline: r.Timeline}
 			l.Table.Title, l.Table.Columns, l.Table.Rows = t.Title, t.Columns, t.Rows
 			if l.Table.Rows == nil {

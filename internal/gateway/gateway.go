@@ -100,11 +100,11 @@ func (g *Gateway) FetchHTTP(env *netsim.Effects, c ids.CID, online func(ids.Peer
 		return true, nil
 	}
 	nd := g.nextOnline(online)
-	res := nd.Retrieve(env, c)
-	if res.Found {
+	found := nd.Retrieve(env, c)
+	if found {
 		g.cache[c] |= flagCached
 	}
-	return res.Found, nd
+	return found, nd
 }
 
 // Poison plants a poisoned cache entry for c: subsequent fetches hit

@@ -44,7 +44,7 @@ func TestProbeOnceDiscoversOverlayID(t *testing.T) {
 		t.Fatal("probe failed")
 	}
 	if want := net.Nodes[10].ID(); id != want {
-		t.Fatalf("discovered %s, want %s", id.Short(), want.Short())
+		t.Fatalf("discovered %s, want %s", id.String(), want.String())
 	}
 }
 
@@ -61,7 +61,7 @@ func TestIdentifyEnumeratesAllNodes(t *testing.T) {
 	}
 	for _, id := range found {
 		if !want[id] {
-			t.Fatalf("discovered non-gateway ID %s", id.Short())
+			t.Fatalf("discovered non-gateway ID %s", id.String())
 		}
 	}
 }

@@ -271,8 +271,8 @@ func (h *Hydra) enqueueLookup(c ids.CID) {
 func (h *Hydra) PendingLookups() int { return len(h.pending) }
 
 // ProcessPending drains up to drainPerCall queued proactive lookups,
-// performing real FindProviders walks on the network. Returns the
-// number of lookups performed. Drivers call this between request batches.
+// performing real FindProviders walks on the network. Drivers call this
+// between request batches; PendingLookups shows what is left.
 //
 // All self-mutations (cache fills, queue pop) are deferred through the
 // env lane. Several Hydra deployments can therefore drain their queues
@@ -281,12 +281,12 @@ func (h *Hydra) PendingLookups() int { return len(h.pending) }
 // of scheduling. Lookups enqueued by other lanes during the phase are
 // appended at merge time and drain on the next call, exactly like
 // requests that arrive while a real booster is busy.
-func (h *Hydra) ProcessPending(env *netsim.Effects) int {
+func (h *Hydra) ProcessPending(env *netsim.Effects) {
 	n := 0
 	for ; n < len(h.pending) && n < drainPerCall; n++ {
 		c := h.pending[n]
 		seeds := h.seedInfos(c.Key())
-		recs, _ := h.walker.FindProviders(env, seeds, c, dht.FindProvidersOpts{})
+		recs := h.walker.FindProviders(env, seeds, c, dht.FindProvidersOpts{})
 		// Negative results are cached as an empty (non-nil) entry so the
 		// same missing CID does not re-trigger lookups — asking a Hydra
 		// for non-existing content still generated the traffic once,
@@ -301,9 +301,7 @@ func (h *Hydra) ProcessPending(env *netsim.Effects) int {
 			h.cache[cid] = entry
 		})
 	}
-	drained := n
-	env.Defer(func() { h.pending = h.pending[drained:] })
-	return n
+	env.Defer(func() { h.pending = h.pending[n:] })
 }
 
 func (h *Hydra) seedInfos(target ids.Key) []netsim.PeerInfo {

@@ -46,11 +46,6 @@ func (p PeerID) String() string {
 	return "12D3Koo" + base36(p.k[:16])
 }
 
-// Short returns an abbreviated form for logs.
-func (p PeerID) Short() string {
-	return "12D3Koo" + base36(p.k[:4])
-}
-
 // CID identifies a piece of content. In IPFS, CID(d) = h(d) plus
 // self-describing metadata; the DHT key for a CID is a further hash of it.
 // Both derivations are reproduced here.

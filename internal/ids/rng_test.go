@@ -103,9 +103,4 @@ func TestIdentifierStringPins(t *testing.T) {
 	if p0.IsZero() || c0.IsZero() {
 		t.Error("seeded identifiers must not be the zero sentinel")
 	}
-	// Short() must be a prefix-stable abbreviation of the same identity,
-	// and stay within the rendered form's alphabet.
-	if len(p0.Short()) >= len(p0.String()) {
-		t.Error("PeerID Short() is not shorter than String()")
-	}
 }

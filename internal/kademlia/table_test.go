@@ -140,7 +140,7 @@ func TestNearestPeersOrdering(t *testing.T) {
 			}
 		}
 		if !inResult && p.Key().Xor(target).Cmp(worst) < 0 {
-			t.Fatalf("peer %s closer than returned set but omitted", p.Short())
+			t.Fatalf("peer %s closer than returned set but omitted", p.String())
 		}
 	}
 }

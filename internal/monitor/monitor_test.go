@@ -72,9 +72,16 @@ func TestMonitorServesPlantedContent(t *testing.T) {
 	c := ids.CIDFromSeed(9)
 	m.AddBlock(c)
 	net.Nodes[1].ConnectBitswap(m.ID())
-	res := net.Nodes[1].Retrieve(nil, c)
-	if !res.Found || !res.ViaBitswap || res.Provider != m.ID() {
-		t.Fatalf("Retrieve = %+v, want found via monitor", res)
+	before := net.Network.TotalMessages()
+	if !net.Nodes[1].Retrieve(nil, c) {
+		t.Fatal("planted content not found")
+	}
+	// One WANT, no DHT walk: the monitor answered the broadcast.
+	if got := net.Network.TotalMessages() - before; got != 1 {
+		t.Fatalf("retrieval sent %d RPCs, want the one WANT", got)
+	}
+	if got := m.Stats().Len(); got != 1 {
+		t.Fatalf("monitor saw %d WANTs, want 1", got)
 	}
 }
 

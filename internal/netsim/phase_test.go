@@ -17,11 +17,11 @@ type recorder struct {
 }
 
 func (r recorder) LearnContact(from ids.PeerID) {
-	*r.log = append(*r.log, r.name+" learn "+from.Short())
+	*r.log = append(*r.log, r.name+" learn "+from.String())
 }
 
 func (r recorder) PutProvider(c ids.CID, rec ProviderRecord) {
-	*r.log = append(*r.log, r.name+" put "+c.String()+" "+rec.Provider.ID.Short())
+	*r.log = append(*r.log, r.name+" put "+c.String()+" "+rec.Provider.ID.String())
 }
 
 func (r recorder) EnqueueLookup(c ids.CID) {

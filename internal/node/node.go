@@ -160,14 +160,16 @@ func (n *Node) seedInfos(target ids.Key) []netsim.PeerInfo {
 
 // LearnPeer force-adds a peer to the routing table: the oracle topology
 // fill that stands in for join walks (scenario worlds, simtest.OracleFill).
-func (n *Node) LearnPeer(p ids.PeerID, lastSeen netsim.Time) bool {
-	return n.rt.Add(kademlia.Contact{Peer: p, LastSeen: lastSeen})
+// A full bucket may reject the peer (see kademlia.Table.Add).
+func (n *Node) LearnPeer(p ids.PeerID, lastSeen netsim.Time) {
+	n.rt.Add(kademlia.Contact{Peer: p, LastSeen: lastSeen})
 }
 
 // Provide advertises this node as a provider for c, per the paper: a
 // GetClosestPeers walk to find the K resolvers, then AddProvider to each.
-func (n *Node) Provide(env *netsim.Effects, c ids.CID) ([]ids.PeerID, dht.WalkStats) {
-	return n.walker.Provide(env, n.seedInfos(c.Key()), c, n.net.Info(n.id))
+// The resolvers' ProvidersOf shows who took the record.
+func (n *Node) Provide(env *netsim.Effects, c ids.CID) {
+	n.walker.Provide(env, n.seedInfos(c.Key()), c, n.net.Info(n.id))
 }
 
 // ProvideDirect advertises without the iterative walk, sending
@@ -175,20 +177,18 @@ func (n *Node) Provide(env *netsim.Effects, c ids.CID) ([]ids.PeerID, dht.WalkSt
 // accelerated DHT client used by large re-providers (web3.storage-class
 // platforms maintain a full routing table and skip the per-CID walk,
 // which is why the paper's Hydra sees 40% ADD_PROVIDER but only 3%
-// FIND_NODE traffic). Returns the resolvers that accepted the record.
-func (n *Node) ProvideDirect(env *netsim.Effects, c ids.CID, resolvers []ids.PeerID) []ids.PeerID {
+// FIND_NODE traffic).
+func (n *Node) ProvideDirect(env *netsim.Effects, c ids.CID, resolvers []ids.PeerID) {
 	rec := netsim.ProviderRecord{Provider: n.net.Info(n.id), Received: n.net.Clock.Now()}
-	var accepted []ids.PeerID
 	for _, r := range resolvers {
-		if err := n.net.AddProvider(env, n.id, r, c, rec); err == nil {
-			accepted = append(accepted, r)
-		}
+		// A resolver that cannot be reached misses the record; the others
+		// still get it.
+		_ = n.net.AddProvider(env, n.id, r, c, rec)
 	}
-	return accepted
 }
 
 // FindProviders resolves c via the DHT.
-func (n *Node) FindProviders(env *netsim.Effects, c ids.CID, opts dht.FindProvidersOpts) ([]netsim.ProviderRecord, dht.WalkStats) {
+func (n *Node) FindProviders(env *netsim.Effects, c ids.CID, opts dht.FindProvidersOpts) []netsim.ProviderRecord {
 	return n.walker.FindProviders(env, n.seedInfos(c.Key()), c, opts)
 }
 
@@ -238,71 +238,46 @@ func (n *Node) BitswapPeers() []ids.PeerID {
 
 // --- Content retrieval (the two-step process from Section 2) ---
 
-// RetrieveResult describes how a retrieval concluded.
-type RetrieveResult struct {
-	// Found reports whether the content was obtained.
-	Found bool
-	// ViaBitswap is true when the 1-hop Bitswap broadcast located the
-	// block without a DHT walk.
-	ViaBitswap bool
-	// Provider is the peer the block came from.
-	Provider ids.PeerID
-	// WantsSent counts Bitswap WANT messages broadcast in step 1.
-	WantsSent int
-	// Walk carries DHT walk statistics for step 2 (zero if skipped).
-	Walk dht.WalkStats
-}
-
-// Retrieve downloads c: first a 1-hop Bitswap broadcast to all connected
-// neighbours, then — if that fails — a DHT FindProviders walk followed by
-// direct Bitswap requests to discovered providers. On success the node
-// stores the block; it does not advertise it (scenarios reprovide
-// downloads on their own schedule, through ProvideDirect). All RPCs
-// count against the env lane and the block store is deferred to the
-// merge, so concurrent retrievals across shards stay race-free and
-// deterministic.
-func (n *Node) Retrieve(env *netsim.Effects, c ids.CID) RetrieveResult {
-	var res RetrieveResult
+// Retrieve downloads c and reports whether it obtained it: first a
+// 1-hop Bitswap broadcast to all connected neighbours, then — if that
+// fails — a DHT FindProviders walk followed by direct Bitswap requests
+// to discovered providers. A block already held is found without an
+// RPC. On success the node stores the block; it does not advertise it
+// (scenarios reprovide downloads on their own schedule, through
+// ProvideDirect). All RPCs count against the env lane and the block
+// store is deferred to the merge, so concurrent retrievals across
+// shards stay race-free and deterministic.
+func (n *Node) Retrieve(env *netsim.Effects, c ids.CID) bool {
 	if n.blocks[c] {
-		res.Found = true
-		res.Provider = n.id
-		return res
+		return true
 	}
 
 	// Step 1: Bitswap broadcast.
+	found := false
 	for _, p := range n.BitswapPeers() {
-		has, err := n.net.BitswapWant(env, n.id, p, c)
-		res.WantsSent++
-		if err == nil && has {
-			res.Found = true
-			res.ViaBitswap = true
-			res.Provider = p
+		if has, err := n.net.BitswapWant(env, n.id, p, c); err == nil && has {
+			found = true
 			break
 		}
 	}
 
 	// Step 2: DHT resolution.
-	if !res.Found {
-		recs, stats := n.FindProviders(env, c, dht.FindProvidersOpts{})
-		res.Walk = stats
-		for _, r := range recs {
+	if !found {
+		for _, r := range n.FindProviders(env, c, dht.FindProvidersOpts{}) {
 			if r.Provider.ID == n.id {
 				continue
 			}
-			has, err := n.net.BitswapWant(env, n.id, r.Provider.ID, c)
-			if err != nil || !has {
-				continue
+			if has, err := n.net.BitswapWant(env, n.id, r.Provider.ID, c); err == nil && has {
+				found = true
+				break
 			}
-			res.Found = true
-			res.Provider = r.Provider.ID
-			break
 		}
 	}
 
-	if res.Found {
+	if found {
 		env.Defer(func() { n.blocks[c] = true })
 	}
-	return res
+	return found
 }
 
 // ExpireProviders drops expired provider records; scenarios call it

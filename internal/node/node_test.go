@@ -56,10 +56,11 @@ func bruteForceClosest(nodes []*Node, target ids.Key, k int) map[ids.PeerID]bool
 }
 
 func TestWalkFindsTrueClosestPeers(t *testing.T) {
-	_, nodes := buildNet(t, 300)
+	net, nodes := buildNet(t, 300)
 	for trial := 0; trial < 5; trial++ {
 		target := ids.KeyFromUint64(uint64(1000 + trial))
-		got, stats := nodesWalker(nodes[trial]).GetClosestPeers(nil, seedsOf(nodes[trial], target), target)
+		before := net.TotalMessages()
+		got := nodesWalker(nodes[trial]).GetClosestPeers(nil, seedsOf(nodes[trial], target), target)
 		want := bruteForceClosest(nodes, target, dht.K)
 		if len(got) != dht.K {
 			t.Fatalf("walk returned %d peers, want %d", len(got), dht.K)
@@ -75,7 +76,7 @@ func TestWalkFindsTrueClosestPeers(t *testing.T) {
 		if match < dht.K-1 {
 			t.Errorf("trial %d: only %d/%d of returned peers are truly closest", trial, match, dht.K)
 		}
-		if stats.Queried == 0 {
+		if net.TotalMessages() == before {
 			t.Error("walk queried no peers")
 		}
 	}
@@ -88,13 +89,25 @@ func seedsOf(n *Node, target ids.Key) []netsim.PeerInfo {
 	return n.seedInfos(target)
 }
 
+// resolversOf returns the nodes that hold a provider record for c.
+func resolversOf(nodes []*Node, c ids.CID) []ids.PeerID {
+	var out []ids.PeerID
+	for _, nd := range nodes {
+		if len(nd.ProvidersOf(c)) > 0 {
+			out = append(out, nd.ID())
+		}
+	}
+	return out
+}
+
 func TestProvideAndFindProviders(t *testing.T) {
-	_, nodes := buildNet(t, 200)
+	net, nodes := buildNet(t, 200)
 	provider := nodes[7]
 	c := ids.CIDFromSeed(42)
 	provider.AddBlock(c)
 
-	resolvers, _ := provider.Provide(nil, c)
+	provider.Provide(nil, c)
+	resolvers := resolversOf(nodes, c)
 	if len(resolvers) == 0 {
 		t.Fatal("Provide stored no records")
 	}
@@ -106,19 +119,20 @@ func TestProvideAndFindProviders(t *testing.T) {
 	want := bruteForceClosest(nodes, c.Key(), dht.K+1)
 	for _, r := range resolvers {
 		if !want[r] {
-			t.Errorf("resolver %s is not among the closest peers to the CID", r.Short())
+			t.Errorf("resolver %s is not among the closest peers to the CID", r.String())
 		}
 	}
 
 	// A different node resolves the CID.
-	recs, stats := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
+	before := net.TotalMessages()
+	recs := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
 	if len(recs) != 1 {
 		t.Fatalf("FindProviders returned %d records, want 1", len(recs))
 	}
 	if recs[0].Provider.ID != provider.ID() {
-		t.Errorf("provider = %s, want %s", recs[0].Provider.ID.Short(), provider.ID().Short())
+		t.Errorf("provider = %s, want %s", recs[0].Provider.ID.String(), provider.ID().String())
 	}
-	if stats.Queried == 0 {
+	if net.TotalMessages() == before {
 		t.Error("FindProviders performed no queries")
 	}
 }
@@ -127,24 +141,29 @@ func TestProvideAndFindProviders(t *testing.T) {
 // walk stops querying once it holds K of them, while the exhaustive walk
 // queries on and collects everyone.
 func TestFindProvidersStopsAtK(t *testing.T) {
-	_, nodes := buildNet(t, 200)
+	net, nodes := buildNet(t, 200)
 	c := ids.CIDFromSeed(77)
 	// 30 providers advertise.
 	for i := 0; i < 30; i++ {
 		nodes[i].AddBlock(c)
 		nodes[i].Provide(nil, c)
 	}
-	recs, std := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
+	// Every node is online, so each query is one delivered RPC.
+	queried := func(opts dht.FindProvidersOpts) ([]netsim.ProviderRecord, int64) {
+		before := net.TotalMessages()
+		recs := nodes[150].FindProviders(nil, c, opts)
+		return recs, net.TotalMessages() - before
+	}
+	recs, std := queried(dht.FindProvidersOpts{})
 	if len(recs) < dht.K {
 		t.Fatalf("standard walk found %d providers, want >= K = %d", len(recs), dht.K)
 	}
-	all, exh := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
+	all, exh := queried(dht.FindProvidersOpts{Exhaustive: true})
 	if len(all) != 30 {
 		t.Fatalf("exhaustive walk found %d providers, want 30", len(all))
 	}
-	if std.Queried >= exh.Queried {
-		t.Fatalf("standard walk queried %d peers, exhaustive %d: the standard walk did not stop at K",
-			std.Queried, exh.Queried)
+	if std >= exh {
+		t.Fatalf("standard walk queried %d peers, exhaustive %d: the standard walk did not stop at K", std, exh)
 	}
 }
 
@@ -157,26 +176,27 @@ func TestExhaustiveEqualsStandardForSparseCIDs(t *testing.T) {
 		nodes[i].AddBlock(c)
 		nodes[i].Provide(nil, c)
 	}
-	std, _ := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{})
-	exh, _ := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
+	std := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{})
+	exh := nodes[100].FindProviders(nil, c, dht.FindProvidersOpts{Exhaustive: true})
 	if len(std) != len(exh) {
 		t.Fatalf("standard found %d, exhaustive %d — must match for sparse CIDs", len(std), len(exh))
 	}
 }
 
 func TestRetrieveViaBitswapNeighbour(t *testing.T) {
-	_, nodes := buildNet(t, 50)
+	net, nodes := buildNet(t, 50)
 	c := ids.CIDFromSeed(1)
 	holder, downloader := nodes[1], nodes[2]
 	holder.AddBlock(c)
 	downloader.ConnectBitswap(holder.ID())
 
-	res := downloader.Retrieve(nil, c)
-	if !res.Found || !res.ViaBitswap {
-		t.Fatalf("Retrieve = %+v, want found via bitswap", res)
+	before := net.TotalMessages()
+	if !downloader.Retrieve(nil, c) {
+		t.Fatal("content held by the Bitswap neighbour not found")
 	}
-	if res.Provider != holder.ID() {
-		t.Errorf("provider = %s", res.Provider.Short())
+	// One WANT to the one neighbour, and no DHT walk.
+	if got := net.TotalMessages() - before; got != 1 {
+		t.Fatalf("retrieval sent %d RPCs, want the one WANT", got)
 	}
 	if !downloader.HasBlock(c) {
 		t.Error("downloader did not store the block")
@@ -184,21 +204,20 @@ func TestRetrieveViaBitswapNeighbour(t *testing.T) {
 }
 
 func TestRetrieveViaDHT(t *testing.T) {
-	_, nodes := buildNet(t, 200)
+	net, nodes := buildNet(t, 200)
 	c := ids.CIDFromSeed(9)
 	provider, downloader := nodes[3], nodes[120]
 	provider.AddBlock(c)
 	provider.Provide(nil, c)
 
-	res := downloader.Retrieve(nil, c)
-	if !res.Found || res.ViaBitswap {
-		t.Fatalf("Retrieve = %+v, want found via DHT", res)
+	// The downloader has no Bitswap neighbours: every RPC but the final
+	// WANT to the provider belongs to the walk.
+	before := net.TotalMessages()
+	if !downloader.Retrieve(nil, c) {
+		t.Fatal("content not found via the DHT")
 	}
-	if res.Provider != provider.ID() {
-		t.Errorf("provider = %s", res.Provider.Short())
-	}
-	if res.Walk.Queried == 0 {
-		t.Error("no DHT queries recorded")
+	if got := net.TotalMessages() - before; got < 2 {
+		t.Errorf("retrieval sent %d RPCs, want a DHT walk before the WANT", got)
 	}
 	if !downloader.HasBlock(c) {
 		t.Error("downloader did not store the block")
@@ -206,12 +225,11 @@ func TestRetrieveViaDHT(t *testing.T) {
 }
 
 func TestRetrieveMissingContent(t *testing.T) {
-	_, nodes := buildNet(t, 100)
-	res := nodes[5].Retrieve(nil, ids.CIDFromSeed(12345))
-	if res.Found {
+	net, nodes := buildNet(t, 100)
+	if nodes[5].Retrieve(nil, ids.CIDFromSeed(12345)) {
 		t.Fatal("retrieved content nobody provides")
 	}
-	if res.Walk.Queried == 0 {
+	if net.TotalMessages() == 0 {
 		t.Error("missing content should still trigger a DHT walk")
 	}
 }
@@ -237,12 +255,13 @@ func TestNATProviderViaRelay(t *testing.T) {
 
 	c := ids.CIDFromSeed(31)
 	nat.AddBlock(c)
-	if rs, _ := nat.Provide(nil, c); len(rs) == 0 {
+	nat.Provide(nil, c)
+	if len(resolversOf(nodes, c)) == 0 {
 		t.Fatal("NAT-ed node could not publish provider records")
 	}
 
 	// The advertised record carries the circuit address.
-	recs, _ := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
+	recs := nodes[150].FindProviders(nil, c, dht.FindProvidersOpts{})
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -250,16 +269,15 @@ func TestNATProviderViaRelay(t *testing.T) {
 		t.Fatalf("provider record addrs = %v, want circuit address", recs[0].Provider.Addrs)
 	}
 
-	// Retrieval succeeds through the relay.
-	res := nodes[150].Retrieve(nil, c)
-	if !res.Found || res.Provider != natID {
-		t.Fatalf("Retrieve via relay = %+v", res)
+	// Retrieval succeeds through the relay. The NAT-ed node is the only
+	// provider, so a found block came from it.
+	if !nodes[150].Retrieve(nil, c) {
+		t.Fatal("retrieval via relay failed")
 	}
 
 	// Relay offline: the NAT-ed provider becomes unreachable.
 	net.SetOnline(relay.ID(), false)
-	res2 := nodes[160].Retrieve(nil, c)
-	if res2.Found && res2.Provider == natID {
+	if nodes[160].Retrieve(nil, c) {
 		t.Fatal("retrieved from NAT-ed provider while its relay was offline")
 	}
 }
@@ -398,16 +416,13 @@ func TestWalkToleratesOfflinePeers(t *testing.T) {
 		net.SetOnline(nodes[i*3].ID(), false)
 	}
 	target := ids.KeyFromUint64(555)
-	got, stats := nodesWalker(nodes[1]).GetClosestPeers(nil, seedsOf(nodes[1], target), target)
+	got := nodesWalker(nodes[1]).GetClosestPeers(nil, seedsOf(nodes[1], target), target)
 	if len(got) == 0 {
 		t.Fatal("walk found nothing in a churned network")
 	}
-	if stats.Failed == 0 {
-		t.Error("walk reported no failures despite offline peers")
-	}
 	for _, pi := range got {
 		if !net.Online(pi.ID) {
-			t.Errorf("walk returned offline peer %s", pi.ID.Short())
+			t.Errorf("walk returned offline peer %s", pi.ID.String())
 		}
 	}
 }

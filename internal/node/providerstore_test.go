@@ -240,7 +240,7 @@ func runProviderStoreModel(t *testing.T, ttl netsim.Time, rng *rand.Rand) {
 				}
 			}
 			if got := s.CountFrom(p, now); got != want {
-				t.Fatalf("step %d (%s): CountFrom(%s) = %d, want %d", step, op, p.Short(), got, want)
+				t.Fatalf("step %d (%s): CountFrom(%s) = %d, want %d", step, op, p.String(), got, want)
 			}
 		}
 		alive, cidSet := 0, map[ids.CID]bool{}

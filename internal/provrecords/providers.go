@@ -41,7 +41,6 @@ type CloudFunc func(netip.Addr) bool
 // ProviderProfile aggregates everything observed about one provider peer
 // across the whole collection.
 type ProviderProfile struct {
-	Peer ids.PeerID
 	// Appearances is the number of provider records the peer occurs in.
 	Appearances int
 	// Class is the hosting classification.
@@ -88,7 +87,6 @@ func ClassifyRecord(rec netsim.ProviderRecord, isCloud CloudFunc) Class {
 func Profiles(col *Collection, isCloud CloudFunc) []ProviderProfile {
 	type acc struct {
 		appearances int
-		hasCircuit  bool
 		hasCloud    bool
 		hasNonCloud bool
 		relayIPs    map[netip.Addr]bool
@@ -106,7 +104,6 @@ func Profiles(col *Collection, isCloud CloudFunc) []ProviderProfile {
 			a.appearances++
 			for _, addr := range rec.Provider.Addrs {
 				if addr.Circuit {
-					a.hasCircuit = true
 					if addr.IP.IsValid() {
 						a.relayIPs[addr.IP] = true
 					}
@@ -137,7 +134,7 @@ func Profiles(col *Collection, isCloud CloudFunc) []ProviderProfile {
 		default:
 			cl = NATed
 		}
-		p := ProviderProfile{Peer: id, Appearances: a.appearances, Class: cl}
+		p := ProviderProfile{Appearances: a.appearances, Class: cl}
 		for ip := range a.relayIPs {
 			p.RelayIPs = append(p.RelayIPs, ip)
 		}

@@ -70,22 +70,18 @@ func collection() *Collection {
 	col := &Collection{}
 	// CID A: cloud + NAT-ed providers.
 	col.PerCID = append(col.PerCID, CIDRecords{
-		CID:     ids.CIDFromSeed(1),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), relayed(2, cloudIP2)},
 	})
 	// CID B: only cloud.
 	col.PerCID = append(col.PerCID, CIDRecords{
-		CID:     ids.CIDFromSeed(2),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), direct(3, cloudIP2)},
 	})
 	// CID C: only non-cloud.
 	col.PerCID = append(col.PerCID, CIDRecords{
-		CID:     ids.CIDFromSeed(3),
 		Records: []netsim.ProviderRecord{direct(4, homeIP1)},
 	})
 	// CID D: popular cloud provider again + NAT via non-cloud relay.
 	col.PerCID = append(col.PerCID, CIDRecords{
-		CID:     ids.CIDFromSeed(4),
 		Records: []netsim.ProviderRecord{direct(1, cloudIP1), relayed(5, homeIP2)},
 	})
 	return col
@@ -96,15 +92,12 @@ func TestProfiles(t *testing.T) {
 	if len(profiles) != 5 {
 		t.Fatalf("%d profiles, want 5", len(profiles))
 	}
-	byPeer := map[ids.PeerID]ProviderProfile{}
-	for _, p := range profiles {
-		byPeer[p.Peer] = p
-	}
-	p1 := byPeer[ids.PeerIDFromSeed(1)]
+	// Profiles follow the providers' first appearance: peers 1 to 5.
+	p1 := profiles[0]
 	if p1.Appearances != 3 || p1.Class != CloudBased {
 		t.Errorf("peer 1 profile = %+v", p1)
 	}
-	p2 := byPeer[ids.PeerIDFromSeed(2)]
+	p2 := profiles[1]
 	if p2.Class != NATed || len(p2.RelayIPs) != 1 || p2.RelayIPs[0] != cloudIP2 {
 		t.Errorf("peer 2 profile = %+v", p2)
 	}

@@ -20,15 +20,13 @@ import (
 	"tcsb/internal/netsim"
 )
 
-// CIDRecords is the provider set collected for one CID on one day.
+// CIDRecords is the provider set collected for one CID on one day. Its
+// position in the collection follows the day's CID sample.
 type CIDRecords struct {
-	CID ids.CID
 	Day int64
 	// Records holds only the reachable providers, matching the paper's
 	// "ignored the unreachable ones".
 	Records []netsim.ProviderRecord
-	// Stale counts discovered-but-unreachable records.
-	Stale int
 }
 
 // Collection is the accumulated multi-day dataset.
@@ -68,13 +66,11 @@ func Verify(net *netsim.Network, rec netsim.ProviderRecord) bool {
 
 // CollectOne retrieves and verifies all provider records for one CID.
 func (c *Collector) CollectOne(env *netsim.Effects, cid ids.CID, day int64) CIDRecords {
-	recs, _ := c.walker.FindProviders(env, c.seeds(cid.Key()), cid, dht.FindProvidersOpts{Exhaustive: true})
-	out := CIDRecords{CID: cid, Day: day}
+	recs := c.walker.FindProviders(env, c.seeds(cid.Key()), cid, dht.FindProvidersOpts{Exhaustive: true})
+	out := CIDRecords{Day: day}
 	for _, r := range recs {
 		if Verify(c.net, r) {
 			out.Records = append(out.Records, r)
-		} else {
-			out.Stale++
 		}
 	}
 	return out

@@ -147,11 +147,7 @@ func (w *World) PopulateDNSLink(n int) {
 // with a non-cloud minority. The content is persistent: owners keep it
 // provided for the life of the name.
 func (w *World) PopulateENS(names int) []*ens.Resolver {
-	resolvers := []*ens.Resolver{
-		ens.NewResolver("0x4976fb03c32e5b8cfe2b6ccb31c09ba78ebaba41"),
-		ens.NewResolver("0x231b0ee14048e9dccd1d247744d114a4eb5e8e63"),
-		ens.NewResolver("0xdaaf96c344f63131acadd0ea35170e7892d3dfba"),
-	}
+	resolvers := []*ens.Resolver{ens.NewResolver(), ens.NewResolver(), ens.NewResolver()}
 	// Dapp content pool: one CID per ~2 names, hosted by ordinary
 	// servers (82% cloud).
 	var pool []ids.CID

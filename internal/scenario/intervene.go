@@ -1,7 +1,5 @@
 package scenario
 
-import "tcsb/internal/ids"
-
 // Counterfactual intervention hooks: surgical rewrites of a built world
 // that internal/counterfactual composes into named what-if scenarios.
 // Every hook is deterministic (no RNG draws) and leaves the world in a
@@ -34,21 +32,17 @@ func (w *World) DissolvePLHydras() {
 // ProviderOutage takes every actor hosted by the given cloud provider
 // offline permanently: the region never comes back, churn cannot revive
 // the nodes (PinnedOffline), and platform clusters hosted there stop
-// serving. It returns the number of actors pinned (whether they were
-// online or already churned offline when the outage hit). Hydra heads
-// are not Actors; callers modelling an AWS outage compose this with
-// DissolvePLHydras.
-func (w *World) ProviderOutage(provider string) int {
-	pinned := 0
+// serving. Actors already churned offline when the outage hits are
+// pinned too. Hydra heads are not Actors; callers modelling an AWS
+// outage compose this with DissolvePLHydras.
+func (w *World) ProviderOutage(provider string) {
 	for _, id := range w.order {
 		a := w.Actors[id]
 		if a == nil || a.Provider != provider {
 			continue
 		}
 		w.pinActorOffline(a)
-		pinned++
 	}
-	return pinned
 }
 
 // ProviderArrival adds n fresh cloud DHT servers hosted by the given
@@ -58,26 +52,22 @@ func (w *World) ProviderOutage(provider string) int {
 // IPs inside the provider's footprint, a realistic routing table, and
 // Bitswap wiring (monitor coverage included). They append to the order
 // and server role lists, so existing actors keep their shard positions
-// and the evolution stays byte-identical across Workers values. It
-// returns the new identities.
+// and the evolution stays byte-identical across Workers values.
 //
 // Determinism: all draws come from the serial master RNG, and the hook
 // runs only on the serial path between epochs (never inside a tick
 // phase), like every other intervention.
-func (w *World) ProviderArrival(provider string, n int) []ids.PeerID {
-	out := make([]ids.PeerID, 0, n)
+func (w *World) ProviderArrival(provider string, n int) {
+	arrived := make([]*Actor, 0, n)
 	for i := 0; i < n; i++ {
 		country := w.cloudCountryFor(provider)
-		a := w.addServerActor(true, provider, country, "", 0.25)
-		out = append(out, a.ID)
+		arrived = append(arrived, w.addServerActor(true, provider, country, "", 0.25))
 	}
 	w.rebuildRing()
-	for _, id := range out {
-		a := w.Actors[id]
+	for _, a := range arrived {
 		w.fillTableOf(a)
 		w.wireBitswapOf(a)
 	}
-	return out
 }
 
 // ApplyRewrite applies a config rewrite to a *running* world and
@@ -100,15 +90,9 @@ func (w *World) ApplyRewrite(f func(*Config)) {
 // "@E:churn:F" drift action. factor < 1 calms the fringe down.
 func (w *World) ScaleResidentialChurn(factor float64) {
 	w.ApplyRewrite(func(c *Config) {
-		clamp := func(p float64) float64 {
-			if p > 1 {
-				return 1
-			}
-			return p
-		}
-		c.NonCloudOfflineProb = clamp(c.NonCloudOfflineProb * factor)
-		c.RotateIPProb = clamp(c.RotateIPProb * factor)
-		c.RegenerateIDProb = clamp(c.RegenerateIDProb * factor)
+		c.NonCloudOfflineProb = min(c.NonCloudOfflineProb*factor, 1)
+		c.RotateIPProb = min(c.RotateIPProb*factor, 1)
+		c.RegenerateIDProb = min(c.RegenerateIDProb*factor, 1)
 	})
 }
 

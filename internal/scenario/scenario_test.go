@@ -51,7 +51,7 @@ func TestWorldBuildPopulation(t *testing.T) {
 		info := w.DB.Lookup(a.IP)
 		if a.Cloud != info.Cloud() {
 			t.Fatalf("actor %s cloud flag %v but IP %s says %v",
-				id.Short(), a.Cloud, a.IP, info.Cloud())
+				id.String(), a.Cloud, a.IP, info.Cloud())
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestNATClientsRelayThroughMostlyCloud(t *testing.T) {
 	for _, id := range w.clients {
 		a := w.Actors[id]
 		if a.Relay.IsZero() {
-			t.Fatalf("client %s has no relay", id.Short())
+			t.Fatalf("client %s has no relay", id.String())
 		}
 		relayIP := w.Net.PrimaryIP(a.Relay)
 		total++
@@ -189,7 +189,7 @@ func TestCrawlOnWorld(t *testing.T) {
 	}
 	for _, id := range w.clients {
 		if discovered[id] {
-			t.Fatalf("NAT client %s in crawl", id.Short())
+			t.Fatalf("NAT client %s in crawl", id.String())
 		}
 	}
 }
@@ -258,7 +258,7 @@ func TestNearestServersExact(t *testing.T) {
 	}
 	for i := 0; i < dht.K; i++ {
 		if got[i] != best[i] {
-			t.Fatalf("nearestServers[%d] = %s, want %s", i, got[i].Short(), best[i].Short())
+			t.Fatalf("nearestServers[%d] = %s, want %s", i, got[i].String(), best[i].String())
 		}
 	}
 }

@@ -414,7 +414,7 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 		return
 	}
 	mark := w.Net.LatencyMark(env)
-	res := a.Node.Retrieve(env, p.cid)
+	found := a.Node.Retrieve(env, p.cid)
 	w.Timing.Record(env, trace.PhaseLookup, w.Net.LatencyMark(env)-mark)
 	// IPFS clients become providers for what they download; the
 	// reprovider runs in batches (every 12-22h), modelled as a throttled
@@ -424,7 +424,7 @@ func (w *World) execRequest(env *netsim.Effects, p requestPlan) {
 	if !a.Cloud {
 		reprovideP = 0.3
 	}
-	if res.Found && p.coin < reprovideP {
+	if found && p.coin < reprovideP {
 		a.Node.ProvideDirect(env, p.cid, w.resolversFor(p.cid))
 	}
 }

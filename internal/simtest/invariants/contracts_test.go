@@ -128,7 +128,7 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 		for _, p := range lookupClosest(w, c.Key()) {
 			if w.IsAttacker(p) {
 				vs.addf(InvResolverHorizon, "target %s: attacker %s in the lookup horizon",
-					c, p.Short())
+					c, p.String())
 				break
 			}
 		}
@@ -150,7 +150,7 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 	// spam-quiescence: no store holds a record naming the spammer.
 	if n := w.SpamRecordTotal(); n > 0 {
 		vs.addf(InvSpamQuiescence, "%d live provider records name the spammer %s",
-			n, spammer.Short())
+			n, spammer.String())
 	}
 
 	// gateway-response-integrity: poisoned cache entries served.
@@ -181,7 +181,7 @@ func CheckAttackSurface(w *scenario.World) []Violation {
 func lookupClosest(w *scenario.World, target ids.Key) []ids.PeerID {
 	probe := ids.PeerIDFromSeed(uint64(w.Cfg.Seed)<<48 + 0xa11ce)
 	walker := dht.NewWalker(w.Net, probe)
-	infos, _ := walker.GetClosestPeers(nil, w.SeedsNear(target, 8), target)
+	infos := walker.GetClosestPeers(nil, w.SeedsNear(target, 8), target)
 	out := make([]ids.PeerID, len(infos))
 	for i, pi := range infos {
 		out[i] = pi.ID

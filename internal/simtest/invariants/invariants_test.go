@@ -54,13 +54,13 @@ func CheckWorld(w *scenario.World) []Violation {
 	for id, a := range w.Actors {
 		if a.Online != w.Net.Online(id) {
 			vs.addf("liveness-agreement", "actor %s: scenario online=%v, network online=%v",
-				id.Short(), a.Online, w.Net.Online(id))
+				id.String(), a.Online, w.Net.Online(id))
 		}
 		if a.PinnedOffline && a.Online {
-			vs.addf("pinned-stays-down", "actor %s is pinned offline but online", id.Short())
+			vs.addf("pinned-stays-down", "actor %s is pinned offline but online", id.String())
 		}
 		if !a.IP.IsValid() {
-			vs.addf("actor-has-ip", "actor %s has no IP", id.Short())
+			vs.addf("actor-has-ip", "actor %s has no IP", id.String())
 		}
 	}
 
@@ -72,12 +72,12 @@ func CheckWorld(w *scenario.World) []Violation {
 	}
 	for _, id := range servers {
 		if w.Actors[id] == nil {
-			vs.addf("role-partition", "server %s not in the actor table", id.Short())
+			vs.addf("role-partition", "server %s not in the actor table", id.String())
 		}
 	}
 	for _, id := range clients {
 		if a := w.Actors[id]; a == nil || !a.NAT {
-			vs.addf("role-partition", "client %s missing or not NAT-ed", id.Short())
+			vs.addf("role-partition", "client %s missing or not NAT-ed", id.String())
 		}
 	}
 
@@ -91,7 +91,7 @@ func CheckWorld(w *scenario.World) []Violation {
 		}
 	}
 	for id, a := range w.Actors {
-		conserved("node "+id.Short(), a.Node.ProviderStats())
+		conserved("node "+id.String(), a.Node.ProviderStats())
 	}
 	conserved("vantage hydra", w.Hydra.ProviderStats())
 	for i, h := range w.PLHydras {
@@ -153,7 +153,7 @@ func CheckObservatory(o *core.Observatory) []Violation {
 			p := obs.Peer
 			if seen[p] {
 				vs.addf("crawl-containment", "crawl %d: peer %s observed twice",
-					snap.ID, p.Short())
+					snap.ID, p.String())
 			}
 			seen[p] = true
 			// per-peer-ips: a peer that answered the sweep was dialled,
@@ -161,7 +161,7 @@ func CheckObservatory(o *core.Observatory) []Violation {
 			// ghosts may legitimately have none.)
 			if obs.Crawlable && len(obs.IPs()) < 1 {
 				vs.addf("per-peer-ips", "crawl %d: crawlable peer %s has no IPs",
-					snap.ID, p.Short())
+					snap.ID, p.String())
 			}
 		}
 	}
@@ -173,7 +173,7 @@ func CheckObservatory(o *core.Observatory) []Violation {
 		st.EachPeerActivity(func(p ids.PeerID, _ int64) {
 			if label, ok := own[p]; ok {
 				vs.addf("vantage-purity", "hydra analysis stats contain %s traffic from %s",
-					label, p.Short())
+					label, p.String())
 			}
 		})
 	}

@@ -3,12 +3,14 @@ package tcsb_test
 // The production-reach gate: every package-level func, method, var and
 // type declared in a production package under internal/ must be
 // referenced from a non-test file outside internal/simtest, and every
-// field of a struct type declared there must be written by one. Code
-// that only tests call measures nothing, and a field only tests set is a
-// mode no binary reaches; yet both must be read, tested and carried
-// through every refactor. They belong in the test files that use them.
-// The fixtures under internal/simtest are test code whatever their file
-// names: no binary imports them, so their uses and writes do not count.
+// field of a struct type declared there must be written by one and read
+// by one. Code that only tests call measures nothing, a field only tests
+// set is a mode no binary reaches, and a field nothing reads is work
+// every run pays for; yet all three must be read, tested and carried
+// through every refactor. They belong in the test files that use them,
+// or nowhere. The fixtures under internal/simtest are test code whatever
+// their file names: no binary imports them, so their uses, writes and
+// reads do not count.
 
 import (
 	"fmt"
@@ -44,12 +46,19 @@ var reachAllowlist = map[string]string{
 	"scenario.World.LiveCIDs":         suiteReadReason + ": the live-catalog containment check",
 	"stats.Sketch.RelativeErrorBound": suiteReadReason + ": the sketch-vs-exact check; its exact-vs-spilled switch is unexported",
 	"dht.Walker.GetClosestPeers":      suiteReadReason + ": the resolver-horizon probe walk",
+
+	"core.Observatory.Run":       benchReplayReason + ": the replay builds Observatory literals with it",
+	"provrecords.CIDRecords.Day": benchReplayReason + ": the replay passes CollectDayParallel the day it stores here",
+	"scenario.Snapshot.InternDigest": "TestInternDigestPinned and the determinism tests compare it; " +
+		"handles never reach output, so no binary has a use for it",
+	"node.ProviderStore.touched": "TestProviderStoreExpireCostIsOutputSensitive reads it to bound the daily sweep's cost",
 }
 
 const (
 	rawTraceReason = "the retained raw trace the invariant suite's equivalence checks compare against; " +
 		"Config.RetainTrace and its four readers leave together, and removing the field moves every run key"
-	suiteReadReason = "world state the invariant suite reads through production API"
+	suiteReadReason   = "world state the invariant suite reads through production API"
+	benchReplayReason = "bench/drivers.go's replay of the engine depends on it, and it goes with that replay (ROADMAP item 2b)"
 )
 
 func TestProductionReach(t *testing.T) {
@@ -73,6 +82,8 @@ func TestProductionReach(t *testing.T) {
 
 // TestProductionReachFixture runs the gate over testdata/reach, a module
 // with one declaration per case, and expects exactly the flagged ones.
+// Findings are keyed by name and verb: one field can be flagged both as
+// unwritten and as unread.
 func TestProductionReachFixture(t *testing.T) {
 	findings, err := unreached(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -80,43 +91,63 @@ func TestProductionReachFixture(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, f := range findings {
-		got[f.name] = fmt.Sprintf("%s:%d", f.file, f.line)
+		got[f.name+" "+f.verb] = fmt.Sprintf("%s:%d", f.file, f.line)
 	}
 	cases := []struct {
-		name    string
-		flagged string // file:line of the finding; "" when not flagged
+		name, verb string
+		flagged    string // file:line of the finding; "" when not flagged
 	}{
-		{"lib.TestOnly", "internal/lib/lib.go:8"},  // exported; only lib_test.go calls it
-		{"lib.dead", "internal/lib/lib.go:11"},     // unexported, never called
-		{"lib.deadVar", "internal/lib/lib.go:14"},  // unexported var, never used
-		{"lib.selfOnly", "internal/lib/lib.go:17"}, // only called from its own body
-		{"lib.once", ""},                                     // called once, from lib.Total
-		{"lib.Square.Area", ""},                              // implements lib.Shape
-		{"lib.Square.String", ""},                            // implements fmt.Stringer
-		{"lib.Box.Get", ""},                                  // called on a Box[int]
-		{"lib.BenchOnly", ""},                                // called from the nested bench module
-		{"lib.Box.V", ""},                                    // set by key on a Box[int]
-		{"lib.Fields.Keyed", ""},                             // set by key in cmd/app
-		{"lib.Fields.Assigned", ""},                          // assigned in Bump
-		{"lib.Fields.Counted", ""},                           // incremented in Bump
-		{"lib.Fields.Addressed", ""},                         // its address taken in Bump
-		{"lib.Fields.Mu", ""},                                // locked through a pointer-receiver method
-		{"lib.Fields.Tagged", ""},                            // JSON-tagged
-		{"lib.Fields.TestSet", "internal/lib/fields.go:14"},  // only lib_test.go sets it
-		{"lib.Fields.ReadOnly", "internal/lib/fields.go:15"}, // read in Bump, never written
-		{"lib.Pair.A", ""},                                   // set by position in Bump
-		{"lib.Pair.B", ""},                                   // set by position in Bump
+		{"lib.TestOnly", "referenced", "internal/lib/lib.go:8"},  // exported; only lib_test.go calls it
+		{"lib.dead", "referenced", "internal/lib/lib.go:11"},     // unexported, never called
+		{"lib.deadVar", "referenced", "internal/lib/lib.go:14"},  // unexported var, never used
+		{"lib.selfOnly", "referenced", "internal/lib/lib.go:17"}, // only called from its own body
+		{"lib.once", "referenced", ""},                           // called once, from lib.Total
+		{"lib.Square.Area", "referenced", ""},                    // implements lib.Shape
+		{"lib.Square.String", "referenced", ""},                  // implements fmt.Stringer
+		{"lib.Box.Get", "referenced", ""},                        // called on a Box[int]
+		{"lib.BenchOnly", "referenced", ""},                      // called from the nested bench module
+
+		// The write rule.
+		{"lib.Box.V", "written", ""},                                    // set by key on a Box[int]
+		{"lib.Fields.Keyed", "written", ""},                             // set by key in cmd/app
+		{"lib.Fields.Assigned", "written", ""},                          // assigned in Bump
+		{"lib.Fields.Counted", "written", ""},                           // incremented in Bump
+		{"lib.Fields.Addressed", "written", ""},                         // its address taken in Bump
+		{"lib.Fields.Mu", "written", ""},                                // locked through a pointer-receiver method
+		{"lib.Fields.Tagged", "written", ""},                            // JSON-tagged
+		{"lib.Fields.TestSet", "written", "internal/lib/fields.go:14"},  // only lib_test.go sets it
+		{"lib.Fields.ReadOnly", "written", "internal/lib/fields.go:15"}, // read in Bump, never written
+		{"lib.Pair.A", "written", ""},                                   // set by position in Bump
+		{"lib.Pair.B", "written", ""},                                   // set by position in Bump
+
+		// The read rule.
+		{"lib.Box.V", "read", ""},                                   // read in Get
+		{"lib.Fields.Keyed", "read", ""},                            // read in cmd/app
+		{"lib.Fields.Counted", "read", ""},                          // read in Bump besides the increment
+		{"lib.Fields.Addressed", "read", ""},                        // taking its address reads it
+		{"lib.Fields.Mu", "read", ""},                               // calling its method reads it
+		{"lib.Fields.Tagged", "read", ""},                           // JSON-tagged
+		{"lib.Fields.TestSet", "read", ""},                          // read in cmd/app
+		{"lib.Pair.A", "read", ""},                                  // read in cmd/app
+		{"lib.Reads.Unread", "read", "internal/lib/fields.go:36"},   // assigned, never read
+		{"lib.Reads.Tally", "read", "internal/lib/fields.go:37"},    // incremented, never read
+		{"lib.Reads.TestRead", "read", "internal/lib/fields.go:38"}, // only lib_test.go reads it
+		{"lib.Reads.BenchRead", "read", ""},                         // read in the nested bench module
+		{"lib.Reads.Nested", "read", ""},                            // assigning its field reads it
+		{"lib.Key.X", "read", ""},                                   // a map key's field
+		{"lib.Key.Y", "read", ""},                                   // a map key's field
 
 		// internal/simtest/harness, a test fixture, is neither checked
-		// nor counted as a user or writer.
-		{"lib.HarnessOnly", "internal/lib/lib.go:62"},          // only the harness calls it
-		{"lib.Fields.HarnessSet", "internal/lib/fields.go:16"}, // only the harness sets it
-		{"harness.Run", ""}, // never called, but not checked
+		// nor counted as a user, writer or reader.
+		{"lib.HarnessOnly", "referenced", "internal/lib/lib.go:62"},       // only the harness calls it
+		{"lib.Fields.HarnessSet", "written", "internal/lib/fields.go:16"}, // only the harness sets it
+		{"lib.Fields.HarnessSet", "read", ""},                             // read in cmd/app
+		{"harness.Run", "referenced", ""},                                 // never called, but not checked
 	}
 	flagged := 0
 	for _, c := range cases {
-		if got[c.name] != c.flagged {
-			t.Errorf("%s: finding at %q, want %q", c.name, got[c.name], c.flagged)
+		if at := got[c.name+" "+c.verb]; at != c.flagged {
+			t.Errorf("%s (%s): finding at %q, want %q", c.name, c.verb, at, c.flagged)
 		}
 		if c.flagged != "" {
 			flagged++
@@ -128,12 +159,12 @@ func TestProductionReachFixture(t *testing.T) {
 }
 
 // reachFinding is one production identifier no non-test file uses, or
-// one struct field no non-test file writes.
+// one struct field no non-test file writes or none reads.
 type reachFinding struct {
 	file string // relative to the scanned root
 	line int
 	name string // pkg.Name, pkg.Type.Method or pkg.Type.Field
-	verb string // "referenced" or "written"
+	verb string // "referenced", "written" or "read"
 }
 
 // reachPkg is one directory's non-test Go files.
@@ -153,9 +184,11 @@ type reachPkg struct {
 // the object's own declaration, or in the receiver of a method on a
 // type, does not count. It also returns the named fields of the struct
 // types declared in those packages that no non-test file outside
-// internal/simtest writes (see writtenFields); fields with a json tag
-// are exempt, since encoding/json writes them by reflection, and
-// embedded fields are not checked.
+// internal/simtest writes (see writtenFields), and those that no such
+// file reads (see readFields). Fields with a json tag are exempt, since
+// encoding/json writes and reads them by reflection, and embedded fields
+// are not checked; fields of struct types used as map keys or compared
+// with == or != count as read.
 func unreached(root string) ([]reachFinding, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parseTree(fset, root)
@@ -292,17 +325,18 @@ func unreached(root string) ([]reachFinding, error) {
 		}
 	}
 
-	written := map[*types.Var]bool{}
+	written, read, compared := map[*types.Var]bool{}, map[*types.Var]bool{}, map[*types.Var]bool{}
 	for _, p := range paths {
 		if !inSimtest(p) {
 			writtenFields(pkgs[p].files, pkgs[p].info, written)
+			readFields(pkgs[p].files, pkgs[p].info, read, compared)
 		}
 	}
 	type field struct {
 		v    *types.Var
 		name string
 	}
-	var unwritten []field
+	var unwritten, unread []field
 	for _, p := range paths {
 		if !isTarget(p) {
 			continue
@@ -324,8 +358,16 @@ func unreached(root string) ([]reachFinding, error) {
 						}
 					}
 					for _, id := range fld.Names {
-						if v, ok := pkgs[p].info.Defs[id].(*types.Var); ok && id.Name != "_" && !written[v] {
-							unwritten = append(unwritten, field{v, v.Pkg().Name() + "." + ts.Name.Name + "." + v.Name()})
+						v, ok := pkgs[p].info.Defs[id].(*types.Var)
+						if !ok || id.Name == "_" {
+							continue
+						}
+						f := field{v, v.Pkg().Name() + "." + ts.Name.Name + "." + v.Name()}
+						if !written[v] {
+							unwritten = append(unwritten, f)
+						}
+						if !read[v] && !compared[v] {
+							unread = append(unread, f)
 						}
 					}
 				}
@@ -338,11 +380,19 @@ func unreached(root string) ([]reachFinding, error) {
 			return nil, err
 		}
 	}
+	for _, f := range unread {
+		if err := add(f.v, f.name, "read"); err != nil {
+			return nil, err
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].file != out[j].file {
 			return out[i].file < out[j].file
 		}
-		return out[i].line < out[j].line
+		if out[i].line != out[j].line {
+			return out[i].line < out[j].line
+		}
+		return out[i].verb > out[j].verb
 	})
 	return out, nil
 }
@@ -357,10 +407,7 @@ func writtenFields(files []*ast.File, info *types.Info, written map[*types.Var]b
 	mark := func(v *types.Var) { written[v.Origin()] = true }
 	var write func(e ast.Expr)
 	write = func(e ast.Expr) {
-		for p, ok := e.(*ast.ParenExpr); ok; p, ok = e.(*ast.ParenExpr) {
-			e = p.X
-		}
-		switch e := e.(type) {
+		switch e := unparen(e).(type) {
 		case *ast.SelectorExpr:
 			sel := info.Selections[e]
 			if sel == nil || sel.Kind() != types.FieldVal {
@@ -432,6 +479,58 @@ func writtenFields(files []*ast.File, info *types.Info, written map[*types.Var]b
 			return true
 		})
 	}
+}
+
+// readFields adds to read every struct field the files read: any
+// selector of it except the whole left-hand operand of an assignment
+// (= or op=) and the operand of ++ or --. So x.F.G = v reads F, and so
+// does &x.F. It adds to compared the fields of every struct type used as
+// a map key or compared with == or !=, which the language reads whole.
+func readFields(files []*ast.File, info *types.Info, read, compared map[*types.Var]bool) {
+	target := map[ast.Expr]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target[unparen(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				target[unparen(n.X)] = true
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !target[n] {
+					read[sel.Obj().(*types.Var).Origin()] = true
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					compareFields(info.TypeOf(n.X), compared)
+				}
+			}
+			return true
+		})
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			compareFields(m.Key(), compared)
+		}
+	}
+}
+
+// compareFields adds to compared the fields of t, if it is a struct.
+func compareFields(t types.Type, compared map[*types.Var]bool) {
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			compared[st.Field(i).Origin()] = true
+		}
+	}
+}
+
+// unparen strips the parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for p, ok := e.(*ast.ParenExpr); ok; p, ok = e.(*ast.ParenExpr) {
+		e = p.X
+	}
+	return e
 }
 
 // reachSpan is the source range of a declaration.

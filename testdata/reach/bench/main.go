@@ -6,4 +6,7 @@ import (
 	"fixture/internal/lib"
 )
 
-func main() { fmt.Println(lib.BenchOnly()) }
+func main() {
+	var r lib.Reads
+	fmt.Println(lib.BenchOnly(), r.BenchRead)
+}

@@ -2,8 +2,8 @@ package lib
 
 import "sync"
 
-// Fields has one field per case of the gate's field rule; the comment
-// on each says whether it is flagged.
+// Fields has one field per case of the gate's write rule; Bump or
+// cmd/app reads every one but Tagged, which is exempt.
 type Fields struct {
 	Keyed      int        // not flagged: cmd/app sets it by key
 	Assigned   int        // not flagged: Bump assigns it
@@ -28,4 +28,28 @@ func Bump(f *Fields) Pair {
 	p := &f.Addressed
 	*p = 2
 	return Pair{f.Counted, f.ReadOnly}
+}
+
+// Reads has one field per case of the gate's read rule; the comment on
+// each says whether it is flagged. Touch writes them all.
+type Reads struct {
+	Unread    int  // flagged: Touch assigns it, nothing reads it
+	Tally     int  // flagged: Touch increments it, nothing reads it
+	TestRead  int  // flagged: only lib_test.go reads it
+	BenchRead int  // not flagged: the nested bench module reads it
+	Nested    Pair // not flagged: assigning r.Nested.A reads Nested
+}
+
+// Key is not flagged: a map key, whose fields the map compares.
+type Key struct{ X, Y int }
+
+// Touch is used by cmd/app.
+func Touch(r *Reads) int {
+	r.Unread = 1
+	r.Tally++
+	r.TestRead = 2
+	r.BenchRead = 3
+	r.Nested.A = 4
+	seen := map[Key]bool{{X: 1, Y: 2}: true}
+	return len(seen)
 }
